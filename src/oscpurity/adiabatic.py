@@ -23,7 +23,7 @@ from .errors import (
     SupercriticalExcursion,
 )
 from .model import coupling_xi, coupling_xi_dot, frame_from_xi
-from .transport import IntegratorConfig, integrate
+from .transport import IntegratorConfig, integrate, propagate, purity_from_propagator
 
 #: Purity deficits below this are beyond double-precision resolution.
 DEFICIT_FLOOR = 1e-13
@@ -181,14 +181,13 @@ def purity_nlo_correction(t, p, acc=None):
 def latetime_purity(p, cfg: Optional[IntegratorConfig] = None):
     """Frozen late-time purity from the exact integrator.
 
-    Runs with the coupling-cutoff end policy (threshold 1e-10 by default)
-    and returns the purity at the final time.
+    Propagates to the coupling-cutoff end point (threshold 1e-10 by
+    default), without samples, and returns the purity there.
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    cfg = cfg.with_updates(t_end_policy="cutoff")
-    traj = integrate(p, cfg)
-    return float(traj.purity_s[-1])
+    u = propagate(p, cfg.with_updates(t_end_policy="cutoff"))
+    return float(purity_from_propagator(u, p))
 
 
 def loglog_slope(ratios, deficits, floor=DEFICIT_FLOOR):
@@ -304,11 +303,11 @@ def recoherence_threshold_scan(
                     "criterion never met at tau/t0 = %g on the given bounds" % ratio
                 )
             lo = max(lo_b, lo / 4.0)
-        while recoheres(hi):
-            if hi >= hi_b:
-                break
+        recohering = recoheres(hi)
+        while recohering and hi < hi_b:
             hi = min(hi_b, hi * 4.0)
-        if hi >= hi_b and recoheres(hi):
+            recohering = recoheres(hi)
+        if recohering:
             prev_thr = hi
             results.append((ratio, hi))
             continue

@@ -15,50 +15,25 @@ import numpy as np
 
 from . import adiabatic, isoso, markov, perturbation, presets
 from .errors import ConfigError, InvalidCaseWarning, OscPurityError
-from .model import (
-    ScenarioParams,
-    classify_regime,
-    derived_params,
-    frame_from_xi,
-    parse_config,
-)
-from .transport import IntegratorConfig, config_from_dict, integrate
-
-FMT = "%.16e"
+from .model import classify_regime, parse_config
+from .presets import FMT, summarize, write_markov_csv, write_rows
+from .transport import IntegratorConfig, integrate
 
 _SWEEP_KEYS = {"param", "grid", "min", "max", "count", "reduction", "workers"}
 _REDUCTIONS = ("latetime_purity", "slope", "threshold")
 
 
-def _load_scenario(path):
+def _read_text(path, what):
     try:
         with open(path) as f:
-            text = f.read()
+            return f.read()
     except OSError as exc:
-        raise ConfigError("cannot read config %r: %s" % (path, exc))
-    p, overrides = parse_config(text)
-    try:
-        cfg = config_from_dict(overrides)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
-    return p, cfg
+        raise ConfigError("cannot read %s %r: %s" % (what, path, exc))
 
 
-def _summary(p, gamma_min=None, gamma_inf=None, **extra):
-    fr = frame_from_xi(p.xi0, p)
-    d = derived_params(p)
-    label = classify_regime(min(p.w, 1.0 / p.w), p.psi, p.omega_s)
-    out = {
-        "schema": 1,
-        "gamma_min": gamma_min,
-        "gamma_inf": gamma_inf,
-        "regime": label.label,
-        "omega1_abs": fr.omega1_abs,
-        "g_p": d.g_p,
-        "xi_c": d.xi_c,
-    }
-    out.update(extra)
-    return out
+def _load_scenario(path):
+    p, overrides = parse_config(_read_text(path, "config"))
+    return p, IntegratorConfig(**overrides)
 
 
 def _emit(summary, json_mode):
@@ -67,13 +42,6 @@ def _emit(summary, json_mode):
     else:
         for key in sorted(summary):
             print("%s: %s" % (key, summary[key]))
-
-
-def _write_rows(path, header, rows):
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(FMT % v for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +54,7 @@ def cmd_simulate(args):
     traj = integrate(p, cfg)
     os.makedirs(args.out, exist_ok=True)
     traj.to_csv(os.path.join(args.out, "trajectory.csv"))
-    summary = _summary(
+    summary = summarize(
         p,
         gamma_min=float(np.min(traj.purity_s)),
         gamma_inf=float(traj.purity_s[-1]),
@@ -113,9 +81,9 @@ def cmd_isoso(args):
     else:
         rows = zip(ts, gam)
     os.makedirs(args.out, exist_ok=True)
-    _write_rows(os.path.join(args.out, "isoso.csv"), header, rows)
+    write_rows(os.path.join(args.out, "isoso.csv"), header, rows)
     _emit(
-        _summary(p, gamma_min=float(np.min(gam)), gamma_inf=float(gam[-1])),
+        summarize(p, gamma_min=float(np.min(gam)), gamma_inf=float(gam[-1])),
         args.json,
     )
     return 0
@@ -127,9 +95,9 @@ def cmd_perturb(args):
     ts = np.linspace(p.t_in, t_end, 2001)
     gam = np.array([perturbation.purity_o2_quadrature(t, p) for t in ts])
     os.makedirs(args.out, exist_ok=True)
-    _write_rows(os.path.join(args.out, "perturb.csv"), "t,purity_o2", zip(ts, gam))
+    write_rows(os.path.join(args.out, "perturb.csv"), "t,purity_o2", zip(ts, gam))
     _emit(
-        _summary(p, gamma_min=float(np.min(gam)), gamma_inf=float(gam[-1])),
+        summarize(p, gamma_min=float(np.min(gam)), gamma_inf=float(gam[-1])),
         args.json,
     )
     return 0
@@ -144,19 +112,19 @@ def cmd_adiabatic(args):
     if args.order == 1:
         acc = adiabatic.accumulate_phases(p)
         nlo = np.array([adiabatic.purity_nlo_correction(t, p, acc) for t in ts])
-        _write_rows(
+        write_rows(
             os.path.join(args.out, "adiabatic.csv"),
             "t,purity_lo,delta_nlo",
             zip(ts, lo, nlo),
         )
         total = lo + nlo
     else:
-        _write_rows(
+        write_rows(
             os.path.join(args.out, "adiabatic.csv"), "t,purity_lo", zip(ts, lo)
         )
         total = lo
     _emit(
-        _summary(p, gamma_min=float(np.min(total)), gamma_inf=float(total[-1])),
+        summarize(p, gamma_min=float(np.min(total)), gamma_inf=float(total[-1])),
         args.json,
     )
     return 0
@@ -167,20 +135,8 @@ def cmd_markov(args):
     traj = integrate(p, cfg)
     series = markov.markov_series(traj, p, args.surrogate, stride=4)
     os.makedirs(args.out, exist_ok=True)
-    _write_rows(
-        os.path.join(args.out, "markov.csv"),
-        "t,purity,lambda_minus,lambda_plus,v_bures,v_bures_fd,cp_flag",
-        zip(
-            series["t"],
-            series["purity"],
-            series["lambda_minus"],
-            series["lambda_plus"],
-            np.nan_to_num(series["v_bures"]),
-            np.nan_to_num(series["v_bures_fd"]),
-            series["cp_flag"].astype(float),
-        ),
-    )
-    summary = _summary(
+    write_markov_csv(os.path.join(args.out, "markov.csv"), series)
+    summary = summarize(
         p,
         gamma_min=float(np.min(series["purity"])),
         gamma_inf=float(series["purity"][-1]),
@@ -239,16 +195,14 @@ def parse_sweep_spec(text):
     else:
         grid = np.linspace(lo, hi, count)
     p, overrides = parse_config("\n".join(base_lines))
-    cfg = config_from_dict(overrides)
-    return p, cfg, grid, kv["reduction"], max(1, workers)
+    cfg = IntegratorConfig(**overrides)
+    return p, cfg, grid, kv["reduction"], min(max(1, workers), os.cpu_count() or 1)
 
 
 def _sweep_cell(task):
     """One sweep cell: (index, tau) -> (index, late-time purity)."""
     idx, tau, p, cfg = task
-    cfg = cfg.with_updates(t_end_policy="cutoff")
-    traj = integrate(p.with_tau(tau), cfg)
-    return idx, float(np.min(traj.purity_s)), float(traj.purity_s[-1])
+    return idx, adiabatic.latetime_purity(p.with_tau(tau), cfg)
 
 
 def run_sweep(p, cfg, grid, reduction, workers=1):
@@ -276,7 +230,7 @@ def run_sweep(p, cfg, grid, reduction, workers=1):
     else:
         raw = [_sweep_cell(t) for t in tasks]
     raw.sort(key=lambda r: r[0])
-    gamma_inf = np.array([r[2] for r in raw])
+    gamma_inf = np.array([r[1] for r in raw])
     out = {
         "kind": reduction,
         "tau_over_t0": grid / p.t0,
@@ -292,15 +246,14 @@ def run_sweep(p, cfg, grid, reduction, workers=1):
 
 
 def cmd_sweep(args):
-    with open(args.spec) as f:
-        text = f.read()
+    text = _read_text(args.spec, "sweep spec")
     p, cfg, grid, reduction, workers = parse_sweep_spec(text)
     res = run_sweep(p, cfg, grid, reduction, workers)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     if res["kind"] == "slope":
-        _write_rows(path, "tau_over_t0,gamma_inf", zip(res["tau_over_t0"], res["value"]))
-        _write_rows(
+        write_rows(path, "tau_over_t0,gamma_inf", zip(res["tau_over_t0"], res["value"]))
+        write_rows(
             os.path.join(args.out, "sweep_slope.csv"),
             "tau_over_t0,slope,flagged",
             zip(res["mid_tau_over_t0"], res["slope"], res["flagged"].astype(float)),
@@ -311,7 +264,7 @@ def cmd_sweep(args):
             if res["kind"] == "threshold"
             else "tau_over_t0,gamma_inf"
         )
-        _write_rows(path, header, zip(res["tau_over_t0"], res["value"]))
+        write_rows(path, header, zip(res["tau_over_t0"], res["value"]))
     summary = {
         "schema": 1,
         "kind": res["kind"],

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import NonPhysicalState, PureStateSingularity, StepFailure
-from .model import coupling_xi
+from .model import coupling_xi, normal_mode_sq
 from .symplectic import OMEGA2, det2, eig_sym2, symmetrize
 from .transport import CovarianceState
 
@@ -139,9 +139,13 @@ def cp_check(pair, tol=1e-10):
 
 def cp_check_infinitesimal(b, tol=1e-12):
     """Complete positivity of an infinitesimal step: B must be positive
-    semidefinite."""
-    lam_m, _ = eig_sym2(b)
-    return lam_m >= -tol, float(lam_m)
+    semidefinite.
+
+    The smaller eigenvalue carries round-off of order eps |B|, so the
+    tolerance is relative: lambda_minus >= -tol max(1, |lambda_plus|).
+    """
+    lam_m, lam_p = eig_sym2(b)
+    return lam_m >= -tol * max(1.0, abs(lam_p)), float(lam_m)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +326,7 @@ def markov_series(traj, p, surrogate="drop-negative", stride=1):
         v_bures_fd, cp_flag (infinitesimal CP of the surrogate), flagged
         (pure-state-singularity points, reported as NaN velocities).
     """
-    from .model import frame_from_xi
-
-    dt_fd = 1e-6 * 2.0 * np.pi / frame_from_xi(p.xi0, p).omega2
+    dt_fd = 1e-6 * 2.0 * np.pi / np.sqrt(normal_mode_sq(p.xi0, p)[1])
     out = {
         "t": [],
         "purity": [],

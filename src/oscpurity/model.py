@@ -2,6 +2,7 @@
 frame, criticality/perturbativity measures, and regime classification.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -42,6 +43,9 @@ class ScenarioParams:
     profile: str = SMOOTH
 
     def __post_init__(self):
+        for name in ("omega_s", "omega_e", "xi0", "t0", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError("%s must be finite" % name)
         if self.omega_s <= 0 or self.omega_e <= 0:
             raise ConfigError("frequencies must be positive")
         if self.t0 <= 0:
@@ -203,6 +207,18 @@ class AdiabaticFrame:
         if self.delta_flag:
             return 1j * self.omega1_abs
         return complex(self.omega1_abs)
+
+
+def normal_mode_sq(xi, p):
+    """Squared normal frequencies (omega1^2, omega2^2) at coupling xi.
+
+    omega1^2 is negative above the critical coupling and crosses zero at it;
+    unlike frame_from_xi this never raises.
+    """
+    ws2 = p.omega_s**2
+    we2 = p.omega_e**2
+    r = np.sqrt(4.0 * xi * xi + (we2 - ws2) ** 2)
+    return 0.5 * (ws2 + we2 - r), 0.5 * (ws2 + we2 + r)
 
 
 def frame_from_xi(xi, p, xi_dot=0.0):

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import adiabatic, isoso, markov, perturbation
 from .errors import InvalidCaseWarning
-from .model import ScenarioParams, classify_regime, derived_params, frame_from_xi
+from .model import ScenarioParams, classify_regime, derived_params, normal_mode_sq
 from .transport import IntegratorConfig, integrate, isoso_reference_run
 
 FMT = "%.16e"
@@ -100,26 +100,50 @@ def preset_config(name):
     return IntegratorConfig()
 
 
-def _write_rows(path, header, rows):
+def write_rows(path, header, rows):
+    """Write a CSV file with 17-significant-digit floats."""
     with open(path, "w") as f:
         f.write(header + "\n")
         for row in rows:
             f.write(",".join(FMT % v for v in row) + "\n")
 
 
-def _summary(p, gamma_min, gamma_inf):
-    fr = frame_from_xi(p.xi0, p)
+def write_markov_csv(path, series):
+    """Write a markov_series result in the standard markov.csv layout."""
+    write_rows(
+        path,
+        "t,purity,lambda_minus,lambda_plus,v_bures,v_bures_fd,cp_flag",
+        zip(
+            series["t"],
+            series["purity"],
+            series["lambda_minus"],
+            series["lambda_plus"],
+            np.nan_to_num(series["v_bures"]),
+            np.nan_to_num(series["v_bures_fd"]),
+            series["cp_flag"].astype(float),
+        ),
+    )
+
+
+def summarize(p, gamma_min=None, gamma_inf=None, **extra):
+    """Schema-1 summary of one scenario run.
+
+    omega1_abs = sqrt|omega1^2| at peak coupling comes from the closed form,
+    so it reads 0 rather than failing at exactly critical coupling.
+    """
     d = derived_params(p)
     label = classify_regime(min(p.w, 1.0 / p.w), p.psi, p.omega_s)
-    return {
+    out = {
         "schema": 1,
         "gamma_min": gamma_min,
         "gamma_inf": gamma_inf,
         "regime": label.label,
-        "omega1_abs": fr.omega1_abs,
+        "omega1_abs": float(np.sqrt(abs(normal_mode_sq(p.xi0, p)[0]))),
         "g_p": d.g_p,
         "xi_c": d.xi_c,
     }
+    out.update(extra)
+    return out
 
 
 def run_preset(name, outdir):
@@ -138,22 +162,11 @@ def run_preset(name, outdir):
             traj.to_csv(os.path.join(outdir, "%s_traj%d.csv" % (name, i)))
             if name.startswith("fig14"):
                 series = markov.markov_series(traj, p, "drop-negative", stride=4)
-                rows = zip(
-                    series["t"],
-                    series["purity"],
-                    series["lambda_minus"],
-                    series["lambda_plus"],
-                    np.nan_to_num(series["v_bures"]),
-                    np.nan_to_num(series["v_bures_fd"]),
-                    series["cp_flag"].astype(float),
-                )
-                _write_rows(
-                    os.path.join(outdir, "%s_markov%d.csv" % (name, i)),
-                    "t,purity,lambda_minus,lambda_plus,v_bures,v_bures_fd,cp_flag",
-                    rows,
+                write_markov_csv(
+                    os.path.join(outdir, "%s_markov%d.csv" % (name, i)), series
                 )
             summaries.append(
-                _summary(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
+                summarize(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
             )
     elif name == "fig3":
         for i, p in enumerate(preset_scenarios(name)):
@@ -163,13 +176,13 @@ def run_preset(name, outdir):
                 (t, isoso.isoso_purity(t, p), g)
                 for t, g in zip(traj.t[m], traj.purity_s[m])
             ]
-            _write_rows(
+            write_rows(
                 os.path.join(outdir, "%s_compare%d.csv" % (name, i)),
                 "t,purity_analytic,purity_numeric",
                 rows,
             )
             summaries.append(
-                _summary(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
+                summarize(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
             )
     elif name in ("fig5", "fig6", "fig7"):
         cases = {
@@ -190,13 +203,13 @@ def run_preset(name, outdir):
                     )
                     for t in ts
                 ]
-            _write_rows(
+            write_rows(
                 os.path.join(outdir, "%s_%s.csv" % (name, case)),
                 "t,purity_analytic,purity_expansion",
                 rows,
             )
             gammas = [r[1] for r in rows]
-            summaries.append(_summary(p, float(np.min(gammas)), float(gammas[-1])))
+            summaries.append(summarize(p, float(np.min(gammas)), float(gammas[-1])))
     elif name in ("fig8L", "fig8R", "fig9"):
         (p,) = preset_scenarios(name)
         traj = integrate(p, cfg)
@@ -208,7 +221,7 @@ def run_preset(name, outdir):
             for t in ts:
                 io_, ith = adiabatic.nlo_contributions(t, p, acc)
                 rows.append((t, io_, ith))
-            _write_rows(
+            write_rows(
                 os.path.join(outdir, "fig9_contributions.csv"),
                 "t,itilde_omega,itilde_theta",
                 rows,
@@ -219,13 +232,13 @@ def run_preset(name, outdir):
                 lo = adiabatic.purity_adiabatic_lo(t, p)
                 nlo = adiabatic.purity_nlo_correction(t, p, acc)
                 rows.append((t, g, lo, lo + nlo))
-            _write_rows(
+            write_rows(
                 os.path.join(outdir, "%s_adiabatic.csv" % name),
                 "t,purity_exact,purity_lo,purity_lo_plus_nlo",
                 rows,
             )
         summaries.append(
-            _summary(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
+            summarize(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
         )
     elif name in ("fig10", "fig11"):
         (p,) = preset_scenarios(name)
@@ -234,28 +247,28 @@ def run_preset(name, outdir):
             (t, isoso.isoso_purity(t, p), perturbation.purity_o2_isoso(t + p.t0, p))
             for t in ts
         ]
-        _write_rows(
+        write_rows(
             os.path.join(outdir, "%s_perturbative.csv" % name),
             "t,purity_analytic,purity_o2",
             rows,
         )
         gammas = [r[1] for r in rows]
-        summaries.append(_summary(p, float(np.min(gammas)), float(gammas[-1])))
+        summaries.append(summarize(p, float(np.min(gammas)), float(gammas[-1])))
     elif name == "fig12":
         (p,) = preset_scenarios(name)
         taus = np.array([4.0, 5.0, 6.3, 7.9, 10.0, 14.1, 20.0]) * p.t0
         res = adiabatic.nonanalyticity_slope(p, taus)
-        _write_rows(
+        write_rows(
             os.path.join(outdir, "fig12_deficit.csv"),
             "tau_over_t0,deficit",
             zip(res["tau_over_t0"], res["deficit"]),
         )
-        _write_rows(
+        write_rows(
             os.path.join(outdir, "fig12_slope.csv"),
             "tau_over_t0,slope,flagged",
             zip(res["mid_tau_over_t0"], res["slope"], res["flagged"].astype(float)),
         )
-        summaries.append(_summary(p, float("nan"), float(1.0 - res["deficit"][0])))
+        summaries.append(summarize(p, float("nan"), float(1.0 - res["deficit"][0])))
     elif name == "fig13":
         (p,) = preset_scenarios(name)
         # One decade of switch-rate ratios inside the linear-threshold
@@ -266,12 +279,12 @@ def run_preset(name, outdir):
             (r, t, res["slope"], res["r_squared"])
             for r, t in zip(res["tau_over_t0"], res["T_omega_thr"])
         ]
-        _write_rows(
+        write_rows(
             os.path.join(outdir, "fig13_threshold.csv"),
             "tau_over_t0,T_omega_thr,slope_fit,r_squared",
             rows,
         )
-        s = _summary(p, float("nan"), float("nan"))
+        s = summarize(p, float("nan"), float("nan"))
         s["threshold_slope"] = res["slope"]
         s["threshold_r_squared"] = res["r_squared"]
         summaries.append(s)

@@ -1,13 +1,17 @@
-"""Exact numerical integration of the full covariance-matrix transport
-equation; ground-truth oracle for every analytic module.
+"""Exact numerical integration of the two-mode transport equation;
+ground-truth oracle for every analytic module.
 
-The joint state is the 4x4 covariance matrix sigma ordered
-(x_S, p_S, x_E, p_E), evolving as d sigma/dt = Omega H sigma - sigma H Omega.
-The 10 independent upper-triangular entries of sigma are integrated together
-with the 16 entries of the symplectic propagator U (dU/dt = Omega H U).
-Purities are extracted from U via a Cauchy-Binet sum of squared minors,
-which stays accurate deep in the supercritical phase where det sigma_S is
-exponentially smaller than the sigma_S entries.
+The only integrated state is the 4x4 symplectic propagator U from t_in,
+dU/dt = K(xi(t)) U with the generator K = Omega H, ordered
+(x_S, p_S, x_E, p_E).  The covariance matrix is derived from it as
+sigma = L L^T with L = U diag(sqrt(vacuum)), so the two cannot disagree.
+Purities are a Cauchy-Binet sum of squared 2x2 minors of L, which stays
+accurate deep in the supercritical phase where det sigma_S is exponentially
+smaller than the sigma_S entries.
+
+`integrate` keeps dense interpolants and samples the whole window;
+`propagate` returns only U at the end point, for callers that need nothing
+but the late-time value.
 """
 
 import io
@@ -19,36 +23,25 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import StepFailure
-from .model import ISOSO, SMOOTH, coupling_xi
-from .symplectic import OMEGA4, symmetrize
+from .model import ISOSO, SMOOTH, coupling_xi, normal_mode_sq
 
-_TRIU = np.triu_indices(4)
+# Row/column pairs of the 2x2 minors in the Cauchy-Binet sums.
+_MINOR_I, _MINOR_J = np.triu_indices(4, 1)
 
-
-def _pack(sigma, u):
-    return np.concatenate([sigma[_TRIU], u.ravel()])
-
-
-def _unpack_sigma(y):
-    sigma = np.zeros((4, 4))
-    sigma[_TRIU] = y[:10]
-    return sigma + np.triu(sigma, 1).T
+#: dK/dxi: the coupling enters K = Omega H only as K[1, 2] = K[3, 0] = -xi.
+_K1 = np.zeros((4, 4))
+_K1[1, 2] = _K1[3, 0] = -1.0
 
 
-def _unpack_u(y):
-    return y[10:26].reshape(4, 4)
-
-
-def hamiltonian_matrix(xi, p):
-    """Quadratic-form matrix of the joint Hamiltonian at coupling xi."""
-    return np.array(
-        [
-            [p.omega_s**2, 0.0, xi, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [xi, 0.0, p.omega_e**2, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
+def generator_terms(p):
+    """Constant parts (K0, K1) of the generator K(xi) = Omega H(xi) = K0 +
+    xi K1 of U' = K U, where H is the quadratic form of the joint
+    Hamiltonian diag(w_S^2, 1, w_E^2, 1) plus xi in the (x_S, x_E) entries."""
+    k0 = np.zeros((4, 4))
+    k0[0, 1] = k0[2, 3] = 1.0
+    k0[1, 0] = -p.omega_s**2
+    k0[3, 2] = -p.omega_e**2
+    return k0, _K1
 
 
 @dataclass(frozen=True)
@@ -86,82 +79,70 @@ class IntegratorConfig:
         return replace(self, **kw)
 
 
-def config_from_dict(d):
-    """Build an IntegratorConfig from parsed config-file overrides."""
-    return IntegratorConfig(**d)
+def _vacuum_factor(u, p):
+    """L = U diag(sqrt(vacuum)) for one propagator or a (N, 4, 4) stack."""
+    root = np.sqrt([1.0 / p.omega_s, p.omega_s, 1.0 / p.omega_e, p.omega_e])
+    return u * root
 
 
-def _vacuum_sqrt(p):
-    """Square root of the vacuum covariance diagonal."""
-    return np.sqrt(np.array([1.0 / p.omega_s, p.omega_s, 1.0 / p.omega_e, p.omega_e]))
-
-
-def _block_det_from_u(u, p, rows):
-    """det of a sigma block from the propagator via Cauchy-Binet.
-
-    With L = U diag(sqrt(vacuum)), the block is L_r L_r^T for the given row
-    pair, so its determinant is the sum of squared 2x2 minors of L_r -- a
-    cancellation-free form even when the block entries are exponentially
-    large.
-    """
-    l = u * _vacuum_sqrt(p)[np.newaxis, :]
-    r0, r1 = rows
-    total = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            minor = l[r0, i] * l[r1, j] - l[r0, j] * l[r1, i]
-            total += minor * minor
-    return total
+def sigma_from_propagator(u, p):
+    """Covariance sigma = L L^T evolved from the vacuum by U (one matrix or a
+    (N, 4, 4) stack)."""
+    l = _vacuum_factor(np.asarray(u), p)
+    return l @ np.swapaxes(l, -1, -2)
 
 
 def purity_from_propagator(u, p, mode="S"):
-    """Single-mode purity 1/sqrt(det sigma_mode) from the propagator."""
-    rows = (0, 1) if mode == "S" else (2, 3)
-    return 1.0 / np.sqrt(_block_det_from_u(u, p, rows))
+    """Single-mode purity 1/sqrt(det sigma_mode) from the propagator.
+
+    With L = U diag(sqrt(vacuum)), the mode block is L_r L_r^T for its row
+    pair r, so its determinant is the sum of squared 2x2 minors of L_r -- a
+    cancellation-free form even when the block entries are exponentially
+    large.  Works on one propagator or on a (N, 4, 4) stack.
+    """
+    l = _vacuum_factor(np.asarray(u), p)
+    r = 0 if mode == "S" else 2
+    a, b = l[..., r, :], l[..., r + 1, :]
+    minors = a[..., _MINOR_I] * b[..., _MINOR_J] - a[..., _MINOR_J] * b[..., _MINOR_I]
+    return 1.0 / np.sqrt(np.sum(minors * minors, axis=-1))
 
 
 class Trajectory:
-    """Time-ordered covariance samples plus derived series.
+    """Time-ordered propagator samples plus the series derived from them.
 
     Attributes:
         t: sample times (strictly increasing).
-        sigma: (N, 4, 4) covariance samples.
         propagator: (N, 4, 4) symplectic propagators from t_in.
+        sigma: (N, 4, 4) covariance samples derived from the propagators.
         purity_s, purity_e: per-mode purities (propagator route).
         xi: coupling strength at each sample.
     """
 
-    def __init__(self, t, sigma, propagator, params, segments):
+    def __init__(self, t, propagator, params, segments):
         self.t = np.asarray(t)
-        self.sigma = np.asarray(sigma)
         self.propagator = np.asarray(propagator)
         self.params = params
         self._segments = segments  # list of (t_lo, t_hi, dense solution)
-        self.purity_s = np.array(
-            [purity_from_propagator(u, params, "S") for u in self.propagator]
-        )
-        self.purity_e = np.array(
-            [purity_from_propagator(u, params, "E") for u in self.propagator]
-        )
+        self.sigma = sigma_from_propagator(self.propagator, params)
+        self.purity_s = purity_from_propagator(self.propagator, params, "S")
+        self.purity_e = purity_from_propagator(self.propagator, params, "E")
         self.xi = np.asarray(coupling_xi(self.t, params), dtype=float)
 
     @property
     def t_end(self):
         return float(self.t[-1])
 
-    def _dense_at(self, t):
+    def propagator_at(self, t):
+        """Propagator at an arbitrary time via dense interpolation."""
         t = float(t)
         for t_lo, t_hi, sol in self._segments:
             if t_lo - 1e-12 <= t <= t_hi + 1e-12:
-                return sol(np.clip(t, t_lo, t_hi))
+                return sol(np.clip(t, t_lo, t_hi)).reshape(4, 4)
         raise ValueError("time %g outside trajectory range" % t)
 
     def sigma_at(self, t):
         """Covariance matrix at an arbitrary time via dense interpolation."""
-        return symmetrize(_unpack_sigma(self._dense_at(t)))
-
-    def propagator_at(self, t):
-        return _unpack_u(self._dense_at(t))
+        return sigma_from_propagator(self.propagator_at(t), self.params)
 
     def purity_at(self, t, mode="S"):
         """Purity at an arbitrary time (propagator route)."""
@@ -207,19 +188,8 @@ def vacuum_initial(p):
     return CovarianceState(p.t_in, sigma)
 
 
-def transport_rhs(state, p):
-    """Right-hand side Omega H sigma - sigma H Omega of the transport
-    equation at the state's time."""
-    xi = float(coupling_xi(state.t, p))
-    h = hamiltonian_matrix(xi, p)
-    return OMEGA4 @ h @ state.sigma - state.sigma @ h @ OMEGA4
-
-
 def _omega2_peak(p):
-    xi = p.xi0
-    ws2, we2 = p.omega_s**2, p.omega_e**2
-    r = np.sqrt(4 * xi * xi + (we2 - ws2) ** 2)
-    return np.sqrt(0.5 * (ws2 + we2 + r))
+    return np.sqrt(normal_mode_sq(p.xi0, p)[1])
 
 
 def default_sample_dt(p):
@@ -283,6 +253,67 @@ def _segment_max_step(p, t_lo, t_hi, cfg):
     return cap
 
 
+def _solve(p, cfg, t_end, dense):
+    """Integrate U' = K U from t_in to t_end, one solver run per segment.
+
+    Returns:
+        (U(t_end), segments) with segments a list of (t_lo, t_hi, dense
+        solution or None).
+    """
+    k0, k1 = generator_terms(p)
+
+    def make_rhs(t_lo, t_hi):
+        if p.profile == ISOSO:
+            # xi is piecewise constant; evaluate it mid-segment so the
+            # open-interval edge values never leak into RK stages.
+            k = k0 + float(coupling_xi(0.5 * (t_lo + t_hi), p)) * k1
+
+            def rhs(_t, y):
+                return k.dot(y.reshape(4, 4)).ravel()
+
+        else:
+
+            def rhs(t, y):
+                return (k0 + float(coupling_xi(t, p)) * k1).dot(y.reshape(4, 4)).ravel()
+
+        return rhs
+
+    y = np.eye(4).ravel()
+    segments = []
+    breakpoints = _segment_breakpoints(p, p.t_in, t_end)
+    for t_lo, t_hi in zip(breakpoints[:-1], breakpoints[1:]):
+        sol = solve_ivp(
+            make_rhs(t_lo, t_hi),
+            (t_lo, t_hi),
+            y,
+            method=cfg.method,
+            rtol=cfg.rtol,
+            atol=cfg.atol,
+            max_step=_segment_max_step(p, t_lo, t_hi, cfg),
+            dense_output=dense,
+        )
+        if not sol.success:
+            raise StepFailure(
+                "integration failed on [%g, %g]: %s" % (t_lo, t_hi, sol.message)
+            )
+        y = sol.y[:, -1]
+        segments.append((t_lo, t_hi, sol.sol))
+    return y.reshape(4, 4), segments
+
+
+def propagate(p, cfg=IntegratorConfig()):
+    """Propagator U(t_end) over the scenario window, without dense output or
+    samples.
+
+    The end time follows cfg.t_end_policy as in integrate.
+
+    Raises:
+        StepFailure: if the adaptive solver cannot meet its tolerances.
+    """
+    u, _ = _solve(p, cfg, _resolve_t_end(p, cfg), dense=False)
+    return u
+
+
 def integrate(p, cfg=IntegratorConfig()):
     """Integrate the transport equation over the scenario window.
 
@@ -299,98 +330,19 @@ def integrate(p, cfg=IntegratorConfig()):
     t_start = p.t_in
     t_end = _resolve_t_end(p, cfg)
     sample_dt = cfg.sample_dt if cfg.sample_dt is not None else default_sample_dt(p)
-
-    def make_rhs(t_lo, t_hi):
-        if p.profile == ISOSO:
-            # xi is piecewise constant; evaluate it mid-segment so the
-            # open-interval edge values never leak into RK stages.
-            xi_const = float(coupling_xi(0.5 * (t_lo + t_hi), p))
-
-            def xi_of(_t):
-                return xi_const
-
-        else:
-
-            def xi_of(t):
-                return float(coupling_xi(t, p))
-
-        a = p.omega_s**2
-        b = p.omega_e**2
-
-        def rhs(t, y):
-            xi = xi_of(t)
-            sigma = _unpack_sigma(y)
-            u = _unpack_u(y)
-            # k = Omega H has rows (sigma[1], -a sigma[0] - xi sigma[2],
-            # sigma[3], -xi sigma[0] - b sigma[2]) acting on row space.
-            ks = np.empty((4, 4))
-            ks[0] = sigma[1]
-            ks[1] = -a * sigma[0] - xi * sigma[2]
-            ks[2] = sigma[3]
-            ks[3] = -xi * sigma[0] - b * sigma[2]
-            ds = ks + ks.T
-            ku = np.empty((4, 4))
-            ku[0] = u[1]
-            ku[1] = -a * u[0] - xi * u[2]
-            ku[2] = u[3]
-            ku[3] = -xi * u[0] - b * u[2]
-            out = np.empty(26)
-            out[:10] = ds[_TRIU]
-            out[10:] = ku.ravel()
-            return out
-
-        return rhs
-
-    y = _pack(vacuum_initial(p).sigma, np.eye(4))
-    segments = []
-    breakpoints = _segment_breakpoints(p, t_start, t_end)
-    for t_lo, t_hi in zip(breakpoints[:-1], breakpoints[1:]):
-        max_step = _segment_max_step(p, t_lo, t_hi, cfg)
-        sol = solve_ivp(
-            make_rhs(t_lo, t_hi),
-            (t_lo, t_hi),
-            y,
-            method=cfg.method,
-            rtol=cfg.rtol,
-            atol=cfg.atol,
-            max_step=max_step,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise StepFailure(
-                "integration failed on [%g, %g]: %s" % (t_lo, t_hi, sol.message)
-            )
-        y = sol.y[:, -1]
-        segments.append((t_lo, t_hi, sol.sol))
+    _, segments = _solve(p, cfg, t_end, dense=True)
 
     n_samples = max(int(np.ceil((t_end - t_start) / sample_dt)) + 1, 2)
     ts = np.linspace(t_start, t_end, n_samples)
-    sigmas = np.empty((n_samples, 4, 4))
-    props = np.empty((n_samples, 4, 4))
-    seg_iter = 0
-    for i, t in enumerate(ts):
-        while seg_iter < len(segments) - 1 and t > segments[seg_iter][1] + 1e-12:
-            seg_iter += 1
-        t_lo, t_hi, sol = segments[seg_iter]
-        yi = sol(np.clip(t, t_lo, t_hi))
-        sigmas[i] = symmetrize(_unpack_sigma(yi))
-        props[i] = _unpack_u(yi)
-    return Trajectory(ts, sigmas, props, p, segments)
-
-
-def system_block(state):
-    """Upper-left 2x2 block sigma_S."""
-    return state.sigma[0:2, 0:2]
-
-
-def env_block(state):
-    """Lower-right 2x2 block sigma_E."""
-    return state.sigma[2:4, 2:4]
-
-
-def cross_block(state):
-    """Upper-right 2x2 cross-correlation block sigma_SE."""
-    return state.sigma[0:2, 2:4]
+    # A sample belongs to the first segment whose end it does not pass.
+    ends = np.array([t_hi for _, t_hi, _ in segments[:-1]]) + 1e-12
+    owner = np.searchsorted(ends, ts, side="left")
+    props = np.empty((n_samples, 16))
+    for k, (t_lo, t_hi, sol) in enumerate(segments):
+        mask = owner == k
+        if np.any(mask):
+            props[mask] = sol(np.clip(ts[mask], t_lo, t_hi)).T
+    return Trajectory(ts, props.reshape(-1, 4, 4), p, segments)
 
 
 def isoso_reference_run(p, cfg=IntegratorConfig()):

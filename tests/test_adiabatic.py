@@ -152,3 +152,22 @@ def test_threshold_scan_no_threshold():
         recoherence_threshold_scan(
             p, [1.0], t_omega_bounds=(0.5, 2.0), criterion=1e-12
         )
+
+
+def test_threshold_scan_probes_are_distinct(monkeypatch):
+    # Every probe integrates a different (params, config); the bracket's
+    # upper end at the bound is not probed twice.
+    import oscpurity.adiabatic as adiabatic_mod
+
+    probes = []
+    real = adiabatic_mod.integrate
+
+    def counting(p, cfg):
+        probes.append((p, cfg))
+        return real(p, cfg)
+
+    monkeypatch.setattr(adiabatic_mod, "integrate", counting)
+    p = make_params(t0=1.0, tau=5.0)
+    res = recoherence_threshold_scan(p, (0.8, 2.5, 8.0), t_omega_bounds=(0.1, 3.0))
+    assert len(probes) == len(set(probes)) == 23
+    assert np.all(res["T_omega_thr"] > 0.1)

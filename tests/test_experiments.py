@@ -91,6 +91,42 @@ def test_numerical_failure_exit_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "markov"])
+def test_critical_coupling_runs(command, tmp_path, capsys):
+    # At exactly psi = 1 omega1 vanishes; the summary reports it as ~0.
+    path = tmp_path / "critical.cfg"
+    path.write_text("omega_e = 2\npsi = 1\nt0 = 1.5\ntau = 0.3\n")
+    rc = main([command, "--config", str(path), "--out", str(tmp_path), "--json"])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["omega1_abs"] < 1e-7
+    assert 0.0 < summary["gamma_min"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "line", ["omega_e = nan", "omega_e = inf", "t0 = inf", "tau = nan"]
+)
+def test_non_finite_config_is_config_error(line, tmp_path, capsys):
+    values = dict(omega_e="2", psi="0.9", t0="1", tau="0.5")
+    key, value = (part.strip() for part in line.split("="))
+    values[key] = value
+    path = tmp_path / "bad.cfg"
+    path.write_text("".join("%s = %s\n" % kv for kv in values.items()))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_missing_sweep_spec_is_config_error(tmp_path, capsys):
+    spec = str(tmp_path / "nope.spec")
+    assert main(["sweep", "--spec", spec, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_workers_capped_at_cpu_count():
+    *_, workers = parse_sweep_spec(SWEEP_SPEC + "workers = 100000\n")
+    assert workers == (os.cpu_count() or 1)
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------

@@ -150,6 +150,25 @@ def test_infinitesimal_cp():
     assert not bad and lam < 0
 
 
+def test_infinitesimal_cp_tolerance_scales_with_b():
+    # A rank-one PSD B of size ~1e4 whose zero eigenvalue comes out of the
+    # closed form as round-off below -1e-12: still CP.
+    b = np.array(
+        [
+            [9963.015445409183, 10459.433980752927],
+            [10459.433980752927, 10980.587132195893],
+        ]
+    )
+    ok, lam = cp_check_infinitesimal(b)
+    assert -1e-11 < lam < -1e-12
+    assert ok
+    # A clearly negative eigenvalue at the same scale is still not CP.
+    v = np.array([b[0, 1], -b[0, 0]]) / np.hypot(b[0, 0], b[0, 1])
+    bad, lam = cp_check_infinitesimal(b - 1e-6 * np.outer(v, v))
+    assert lam < -5e-7
+    assert not bad
+
+
 # ---------------------------------------------------------------------------
 # Fidelity and Bures metrics
 # ---------------------------------------------------------------------------

@@ -45,6 +45,12 @@ def test_params_validation():
         ScenarioParams(1.0, 2.0, 1.0, 10.0, profile="square")
     with pytest.raises(ConfigError):
         ScenarioParams(1.0, 2.0, -0.5, 10.0)
+    for key in ("omega_s", "omega_e", "xi0", "t0", "tau"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            kwargs = dict(omega_s=1.0, omega_e=2.0, xi0=1.0, t0=10.0, tau=1.0)
+            kwargs[key] = value
+            with pytest.raises(ConfigError):
+                ScenarioParams(**kwargs)
 
 
 def test_derived_quantities():

@@ -6,26 +6,23 @@ cos/cosh propagator, rotate back.  It is valid for the top-hat profile and
 pins both the covariance samples and the co-integrated propagator.
 """
 
-import io
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numutil import det_sigma_via_propagator
 
 from oscpurity.model import ISOSO, ScenarioParams, frame_from_xi
 from oscpurity.symplectic import OMEGA4, purity_from_block
 from oscpurity.transport import (
-    CovarianceState,
     IntegratorConfig,
-    cross_block,
     default_sample_dt,
-    env_block,
-    hamiltonian_matrix,
+    generator_terms,
     integrate,
     isoso_reference_run,
+    propagate,
     purity_from_propagator,
-    system_block,
-    transport_rhs,
+    sigma_from_propagator,
     vacuum_initial,
 )
 
@@ -99,29 +96,37 @@ def test_vacuum_initial():
     )
 
 
-def test_transport_rhs_matches_matrix_form():
+def hamiltonian(xi, p):
+    """Quadratic form of the joint Hamiltonian, built independently."""
+    return np.array(
+        [
+            [p.omega_s**2, 0.0, xi, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [xi, 0.0, p.omega_e**2, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+
+
+def test_generator_layout():
+    p = make_params()
+    k0, k1 = generator_terms(p)
+    assert np.array_equal(k0 + 0.7 * k1, OMEGA4 @ hamiltonian(0.7, p))
+    assert np.array_equal(k0, OMEGA4 @ hamiltonian(0.0, p))
+
+
+def test_generator_matches_transport_equation():
+    # U' = K U carries sigma = U sigma0 U^T along
+    # sigma' = Omega H sigma - sigma H Omega.
     p = make_params()
     rng = np.random.default_rng(3)
     a = rng.normal(size=(4, 4))
     sigma = a @ a.T + np.eye(4)
-    state = CovarianceState(0.0, sigma)
-    h = hamiltonian_matrix(float(p.xi0), p)
+    k0, k1 = generator_terms(p)
+    k = k0 + float(p.xi0) * k1
+    h = hamiltonian(float(p.xi0), p)
     expected = OMEGA4 @ h @ sigma - sigma @ h @ OMEGA4
-    assert np.allclose(transport_rhs(state, p), expected, atol=1e-12)
-
-
-def test_hamiltonian_matrix_layout():
-    p = make_params()
-    h = hamiltonian_matrix(0.7, p)
-    expected = np.array(
-        [
-            [p.omega_s**2, 0.0, 0.7, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.7, 0.0, p.omega_e**2, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    assert np.array_equal(h, expected)
+    assert np.allclose(k @ sigma + sigma @ k.T, expected, atol=1e-12)
 
 
 def test_zero_coupling_keeps_vacuum():
@@ -203,13 +208,16 @@ def test_propagator_is_symplectic():
         assert np.allclose(u @ OMEGA4 @ u.T, OMEGA4, atol=1e-8)
 
 
-def test_blocks_views():
+def test_state_at_derives_sigma_from_propagator():
     p = make_params(t0=2.0)
     traj = integrate(p, IntegratorConfig())
     state = traj.state_at(0.0)
-    assert np.allclose(system_block(state), state.sigma[0:2, 0:2])
-    assert np.allclose(env_block(state), state.sigma[2:4, 2:4])
-    assert np.allclose(cross_block(state), state.sigma[0:2, 2:4])
+    u = traj.propagator_at(0.0)
+    assert state.t == 0.0
+    assert np.array_equal(state.sigma, state.sigma.T)
+    ref = u @ vacuum_initial(p).sigma @ u.T
+    assert np.allclose(state.sigma, ref, rtol=1e-13, atol=1e-13)
+    assert traj.purity_at(0.0) == purity_from_propagator(u, p)
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +280,75 @@ def test_purity_from_propagator_identity():
     u = np.eye(4)
     assert purity_from_propagator(u, p) == pytest.approx(1.0)
     assert purity_from_propagator(u, p, mode="E") == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Propagator-only state: invariants on random scenarios
+# ---------------------------------------------------------------------------
+
+#: Documented invariant bound at rtol = 1e-10: |U^T Omega U - Omega|,
+#: |det sigma - 1| and |gamma_S - gamma_E| stay below INVARIANT_RTOLS * rtol *
+#: max(1, |U|)^2 for w in [0.3, 0.95], tau in [0.1, 1], t0 = 1.  The RK
+#: error accumulates over the steps, so the bound is a multiple of rtol
+#: (about 70 seen on this domain).
+INVARIANT_RTOLS = 200.0
+
+
+def loop_purity(u, p, rows):
+    """Per-matrix reference: Cauchy-Binet sum written out term by term."""
+    l = u * np.sqrt([1.0 / p.omega_s, p.omega_s, 1.0 / p.omega_e, p.omega_e])
+    r0, r1 = rows
+    total = 0.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            minor = l[r0, i] * l[r1, j] - l[r0, j] * l[r1, i]
+            total += minor * minor
+    return 1.0 / np.sqrt(total)
+
+
+scenarios = st.tuples(
+    st.floats(0.3, 0.95),
+    st.one_of(st.floats(0.1, 0.95), st.floats(1.05, 1.6)),
+    st.floats(0.1, 1.0),
+)
+
+
+@settings(max_examples=6, deadline=None)
+@given(scenarios)
+def test_propagator_state_invariants(case):
+    w, psi, tau = case
+    p = ScenarioParams.from_psi(1.0, 1.0 / w, psi, 1.0, tau)
+    cfg = IntegratorConfig()
+    traj = integrate(p, cfg)
+    u = traj.propagator
+    vac = vacuum_initial(p).sigma
+    for i in range(0, len(traj.t), 25):
+        ref = u[i] @ vac @ u[i].T
+        assert np.allclose(traj.sigma[i], ref, rtol=1e-13, atol=1e-13)
+        for rows, purity in (((0, 1), traj.purity_s), ((2, 3), traj.purity_e)):
+            assert purity[i] == pytest.approx(loop_purity(u[i], p, rows), rel=1e-13)
+    norm = np.maximum(1.0, np.max(np.abs(u), axis=(1, 2)))
+    scale = INVARIANT_RTOLS * cfg.rtol * norm**2
+    sympl = np.max(np.abs(np.swapaxes(u, 1, 2) @ OMEGA4 @ u - OMEGA4), axis=(1, 2))
+    assert np.all(sympl < scale)
+    assert np.all(np.abs(np.linalg.det(traj.sigma) - 1.0) < scale)
+    assert np.all(np.abs(traj.purity_s - traj.purity_e) < scale)
+
+
+@settings(max_examples=4, deadline=None)
+@given(scenarios, st.sampled_from(["RK45", "DOP853"]))
+def test_propagate_end_point_matches_integrate(case, method):
+    w, psi, tau = case
+    p = ScenarioParams.from_psi(1.0, 1.0 / w, psi, 1.0, tau)
+    cfg = IntegratorConfig(method=method, t_end_policy="cutoff")
+    traj = integrate(p, cfg)
+    gamma_end = purity_from_propagator(propagate(p, cfg), p)
+    assert gamma_end == pytest.approx(traj.purity_s[-1], abs=10 * cfg.rtol)
+
+
+def test_sigma_from_propagator_stack_matches_single():
+    p = make_params(psi=1.1, t0=2.0)
+    traj = integrate(p, IntegratorConfig())
+    stack = sigma_from_propagator(traj.propagator, p)
+    for i in (0, len(traj.t) // 2, len(traj.t) - 1):
+        assert np.array_equal(stack[i], sigma_from_propagator(traj.propagator[i], p))
