@@ -229,7 +229,7 @@ def nonanalyticity_slope(p, tau_grid, cfg: Optional[IntegratorConfig] = None):
         PrecisionFloor: if every deficit on the grid is below resolution.
     """
     if cfg is None:
-        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, method="DOP853")
+        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
     tau_grid = np.asarray(tau_grid, dtype=float)
     deficits = np.array(
         [1.0 - latetime_purity(p.with_tau(tau), cfg) for tau in tau_grid]
@@ -269,11 +269,8 @@ def recoherence_threshold_scan(
     from .errors import NoThreshold
 
     if cfg is None:
-        # The threshold only needs deficits to one part in 1e-5 or so; a
-        # cheap high-order run per probe keeps the scan fast.
-        cfg = IntegratorConfig(
-            rtol=1e-7, atol=1e-9, t_end_policy="cutoff", method="DOP853"
-        )
+        # The threshold only needs deficits to one part in 1e-5 or so.
+        cfg = IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff")
     psi = p_base.psi
     results = []
     prev_thr = None

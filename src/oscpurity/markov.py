@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import NonPhysicalState, PureStateSingularity, StepFailure
 from .model import coupling_xi, normal_mode_sq
-from .symplectic import OMEGA2, det2, eig_sym2, symmetrize
+from .symplectic import OMEGA2, det2, eig_sym2, inv2, symmetrize
 from .transport import CovarianceState
 
 #: Guard for the 1/sqrt(1 - gamma^4) singularity of the Bures velocity.
@@ -72,12 +72,8 @@ def reduced_rhs(sigma_s, b, p):
 
 def purity_rate(sigma_s, b):
     """Purity velocity gamma_dot = -(gamma/2) Tr(sigma_S^{-1} B)."""
-    det = det2(sigma_s)
-    gamma = 1.0 / np.sqrt(max(det, 1.0))
-    inv = np.array(
-        [[sigma_s[1, 1], -sigma_s[0, 1]], [-sigma_s[1, 0], sigma_s[0, 0]]]
-    ) / det
-    return -0.5 * gamma * float(np.trace(inv @ b))
+    gamma = 1.0 / np.sqrt(max(det2(sigma_s), 1.0))
+    return -0.5 * gamma * float(np.trace(inv2(sigma_s) @ b))
 
 
 def map_pair_evolve(p, traj, t_a, t_b, rtol=1e-10, atol=1e-12):
@@ -194,10 +190,7 @@ def _one_minus_fidelity_pert(sigma1, e):
         total = det2(2.0 * sigma1 + e)
         g = np.sqrt(max(total, 0.0))
         return (g - 2.0) / g if g > 0 else 0.0
-    inv = np.array(
-        [[sigma1[1, 1], -sigma1[0, 1]], [-sigma1[1, 0], sigma1[0, 0]]]
-    ) / d1
-    t = float(np.trace(inv @ e))
+    t = float(np.trace(inv2(sigma1) @ e))
     det_e = det2(e)
     delta_det = d1 * t + det_e  # det sigma2 - det sigma1
     # N = det(s1 + s2) - 4 - 4 sqrt(Delta), with the cancellations between
@@ -233,10 +226,7 @@ def bures_velocity(sigma_s, b, b_tilde):
         trace term does not vanish.
     """
     det = det2(sigma_s)
-    inv = np.array(
-        [[sigma_s[1, 1], -sigma_s[0, 1]], [-sigma_s[1, 0], sigma_s[0, 0]]]
-    ) / det
-    trace_term = float(np.trace(inv @ (b - b_tilde)))
+    trace_term = float(np.trace(inv2(sigma_s) @ (b - b_tilde)))
     gamma = 1.0 / np.sqrt(max(det, 1.0))
     if gamma >= 1.0 - EPS_PURE:
         if abs(trace_term) < 1e-12:
@@ -290,11 +280,7 @@ def best_markovian_B(sigma_s, b):
         2x2 matrix, or INFEASIBLE when gamma_dot > 0 (no positive
         semidefinite matrix cancels the velocity there).
     """
-    det = det2(sigma_s)
-    inv = np.array(
-        [[sigma_s[1, 1], -sigma_s[0, 1]], [-sigma_s[1, 0], sigma_s[0, 0]]]
-    ) / det
-    rate = -0.5 * float(np.trace(inv @ b))  # gamma_dot / gamma
+    rate = -0.5 * float(np.trace(inv2(sigma_s) @ b))  # gamma_dot / gamma
     if rate > 0.0:
         return INFEASIBLE
     return -rate * sigma_s

@@ -130,18 +130,25 @@ def coupling_xi(t, p):
     (1 + tanh^2(t0/tau)).  Top-hat: xi0 on (-t0, t0), else 0.
 
     Args:
-        t: time (scalar or array).
+        t: time (float or array).
         p: ScenarioParams.
 
     Returns:
-        xi(t), same shape as t.
+        xi(t): a float for a float t (evaluated with math, which is much
+        cheaper than numpy on one value), else an array of t's shape.
     """
-    if p.profile == ISOSO:
+    scalar = isinstance(t, float)
+    if not scalar:
         t = np.asarray(t, dtype=float)
-        return np.where((t > -p.t0) & (t < p.t0), p.xi0, 0.0)
-    a = np.tanh((p.t0 + np.asarray(t, dtype=float)) / p.tau)
-    b = np.tanh((p.t0 - np.asarray(t, dtype=float)) / p.tau)
-    return p.xi0 * (1.0 + a * b) / (1.0 + np.tanh(p.t0 / p.tau) ** 2)
+    if p.profile == ISOSO:
+        inside = (t > -p.t0) & (t < p.t0)
+        if scalar:
+            return p.xi0 if inside else 0.0
+        return np.where(inside, p.xi0, 0.0)
+    tanh = math.tanh if scalar else np.tanh
+    a = tanh((p.t0 + t) / p.tau)
+    b = tanh((p.t0 - t) / p.tau)
+    return p.xi0 * (1.0 + a * b) / (1.0 + math.tanh(p.t0 / p.tau) ** 2)
 
 
 def coupling_xi_dot(t, p):
@@ -158,11 +165,6 @@ def coupling_xi_dot(t, p):
     da = (1.0 - a * a) / p.tau
     db = -(1.0 - b * b) / p.tau
     return p.xi0 * (da * b + a * db) / (1.0 + np.tanh(p.t0 / p.tau) ** 2)
-
-
-def critical_coupling(p):
-    """Critical coupling xi_c = omega_s * omega_e."""
-    return p.omega_s * p.omega_e
 
 
 def perturbativity_gp(p):
@@ -365,6 +367,10 @@ def secular_time(label, p):
 # Config-file parsing
 # ---------------------------------------------------------------------------
 
+#: Solver names that configs written for the earlier Runge-Kutta integrator
+#: carry under `method`; accepted and ignored, since there is one integrator.
+_LEGACY_METHODS = ("RK45", "DOP853")
+
 _SCENARIO_KEYS = {"omega_s", "omega_e", "xi0", "psi", "t0", "tau", "profile"}
 _INTEGRATOR_KEYS = {
     "rtol",
@@ -431,9 +437,11 @@ def parse_config(text):
     else:
         p = ScenarioParams(omega_s, omega_e, _f("xi0"), t0, tau, profile)
 
+    if kv.get("method", "RK45") not in _LEGACY_METHODS:
+        raise ConfigError("method must be one of %s" % ", ".join(_LEGACY_METHODS))
     integ = {}
-    for key in _INTEGRATOR_KEYS & set(kv):
-        if key in ("t_end_policy", "method"):
+    for key in _INTEGRATOR_KEYS & set(kv) - {"method"}:
+        if key == "t_end_policy":
             integ[key] = kv[key]
         else:
             integ[key] = _f(key)

@@ -93,13 +93,6 @@ def preset_scenarios(name):
     raise KeyError("unknown preset %r" % (name,))
 
 
-def preset_config(name):
-    """Integrator configuration used by a preset."""
-    if name in ("fig8L", "fig8R", "fig9", "fig12", "fig13"):
-        return IntegratorConfig(method="DOP853")
-    return IntegratorConfig()
-
-
 def write_rows(path, header, rows):
     """Write a CSV file with 17-significant-digit floats."""
     with open(path, "w") as f:
@@ -153,7 +146,7 @@ def run_preset(name, outdir):
         JSON-serializable summary dict (schema 1).
     """
     os.makedirs(outdir, exist_ok=True)
-    cfg = preset_config(name)
+    cfg = IntegratorConfig()
     summaries = []
 
     if name in ("fig2", "fig14a", "fig14b", "fig14c"):

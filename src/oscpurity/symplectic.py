@@ -49,6 +49,11 @@ def det2(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
+def inv2(m):
+    """Closed-form inverse (adjugate over determinant) of a 2x2 matrix."""
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det2(m)
+
+
 def purity_from_block(sigma_s):
     """Purity of a single-mode Gaussian state from its covariance block.
 

@@ -25,3 +25,56 @@ def det_sigma_via_propagator(u, rtol):
     bound = norm * norm * 20.0 * rtol
     det = float(np.linalg.det(u))
     return det * det, bound
+
+
+def dop853_propagators(p, ts, rtol=1e-12):
+    """Propagators U(t) from t_in at the increasing times ts, integrated
+    with scipy's DOP853 at rtol (atol = rtol / 100) as an oracle for the
+    Magnus integrator.
+
+    The generator Omega H(xi) is built here from the Hamiltonian's
+    quadratic form; only the profile xi(t) comes from the package.  Smooth
+    profiles are integrated piecewise across their switch regions
+    (+-t0 -+ 10 tau) with steps capped at tau / 4 there, and at a twentieth
+    of the fastest free period elsewhere.
+    """
+    from scipy.integrate import solve_ivp
+
+    from oscpurity.model import SMOOTH, coupling_xi
+
+    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    omega4 = np.kron(np.eye(2), omega)
+
+    def rhs(t, y):
+        xi = float(coupling_xi(float(t), p))
+        h = np.array(
+            [
+                [p.omega_s**2, 0.0, xi, 0.0],
+                [0.0, 1.0, 0.0, 0.0],
+                [xi, 0.0, p.omega_e**2, 0.0],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        return (omega4 @ h @ y.reshape(4, 4)).ravel()
+
+    ts = np.asarray(ts, dtype=float)
+    edges = [p.t_in, ts[-1]]
+    if p.profile == SMOOTH:
+        edges += [s * p.t0 + d * 10.0 * p.tau for s in (-1, 1) for d in (-1, 1)]
+    edges = sorted(e for e in set(edges) if p.t_in <= e <= ts[-1])
+    free_step = 0.05 * 2.0 * np.pi / max(p.omega_s, p.omega_e, np.sqrt(p.xi0))
+    y = np.eye(4).ravel()
+    out = np.empty((len(ts), 4, 4))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        switch = p.profile == SMOOTH and abs(abs(0.5 * (lo + hi)) - p.t0) < 10.0 * p.tau
+        cap = min(free_step, p.tau / 4.0) if switch else free_step
+        inside = (ts >= lo) & (ts <= hi)
+        sol = solve_ivp(
+            rhs, (lo, hi), y, method="DOP853", rtol=rtol, atol=rtol * 1e-2,
+            max_step=cap, dense_output=True,
+        )
+        assert sol.success, sol.message
+        if np.any(inside):
+            out[inside] = sol.sol(ts[inside]).T.reshape(-1, 4, 4)
+        y = sol.y[:, -1]
+    return out

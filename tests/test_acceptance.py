@@ -39,7 +39,6 @@ from oscpurity.model import ScenarioParams, frame_from_xi
 from oscpurity.presets import (
     PRESET_NAMES,
     REGIME_POINTS,
-    preset_config,
     preset_scenarios,
 )
 from oscpurity.symplectic import det2
@@ -71,7 +70,6 @@ def suite():
     runs = []
     seen = set()
     for name in PRESET_NAMES:
-        cfg = preset_config(name)
         for p in preset_scenarios(name):
             key = (p.omega_s, p.omega_e, p.xi0, p.t0, p.tau, p.profile)
             if key in seen:
@@ -80,9 +78,8 @@ def suite():
             span = -2.0 * p.t_in
             # Tight tolerances so the invariant criteria are measurable
             # (their conditioning bound scales with the solver rtol).
-            cfg_run = cfg.with_updates(
+            cfg_run = IntegratorConfig(
                 sample_dt=max(default_sample_dt(p), span / 600.0),
-                method="DOP853",
                 rtol=1e-12,
                 atol=1e-14,
             )
@@ -137,7 +134,7 @@ def test_criterion_02_supercritical_decay_rate():
     worst = 0.0
     for psi in (1.1, 1.5, 2.0):
         p = make_params(psi)
-        traj = integrate(p, IntegratorConfig(method="DOP853"))
+        traj = integrate(p, IntegratorConfig())
         fr = frame_from_xi(p.xi0, p)
         ts = np.linspace(0.0, p.t0 - 3.0 * p.tau, 60)
         lg = np.log([traj.purity_at(t) for t in ts])

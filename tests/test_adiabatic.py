@@ -72,7 +72,7 @@ def test_lo_purity_limits():
 
 def test_lo_matches_exact_for_slow_switching():
     p = make_params(tau=50.0)
-    cfg = IntegratorConfig(method="DOP853")
+    cfg = IntegratorConfig()
     from oscpurity.transport import integrate
 
     traj = integrate(p, cfg)

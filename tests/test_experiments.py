@@ -116,6 +116,24 @@ def test_non_finite_config_is_config_error(line, tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line", ["sample_dt = 0", "rtol = -1", "max_step = 0", "cutoff_threshold = 2", "method = bogus"]
+)
+def test_bad_integrator_setting_is_config_error(line, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(FAST_CONFIG + line + "\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_absurd_window_is_numerical_failure(tmp_path, capsys):
+    # t0 = 1e300 is finite, but no step grid within the budget covers it.
+    path = tmp_path / "huge.cfg"
+    path.write_text("omega_e = 2\npsi = 0.9\nt0 = 1e300\ntau = 0.5\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_missing_sweep_spec_is_config_error(tmp_path, capsys):
     spec = str(tmp_path / "nope.spec")
     assert main(["sweep", "--spec", spec, "--out", str(tmp_path)]) == 2

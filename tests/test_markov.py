@@ -37,7 +37,7 @@ def make_params():
 
 @pytest.fixture(scope="module")
 def traj():
-    return integrate(make_params(), IntegratorConfig(method="DOP853"))
+    return integrate(make_params(), IntegratorConfig())
 
 
 def random_state(rng, mixed=True):

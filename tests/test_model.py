@@ -16,7 +16,6 @@ from oscpurity.model import (
     classify_regime,
     coupling_xi,
     coupling_xi_dot,
-    critical_coupling,
     derived_params,
     frame_from_xi,
     parse_config,
@@ -72,7 +71,7 @@ def test_perturbativity_closed_forms_agree():
     assert perturbativity_gp(p) == pytest.approx(
         p.psi * np.sqrt(w / (2.0 * (1.0 + w * w))), rel=1e-12
     )
-    assert critical_coupling(p) == pytest.approx(p.omega_s * p.omega_e)
+    assert p.xi_c == pytest.approx(p.omega_s * p.omega_e)
 
 
 def test_equal_frequencies_gp_half_at_critical():
@@ -265,7 +264,7 @@ def test_parse_config_roundtrip():
         """
     )
     assert p.psi == pytest.approx(0.9)
-    assert integ == {"rtol": 1e-9, "method": "DOP853"}
+    assert integ == {"rtol": 1e-9}
 
 
 def test_parse_config_errors():
@@ -283,3 +282,12 @@ def test_parse_config_errors():
         parse_config("omega_e = two\nt0 = 1\npsi = 0.5\n")
     with pytest.raises(ConfigError):
         parse_config("omega_e = 2\nt0 = 1\npsi = 0.5\nt_end_policy = weird\n")
+    with pytest.raises(ConfigError):
+        parse_config("omega_e = 2\nt0 = 1\npsi = 0.5\nmethod = bogus\n")
+
+
+@pytest.mark.parametrize("method", ["RK45", "DOP853"])
+def test_parse_config_accepts_and_drops_legacy_method(method):
+    # Configs written for the earlier Runge-Kutta solvers still load.
+    _, integ = parse_config("omega_e = 2\nt0 = 1\npsi = 0.5\nmethod = %s\n" % method)
+    assert integ == {}

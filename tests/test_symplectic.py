@@ -11,6 +11,7 @@ from oscpurity.symplectic import (
     OMEGA4,
     check_gaussian_valid,
     det2,
+    inv2,
     eig_sym2,
     frobenius_norm,
     purity_from_block,
@@ -43,6 +44,12 @@ def test_symmetrize_idempotent():
 def test_det2_matches_numpy(a, b, c, d):
     m = np.array([[a, b], [c, d]])
     assert det2(m) == pytest.approx(np.linalg.det(m), rel=1e-10, abs=1e-10)
+
+
+@given(st.floats(0.1, 10), st.floats(-3, 3), st.floats(0.1, 10))
+def test_inv2_inverts_covariance_blocks(a, b, d):
+    m = np.array([[a, b], [b, d]]) + (abs(b) + 0.1) * np.eye(2)
+    assert np.allclose(inv2(m) @ m, np.eye(2), rtol=0, atol=1e-12)
 
 
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
