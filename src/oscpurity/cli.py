@@ -68,14 +68,12 @@ def cmd_simulate(args):
 def cmd_isoso(args):
     p, _ = _load_scenario(args.config)
     ts = np.linspace(-p.t0, p.t0, 2001)
-    gam = np.array([isoso.isoso_purity(t, p) for t in ts])
+    gam = isoso.isoso_purity(ts, p)
     header = "t,purity_analytic"
     if args.expansion is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InvalidCaseWarning)
-            exp = np.array(
-                [float(isoso.regime_purity(args.expansion, t + p.t0, p)) for t in ts]
-            )
+            exp = isoso.regime_purity(args.expansion, ts + p.t0, p)
         rows = zip(ts, gam, exp)
         header += ",purity_expansion"
     else:
@@ -93,7 +91,7 @@ def cmd_perturb(args):
     p, _ = _load_scenario(args.config)
     t_end = -p.t_in
     ts = np.linspace(p.t_in, t_end, 2001)
-    gam = np.array([perturbation.purity_o2_quadrature(t, p) for t in ts])
+    gam = perturbation.purity_o2_quadrature(ts, p)
     os.makedirs(args.out, exist_ok=True)
     write_rows(os.path.join(args.out, "perturb.csv"), "t,purity_o2", zip(ts, gam))
     _emit(

@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriticalPoint, InvalidCaseWarning
+from .errors import CriticalPoint, InvalidCaseWarning, PrecisionFloor
 from .model import classify_regime, frame_from_xi
+from .symplectic import cauchy_binet
 
 #: Guard band around the critical coupling.
 NEAR_CRITICAL = 1e-8
@@ -101,8 +102,9 @@ def b_correlators(bset):
     return bset.matrix @ n @ bset.matrix.T
 
 
-def _mode_vectors(dt, p, fr):
-    """Coefficient vectors expressing x_S(t) and p_S(t) over v."""
+def _mode_vectors(dt, fr):
+    """Coefficient vectors expressing x_S and p_S over v at the times dt
+    since the window start (a float, or an array: (..., 4) results)."""
     z1 = fr.omega1_complex
     w1a, w2 = fr.omega1_abs, fr.omega2
     c, s = np.cos(fr.theta), np.sin(fr.theta)
@@ -110,21 +112,21 @@ def _mode_vectors(dt, p, fr):
     e1p = np.exp(1j * z1 * dt) / np.sqrt(2.0 * w1a)
     e2m = np.exp(-1j * w2 * dt) / np.sqrt(2.0 * w2)
     e2p = np.exp(1j * w2 * dt) / np.sqrt(2.0 * w2)
-    f = np.array([c * e1m, s * e2m, c * e1p, s * e2p])
-    g = np.array(
-        [-1j * z1 * c * e1m, -1j * w2 * s * e2m, 1j * z1 * c * e1p, 1j * w2 * s * e2p]
+    f = np.stack([c * e1m, s * e2m, c * e1p, s * e2p], axis=-1)
+    g = np.stack(
+        [-1j * z1 * c * e1m, -1j * w2 * s * e2m, 1j * z1 * c * e1p, 1j * w2 * s * e2p],
+        axis=-1,
     )
     return f, g
 
 
 def _quadrature_rows(t, p):
     """Complex expansions of x_S(t) and p_S(t) over (a_S, a_E, a_S^dag,
-    a_E^dag), obtained by composing the in-window mode functions with the
-    Bogoliubov map."""
-    fr = _frame_at_peak(p)
-    bset = bogoliubov_coeffs(p)
-    f, g = _mode_vectors(t + p.t0, p, fr)
-    return f @ bset.matrix, g @ bset.matrix
+    a_E^dag) inside the window (t a float or an array), obtained by
+    composing the in-window mode functions with the Bogoliubov map."""
+    f, g = _mode_vectors(t + p.t0, _frame_at_peak(p))
+    m = bogoliubov_coeffs(p).matrix
+    return f @ m, g @ m
 
 
 def isoso_sigma_s(t, p):
@@ -144,6 +146,12 @@ def isoso_sigma_s(t, p):
     return np.array([[2.0 * x2, 2.0 * xp], [2.0 * xp, 2.0 * p2]])
 
 
+def _real_row(phi):
+    """(Re, Im) of the a_S and a_E coefficients: the real quadrature factor."""
+    a_s, a_e = phi[..., 0], phi[..., 1]
+    return np.stack([a_s.real, a_s.imag, a_e.real, a_e.imag], axis=-1)
+
+
 def isoso_purity(t, p):
     """Exact purity for the top-hat coupling profile.
 
@@ -152,22 +160,31 @@ def isoso_purity(t, p):
     as a Cauchy-Binet sum of squared minors of the real 2x4 quadrature
     factor, which avoids catastrophic cancellation deep in the supercritical
     phase.
+
+    Args:
+        t: time, or an array of times.
+        p: ScenarioParams.
+
+    Returns:
+        A float for a scalar t, else an array of t's shape.
+
+    Raises:
+        CriticalPoint: if xi0 is within the guard band of the critical value.
+        PrecisionFloor: if a purity is not finite (the mode functions
+            overflow deep in the supercritical phase); the message names
+            the first such time.
     """
-    if t <= -p.t0:
-        return 1.0
-    phi_x, phi_p = _quadrature_rows(min(t, p.t0), p)
-    l = np.array(
-        [
-            [phi_x[0].real, phi_x[0].imag, phi_x[1].real, phi_x[1].imag],
-            [phi_p[0].real, phi_p[0].imag, phi_p[1].real, phi_p[1].imag],
-        ]
-    )
-    det = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            minor = l[0, i] * l[1, j] - l[0, j] * l[1, i]
-            det += minor * minor
-    return 1.0 / np.sqrt(4.0 * det)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi_x, phi_p = _quadrature_rows(np.clip(t, -p.t0, p.t0), p)
+        gam = 1.0 / np.sqrt(4.0 * cauchy_binet(_real_row(phi_x), _real_row(phi_p)))
+    gam = np.where(t <= -p.t0, 1.0, gam)
+    bad = ~np.isfinite(gam)
+    if np.any(bad):
+        raise PrecisionFloor(
+            "top-hat purity is not finite at t = %r" % float(t.flat[np.argmax(bad)])
+        )
+    return float(gam) if gam.ndim == 0 else gam
 
 
 def decoherence_rate(p):

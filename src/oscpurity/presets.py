@@ -165,14 +165,10 @@ def run_preset(name, outdir):
         for i, p in enumerate(preset_scenarios(name)):
             traj = isoso_reference_run(p, cfg)
             m = (traj.t >= -p.t0) & (traj.t <= p.t0)
-            rows = [
-                (t, isoso.isoso_purity(t, p), g)
-                for t, g in zip(traj.t[m], traj.purity_s[m])
-            ]
             write_rows(
                 os.path.join(outdir, "%s_compare%d.csv" % (name, i)),
                 "t,purity_analytic,purity_numeric",
-                rows,
+                zip(traj.t[m], isoso.isoso_purity(traj.t[m], p), traj.purity_s[m]),
             )
             summaries.append(
                 summarize(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
@@ -186,22 +182,15 @@ def run_preset(name, outdir):
         for case in cases:
             p = _regime_params(case)
             ts = np.linspace(-p.t0, p.t0, 801)
+            gammas = isoso.isoso_purity(ts, p)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", InvalidCaseWarning)
-                rows = [
-                    (
-                        t,
-                        isoso.isoso_purity(t, p),
-                        float(isoso.regime_purity(case, t + p.t0, p)),
-                    )
-                    for t in ts
-                ]
+                expansion = isoso.regime_purity(case, ts + p.t0, p)
             write_rows(
                 os.path.join(outdir, "%s_%s.csv" % (name, case)),
                 "t,purity_analytic,purity_expansion",
-                rows,
+                zip(ts, gammas, expansion),
             )
-            gammas = [r[1] for r in rows]
             summaries.append(summarize(p, float(np.min(gammas)), float(gammas[-1])))
     elif name in ("fig8L", "fig8R", "fig9"):
         (p,) = preset_scenarios(name)
@@ -236,16 +225,12 @@ def run_preset(name, outdir):
     elif name in ("fig10", "fig11"):
         (p,) = preset_scenarios(name)
         ts = np.linspace(-p.t0, p.t0, 2001)
-        rows = [
-            (t, isoso.isoso_purity(t, p), perturbation.purity_o2_isoso(t + p.t0, p))
-            for t in ts
-        ]
+        gammas = isoso.isoso_purity(ts, p)
         write_rows(
             os.path.join(outdir, "%s_perturbative.csv" % name),
             "t,purity_analytic,purity_o2",
-            rows,
+            zip(ts, gammas, perturbation.purity_o2_isoso(ts + p.t0, p)),
         )
-        gammas = [r[1] for r in rows]
         summaries.append(summarize(p, float(np.min(gammas)), float(gammas[-1])))
     elif name == "fig12":
         (p,) = preset_scenarios(name)

@@ -26,6 +26,9 @@ OMEGA4 = np.array(
     ]
 )
 
+# Column pairs (i < j) of the 2x2 minors in cauchy_binet.
+_MINOR_I, _MINOR_J = np.triu_indices(4, 1)
+
 # Determinants in [1 - DET_CLAMP, 1) are clamped to 1 before the square root;
 # anything below 1 - DET_TOL is treated as unphysical.
 DET_CLAMP = 1e-9
@@ -52,6 +55,18 @@ def det2(m):
 def inv2(m):
     """Closed-form inverse (adjugate over determinant) of a 2x2 matrix."""
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det2(m)
+
+
+def cauchy_binet(a, b):
+    """Determinant of the Gram matrix [[a.a, a.b], [a.b, b.b]] of two real
+    4-rows, or of two (..., 4) row stacks, as the sum of squared 2x2 minors
+    (Cauchy-Binet).
+
+    The minor form is free of the cancellation that a.a b.b - (a.b)^2
+    suffers when the rows are exponentially large but nearly parallel.
+    """
+    minors = a[..., _MINOR_I] * b[..., _MINOR_J] - a[..., _MINOR_J] * b[..., _MINOR_I]
+    return np.sum(minors * minors, axis=-1)
 
 
 def purity_from_block(sigma_s):

@@ -36,9 +36,7 @@ from scipy.optimize import brentq
 
 from .errors import ConfigError, StepFailure
 from .model import ISOSO, SMOOTH, coupling_xi, normal_mode_sq
-
-# Row/column pairs of the 2x2 minors in the Cauchy-Binet sums.
-_MINOR_I, _MINOR_J = np.triu_indices(4, 1)
+from .symplectic import cauchy_binet
 
 #: dK/dxi: the coupling enters K = Omega H only as K[1, 2] = K[3, 0] = -xi.
 _K1 = np.zeros((4, 4))
@@ -118,8 +116,8 @@ class IntegratorConfig:
             raise ConfigError("atol must be non-negative and finite")
         for name in ("max_step", "sample_dt"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError("%s must be positive" % name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError("%s must be positive and finite" % name)
         if not 0 < self.cutoff_threshold < 1:
             raise ConfigError("cutoff_threshold must lie in (0, 1)")
         if self.t_end_policy not in _T_END_POLICIES:
@@ -151,9 +149,7 @@ def purity_from_propagator(u, p, mode="S"):
     """
     l = np.asarray(u) * _vacuum_root(p)
     r = 0 if mode == "S" else 2
-    a, b = l[..., r, :], l[..., r + 1, :]
-    minors = a[..., _MINOR_I] * b[..., _MINOR_J] - a[..., _MINOR_J] * b[..., _MINOR_I]
-    return 1.0 / np.sqrt(np.sum(minors * minors, axis=-1))
+    return 1.0 / np.sqrt(cauchy_binet(l[..., r, :], l[..., r + 1, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -527,17 +523,18 @@ def _segment_breakpoints(p, t_start, t_end):
     return pts
 
 
+def _in_switch(p, t_lo, t_hi):
+    """Whether the segment [t_lo, t_hi] of _segment_breakpoints lies in a
+    switch region (+-t0 -+ 10 tau) of a smooth profile, where steps and
+    quadrature panels are capped at tau / 20 to resolve the switch."""
+    mid = 0.5 * (t_lo + t_hi)
+    near = 10.0 * p.tau + 1e-12
+    return p.profile == SMOOTH and (abs(mid + p.t0) <= near or abs(mid - p.t0) <= near)
+
+
 def _segment_max_step(p, t_lo, t_hi, cfg):
     osc = 0.05 * 2.0 * np.pi / _omega2_peak(p)
-    cap = osc
-    if p.profile == SMOOTH:
-        # Inside the switch regions, additionally resolve the switch itself.
-        mid = 0.5 * (t_lo + t_hi)
-        in_switch = (abs(mid + p.t0) <= 10.0 * p.tau + 1e-12) or (
-            abs(mid - p.t0) <= 10.0 * p.tau + 1e-12
-        )
-        if in_switch:
-            cap = min(osc, p.tau / 20.0)
+    cap = min(osc, p.tau / 20.0) if _in_switch(p, t_lo, t_hi) else osc
     if cfg.max_step is not None:
         cap = min(cap, cfg.max_step)
     return cap

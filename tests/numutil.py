@@ -78,3 +78,43 @@ def dop853_propagators(p, ts, rtol=1e-12):
             out[inside] = sol.sol(ts[inside]).T.reshape(-1, 4, 4)
         y = sol.y[:, -1]
     return out
+
+
+def o2_moments_qawo(p, lo, hi, q=None):
+    """Cosine and sine moments of lambda at the sum frequency over [lo, hi]
+    by scipy's QAWO rule (one adaptive call per weight), as an oracle for
+    the panel quadrature of `perturbation`.
+
+    Raises:
+        AssertionError: if QUADPACK's error estimate fails the acceptance
+            rule 100 max(abs_tol, rel_tol |moment|).
+    """
+    from scipy.integrate import quad
+
+    from oscpurity.perturbation import QuadratureConfig, coupling_lambda
+
+    q = q or QuadratureConfig()
+    out = []
+    for weight in ("cos", "sin"):
+        val, err = quad(
+            lambda u: coupling_lambda(u, p),
+            lo,
+            hi,
+            weight=weight,
+            wvar=p.omega_s + p.omega_e,
+            epsabs=q.abs_tol,
+            epsrel=q.rel_tol,
+            limit=max(50, 2 ** min(q.max_depth, 12)),
+        )
+        assert err <= max(q.abs_tol, q.rel_tol * abs(val)) * 100, err
+        out.append(val)
+    return np.array(out)
+
+
+def purity_o2_qawo(t, p, split_at=()):
+    """Second-order purity 1 - (C^2 + S^2)/2 at one time t from QAWO moments
+    over [t_in, t], integrated piecewise between the given split points that
+    fall inside it."""
+    pts = [p.t_in] + sorted(s for s in split_at if p.t_in < s < t) + [t]
+    m = sum(o2_moments_qawo(p, a, b) for a, b in zip(pts[:-1], pts[1:]))
+    return 1.0 - 0.5 * float(m @ m)

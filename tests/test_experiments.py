@@ -134,6 +134,27 @@ def test_absurd_window_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        # The supercritical mode functions overflow late in a long window.
+        ("isoso", "omega_e = 2\npsi = 1.5\nt0 = 300\nprofile = isoso\n"),
+        # Float times near 1e300 cannot resolve the sum-frequency phase.
+        ("perturb", "omega_e = 2\npsi = 0.3\nt0 = 1e300\n"),
+    ],
+)
+def test_non_finite_analytic_purity_is_numerical_failure(
+    command, config, tmp_path, capsys
+):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and " at t = " in err
+    assert not out.exists()
+
+
 def test_missing_sweep_spec_is_config_error(tmp_path, capsys):
     spec = str(tmp_path / "nope.spec")
     assert main(["sweep", "--spec", spec, "--out", str(tmp_path)]) == 2

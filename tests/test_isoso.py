@@ -12,7 +12,7 @@ Two independent oracles pin the implementation:
 import numpy as np
 import pytest
 
-from oscpurity.errors import CriticalPoint, InvalidCaseWarning
+from oscpurity.errors import CriticalPoint, InvalidCaseWarning, PrecisionFloor
 from oscpurity.isoso import (
     EXPANSIONS,
     b_correlators,
@@ -132,6 +132,14 @@ def test_supercritical_purity_decay_rate():
     assert np.isfinite(isoso_purity(10.0, p))
 
 
+def test_overflow_is_precision_floor():
+    # At |omega1| dt ~ 40 the mode functions outgrow double precision; the
+    # first non-finite purity is reported rather than returned.
+    p = ScenarioParams.from_psi(1.0, 2.0, 1.5, 300.0, profile="isoso")
+    with pytest.raises(PrecisionFloor, match="t = "):
+        isoso_purity(np.linspace(-p.t0, p.t0, 2001), p)
+
+
 def test_decoherence_rate():
     assert decoherence_rate(make_params(psi=0.9)) is None
     p = make_params(psi=1.5)
@@ -176,6 +184,20 @@ def test_expansion_tracks_exact(case):
         err = abs(approx - exact) / max(abs(approx), abs(exact))
         worst = max(worst, err)
     assert worst < 0.10
+
+
+@pytest.mark.parametrize("case", sorted(REGIME_POINTS))
+def test_grid_equals_scalar_path(case):
+    # One call on a grid, reaching before and after the window, returns
+    # exactly the per-time values.
+    p = regime_params(case)
+    ts = np.concatenate([[-2.0 * p.t0], np.linspace(-p.t0, p.t0, 40), [1.5 * p.t0]])
+    grid = isoso_purity(ts, p)
+    scalar = [isoso_purity(float(t), p) for t in ts]
+    assert all(isinstance(g, float) for g in scalar)
+    np.testing.assert_array_equal(grid, scalar)
+    assert grid[0] == 1.0 and grid[-1] == grid[-2]
+    assert isoso_purity(ts.reshape(3, -1), p).shape == (3, 14)
 
 
 def test_expansion_initial_value_is_one():

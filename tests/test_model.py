@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscpurity.errors import ConfigError, CriticalPoint, DerivativeUndefined
+from oscpurity.transport import IntegratorConfig
 from oscpurity.model import (
     ISOSO,
     SMOOTH,
@@ -291,3 +292,111 @@ def test_parse_config_accepts_and_drops_legacy_method(method):
     # Configs written for the earlier Runge-Kutta solvers still load.
     _, integ = parse_config("omega_e = 2\nt0 = 1\npsi = 0.5\nmethod = %s\n" % method)
     assert integ == {}
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+_KNOWN_KEYS = (
+    "omega_s omega_e xi0 psi t0 tau profile rtol atol max_step sample_dt "
+    "t_end_policy cutoff_threshold method"
+).split()
+
+
+@st.composite
+def config_values(draw):
+    """Values of a valid config: required keys, one coupling key, and a
+    random subset of the optional scenario and integrator keys."""
+    kv = {"omega_e": draw(_POSITIVE), "t0": draw(_POSITIVE)}
+    kv[draw(st.sampled_from(["xi0", "psi"]))] = draw(st.floats(0.0, 10.0))
+    optional = {
+        "omega_s": _POSITIVE,
+        "tau": _POSITIVE,
+        "profile": st.sampled_from(["smooth", "isoso"]),
+        "rtol": st.floats(1e-14, 1e-2),
+        "atol": st.floats(0.0, 1e-6),
+        "max_step": _POSITIVE,
+        "sample_dt": _POSITIVE,
+        "t_end_policy": st.sampled_from(["fixed", "cutoff"]),
+        "cutoff_threshold": st.floats(1e-12, 0.5),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        kv[key] = draw(optional[key])
+    return kv
+
+
+def config_text(kv, order=None, comments=False):
+    """Config lines `key = value`, floats written with repr."""
+    lines = []
+    for k in order or kv:
+        v = kv[k]
+        lines.append("%s = %s" % (k, repr(v) if isinstance(v, float) else v))
+    if comments:
+        lines = ["# scenario", ""] + ["  %s  # note" % line for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+def load(text):
+    """parse_config plus the integrator settings check, as the CLI loads."""
+    p, integ = parse_config(text)
+    return p, IntegratorConfig(**integ)
+
+
+@settings(max_examples=100)
+@given(config_values(), st.randoms(use_true_random=False), st.booleans())
+def test_parse_config_roundtrip_property(kv, rnd, comments):
+    # Any valid config, in any key order and with comments, parses back to
+    # exactly the written values.
+    order = list(kv)
+    rnd.shuffle(order)
+    p, cfg = load(config_text(kv, order, comments))
+    omega_s = kv.get("omega_s", 1.0)
+    assert (p.omega_s, p.omega_e, p.t0) == (omega_s, kv["omega_e"], kv["t0"])
+    assert p.tau == kv.get("tau", 1.0)
+    assert p.profile == kv.get("profile", SMOOTH)
+    if "xi0" in kv:
+        assert p.xi0 == kv["xi0"]
+    else:
+        assert p.xi0 == kv["psi"] * omega_s * kv["omega_e"]
+    for key in set(kv) & set(IntegratorConfig.__dataclass_fields__):
+        assert getattr(cfg, key) == kv[key]
+
+
+@settings(max_examples=50)
+@given(
+    config_values(),
+    st.from_regex(r"[a-z_][a-z0-9_]{0,12}", fullmatch=True).filter(
+        lambda key: key not in _KNOWN_KEYS
+    ),
+)
+def test_parse_config_rejects_unknown_key(kv, key):
+    kv[key] = 1.0
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(config_text(kv))
+
+
+@settings(max_examples=50)
+@given(config_values(), st.data())
+def test_parse_config_rejects_duplicate_key(kv, data):
+    key = data.draw(st.sampled_from(sorted(kv)))
+    with pytest.raises(ConfigError, match="duplicate key"):
+        parse_config(config_text(kv) + config_text({key: kv[key]}))
+
+
+@settings(max_examples=50)
+@given(config_values(), st.booleans())
+def test_parse_config_requires_exactly_one_coupling(kv, both):
+    kv.pop("xi0", None)
+    kv.pop("psi", None)
+    if both:
+        kv.update(xi0=0.5, psi=0.5)
+    with pytest.raises(ConfigError, match="exactly one of xi0/psi"):
+        parse_config(config_text(kv))
+
+
+@settings(max_examples=100)
+@given(config_values(), st.data(), st.sampled_from(["nan", "inf", "-inf"]))
+def test_parse_config_rejects_non_finite_values(kv, data, bad):
+    numeric = sorted(k for k, v in kv.items() if isinstance(v, float))
+    key = data.draw(st.sampled_from(numeric))
+    kv[key] = bad
+    with pytest.raises(ConfigError):
+        load(config_text(kv))

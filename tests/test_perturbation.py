@@ -8,9 +8,9 @@ against the adaptive quadrature and the exact solution.
 
 import numpy as np
 import pytest
+from numutil import purity_o2_qawo
 
 from oscpurity.errors import QuadratureNoConvergence
-from oscpurity.isoso import isoso_purity
 from oscpurity.model import ScenarioParams
 from oscpurity.perturbation import (
     QuadratureConfig,
@@ -110,6 +110,57 @@ def test_deficit_scales_as_gp_squared():
 def test_zero_coupling_purity_is_one():
     p = ScenarioParams(1.0, 2.0, 0.0, 10.0)
     assert purity_o2_quadrature(0.0, p) == 1.0
+
+
+def test_grid_matches_qawo_oracle_on_unsorted_times():
+    # One call on a shuffled grid that reaches before t_in and past the
+    # window equals the per-point QAWO quadrature; the output keeps the
+    # input's order and shape.
+    p = make_params(psi=0.3, t0=1.5, tau=0.3)
+    ts = np.concatenate([np.linspace(p.t_in - 2.0, -p.t_in + 1.0, 40), [p.t_in, 0.0]])
+    ts = np.random.default_rng(5).permutation(ts).reshape(3, -1)
+    got = purity_o2_quadrature(ts, p)
+    assert got.shape == ts.shape
+    ref = np.array([purity_o2_qawo(t, p) for t in ts.ravel()]).reshape(ts.shape)
+    assert np.max(np.abs(got - ref)) < 1e-10
+
+
+def test_scalar_time_matches_grid():
+    p = make_params(psi=0.3, t0=1.5, tau=0.3)
+    ts = np.linspace(p.t_in, -p.t_in, 11)
+    grid = purity_o2_quadrature(ts, p)
+    for t, g in zip(ts, grid):
+        value = purity_o2_quadrature(float(t), p)
+        assert isinstance(value, float)
+        assert value == pytest.approx(g, abs=1e-14)
+
+
+def test_sharp_switch_matches_breakpoint_split_reference():
+    # A switch of tau = 1e-7 is far narrower than anything a single QAWO
+    # call over [t_in, t] resolves (it was off by 1.8e-7 at t0 + 20 tau);
+    # the reference integrates each piece between the switch-region edges
+    # +-t0 -+ 10 tau separately.
+    p = ScenarioParams(1.0, 2.0, 0.6, 3.0, 1e-7)
+    edges = [s * p.t0 + d * 10.0 * p.tau for s in (-1, 1) for d in (-1, 1)]
+    ts = p.t0 + p.tau * np.array([-20.0, -10.0, -1.0, 0.0, 1.0, 10.0, 20.0])
+    ts = np.concatenate([[-p.t0 + 3.0 * p.tau, 0.0], ts])
+    ref = [purity_o2_qawo(t, p, split_at=edges) for t in ts]
+    # One time per call leaves the switch to the panel edges of the
+    # quadrature itself, not to neighbouring sample times.
+    for got in (purity_o2_quadrature(ts, p), [purity_o2_quadrature(t, p) for t in ts]):
+        assert np.max(np.abs(np.subtract(got, ref))) < 1e-10
+
+
+def test_no_convergence_when_depth_runs_out():
+    # Tolerances tight enough that the long plateau panel (whose coupling
+    # still varies by ~1e-9 near the switch regions) must be bisected:
+    # with the default depth the estimate is met, with no bisection it is not.
+    p = make_params(psi=0.3, t0=30.0, tau=1.0)
+    tight = dict(abs_tol=1e-13, rel_tol=1e-13)
+    ok = purity_o2_quadrature(25.0, p, QuadratureConfig(**tight))
+    assert ok == pytest.approx(purity_o2_qawo(25.0, p), abs=1e-10)
+    with pytest.raises(QuadratureNoConvergence, match="t = 25.0"):
+        purity_o2_quadrature(25.0, p, QuadratureConfig(max_depth=0, **tight))
 
 
 def test_quadrature_config_defaults():

@@ -478,9 +478,11 @@ def test_no_convergence_within_budget_is_step_failure(monkeypatch):
         ("max_step", 0.0),
         ("max_step", -0.1),
         ("max_step", float("nan")),
+        ("max_step", float("inf")),
         ("sample_dt", 0.0),
         ("sample_dt", -1.0),
         ("sample_dt", float("nan")),
+        ("sample_dt", float("inf")),
         ("cutoff_threshold", 0.0),
         ("cutoff_threshold", 1.0),
         ("cutoff_threshold", float("nan")),
