@@ -3,160 +3,265 @@ mode phases, leading-order purity, next-to-leading-order correction with
 its two physical contributions, and late-time diagnostics.
 
 The oscillatory memory integrals behind the NLO correction have the form
-I(t) = Int_{t_in}^t f(t') cos[Phi(t) - Phi(t')] dt'.  They are evaluated by
-expanding the cosine of the phase difference, which turns each of them into
-cumulative cosine/sine moments of f -- these are integrated as one coupled
-ODE system alongside the phases themselves, with a step cap that resolves
-the fastest oscillation.
+I(t) = Int_{t_in}^t f(t') cos[Phi(t) - Phi(t')] dt'.  Expanding the cosine
+of the phase difference turns each of them into a cumulative moment
+Int f(t') exp(i Phi(t')) dt' of a known integrand, with Phi a multiple or
+sum of the phases W_i = Int omega_i.  The phases and the moments are plain
+cumulative integrals, computed on Chebyshev panels with the spectral
+integration matrix (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071), and
+every quantity here is evaluated on a whole array of times at once.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from numpy.polynomial import chebyshev
 
 from .errors import (
     DerivativeUndefined,
     PrecisionFloor,
-    StepFailure,
+    QuadratureNoConvergence,
     SupercriticalExcursion,
 )
 from .model import coupling_xi, coupling_xi_dot, frame_from_xi
-from .transport import IntegratorConfig, integrate, propagate, purity_from_propagator
+from .transport import (
+    IntegratorConfig,
+    _in_switch,
+    _segment_breakpoints,
+    integrate,
+    propagate,
+    purity_from_propagator,
+)
 
 #: Purity deficits below this are beyond double-precision resolution.
 DEFICIT_FLOOR = 1e-13
 
 
 def _frame(t, p):
-    xi = float(coupling_xi(t, p))
-    xi_dot = float(coupling_xi_dot(t, p))
-    fr = frame_from_xi(xi, p, xi_dot)
-    if fr.omega1_sq <= 0:
+    """Normal-mode frame along the profile at t (float or array).
+
+    Raises:
+        SupercriticalExcursion: if omega1^2 <= 0 at any of the times.
+    """
+    fr = frame_from_xi(coupling_xi(t, p), p, coupling_xi_dot(t, p))
+    bad = ~(np.asarray(fr.omega1_sq) > 0)
+    if np.any(bad):
         raise SupercriticalExcursion(
             "omega1^2 <= 0 at t = %g; the slow-switching expansion requires a "
-            "subcritical profile" % t
+            "subcritical profile" % np.asarray(t, dtype=float).flat[np.argmax(bad)]
         )
     return fr
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev panels
+# ---------------------------------------------------------------------------
+
+#: Intervals of the fine rule; the coarse rule uses every other node.
+_CHEB_N = 32
+
+#: Chebyshev-Lobatto nodes -cos(pi j / N) on [-1, 1], ascending.
+_NODES = -np.cos(np.pi * np.arange(_CHEB_N + 1) / _CHEB_N)
+
+
+def _integration_matrix(x):
+    """Matrix taking values at the Chebyshev-Lobatto nodes x to the integral
+    from -1 to each node of their interpolating polynomial."""
+    n = len(x) - 1
+    coef = np.linalg.inv(chebyshev.chebvander(x, n))
+    s = chebyshev.chebvander(x, n + 1) @ chebyshev.chebint(coef, lbnd=-1, axis=0)
+    s[0] = 0.0  # the integral from -1 to -1, exactly
+    return s
+
+
+_FINE = _integration_matrix(_NODES)
+_COARSE = _integration_matrix(_NODES[::2])
+
+#: Barycentric weights of the Chebyshev-Lobatto nodes.
+_BARY = (-1.0) ** np.arange(_CHEB_N + 1)
+_BARY[[0, -1]] *= 0.5
+
+#: Bisection passes, and the panel count past which refining stops.
+MAX_DEPTH = 30
+MAX_PANELS = 1 << 18
+
+#: An error estimate below this fraction of a panel's scale is round-off.
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
+#: Phase of each moment channel as a combination of (W1, W2).
+_CHANNEL_PHASES = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+
+
+def _panels(lo, hi, p):
+    """Phases and moments over each panel [lo, hi], each counted from its own
+    start.
+
+    Returns:
+        (w, m, err, scale): w (K, N + 1, 2) the phases (W1, W2) and m
+        (K, N + 1, 3) the moments Int f exp(i Phi) of (f, Phi) = (2 beta1,
+        2 W1), (2 beta2, 2 W2) and (theta_dot (r + 1/r), W1 + W2) with
+        r = sqrt(omega1/omega2), from the panel's start to its nodes; err
+        (K, 5) the gap between the fine and coarse rules in each panel's
+        increment of the five channels, and scale (K, 5) each panel's
+        integral of the channel integrand's modulus.
+    """
+    half = 0.5 * (hi - lo)[:, None, None]
+    fr = _frame(0.5 * (lo + hi)[:, None] + half[..., 0] * _NODES, p)
+    w1 = np.sqrt(fr.omega1_sq)
+    ratio = np.sqrt(w1 / fr.omega2)
+
+    def sums(g):
+        """Integrals of g (K, N + 1, c) from the panel start to its nodes,
+        and the panel's fine/coarse gap and modulus integral (K, c)."""
+        local = half * (_FINE @ g)
+        coarse = half[:, 0] * (_COARSE[-1] @ g[:, ::2])
+        scale = half[:, 0] * (_FINE[-1] @ np.abs(g))
+        return local, np.abs(local[:, -1] - coarse), scale
+
+    w, w_err, w_scale = sums(np.stack([w1, fr.omega2], axis=-1))
+    amp = np.stack(
+        [2.0 * fr.beta1, 2.0 * fr.beta2, fr.theta_dot * (ratio + 1.0 / ratio)], axis=-1
+    )
+    m, m_err, m_scale = sums(amp * np.exp(1j * (w @ _CHANNEL_PHASES.T)))
+    return w, m, np.hstack([w_err, m_err]), np.hstack([w_scale, m_scale])
+
+
+def _chain(w, m):
+    """Join panels laid end to end from t_in: add to each panel's phases the
+    totals of the panels before it, and rotate and shift its moments to
+    match."""
+    w_total = np.cumsum(w[:, -1], axis=0)
+    w_start = np.concatenate([np.zeros((1, 2)), w_total[:-1]])
+    m = m * np.exp(1j * (w_start @ _CHANNEL_PHASES.T))[:, None]
+    m_total = np.cumsum(m[:, -1], axis=0)
+    m_start = np.concatenate([np.zeros((1, 3)), m_total[:-1]])
+    return w + w_start[:, None], m + m_start[:, None]
 
 
 @dataclass
 class PhaseAccumulator:
     """Accumulated phases and NLO moment integrals on [t_in, t_end].
 
-    W1/W2 are the integrals of the normal frequencies from t_in.  The six
-    moment channels are the cumulative cosine/sine moments entering the
-    memory integrals of the NLO correction.
+    W1/W2 are the integrals of the normal frequencies from t_in.  The three
+    complex moment channels are the cumulative cosine/sine moments entering
+    the memory integrals of the NLO correction.  Both are kept at the nodes
+    of every Chebyshev panel and interpolated between them.
     """
 
     params: object
     t_end: float
-    _sol: object
+    edges: np.ndarray  # (K + 1,) panel edges from t_in to t_end
+    w: np.ndarray  # (K, N + 1, 2) phases at the panel nodes
+    m: np.ndarray  # (K, N + 1, 3) complex moments at the panel nodes
 
-    def _y(self, t):
-        t = float(np.clip(t, self.params.t_in, self.t_end))
-        return self._sol(t)
+    def _at(self, t, values):
+        """Barycentric interpolation of node values (K, N + 1, c) at the
+        times t, clipped to [t_in, t_end]: an array of shape t.shape + (c,)."""
+        t = np.clip(np.asarray(t, dtype=float), self.params.t_in, self.t_end)
+        flat = t.reshape(-1)
+        edges = self.edges
+        k = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, len(edges) - 2)
+        x = (2.0 * flat - edges[k] - edges[k + 1]) / (edges[k + 1] - edges[k])
+        diff = x[:, None] - _NODES
+        hit = diff == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = _BARY / diff
+        c = np.where(hit.any(axis=1, keepdims=True), hit, c)
+        out = np.einsum("qj,qjc->qc", c, values[k]) / c.sum(axis=1)[:, None]
+        return out.reshape(t.shape + (values.shape[-1],))
 
     def phases(self, t):
-        """(W1(t), W2(t))."""
-        y = self._y(t)
-        return float(y[0]), float(y[1])
+        """(W1(t), W2(t)): floats for a float t, else arrays of t's shape."""
+        w = self._at(t, self.w)
+        return w[..., 0][()], w[..., 1][()]
 
     def memory_integrals(self, t):
-        """(I_omega1, I_omega2, I_theta) at time t."""
-        y = self._y(t)
-        w1, w2 = y[0], y[1]
-        i_w1 = np.cos(2 * w1) * y[2] + np.sin(2 * w1) * y[3]
-        i_w2 = np.cos(2 * w2) * y[4] + np.sin(2 * w2) * y[5]
-        phase = w1 + w2
-        i_th = np.cos(phase) * y[6] + np.sin(phase) * y[7]
-        return float(i_w1), float(i_w2), float(i_th)
+        """(I_omega1, I_omega2, I_theta) at time t (float or array)."""
+        phase = self._at(t, self.w) @ _CHANNEL_PHASES.T
+        i = (np.exp(-1j * phase) * self._at(t, self.m)).real
+        return i[..., 0][()], i[..., 1][()], i[..., 2][()]
 
 
 def accumulate_phases(p, t_end=None, rtol=1e-10, atol=1e-12):
-    """Integrate the phase/moment system over [t_in, t_end].
+    """Phases and moment integrals over [t_in, t_end] by cumulative
+    Chebyshev panel quadrature.
+
+    The panel edges are t_in, t_end, the profile breakpoints and a tau / 20
+    grid in the switch regions (as in the perturbative quadrature), with no
+    panel wider than one period of the fastest channel, exp(2 i W2).  Each
+    panel is integrated at 33 Chebyshev-Lobatto nodes and at every other
+    one; a panel whose gap between the two exceeds, in any channel,
+    atol |panel| / |span| + rtol Int_panel |integrand| is bisected.
 
     Args:
         p: ScenarioParams (smooth subcritical profile).
-        t_end: final time (default -t_in).
-        rtol, atol: solver tolerances.
+        t_end: final time (default -t_in); an earlier one counts as t_in.
+        rtol, atol: quadrature targets.
 
     Returns:
         PhaseAccumulator.
 
     Raises:
         SupercriticalExcursion: if the coupling reaches the critical value.
+        QuadratureNoConvergence: if refining runs past MAX_DEPTH passes or
+            MAX_PANELS panels.
     """
     if p.psi >= 1.0:
         raise SupercriticalExcursion(
             "peak coupling psi = %g >= 1; profile is not subcritical" % p.psi
         )
-    if t_end is None:
-        t_end = -p.t_in
-
-    def rhs(t, y):
-        fr = _frame(t, p)
-        w1 = np.sqrt(fr.omega1_sq)
-        w2 = fr.omega2
-        f1 = 2.0 * fr.beta1
-        f2 = 2.0 * fr.beta2
-        ratio = np.sqrt(w1 / w2)
-        f_th = fr.theta_dot * (ratio + 1.0 / ratio)
-        phase = y[0] + y[1]
-        return [
-            w1,
-            w2,
-            f1 * np.cos(2 * y[0]),
-            f1 * np.sin(2 * y[0]),
-            f2 * np.cos(2 * y[1]),
-            f2 * np.sin(2 * y[1]),
-            f_th * np.cos(phase),
-            f_th * np.sin(phase),
-        ]
-
-    # Resolve the fastest oscillation: the moment channels oscillate at
-    # 2 W2-dot <= 2 omega2(peak); cap panels at an eighth of that period.
-    w2_peak = frame_from_xi(p.xi0, p).omega2
-    max_step = (2.0 * np.pi / w2_peak) / 8.0
-    sol = solve_ivp(
-        rhs,
-        (p.t_in, t_end),
-        np.zeros(8),
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        max_step=max_step,
-        dense_output=True,
+    t_end = max(float(-p.t_in if t_end is None else t_end), p.t_in)
+    pts = _segment_breakpoints(p, p.t_in, t_end)
+    # The fastest channel oscillates at 2 omega2 <= 2 omega2(peak).
+    width = np.pi / frame_from_xi(p.xi0, p).omega2
+    edges = [pts]
+    for a, b in zip(pts[:-1], pts[1:]):
+        cap = min(width, p.tau / 20.0) if _in_switch(p, a, b) else width
+        edges.append(np.linspace(a, b, math.ceil((b - a) / cap) + 1))
+    edges = np.unique(np.concatenate(edges))
+    if len(edges) < 2:  # t_end == t_in: one panel, only ever read at t_in
+        edges = np.array([p.t_in, p.t_in + width])
+    lo, hi = edges[:-1], edges[1:]
+    share = atol / (hi[-1] - lo[0])
+    done = []  # accepted (lo, hi, w, m) batches
+    for _ in range(MAX_DEPTH):
+        w, m, err, scale = _panels(lo, hi, p)
+        ok = np.all(err <= share * (hi - lo)[:, None] + max(rtol, _ROUNDOFF) * scale, axis=1)
+        done.append((lo[ok], hi[ok], w[ok], m[ok]))
+        if np.all(ok):
+            lo, hi, w, m = (np.concatenate(a) for a in zip(*done))
+            order = np.argsort(lo)
+            w, m = _chain(w[order], m[order])
+            return PhaseAccumulator(p, t_end, np.append(lo[order], hi[order][-1]), w, m)
+        lo, hi = lo[~ok], hi[~ok]
+        if sum(len(d[0]) for d in done) + 2 * len(lo) > MAX_PANELS:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    raise QuadratureNoConvergence(
+        "phase quadrature did not converge on [%g, %g]" % (p.t_in, t_end)
     )
-    if not sol.success:
-        raise StepFailure("phase accumulation failed: %s" % sol.message)
-    return PhaseAccumulator(p, float(t_end), sol.sol)
+
+
+def _lo(fr):
+    w1 = np.sqrt(fr.omega1_sq)
+    w2 = fr.omega2
+    s2t = np.sin(2.0 * fr.theta)
+    return 1.0 / np.sqrt(1.0 - 0.25 * s2t * s2t * (2.0 - w1 / w2 - w2 / w1))
 
 
 def purity_adiabatic_lo(t, p):
-    """Leading-order slow-switching purity.
+    """Leading-order slow-switching purity at t (float or array).
 
     {1 - (sin^2 2theta / 4)(2 - w1/w2 - w2/w1)}^(-1/2); the inner bracket
     is non-positive, so the result never exceeds 1.
     """
-    fr = _frame(t, p)
-    w1 = np.sqrt(fr.omega1_sq)
-    w2 = fr.omega2
-    s2t = np.sin(2.0 * fr.theta)
-    val = 1.0 - 0.25 * s2t * s2t * (2.0 - w1 / w2 - w2 / w1)
-    return 1.0 / np.sqrt(val)
+    return _lo(_frame(t, p))
 
 
-def nlo_contributions(t, p, acc=None):
-    """The two grouped NLO contributions (Itilde_omega, Itilde_theta).
-
-    Itilde_omega collects the frequency-modulation (particle-creation)
-    channel; Itilde_theta the frame-rotation channel.
-    """
-    if acc is None:
-        acc = accumulate_phases(p, t_end=t)
-    fr = _frame(t, p)
+def _nlo_terms(t, fr, acc):
     w1 = np.sqrt(fr.omega1_sq)
     w2 = fr.omega2
     i_w1, i_w2, i_th = acc.memory_integrals(t)
@@ -167,15 +272,26 @@ def nlo_contributions(t, p, acc=None):
     return itilde_omega, itilde_theta
 
 
+def _accumulator(t, p, acc):
+    return acc if acc is not None else accumulate_phases(p, t_end=float(np.max(t)))
+
+
+def nlo_contributions(t, p, acc=None):
+    """The two grouped NLO contributions (Itilde_omega, Itilde_theta) at t
+    (float or array).
+
+    Itilde_omega collects the frequency-modulation (particle-creation)
+    channel; Itilde_theta the frame-rotation channel.
+    """
+    return _nlo_terms(t, _frame(t, p), _accumulator(t, p, acc))
+
+
 def purity_nlo_correction(t, p, acc=None):
-    """Next-to-leading-order purity correction delta gamma^(1)."""
-    if acc is None:
-        acc = accumulate_phases(p, t_end=t)
+    """Next-to-leading-order purity correction delta gamma^(1) at t (float
+    or array)."""
     fr = _frame(t, p)
-    s2t = np.sin(2.0 * fr.theta)
-    gamma0 = purity_adiabatic_lo(t, p)
-    itilde_omega, itilde_theta = nlo_contributions(t, p, acc)
-    return 0.5 * s2t * gamma0**3 * (itilde_omega - itilde_theta)
+    itilde_omega, itilde_theta = _nlo_terms(t, fr, _accumulator(t, p, acc))
+    return 0.5 * np.sin(2.0 * fr.theta) * _lo(fr) ** 3 * (itilde_omega - itilde_theta)
 
 
 def latetime_purity(p, cfg: Optional[IntegratorConfig] = None):

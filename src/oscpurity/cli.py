@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -15,12 +14,15 @@ import numpy as np
 
 from . import adiabatic, isoso, markov, perturbation, presets
 from .errors import ConfigError, InvalidCaseWarning, OscPurityError
-from .model import classify_regime, parse_config
+from .model import ISOSO, classify_regime, parse_config
 from .presets import FMT, summarize, write_markov_csv, write_rows
 from .transport import IntegratorConfig, integrate
 
 _SWEEP_KEYS = {"param", "grid", "min", "max", "count", "reduction", "workers"}
-_REDUCTIONS = ("latetime_purity", "slope", "threshold")
+
+#: Sweep reductions and the fewest grid points each needs: the centered
+#: log-log slope takes three, the threshold line fit two.
+_REDUCTIONS = {"latetime_purity": 1, "slope": 3, "threshold": 2}
 
 
 def _read_text(path, what):
@@ -103,13 +105,16 @@ def cmd_perturb(args):
 
 def cmd_adiabatic(args):
     p, _ = _load_scenario(args.config)
-    t_end = -p.t_in
-    ts = np.linspace(p.t_in, t_end, 1001)
-    lo = np.array([adiabatic.purity_adiabatic_lo(t, p) for t in ts])
+    if p.profile == ISOSO:
+        raise ConfigError(
+            "the slow-switching expansion needs the smooth profile; the top-hat "
+            "switch has no derivative"
+        )
+    ts = np.linspace(p.t_in, -p.t_in, 1001)
+    lo = adiabatic.purity_adiabatic_lo(ts, p)
     os.makedirs(args.out, exist_ok=True)
     if args.order == 1:
-        acc = adiabatic.accumulate_phases(p)
-        nlo = np.array([adiabatic.purity_nlo_correction(t, p, acc) for t in ts])
+        nlo = adiabatic.purity_nlo_correction(ts, p, adiabatic.accumulate_phases(p))
         write_rows(
             os.path.join(args.out, "adiabatic.csv"),
             "t,purity_lo,delta_nlo",
@@ -152,7 +157,15 @@ def cmd_markov(args):
 
 def parse_sweep_spec(text):
     """Parse a sweep spec: scenario keys plus param/grid/min/max/count/
-    reduction/workers."""
+    reduction/workers.
+
+    `workers` is parsed, capped at the CPU count and returned, but sweeps run
+    serially: a process pool cost more than it saved on sweeps of this size.
+
+    Raises:
+        ConfigError: on a malformed spec, or a grid shorter than its
+            reduction needs.
+    """
     sweep_lines = []
     base_lines = []
     for raw in text.splitlines():
@@ -186,6 +199,11 @@ def parse_sweep_spec(text):
         raise ConfigError("bad sweep number: %s" % exc)
     if count < 1 or not lo < hi or lo <= 0:
         raise ConfigError("sweep grid bounds must satisfy 0 < min < max, count >= 1")
+    need = _REDUCTIONS[kv["reduction"]]
+    if count < need:
+        raise ConfigError(
+            "reduction %r needs count >= %d, got %d" % (kv["reduction"], need, count)
+        )
     if count == 1:
         grid = np.array([lo])
     elif grid_kind == "log":
@@ -197,17 +215,11 @@ def parse_sweep_spec(text):
     return p, cfg, grid, kv["reduction"], min(max(1, workers), os.cpu_count() or 1)
 
 
-def _sweep_cell(task):
-    """One sweep cell: (index, tau) -> (index, late-time purity)."""
-    idx, tau, p, cfg = task
-    return idx, adiabatic.latetime_purity(p.with_tau(tau), cfg)
-
-
 def run_sweep(p, cfg, grid, reduction, workers=1):
-    """Evaluate the sweep reduction over the grid.
+    """Evaluate the sweep reduction over the grid, one cell after another.
 
-    Cell results are merged by grid index, so the output is identical for
-    any worker count.
+    workers is accepted and ignored, so the output is the same for any
+    worker count.
     """
     if reduction == "threshold":
         res = adiabatic.recoherence_threshold_scan(p, grid / p.t0, cfg=None)
@@ -221,14 +233,9 @@ def run_sweep(p, cfg, grid, reduction, workers=1):
                 "r_squared": res["r_squared"],
             },
         }
-    tasks = [(i, float(tau), p, cfg) for i, tau in enumerate(grid)]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_sweep_cell, tasks))
-    else:
-        raw = [_sweep_cell(t) for t in tasks]
-    raw.sort(key=lambda r: r[0])
-    gamma_inf = np.array([r[1] for r in raw])
+    gamma_inf = np.array(
+        [adiabatic.latetime_purity(p.with_tau(float(tau)), cfg) for tau in grid]
+    )
     out = {
         "kind": reduction,
         "tau_over_t0": grid / p.t0,
@@ -245,8 +252,8 @@ def run_sweep(p, cfg, grid, reduction, workers=1):
 
 def cmd_sweep(args):
     text = _read_text(args.spec, "sweep spec")
-    p, cfg, grid, reduction, workers = parse_sweep_spec(text)
-    res = run_sweep(p, cfg, grid, reduction, workers)
+    p, cfg, grid, reduction, _ = parse_sweep_spec(text)
+    res = run_sweep(p, cfg, grid, reduction)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     if res["kind"] == "slope":

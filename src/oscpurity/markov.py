@@ -5,15 +5,18 @@ distance, Bures velocity, and the Markovian surrogate maps.
 The noise matrix is always computed from the exact full-system trajectory
 (the reduced equation is exact only with the true cross-correlators); the
 surrogates replace B pointwise along that trajectory.
+
+The reduced map over [t_a, t_b] needs no integration of its own: X is the
+free rotation at omega_s, and Y = Int X(t_b, s) B(s) X(t_b, s)^T ds is a
+known-kernel integral of B, taken by Gauss-Legendre quadrature on the
+driving trajectory's step grid.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import NonPhysicalState, PureStateSingularity, StepFailure
+from .errors import NonPhysicalState, PureStateSingularity
 from .model import coupling_xi, normal_mode_sq
 from .symplectic import OMEGA2, det2, eig_sym2, inv2, symmetrize
 from .transport import CovarianceState
@@ -52,13 +55,18 @@ def system_hamiltonian(p):
     return np.array([[p.omega_s**2, 0.0], [0.0, 1.0]])
 
 
+def _noise_matrix(xi, sigma):
+    """B = -xi [[0, c11], [c11, 2 c21]] from the cross block c = sigma_SE of a
+    joint covariance, or of a (N, 4, 4) stack with xi of shape (N,)."""
+    c11, c21 = sigma[..., 0, 2], sigma[..., 1, 2]
+    rows = [np.stack([np.zeros_like(c11), c11], -1), np.stack([c11, 2.0 * c21], -1)]
+    return -np.asarray(xi)[..., None, None] * np.stack(rows, -2)
+
+
 def noise_B(state, p):
     """Noise matrix B = -xi(t) [[0, c11], [c11, 2 c21]] from the cross
     block c = sigma_SE of the full state."""
-    xi = float(coupling_xi(state.t, p))
-    c11 = state.sigma[0, 2]
-    c21 = state.sigma[1, 2]
-    b = -xi * np.array([[0.0, c11], [c11, 2.0 * c21]])
+    b = _noise_matrix(float(coupling_xi(state.t, p)), state.sigma)
     lam_m, lam_p = eig_sym2(b)
     return NoiseMatrix(t=state.t, B=b, lambda_minus=float(lam_m), lambda_plus=float(lam_p))
 
@@ -76,41 +84,44 @@ def purity_rate(sigma_s, b):
     return -0.5 * gamma * float(np.trace(inv2(sigma_s) @ b))
 
 
+def _free_rotation(p, dt):
+    """Free propagator exp(Omega H_S dt) of the reduced system, for a float
+    or an array of intervals dt (then a (N, 2, 2) stack)."""
+    w = p.omega_s
+    phase = w * np.asarray(dt, dtype=float)
+    c, s = np.cos(phase), np.sin(phase)
+    return np.stack([np.stack([c, s / w], -1), np.stack([-w * s, c], -1)], -2)
+
+
+#: Gauss-Legendre rule per step of the trajectory's grid.  Steps resolve a
+#: twentieth of the fastest period, so four nodes integrate the smooth
+#: integrand between step nodes to round-off.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
+
+
 def map_pair_evolve(p, traj, t_a, t_b, rtol=1e-10, atol=1e-12):
-    """Integrate the reduced-map pair (X, Y) over [t_a, t_b].
+    """The reduced-map pair (X, Y) over [t_a, t_b].
 
-    X solves Xdot = Omega H_S X from the identity; Y solves
-    Ydot = Omega H_S Y - Y H_S Omega + B(t) from zero, with B(t) taken from
-    the driving trajectory.
+    X = exp(Omega H_S (t_b - t_a)) is the free rotation, and
+    Y = Int_{t_a}^{t_b} X(t_b, s) B(s) X(t_b, s)^T ds, with B(s) from the
+    driving trajectory, by a four-node Gauss-Legendre rule on every piece of
+    [t_a, t_b] between the trajectory's step nodes (where the propagator is
+    smooth).  rtol and atol are accepted and ignored: the trajectory's own
+    tolerances set the accuracy.
+
+    Raises:
+        ValueError: if [t_a, t_b] leaves the trajectory's window.
     """
-    h = system_hamiltonian(p)
-    k = OMEGA2 @ h
-
-    def rhs(t, y):
-        x = y[:4].reshape(2, 2)
-        ym = y[4:].reshape(2, 2)
-        b = noise_B(traj.state_at(t), p).B
-        dx = k @ x
-        dy = k @ ym + ym @ k.T + b
-        return np.concatenate([dx.ravel(), dy.ravel()])
-
     if t_b == t_a:
         return MapPair(np.eye(2), np.zeros((2, 2)), t_a, t_b)
-    y0 = np.concatenate([np.eye(2).ravel(), np.zeros(4)])
-    sol = solve_ivp(
-        rhs,
-        (t_a, t_b),
-        y0,
-        method="RK45",
-        rtol=rtol,
-        atol=atol,
-        max_step=(t_b - t_a) / 16.0,
-    )
-    if not sol.success:
-        raise StepFailure("map-pair integration failed: %s" % sol.message)
-    x = sol.y[:4, -1].reshape(2, 2)
-    ym = symmetrize(sol.y[4:, -1].reshape(2, 2))
-    return MapPair(x, ym, t_a, t_b)
+    steps = traj.step_t
+    edges = np.concatenate([[t_a], steps[(steps > t_a) & (steps < t_b)], [t_b]])
+    half = 0.5 * np.diff(edges)[:, None]
+    s = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL_X).ravel()
+    b = _noise_matrix(coupling_xi(s, p), traj.sigma_at(s))
+    x = _free_rotation(p, t_b - s)
+    y = np.einsum("n,nij,njk,nlk->il", (half * _GL_W).ravel(), x, b, x)
+    return MapPair(_free_rotation(p, t_b - t_a), symmetrize(y), t_a, t_b)
 
 
 def compose(first, second):

@@ -160,11 +160,14 @@ def coupling_xi_dot(t, p):
     if p.profile == ISOSO:
         raise DerivativeUndefined("the top-hat profile has no classical derivative")
     t = np.asarray(t, dtype=float)
-    a = np.tanh((p.t0 + t) / p.tau)
-    b = np.tanh((p.t0 - t) / p.tau)
-    da = (1.0 - a * a) / p.tau
-    db = -(1.0 - b * b) / p.tau
-    return p.xi0 * (da * b + a * db) / (1.0 + np.tanh(p.t0 / p.tau) ** 2)
+    u = (p.t0 + t) / p.tau
+    v = (p.t0 - t) / p.tau
+    # 1 - tanh^2 = sech^2 = 4 e / (1 + e)^2 with e = exp(-2|u|), which keeps
+    # its relative accuracy in the tails, where 1 - tanh^2 is pure round-off.
+    eu, ev = np.exp(-2.0 * np.abs(u)), np.exp(-2.0 * np.abs(v))
+    da = 4.0 * eu / ((1.0 + eu) ** 2 * p.tau)
+    db = -4.0 * ev / ((1.0 + ev) ** 2 * p.tau)
+    return p.xi0 * (da * np.tanh(v) + np.tanh(u) * db) / (1.0 + np.tanh(p.t0 / p.tau) ** 2)
 
 
 def perturbativity_gp(p):
@@ -191,6 +194,9 @@ class AdiabaticFrame:
         omega1_abs: |omega1|; omega2: the always-real upper frequency.
         delta_flag: 0 if omega1 is real, 1 if imaginary.
         beta1, beta2: omega_i_dot / (2 omega_i) (real in both phases).
+
+    Every field is a float, or an array when the frame was built for an
+    array of couplings.
     """
 
     theta: float
@@ -227,51 +233,62 @@ def frame_from_xi(xi, p, xi_dot=0.0):
     """Normal-mode frame for a given instantaneous coupling value.
 
     Args:
-        xi: coupling strength (frequency^2).
+        xi: coupling strength (frequency^2): a float, or an array for the
+            frames at many times at once.
         p: ScenarioParams (provides the bare frequencies).
-        xi_dot: time derivative of the coupling (for theta_dot, beta_i).
+        xi_dot: time derivative of the coupling (for theta_dot, beta_i),
+            broadcast against xi.
 
     Returns:
-        AdiabaticFrame.
+        AdiabaticFrame: float fields for a float xi and xi_dot, else array
+        fields of their broadcast shape.
 
     Raises:
         CriticalPoint: if |omega1^2| < 1e-12 * omega_s^2 (coupling at the
-            critical value); callers must branch to the numeric integrator.
+            critical value) anywhere; callers must branch to the numeric
+            integrator.
     """
+    scalar = np.ndim(xi) == 0 and np.ndim(xi_dot) == 0
+    if scalar:
+        xi, xi_dot = float(xi), float(xi_dot)
+    else:
+        xi, xi_dot = np.broadcast_arrays(
+            np.asarray(xi, dtype=float), np.asarray(xi_dot, dtype=float)
+        )
     ws2 = p.omega_s**2
     we2 = p.omega_e**2
     d = we2 - ws2
     s = ws2 + we2
-    r = np.sqrt(4.0 * xi * xi + d * d)
+    r2 = d * d + 4.0 * xi * xi
+    r = np.sqrt(r2)
     omega1_sq = 0.5 * (s - r)
     omega2_sq = 0.5 * (s + r)
-    if abs(omega1_sq) < CRITICAL_GUARD * ws2:
+    if np.any(np.abs(omega1_sq) < CRITICAL_GUARD * ws2):
         raise CriticalPoint(
             "coupling is at the critical value; the closed-form frame is singular"
         )
     # theta = 0.5 * arctan(2 xi / d), kept continuous through d = 0 by the
     # two-argument arctangent; for d > 0 this lands in [0, pi/4).
     theta = 0.5 * np.arctan2(2.0 * xi, d)
-    theta_dot = xi_dot * d / (d * d + 4.0 * xi * xi) if (d != 0.0 or xi != 0.0) else 0.0
-    delta_flag = 1 if omega1_sq < 0 else 0
-    omega1_abs = np.sqrt(abs(omega1_sq))
-    omega2 = np.sqrt(omega2_sq)
-    # d(omega_i^2)/dt = -+ 2 xi xi_dot / r; beta_i = d(omega_i^2)/dt/(4 omega_i^2)
-    dw1sq = -2.0 * xi * xi_dot / r if r > 0 else 0.0
-    dw2sq = 2.0 * xi * xi_dot / r if r > 0 else 0.0
-    beta1 = dw1sq / (4.0 * omega1_sq)
-    beta2 = dw2sq / (4.0 * omega2_sq)
-    return AdiabaticFrame(
-        theta=float(theta),
-        theta_dot=float(theta_dot),
-        omega1_sq=float(omega1_sq),
-        omega2_sq=float(omega2_sq),
-        omega1_abs=float(omega1_abs),
-        omega2=float(omega2),
-        delta_flag=delta_flag,
-        beta1=float(beta1),
-        beta2=float(beta2),
+    # d(omega_i^2)/dt = -+ 2 xi xi_dot / r; beta_i = d(omega_i^2)/dt/(4 omega_i^2).
+    # r = 0 only at d = xi = 0, where the numerators vanish too: adding
+    # (r == 0) to the denominators makes theta_dot and both rates 0 there.
+    theta_dot = xi_dot * d / (r2 + (r2 == 0))
+    dw2sq = 2.0 * xi * xi_dot / (r + (r == 0))
+    fields = dict(
+        theta=theta,
+        theta_dot=theta_dot,
+        omega1_sq=omega1_sq,
+        omega2_sq=omega2_sq,
+        omega1_abs=np.sqrt(np.abs(omega1_sq)),
+        omega2=np.sqrt(omega2_sq),
+        beta1=-dw2sq / (4.0 * omega1_sq),
+        beta2=dw2sq / (4.0 * omega2_sq),
     )
+    if scalar:
+        fields = {k: float(v) for k, v in fields.items()}
+        return AdiabaticFrame(delta_flag=int(omega1_sq < 0), **fields)
+    return AdiabaticFrame(delta_flag=(omega1_sq < 0).astype(int), **fields)
 
 
 def adiabatic_frame(t, p):

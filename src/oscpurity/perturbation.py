@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
-from scipy.special import spherical_jn
 
 from .errors import QuadratureNoConvergence
 from .model import ISOSO, coupling_xi
@@ -53,12 +52,40 @@ def o2_integrand(tp, tpp, p):
     )
 
 
+def spherical_jn_orders(n, x):
+    """Spherical Bessel functions j_0 .. j_{n-1} at x >= 0 (any shape), as an
+    array of shape x.shape + (n,).
+
+    Orders k <= x come from the upward recurrence j_{k+1} = (2k + 1)/x j_k -
+    j_{k-1}, which is stable there.  Orders k > x, where it is not, come from
+    Miller's backward recurrence in ratio form, r_k = j_k / j_{k-1} =
+    x / (2k + 1 - x r_{k+1}), started 20 orders above the highest one, and
+    j_k = r_k j_{k-1}: j_{k-1} has no zero below x = k, so the product keeps
+    its relative accuracy.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape + (n,))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        j0 = np.where(x == 0.0, 1.0, np.sin(x) / x)
+        up = [j0, (j0 - np.cos(x)) / x]
+        for k in range(1, n - 1):
+            up.append((2 * k + 1) / x * up[k] - up[k - 1])
+        ratios = [None] * (n + 21)
+        r = np.zeros(x.shape)
+        for k in range(n + 20, 0, -1):
+            r = ratios[k] = x / (2 * k + 1 - x * r)
+        out[..., 0] = j0
+        for k in range(1, n):
+            out[..., k] = np.where(x >= k, up[k], out[..., k - 1] * ratios[k])
+    return out
+
+
 def _filon_rule(n):
-    """Nodes x_j, orders k and Legendre table (2k + 1) i^k w_j P_k(x_j)
-    ((n, n), row j, column k) of the n-node Filon rule on [-1, 1]."""
+    """Nodes x_j and Legendre table (2k + 1) i^k w_j P_k(x_j) ((n, n), row j,
+    column k) of the n-node Filon rule on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     k = np.arange(n)
-    return x, k, (2 * k + 1) * 1j**k * (w[:, None] * legvander(x, n - 1))
+    return x, (2 * k + 1) * 1j**k * (w[:, None] * legvander(x, n - 1))
 
 
 #: Filon rules at 8 and 16 Gauss-Legendre nodes; the difference of their
@@ -92,9 +119,9 @@ def _filon(lo, hi, p):
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     phase = half * np.exp(1j * om * mid)
     out = []
-    for x, k, table in _RULES:
+    for x, table in _RULES:
         lam = coupling_lambda(mid[:, None] + half[:, None] * x, p)
-        weights = spherical_jn(k, om * half[:, None]) @ table.T
+        weights = spherical_jn_orders(len(x), om * half) @ table.T
         out.append(phase * np.sum(lam * weights, axis=1))
     return out
 

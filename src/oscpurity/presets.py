@@ -199,25 +199,18 @@ def run_preset(name, outdir):
         stride = 8
         ts = traj.t[::stride]
         if name == "fig9":
-            rows = []
-            for t in ts:
-                io_, ith = adiabatic.nlo_contributions(t, p, acc)
-                rows.append((t, io_, ith))
             write_rows(
                 os.path.join(outdir, "fig9_contributions.csv"),
                 "t,itilde_omega,itilde_theta",
-                rows,
+                zip(ts, *adiabatic.nlo_contributions(ts, p, acc)),
             )
         else:
-            rows = []
-            for t, g in zip(ts, traj.purity_s[::stride]):
-                lo = adiabatic.purity_adiabatic_lo(t, p)
-                nlo = adiabatic.purity_nlo_correction(t, p, acc)
-                rows.append((t, g, lo, lo + nlo))
+            lo = adiabatic.purity_adiabatic_lo(ts, p)
+            nlo = adiabatic.purity_nlo_correction(ts, p, acc)
             write_rows(
                 os.path.join(outdir, "%s_adiabatic.csv" % name),
                 "t,purity_exact,purity_lo,purity_lo_plus_nlo",
-                rows,
+                zip(ts, traj.purity_s[::stride], lo, lo + nlo),
             )
         summaries.append(
             summarize(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))

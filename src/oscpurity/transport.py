@@ -25,14 +25,12 @@ queries (`propagator_at`, `state_at`) use the same partial step.
 but the late-time value.
 """
 
-import bisect
 import io
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, StepFailure
 from .model import ISOSO, SMOOTH, coupling_xi, normal_mode_sq
@@ -44,8 +42,7 @@ _K1[1, 2] = _K1[3, 0] = -1.0
 
 #: Gauss-Legendre nodes of the sixth-order Magnus step, as fractions of it.
 _SQRT15 = math.sqrt(15.0)
-_GAUSS_FRACTIONS = (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
-_GAUSS = np.array(_GAUSS_FRACTIONS)
+_GAUSS = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
 
 #: (1/(2k)!, 1/(2k+1)!) for the even/odd parts of the exponential series;
 #: with the eigenvalues of the squared exponent inside the unit disc, ten
@@ -270,13 +267,6 @@ class _MagnusStepper:
         coef = np.stack(_omega_coefficients(h, xi[:, 0], xi[:, 1], xi[:, 2]), axis=-1)
         return _expm((coef @ self.basis).reshape(-1, 4, 4))
 
-    def step(self, t0, h):
-        """The propagator of one step [t0, t0 + h] (floats)."""
-        p = self.params
-        x1, x2, x3 = [coupling_xi(t0 + c * h, p) for c in _GAUSS_FRACTIONS]
-        om = np.dot(_omega_coefficients(h, x1, x2, x3), self.basis)
-        return _expm(om.reshape(4, 4))
-
 
 def _product(e):
     """e[m-1] ... e[1] e[0] of a (m, 4, 4) stack by pairwise reduction."""
@@ -383,6 +373,8 @@ class Trajectory:
         sigma: (N, 4, 4) covariance samples derived from the propagators.
         purity_s, purity_e: per-mode purities (propagator route).
         xi: coupling strength at each sample.
+        step_t: times of the integrator's step nodes, between which every
+            query is one smooth partial step.
     """
 
     def __init__(self, t, propagator, params, grid):
@@ -390,9 +382,7 @@ class Trajectory:
         self.propagator = np.asarray(propagator)
         self.params = params
         self._grid = grid
-        self._nodes = grid.t.tolist()
-        self._root = _vacuum_root(params)
-        self._last = (None, None)  # the last propagator_at query and result
+        self.step_t = grid.t
         self.sigma = sigma_from_propagator(self.propagator, params)
         self.purity_s = purity_from_propagator(self.propagator, params, "S")
         self.purity_e = purity_from_propagator(self.propagator, params, "E")
@@ -403,32 +393,24 @@ class Trajectory:
         return float(self.t[-1])
 
     def propagator_at(self, t):
-        """Propagator at an arbitrary time: one partial Magnus step from the
-        last step node at or before t.
+        """Propagator at an arbitrary time, or a (N, 4, 4) stack at an array
+        of times: one partial Magnus step from the last step node at or
+        before each time.
 
-        The last query is remembered: a Runge-Kutta solver driven through
-        state_at asks for the end of each of its steps twice (last stage and
-        first-same-as-last).
+        Raises:
+            ValueError: for a time outside the integrated window.
         """
-        t = float(t)
-        if t != self._last[0]:
-            self._last = (t, self._partial_step(t))
-        return self._last[1].copy()
-
-    def _partial_step(self, t):
-        nodes = self._nodes
-        if not nodes[0] - 1e-12 <= t <= nodes[-1] + 1e-12:
-            raise ValueError("time %g outside trajectory range" % t)
-        k = max(0, bisect.bisect_right(nodes, t) - 1)
-        h = t - nodes[k]
-        if h <= 0.0 or k == len(nodes) - 1:
-            return self._grid.u[k]
-        return self._grid.stepper.step(nodes[k], h) @ self._grid.u[k]
+        ts = np.asarray(t, dtype=float)
+        nodes = self.step_t
+        if np.any(ts < nodes[0] - 1e-12) or np.any(ts > nodes[-1] + 1e-12):
+            raise ValueError("time %s outside trajectory range" % (t,))
+        u = self._grid.at(ts.reshape(-1))
+        return u[0] if ts.ndim == 0 else u.reshape(ts.shape + (4, 4))
 
     def sigma_at(self, t):
-        """Covariance matrix at an arbitrary time."""
-        l = self.propagator_at(t) * self._root
-        return l @ l.T
+        """Covariance matrix at an arbitrary time, or a (N, 4, 4) stack at an
+        array of times."""
+        return sigma_from_propagator(self.propagator_at(t), self.params)
 
     def purity_at(self, t, mode="S"):
         """Purity at an arbitrary time (propagator route)."""
@@ -484,20 +466,29 @@ def default_sample_dt(p):
 
 
 def _resolve_t_end(p, cfg):
+    """End of the window: -t_in, or with the cutoff policy the first t >= t0
+    where xi(t) falls to cutoff_threshold xi_c.
+
+    The smooth profile is xi(t) = xi0 2 C / [(C + cosh(2 t/tau)) (1 +
+    tanh^2(t0/tau))] with C = cosh(2 t0/tau), so the cutoff solves
+    cosh(2 t/tau) = C R with R = 2 xi0 / (target (1 + tanh^2(t0/tau))) - 1.
+    With L = ln(C R), t = (tau/2) arccosh(e^L) = (tau/2) (L + log1p(sqrt(1 -
+    e^(-2L)))), which never forms C, so it holds where cosh(2 t0/tau)
+    overflows.
+    """
     if cfg.t_end_policy == "fixed":
         return -p.t_in
     if p.profile == ISOSO:
         return p.t0
-    # First t > t0 where xi(t)/xi_c falls below the threshold.
     target = cfg.cutoff_threshold * p.xi_c
-    if p.xi0 <= target:
+    x = 2.0 * p.t0 / p.tau
+    log_c = x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
+    peak = 2.0 * p.xi0 / (1.0 + math.tanh(p.t0 / p.tau) ** 2)
+    if peak <= 2.0 * target:  # R <= 1: xi(t0) is already at or below target
         return p.t0
-    hi = p.t0 + 5.0 * p.tau
-    while coupling_xi(hi, p) > target:
-        hi += 5.0 * p.tau
-        if hi > p.t0 + 1e6 * p.tau:
-            raise StepFailure("could not locate the coupling cutoff time")
-    return float(brentq(lambda t: float(coupling_xi(t, p)) - target, p.t0, hi))
+    log_cr = log_c + math.log(peak - target) - math.log(target)
+    arccosh = log_cr + math.log1p(math.sqrt(-math.expm1(-2.0 * log_cr)))
+    return max(p.t0, 0.5 * p.tau * arccosh)
 
 
 def _segment_breakpoints(p, t_start, t_end):

@@ -118,3 +118,124 @@ def purity_o2_qawo(t, p, split_at=()):
     pts = [p.t_in] + sorted(s for s in split_at if p.t_in < s < t) + [t]
     m = sum(o2_moments_qawo(p, a, b) for a, b in zip(pts[:-1], pts[1:]))
     return 1.0 - 0.5 * float(m @ m)
+
+
+def phase_system_rk45(p, t_end=None, rtol=1e-10, atol=1e-12):
+    """The phases and NLO moments as one 8-unknown ODE integrated by scipy's
+    RK45 (steps capped at an eighth of the fastest period), as an oracle for
+    the Chebyshev panel quadrature of `adiabatic.accumulate_phases`.
+
+    Returns:
+        (phases, memory_integrals): functions of one time t in [t_in, t_end]
+        with the meaning of the PhaseAccumulator methods.
+    """
+    from scipy.integrate import solve_ivp
+
+    from oscpurity.model import adiabatic_frame, frame_from_xi
+
+    def rhs(t, y):
+        fr = adiabatic_frame(t, p)
+        w1, w2 = np.sqrt(fr.omega1_sq), fr.omega2
+        ratio = np.sqrt(w1 / w2)
+        f_th = fr.theta_dot * (ratio + 1.0 / ratio)
+        phase = y[0] + y[1]
+        return [
+            w1,
+            w2,
+            2.0 * fr.beta1 * np.cos(2 * y[0]),
+            2.0 * fr.beta1 * np.sin(2 * y[0]),
+            2.0 * fr.beta2 * np.cos(2 * y[1]),
+            2.0 * fr.beta2 * np.sin(2 * y[1]),
+            f_th * np.cos(phase),
+            f_th * np.sin(phase),
+        ]
+
+    t_end = -p.t_in if t_end is None else t_end
+    max_step = (2.0 * np.pi / frame_from_xi(p.xi0, p).omega2) / 8.0
+    sol = solve_ivp(
+        rhs, (p.t_in, t_end), np.zeros(8), method="RK45", rtol=rtol, atol=atol,
+        max_step=max_step, dense_output=True,
+    )
+    assert sol.success, sol.message
+
+    def phases(t):
+        y = sol.sol(t)
+        return float(y[0]), float(y[1])
+
+    def memory_integrals(t):
+        y = sol.sol(t)
+        w1, w2 = y[0], y[1]
+        return (
+            float(np.cos(2 * w1) * y[2] + np.sin(2 * w1) * y[3]),
+            float(np.cos(2 * w2) * y[4] + np.sin(2 * w2) * y[5]),
+            float(np.cos(w1 + w2) * y[6] + np.sin(w1 + w2) * y[7]),
+        )
+
+    return phases, memory_integrals
+
+
+def map_pair_rk45(p, traj, t_a, t_b, rtol=1e-12, atol=1e-14):
+    """The reduced-map pair (X, Y) over [t_a, t_b] from scipy's RK45 on
+    X' = Omega H_S X, Y' = Omega H_S Y + Y H_S Omega^T + B(t) (X(t_a) = 1,
+    Y(t_a) = 0), with B(t) from the trajectory's arbitrary-time states, as an
+    oracle for the quadrature of `markov.map_pair_evolve`."""
+    from scipy.integrate import solve_ivp
+
+    from oscpurity.markov import noise_B
+
+    k = np.array([[0.0, 1.0], [-(p.omega_s**2), 0.0]])
+
+    def rhs(t, y):
+        x, ym = y[:4].reshape(2, 2), y[4:].reshape(2, 2)
+        b = noise_B(traj.state_at(t), p).B
+        return np.concatenate([(k @ x).ravel(), (k @ ym + ym @ k.T + b).ravel()])
+
+    y0 = np.concatenate([np.eye(2).ravel(), np.zeros(4)])
+    sol = solve_ivp(
+        rhs, (t_a, t_b), y0, method="RK45", rtol=rtol, atol=atol,
+        max_step=(t_b - t_a) / 16.0,
+    )
+    assert sol.success, sol.message
+    return sol.y[:4, -1].reshape(2, 2), sol.y[4:, -1].reshape(2, 2)
+
+
+def cutoff_time_brentq(p, threshold):
+    """First t >= t0 where the smooth profile's xi(t) falls to threshold xi_c,
+    by scipy's brentq on ln(xi / target) with xi evaluated to 50 digits
+    (mpmath), so that the root is not limited by the cancellation in
+    1 + tanh tanh far out in the tail."""
+    import mpmath
+    from scipy.optimize import brentq
+
+    target = threshold * p.xi_c
+
+    def log_ratio(t):
+        with mpmath.workdps(50):
+            t0, tau, t = mpmath.mpf(p.t0), mpmath.mpf(p.tau), mpmath.mpf(t)
+            shape = 1 + mpmath.tanh((t0 + t) / tau) * mpmath.tanh((t0 - t) / tau)
+            xi = p.xi0 * shape / (1 + mpmath.tanh(t0 / tau) ** 2)
+            return float(mpmath.log(xi / target))
+
+    if log_ratio(p.t0) <= 0.0:
+        return p.t0
+    hi = p.t0 + p.tau
+    while log_ratio(hi) > 0.0:
+        hi = p.t0 + 2.0 * (hi - p.t0)
+    return brentq(log_ratio, p.t0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=500)
+
+
+def spherical_jn_mp(n, x):
+    """Spherical Bessel functions j_0 .. j_{n-1} at the floats x, to 50
+    digits (mpmath), as an (len(x), n) array."""
+    import mpmath
+
+    out = np.zeros((len(x), n))
+    with mpmath.workdps(50):
+        for i, xv in enumerate(x):
+            for k in range(n):
+                if xv == 0.0:
+                    out[i, k] = 1.0 if k == 0 else 0.0
+                else:
+                    z = mpmath.mpf(xv)
+                    out[i, k] = float(mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(k + 0.5, z))
+    return out

@@ -8,6 +8,8 @@ power-law data with a known exponent.
 import numpy as np
 import pytest
 
+from numutil import phase_system_rk45
+
 from oscpurity.adiabatic import (
     DEFICIT_FLOOR,
     accumulate_phases,
@@ -53,6 +55,42 @@ def test_phases_match_trapezoid():
         got1, got2 = acc.phases(t_end)
         assert got1 == pytest.approx(ref1, rel=1e-7, abs=1e-7)
         assert got2 == pytest.approx(ref2, rel=1e-7, abs=1e-7)
+
+
+@pytest.mark.parametrize("tau", [10.0, 1e-6, 50.0])
+def test_phases_and_moments_match_rk45_oracle(tau):
+    # The criterion-06 scenario (tau = 10), a switch far sharper than the
+    # oscillation, and a slow switch over a ~2000-long window.
+    p = make_params(tau=tau)
+    acc = accumulate_phases(p)
+    phases, memory = phase_system_rk45(p)
+    ts = np.linspace(p.t_in, -p.t_in, 37)
+    for t in ts:
+        w_ref = np.array(phases(t))
+        assert np.max(np.abs(np.array(acc.phases(t)) - w_ref)) <= 1e-11 * max(
+            1.0, np.max(w_ref)
+        )
+        assert np.max(np.abs(np.array(acc.memory_integrals(t)) - memory(t))) <= 1e-8
+    # The whole grid at once gives the per-time values, up to the order of
+    # the sums and the last bits of vectorised ufuncs.
+    grid = np.array(acc.memory_integrals(ts)).T
+    assert np.allclose(grid, [acc.memory_integrals(t) for t in ts], rtol=1e-12, atol=1e-15)
+
+
+def test_grid_evaluation_matches_per_time():
+    p = make_params(tau=4.0)
+    acc = accumulate_phases(p)
+    ts = np.linspace(p.t_in, -p.t_in, 23)
+    grid = np.array(
+        [purity_adiabatic_lo(ts, p), purity_nlo_correction(ts, p, acc)]
+        + list(nlo_contributions(ts, p, acc))
+    ).T
+    per_time = [
+        (purity_adiabatic_lo(t, p), purity_nlo_correction(t, p, acc))
+        + nlo_contributions(t, p, acc)
+        for t in ts
+    ]
+    assert np.allclose(grid, per_time, rtol=1e-12, atol=1e-15)
 
 
 def test_supercritical_profile_rejected():

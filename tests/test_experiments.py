@@ -3,6 +3,9 @@ byte-level determinism, sweep parallel invariance, and the phase diagram."""
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -164,6 +167,89 @@ def test_missing_sweep_spec_is_config_error(tmp_path, capsys):
 def test_sweep_workers_capped_at_cpu_count():
     *_, workers = parse_sweep_spec(SWEEP_SPEC + "workers = 100000\n")
     assert workers == (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize(
+    "reduction, count", [("threshold", 1), ("slope", 2)]
+)
+def test_sweep_grid_too_short_for_reduction(reduction, count, tmp_path, capsys, monkeypatch):
+    # Rejected while parsing, before any cell is integrated.
+    import oscpurity.adiabatic as adiabatic_mod
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a cell")
+
+    monkeypatch.setattr(adiabatic_mod, "latetime_purity", no_integration)
+    monkeypatch.setattr(adiabatic_mod, "recoherence_threshold_scan", no_integration)
+    spec = tmp_path / "short.spec"
+    spec.write_text(
+        SWEEP_SPEC.replace("count = 4", "count = %d" % count).replace(
+            "reduction = latetime_purity", "reduction = " + reduction
+        )
+    )
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--spec", str(spec), "--out", out]) == 2
+    assert "needs count >=" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("order", ["0", "1"])
+def test_adiabatic_on_top_hat_is_config_error(order, tmp_path, capsys):
+    path = tmp_path / "tophat.cfg"
+    path.write_text("omega_e = 2\npsi = 0.9\nt0 = 1\nprofile = isoso\n")
+    out = str(tmp_path / "ad")
+    assert main(["adiabatic", "--config", str(path), "--out", out, "--order", order]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_runtime_never_imports_scipy(tmp_path):
+    # A fresh interpreter runs every subcommand, and the map pair no
+    # subcommand calls; none of them may pull SciPy into the process, so the
+    # CLI's start-up cost stays numpy's.
+    script = textwrap.dedent(
+        """
+        import os, sys
+        from oscpurity.cli import main
+        from oscpurity.markov import map_pair_evolve
+        from oscpurity.model import ScenarioParams
+        from oscpurity.transport import integrate
+
+        out = sys.argv[1]
+        cfg = os.path.join(out, "s.cfg")
+        with open(cfg, "w") as f:
+            f.write("omega_e = 2\\npsi = 0.9\\nt0 = 1\\ntau = 0.5\\n")
+        iso = os.path.join(out, "iso.cfg")
+        with open(iso, "w") as f:
+            f.write("omega_e = 2\\npsi = 0.9\\nt0 = 1\\nprofile = isoso\\n")
+        spec = os.path.join(out, "sweep.spec")
+        with open(spec, "w") as f:
+            f.write(%r)
+        runs = [
+            ["simulate", "--config", cfg],
+            ["isoso", "--config", iso, "--expansion", "C2minus"],
+            ["perturb", "--config", cfg],
+            ["adiabatic", "--config", cfg, "--order", "1"],
+            ["markov", "--config", cfg, "--surrogate", "best"],
+            ["sweep", "--spec", spec],
+            ["phase-diagram", "--w", "0.1:1:3", "--psi", "0.1:3:3"],
+            ["preset", "fig9"],
+        ]
+        codes = [main(r + ["--out", out]) for r in runs]
+        p = ScenarioParams.from_psi(1.0, 2.0, 0.9, 1.0, 0.5)
+        map_pair_evolve(p, integrate(p), -1.0, 1.0)
+        print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+        % (SWEEP_SPEC + "workers = 2\n")
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0, 0, 0, 0] []"
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ diagnostics, and Markovian surrogates."""
 import numpy as np
 import pytest
 
+from numutil import map_pair_rk45
+
 from oscpurity.errors import NonPhysicalState, PureStateSingularity
 from oscpurity.markov import (
     INFEASIBLE,
@@ -120,6 +122,27 @@ def test_map_reproduces_reduced_state(traj):
     s_b = traj.sigma_at(t_b)[0:2, 0:2]
     mapped = pair.X @ s_a @ pair.X.T + pair.Y
     assert np.max(np.abs(mapped - s_b)) < 1e-7
+
+
+@pytest.mark.parametrize("t_a, t_b", [(-2.0, 2.0), (-6.0, 6.0), (0.3, 0.9)])
+def test_map_pair_matches_rk45_oracle_and_difference_formula(traj, t_a, t_b):
+    # Y against the map-pair ODE and against sigma_S(t_b) - X sigma_S(t_a) X^T,
+    # which the exact reduced equation makes equal to it.
+    p = make_params()
+    pair = map_pair_evolve(p, traj, t_a, t_b)
+    x_ref, y_ref = map_pair_rk45(p, traj, t_a, t_b)
+    scale = max(1.0, np.max(np.abs(pair.Y)))
+    assert np.max(np.abs(pair.X - x_ref)) < 1e-11
+    assert np.max(np.abs(pair.Y - y_ref)) < 1e-10 * scale
+    s_a = traj.sigma_at(t_a)[0:2, 0:2]
+    s_b = traj.sigma_at(t_b)[0:2, 0:2]
+    diff = s_b - pair.X @ s_a @ pair.X.T
+    assert np.max(np.abs(pair.Y - diff)) < 1e-10 * scale
+
+
+def test_map_pair_outside_trajectory_is_rejected(traj):
+    with pytest.raises(ValueError):
+        map_pair_evolve(make_params(), traj, traj.t[0] - 1.0, 0.0)
 
 
 def test_exact_map_is_not_cp(traj):

@@ -8,7 +8,7 @@ against the adaptive quadrature and the exact solution.
 
 import numpy as np
 import pytest
-from numutil import purity_o2_qawo
+from numutil import purity_o2_qawo, spherical_jn_mp
 
 from oscpurity.errors import QuadratureNoConvergence
 from oscpurity.model import ScenarioParams
@@ -18,6 +18,7 @@ from oscpurity.perturbation import (
     o2_integrand,
     purity_o2_isoso,
     purity_o2_quadrature,
+    spherical_jn_orders,
 )
 
 
@@ -168,3 +169,17 @@ def test_quadrature_config_defaults():
     assert q.abs_tol == 1e-10
     assert q.rel_tol == 1e-8
     assert q.max_depth == 40
+
+
+def test_spherical_bessel_recurrence_matches_references():
+    from scipy.special import spherical_jn
+
+    near = [k + d for k in range(16) for d in (-0.3, -1e-9, 0.0, 1e-9, 0.3) if k + d >= 0]
+    x = np.array([0.0, 1e-12, 1e4] + near)
+    got = spherical_jn_orders(16, x)
+    ref = spherical_jn_mp(16, x)
+    assert np.max(np.abs(got - ref)) <= 1e-15
+    # scipy's spherical_jn is itself up to ~1.4e-15 off the 50-digit values
+    # just below integers x >= 10, so it is held to 1e-15 plus its own error.
+    sp = np.stack([spherical_jn(k, x) for k in range(16)], axis=-1)
+    assert np.all(np.abs(got - sp) <= 1e-15 + np.abs(sp - ref))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numutil import det_sigma_via_propagator, dop853_propagators
+from numutil import cutoff_time_brentq, det_sigma_via_propagator, dop853_propagators
 
 from oscpurity import transport
 from oscpurity.errors import ConfigError, StepFailure
@@ -223,8 +223,7 @@ def test_state_at_derives_sigma_from_propagator():
 
 
 def test_repeated_queries_return_independent_copies():
-    # The last query is remembered; callers must still own what they get,
-    # at a step node as well as between nodes.
+    # Callers own what they get, at a step node as well as between nodes.
     traj = integrate(make_params(t0=2.0), IntegratorConfig())
     for t in (traj.t[0], 0.3):
         first = traj.propagator_at(t)
@@ -255,6 +254,16 @@ def test_cutoff_policy_stops_at_threshold():
 
     assert cut.t_end > p.t0
     assert coupling_xi(cut.t_end, p) / p.xi_c == pytest.approx(1e-10, rel=0.01)
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 1.0, 50.0, 1e3])
+@pytest.mark.parametrize("threshold", [1e-10, 1e-3, 0.3])
+def test_cutoff_time_matches_brentq_oracle(ratio, threshold):
+    # t0/tau = 50 and 1e3 put cosh(2 t0/tau) past the float range.
+    p = make_params(t0=1.0, tau=1.0 / ratio)
+    cfg = IntegratorConfig(t_end_policy="cutoff", cutoff_threshold=threshold)
+    ref = cutoff_time_brentq(p, threshold)
+    assert abs(transport._resolve_t_end(p, cfg) - ref) <= 4e-16 * ref
 
 
 def test_csv_layout_and_determinism():
