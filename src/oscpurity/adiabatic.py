@@ -87,6 +87,13 @@ _BARY[[0, -1]] *= 0.5
 MAX_DEPTH = 30
 MAX_PANELS = 1 << 18
 
+#: Panels evaluated at once.  A block's temporaries (tens of kB each) stay
+#: in the allocator's heap from one block and one call to the next, while
+#: (K, N + 1) temporaries for all K ~ 500 panels at once take megabytes that
+#: go back to the system after each call and are page-faulted in again by
+#: the next, a kernel cost that varies from run to run.
+_BLOCK = 64
+
 #: An error estimate below this fraction of a panel's scale is round-off.
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
@@ -96,7 +103,7 @@ _CHANNEL_PHASES = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
 
 def _panels(lo, hi, p):
     """Phases and moments over each panel [lo, hi], each counted from its own
-    start.
+    start, evaluated _BLOCK panels at a time.
 
     Returns:
         (w, m, err, scale): w (K, N + 1, 2) the phases (W1, W2) and m
@@ -107,6 +114,18 @@ def _panels(lo, hi, p):
         increment of the five channels, and scale (K, 5) each panel's
         integral of the channel integrand's modulus.
     """
+    k = len(lo)
+    w = np.empty((k, _CHEB_N + 1, 2))
+    m = np.empty((k, _CHEB_N + 1, 3), dtype=complex)
+    err, scale = np.empty((k, 5)), np.empty((k, 5))
+    for i in range(0, k, _BLOCK):
+        j = slice(i, i + _BLOCK)
+        w[j], m[j], err[j], scale[j] = _panel_block(lo[j], hi[j], p)
+    return w, m, err, scale
+
+
+def _panel_block(lo, hi, p):
+    """_panels on one block of panels."""
     half = 0.5 * (hi - lo)[:, None, None]
     fr = _frame(0.5 * (lo + hi)[:, None] + half[..., 0] * _NODES, p)
     w1 = np.sqrt(fr.omega1_sq)
@@ -129,15 +148,16 @@ def _panels(lo, hi, p):
 
 
 def _chain(w, m):
-    """Join panels laid end to end from t_in: add to each panel's phases the
-    totals of the panels before it, and rotate and shift its moments to
-    match."""
+    """Join panels laid end to end from t_in, in place: add to each panel's
+    phases the totals of the panels before it, and rotate and shift its
+    moments to match."""
     w_total = np.cumsum(w[:, -1], axis=0)
     w_start = np.concatenate([np.zeros((1, 2)), w_total[:-1]])
-    m = m * np.exp(1j * (w_start @ _CHANNEL_PHASES.T))[:, None]
+    m *= np.exp(1j * (w_start @ _CHANNEL_PHASES.T))[:, None]
     m_total = np.cumsum(m[:, -1], axis=0)
     m_start = np.concatenate([np.zeros((1, 3)), m_total[:-1]])
-    return w + w_start[:, None], m + m_start[:, None]
+    w += w_start[:, None]
+    m += m_start[:, None]
 
 
 @dataclass
@@ -229,12 +249,15 @@ def accumulate_phases(p, t_end=None, rtol=1e-10, atol=1e-12):
     for _ in range(MAX_DEPTH):
         w, m, err, scale = _panels(lo, hi, p)
         ok = np.all(err <= share * (hi - lo)[:, None] + max(rtol, _ROUNDOFF) * scale, axis=1)
-        done.append((lo[ok], hi[ok], w[ok], m[ok]))
         if np.all(ok):
-            lo, hi, w, m = (np.concatenate(a) for a in zip(*done))
-            order = np.argsort(lo)
-            w, m = _chain(w[order], m[order])
-            return PhaseAccumulator(p, t_end, np.append(lo[order], hi[order][-1]), w, m)
+            if done:  # merge with the panels accepted in earlier passes
+                done.append((lo, hi, w, m))
+                lo, hi, w, m = (np.concatenate(a) for a in zip(*done))
+                order = np.argsort(lo)
+                lo, hi, w, m = lo[order], hi[order], w[order], m[order]
+            _chain(w, m)
+            return PhaseAccumulator(p, t_end, np.append(lo, hi[-1]), w, m)
+        done.append((lo[ok], hi[ok], w[ok], m[ok]))
         lo, hi = lo[~ok], hi[~ok]
         if sum(len(d[0]) for d in done) + 2 * len(lo) > MAX_PANELS:
             break

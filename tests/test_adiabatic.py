@@ -10,6 +10,7 @@ import pytest
 
 from numutil import phase_system_rk45
 
+from oscpurity import adiabatic
 from oscpurity.adiabatic import (
     DEFICIT_FLOOR,
     accumulate_phases,
@@ -75,6 +76,18 @@ def test_phases_and_moments_match_rk45_oracle(tau):
     # the sums and the last bits of vectorised ufuncs.
     grid = np.array(acc.memory_integrals(ts)).T
     assert np.allclose(grid, [acc.memory_integrals(t) for t in ts], rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("tau", [10.0, 1e-6])
+def test_panel_blocks_do_not_change_the_result(monkeypatch, tau):
+    # tau = 1e-6 bisects panels over several passes and merges them.
+    p = make_params(tau=tau)
+    monkeypatch.setattr(adiabatic, "_BLOCK", 1 << 30)
+    whole = accumulate_phases(p)
+    monkeypatch.setattr(adiabatic, "_BLOCK", 7)
+    blocked = accumulate_phases(p)
+    for name in ("edges", "w", "m"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name))
 
 
 def test_grid_evaluation_matches_per_time():
