@@ -13,13 +13,14 @@ every quantity here is evaluated on a whole array of times at once.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import (
+    ConfigError,
     DerivativeUndefined,
     PrecisionFloor,
     QuadratureNoConvergence,
@@ -325,7 +326,7 @@ def latetime_purity(p, cfg: Optional[IntegratorConfig] = None):
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    u = propagate(p, cfg.with_updates(t_end_policy="cutoff"))
+    u = propagate(p, replace(cfg, t_end_policy="cutoff"))
     return float(purity_from_propagator(u, p))
 
 
@@ -404,9 +405,14 @@ def recoherence_threshold_scan(
     Returns:
         dict with per-point thresholds and the least-squares line fit
         (slope, intercept, r_squared) of T_omega_thr versus tau/t0.
+
+    Raises:
+        ConfigError: for fewer than two grid points, which the line fit needs.
     """
     from .errors import NoThreshold
 
+    if len(tau_over_t0_grid) < 2:
+        raise ConfigError("the threshold line fit needs at least two tau/t0 points")
     if cfg is None:
         # The threshold only needs deficits to one part in 1e-5 or so.
         cfg = IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff")

@@ -157,10 +157,10 @@ def cmd_markov(args):
 
 def parse_sweep_spec(text):
     """Parse a sweep spec: scenario keys plus param/grid/min/max/count/
-    reduction/workers.
+    reduction.
 
-    `workers` is parsed, capped at the CPU count and returned, but sweeps run
-    serially: a process pool cost more than it saved on sweeps of this size.
+    Specs written when sweeps took a worker count may carry `workers`; it is
+    accepted (an integer) and ignored, since sweeps run serially.
 
     Raises:
         ConfigError: on a malformed spec, or a grid shorter than its
@@ -194,7 +194,7 @@ def parse_sweep_spec(text):
     try:
         lo, hi = float(kv["min"]), float(kv["max"])
         count = int(kv["count"])
-        workers = int(kv.get("workers", 1))
+        int(kv.get("workers", 1))
     except ValueError as exc:
         raise ConfigError("bad sweep number: %s" % exc)
     if count < 1 or not lo < hi or lo <= 0:
@@ -212,15 +212,11 @@ def parse_sweep_spec(text):
         grid = np.linspace(lo, hi, count)
     p, overrides = parse_config("\n".join(base_lines))
     cfg = IntegratorConfig(**overrides)
-    return p, cfg, grid, kv["reduction"], min(max(1, workers), os.cpu_count() or 1)
+    return p, cfg, grid, kv["reduction"]
 
 
-def run_sweep(p, cfg, grid, reduction, workers=1):
-    """Evaluate the sweep reduction over the grid, one cell after another.
-
-    workers is accepted and ignored, so the output is the same for any
-    worker count.
-    """
+def run_sweep(p, cfg, grid, reduction):
+    """Evaluate the sweep reduction over the grid, one cell after another."""
     if reduction == "threshold":
         res = adiabatic.recoherence_threshold_scan(p, grid / p.t0, cfg=None)
         return {
@@ -252,7 +248,7 @@ def run_sweep(p, cfg, grid, reduction, workers=1):
 
 def cmd_sweep(args):
     text = _read_text(args.spec, "sweep spec")
-    p, cfg, grid, reduction, _ = parse_sweep_spec(text)
+    p, cfg, grid, reduction = parse_sweep_spec(text)
     res = run_sweep(p, cfg, grid, reduction)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")

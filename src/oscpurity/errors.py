@@ -48,7 +48,3 @@ class InvalidCaseWarning(UserWarning):
     """Parameters lie far outside the asymptotic domain of a requested
     expansion case; the formula is still evaluated."""
 
-
-class PureStateSingularity(OscPurityError):
-    """The Bures-velocity closed form is singular at purity one and the
-    trace term does not vanish; the point is flagged, not valued."""

@@ -4,7 +4,12 @@ distance, Bures velocity, and the Markovian surrogate maps.
 
 The noise matrix is always computed from the exact full-system trajectory
 (the reduced equation is exact only with the true cross-correlators); the
-surrogates replace B pointwise along that trajectory.
+surrogates replace B pointwise along that trajectory.  Every pointwise
+helper takes one 2x2 block (one 4x4 state) or a (N, 2, 2) stack ((N, 4, 4)
+states), so a whole trajectory is analysed in one call.  Where a helper
+needs det sigma_S it takes the purity gamma instead, det sigma_S =
+gamma^-2: the Cauchy-Binet purity of the propagator keeps its digits where
+the determinant of the block's large entries cancels.
 
 The reduced map over [t_a, t_b] needs no integration of its own: X is the
 free rotation at omega_s, and Y = Int X(t_b, s) B(s) X(t_b, s)^T ds is a
@@ -16,28 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysicalState, PureStateSingularity
+from .errors import NonPhysicalState
 from .model import coupling_xi, normal_mode_sq
-from .symplectic import OMEGA2, det2, eig_sym2, inv2, symmetrize
-from .transport import CovarianceState
+from .symplectic import OMEGA2, det2, eig_sym2, symmetrize
 
 #: Guard for the 1/sqrt(1 - gamma^4) singularity of the Bures velocity.
 EPS_PURE = 1e-9
 
-#: Sentinel value: no positive-semidefinite surrogate cancels the velocity.
-INFEASIBLE = "infeasible"
-
 SURROGATES = ("drop-negative", "best", "unitary")
-
-
-@dataclass(frozen=True)
-class NoiseMatrix:
-    """The 2x2 noise matrix of the reduced transport equation."""
-
-    t: float
-    B: np.ndarray
-    lambda_minus: float
-    lambda_plus: float
 
 
 @dataclass(frozen=True)
@@ -55,20 +46,23 @@ def system_hamiltonian(p):
     return np.array([[p.omega_s**2, 0.0], [0.0, 1.0]])
 
 
-def _noise_matrix(xi, sigma):
-    """B = -xi [[0, c11], [c11, 2 c21]] from the cross block c = sigma_SE of a
-    joint covariance, or of a (N, 4, 4) stack with xi of shape (N,)."""
+def noise_B(t, sigma, p):
+    """Noise matrix B = -xi(t) [[0, c11], [c11, 2 c21]] from the cross block
+    c = sigma_SE of the joint covariance at time t, or the (N, 2, 2) stack of
+    a (N, 4, 4) covariance stack at N times."""
     c11, c21 = sigma[..., 0, 2], sigma[..., 1, 2]
     rows = [np.stack([np.zeros_like(c11), c11], -1), np.stack([c11, 2.0 * c21], -1)]
-    return -np.asarray(xi)[..., None, None] * np.stack(rows, -2)
+    return -coupling_xi(t, p)[..., None, None] * np.stack(rows, -2)
 
 
-def noise_B(state, p):
-    """Noise matrix B = -xi(t) [[0, c11], [c11, 2 c21]] from the cross
-    block c = sigma_SE of the full state."""
-    b = _noise_matrix(float(coupling_xi(state.t, p)), state.sigma)
-    lam_m, lam_p = eig_sym2(b)
-    return NoiseMatrix(t=state.t, B=b, lambda_minus=float(lam_m), lambda_plus=float(lam_p))
+def _trace_adj(a, m):
+    """Tr(adj(a) m) of 2x2 blocks, which is det(a) Tr(a^{-1} m)."""
+    return (
+        a[..., 1, 1] * m[..., 0, 0]
+        - a[..., 0, 1] * m[..., 1, 0]
+        - a[..., 1, 0] * m[..., 0, 1]
+        + a[..., 0, 0] * m[..., 1, 1]
+    )
 
 
 def reduced_rhs(sigma_s, b, p):
@@ -78,10 +72,10 @@ def reduced_rhs(sigma_s, b, p):
     return OMEGA2 @ h @ sigma_s - sigma_s @ h @ OMEGA2 + b
 
 
-def purity_rate(sigma_s, b):
-    """Purity velocity gamma_dot = -(gamma/2) Tr(sigma_S^{-1} B)."""
-    gamma = 1.0 / np.sqrt(max(det2(sigma_s), 1.0))
-    return -0.5 * gamma * float(np.trace(inv2(sigma_s) @ b))
+def purity_rate(sigma_s, gamma, b):
+    """Purity velocity gamma_dot = -(gamma/2) Tr(sigma_S^{-1} B) at purity
+    gamma = det(sigma_S)^{-1/2}."""
+    return -0.5 * gamma * gamma * gamma * _trace_adj(sigma_s, b)
 
 
 def _free_rotation(p, dt):
@@ -118,7 +112,7 @@ def map_pair_evolve(p, traj, t_a, t_b, rtol=1e-10, atol=1e-12):
     edges = np.concatenate([[t_a], steps[(steps > t_a) & (steps < t_b)], [t_b]])
     half = 0.5 * np.diff(edges)[:, None]
     s = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL_X).ravel()
-    b = _noise_matrix(coupling_xi(s, p), traj.sigma_at(s))
+    b = noise_B(s, traj.sigma_at(s), p)
     x = _free_rotation(p, t_b - s)
     y = np.einsum("n,nij,njk,nlk->il", (half * _GL_W).ravel(), x, b, x)
     return MapPair(_free_rotation(p, t_b - t_a), symmetrize(y), t_a, t_b)
@@ -150,9 +144,12 @@ def cp_check_infinitesimal(b, tol=1e-12):
 
     The smaller eigenvalue carries round-off of order eps |B|, so the
     tolerance is relative: lambda_minus >= -tol max(1, |lambda_plus|).
+
+    Returns:
+        (is_cp, lambda_minus), arrays over a stack of B.
     """
     lam_m, lam_p = eig_sym2(b)
-    return lam_m >= -tol * max(1.0, abs(lam_p)), float(lam_m)
+    return lam_m >= -tol * np.maximum(1.0, np.abs(lam_p)), lam_m
 
 
 # ---------------------------------------------------------------------------
@@ -186,81 +183,76 @@ def bures_distance(sigma1, sigma2):
     return float(np.sqrt(max(2.0 * (1.0 - f), 0.0)))
 
 
-def _one_minus_fidelity_pert(sigma1, e):
-    """1 - F(sigma1, sigma1 + e), organised to avoid cancellation when e is
-    a small perturbation.
+def _one_minus_fidelity_pert(sigma1, det1, e):
+    """1 - F(sigma1, sigma1 + e) for det1 = det sigma1, organised to avoid
+    cancellation when e is a small perturbation.
 
-    Uses det(s + e) = det s + det s Tr(s^{-1} e) + det e for 2x2 blocks and
-    rationalises the square-root differences.
+    Uses det(s + e) = det s + Tr(adj(s) e) + det e for 2x2 blocks, so no
+    determinant is taken of the entries of sigma1, and rationalises the
+    square-root differences.  NaN where det(2 sigma1 + e) <= 0: no pair of
+    states has that, so sigma1 or sigma1 + e is not a state.
     """
-    d1 = det2(sigma1)
-    a = d1 - 1.0
-    if a <= 0.0:
-        # Pure reference state: Delta vanishes and the direct formula is
-        # already cancellation-safe at leading order.
-        total = det2(2.0 * sigma1 + e)
-        g = np.sqrt(max(total, 0.0))
-        return (g - 2.0) / g if g > 0 else 0.0
-    t = float(np.trace(inv2(sigma1) @ e))
+    tr = _trace_adj(sigma1, e)
     det_e = det2(e)
-    delta_det = d1 * t + det_e  # det sigma2 - det sigma1
+    total = 4.0 * det1 + 2.0 * tr + det_e  # det(2 sigma1 + e)
+    physical = total > 0.0
+    a = det1 - 1.0
+    # A pure reference state (a <= 0) has Delta = 0, and the direct formula
+    # 1 - 2/sqrt(total) is already cancellation-safe at leading order.
+    mixed = a > 0.0
+    r = (tr + det_e) / np.where(mixed, a, 1.0)  # (det sigma2 - det1) / a
+    u = np.sqrt(np.maximum(1.0 + r, 0.0))
     # N = det(s1 + s2) - 4 - 4 sqrt(Delta), with the cancellations between
-    # the O(1) pieces removed algebraically.
-    r = delta_det / a
-    if r <= -1.0:
-        # Perturbed state crosses purity one; outside the validation domain.
-        return 0.0
-    u = np.sqrt(1.0 + r)
-    n = 2.0 * d1 * t * r / (1.0 + u) ** 2 + det_e * (u - 3.0) / (1.0 + u)
-    d2 = d1 + delta_det
-    delta = a * (d2 - 1.0)
-    total = det2(2.0 * sigma1 + e)
-    g = np.sqrt(total + delta)
-    denom = g - np.sqrt(delta)
-    return (n / (g + np.sqrt(delta) + 2.0)) / denom
+    # the O(1) pieces removed algebraically; sqrt(Delta) = a u.
+    n = 2.0 * tr * r / (1.0 + u) ** 2 + det_e * (u - 3.0) / (1.0 + u)
+    root = np.where(mixed, a * u, 0.0)
+    g = np.sqrt(np.where(physical, total, 1.0) + root * root)
+    one_minus_f = np.where(mixed, n / ((g + root + 2.0) * (g - root)), (g - 2.0) / g)
+    # r <= -1: the perturbed state crosses purity one, outside the
+    # validation domain.
+    one_minus_f = np.where(mixed & (r <= -1.0), 0.0, one_minus_f)
+    return np.where(physical, one_minus_f, np.nan)
 
 
-def bures_velocity(sigma_s, b, b_tilde):
+def bures_velocity(sigma_s, gamma, b, b_tilde):
     """Instantaneous Bures divergence rate between the exact reduced
-    evolution (noise B) and a surrogate (noise B~).
+    evolution (noise B) and a surrogate (noise B~), at purity gamma.
 
     Closed form det sigma_S / (2 sqrt(det^2 sigma_S - 1)) *
-    |Tr[sigma_S^{-1} (B - B~)]|.
+    |Tr[sigma_S^{-1} (B - B~)]| with det sigma_S = gamma^-2, i.e.
+    |Tr[sigma_S^{-1} (B - B~)]| / (2 sqrt(1 - gamma^4)).
 
     This is the determinant-changing (purity-direction) component of the
     divergence; purity-preserving differences between B and B~ are not part
     of the diagnostic, so a finite-difference Bures distance agrees with it
     only where the trace term dominates.
 
-    Raises:
-        PureStateSingularity: at purities within EPS_PURE of one when the
-        trace term does not vanish.
+    Returns:
+        The rate; NaN at purities within EPS_PURE of one, where the closed
+        form is singular, unless the trace term vanishes (below 1e-12), which
+        gives 0.
     """
-    det = det2(sigma_s)
-    trace_term = float(np.trace(inv2(sigma_s) @ (b - b_tilde)))
-    gamma = 1.0 / np.sqrt(max(det, 1.0))
-    if gamma >= 1.0 - EPS_PURE:
-        if abs(trace_term) < 1e-12:
-            return 0.0
-        raise PureStateSingularity(
-            "Bures velocity undefined at purity %.12g" % gamma
-        )
-    return det / (2.0 * np.sqrt(det * det - 1.0)) * abs(trace_term)
+    gamma2 = gamma * gamma
+    trace = np.abs(gamma2 * _trace_adj(sigma_s, b - b_tilde))
+    near_pure = gamma >= 1.0 - EPS_PURE
+    rate = trace / (2.0 * np.sqrt(np.where(near_pure, 1.0, 1.0 - gamma2 * gamma2)))
+    return np.where(near_pure, np.where(trace < 1e-12, 0.0, np.nan), rate)
 
 
-def _fd_once(sigma_s, b, b_tilde, p, dt):
-    s1 = sigma_s + dt * reduced_rhs(sigma_s, b, p)
+def _fd_once(sigma_s, gamma, b, b_tilde, p, dt):
+    step = dt * reduced_rhs(sigma_s, b, p)
+    det1 = 1.0 / (gamma * gamma) + _trace_adj(sigma_s, step) + det2(step)
     e = dt * (b_tilde - b)  # s2 - s1; the unitary parts cancel exactly
-    one_minus_f = _one_minus_fidelity_pert(s1, e)
-    return float(np.sqrt(max(2.0 * one_minus_f, 0.0))) / dt
+    one_minus_f = _one_minus_fidelity_pert(sigma_s + step, det1, e)
+    return np.sqrt(np.maximum(2.0 * one_minus_f, 0.0)) / dt
 
 
-def bures_velocity_fd(sigma_s, b, b_tilde, p, dt):
+def bures_velocity_fd(sigma_s, gamma, b, b_tilde, p, dt):
     """Finite-difference Bures velocity: evolve one step under B and B~,
     divide the Bures distance of the results by the step, and remove the
     leading step-size error by Richardson extrapolation."""
-    v1 = _fd_once(sigma_s, b, b_tilde, p, dt)
-    v2 = _fd_once(sigma_s, b, b_tilde, p, 0.5 * dt)
+    v1 = _fd_once(sigma_s, gamma, b, b_tilde, p, dt)
+    v2 = _fd_once(sigma_s, gamma, b, b_tilde, p, 0.5 * dt)
     return 2.0 * v2 - v1
 
 
@@ -271,89 +263,72 @@ def bures_velocity_fd(sigma_s, b, b_tilde, p, dt):
 
 def drop_negative_B(b):
     """Positive part of B: keep only the non-negative eigenvalue."""
-    lam_m, lam_p = eig_sym2(b)
-    if lam_p <= 0.0:
-        return np.zeros((2, 2))
-    # Eigenvector of the larger eigenvalue.
-    if abs(b[0, 1]) < 1e-300:
-        v = np.array([1.0, 0.0]) if b[0, 0] >= b[1, 1] else np.array([0.0, 1.0])
-    else:
-        v = np.array([b[0, 1], lam_p - b[0, 0]])
-        v = v / np.linalg.norm(v)
-    return lam_p * np.outer(v, v)
+    lam_p = eig_sym2(b)[1]
+    b00, b01, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 1]
+    # Eigenvector of the larger eigenvalue; a coordinate axis for diagonal B.
+    diagonal = np.abs(b01) < 1e-300
+    first = b00 >= b11
+    v = np.stack(
+        [
+            np.where(diagonal, np.where(first, 1.0, 0.0), b01),
+            np.where(diagonal, np.where(first, 0.0, 1.0), lam_p - b00),
+        ],
+        -1,
+    )
+    v = v / np.sqrt(np.sum(v * v, axis=-1))[..., None]
+    lam = np.where(lam_p > 0.0, lam_p, 0.0)
+    return lam[..., None, None] * (v[..., :, None] * v[..., None, :])
 
 
-def best_markovian_B(sigma_s, b):
+def best_markovian_B(sigma_s, gamma, b):
     """Decohering surrogate of maximal determinant cancelling the Bures
-    velocity: B~ = -(gamma_dot/gamma) sigma_S when gamma_dot < 0.
+    velocity: B~ = -(gamma_dot/gamma) sigma_S where gamma_dot <= 0.
 
-    Returns:
-        2x2 matrix, or INFEASIBLE when gamma_dot > 0 (no positive
-        semidefinite matrix cancels the velocity there).
+    Where gamma_dot > 0 (recohering) no positive-semidefinite matrix cancels
+    the velocity, and the surrogate falls back to the unitary one, B~ = 0.
     """
-    rate = -0.5 * float(np.trace(inv2(sigma_s) @ b))  # gamma_dot / gamma
-    if rate > 0.0:
-        return INFEASIBLE
-    return -rate * sigma_s
+    rate = -0.5 * gamma * gamma * _trace_adj(sigma_s, b)  # gamma_dot / gamma
+    return np.where(rate > 0.0, 0.0, -rate)[..., None, None] * sigma_s
 
 
-def surrogate_B(name, sigma_s, b):
-    """Surrogate noise matrix by name ('drop-negative', 'best', 'unitary').
-
-    The 'best' surrogate falls back to the unitary one (B~ = 0) at
-    recohering points, where it is infeasible.
-    """
+def surrogate_B(name, sigma_s, gamma, b):
+    """Surrogate noise matrix by name ('drop-negative', 'best', 'unitary')."""
     if name == "drop-negative":
         return drop_negative_B(b)
     if name == "best":
-        bt = best_markovian_B(sigma_s, b)
-        if bt is INFEASIBLE:
-            return np.zeros((2, 2))
-        return bt
+        return best_markovian_B(sigma_s, gamma, b)
     if name == "unitary":
-        return np.zeros((2, 2))
+        return np.zeros_like(b)
     raise ValueError("unknown surrogate %r" % (name,))
 
 
 def markov_series(traj, p, surrogate="drop-negative", stride=1):
-    """Pointwise Markovianity analysis along a trajectory.
+    """Pointwise Markovianity analysis at every stride-th trajectory sample.
 
     Returns:
         dict of arrays: t, purity, lambda_minus, lambda_plus, v_bures,
-        v_bures_fd, cp_flag (infinitesimal CP of the surrogate), flagged
+        v_bures_fd (also NaN where its Euler step leaves the states),
+        cp_flag (infinitesimal CP of the surrogate), flagged
         (pure-state-singularity points, reported as NaN velocities).
     """
     dt_fd = 1e-6 * 2.0 * np.pi / np.sqrt(normal_mode_sq(p.xi0, p)[1])
-    out = {
-        "t": [],
-        "purity": [],
-        "lambda_minus": [],
-        "lambda_plus": [],
-        "v_bures": [],
-        "v_bures_fd": [],
-        "cp_flag": [],
-        "flagged": [],
+    t = traj.t[::stride]
+    sigma = traj.sigma[::stride]
+    sigma_s = sigma[:, 0:2, 0:2]
+    gamma = traj.purity_s[::stride]
+    b = noise_B(t, sigma, p)
+    bt = surrogate_B(surrogate, sigma_s, gamma, b)
+    lam_m, lam_p = eig_sym2(b)
+    v = bures_velocity(sigma_s, gamma, b, bt)
+    flagged = np.isnan(v)
+    v_fd = bures_velocity_fd(sigma_s, gamma, b, bt, p, dt_fd)
+    return {
+        "t": t,
+        "purity": gamma,
+        "lambda_minus": lam_m,
+        "lambda_plus": lam_p,
+        "v_bures": v,
+        "v_bures_fd": np.where(flagged, np.nan, v_fd),
+        "cp_flag": cp_check_infinitesimal(bt)[0],
+        "flagged": flagged,
     }
-    for i in range(0, len(traj.t), stride):
-        t = traj.t[i]
-        sigma_s = traj.sigma[i][0:2, 0:2]
-        nm = noise_B(CovarianceState(float(t), traj.sigma[i]), p)
-        bt = surrogate_B(surrogate, sigma_s, nm.B)
-        try:
-            v = bures_velocity(sigma_s, nm.B, bt)
-            v_fd = bures_velocity_fd(sigma_s, nm.B, bt, p, dt_fd)
-            flagged = False
-        except PureStateSingularity:
-            v = np.nan
-            v_fd = np.nan
-            flagged = True
-        cp, _ = cp_check_infinitesimal(bt)
-        out["t"].append(t)
-        out["purity"].append(traj.purity_s[i])
-        out["lambda_minus"].append(nm.lambda_minus)
-        out["lambda_plus"].append(nm.lambda_plus)
-        out["v_bures"].append(v)
-        out["v_bures_fd"].append(v_fd)
-        out["cp_flag"].append(cp)
-        out["flagged"].append(flagged)
-    return {k: np.asarray(v) for k, v in out.items()}

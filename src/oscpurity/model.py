@@ -134,20 +134,13 @@ def coupling_xi(t, p):
         p: ScenarioParams.
 
     Returns:
-        xi(t): a float for a float t (evaluated with math, which is much
-        cheaper than numpy on one value), else an array of t's shape.
+        xi(t), an array of t's shape.
     """
-    scalar = isinstance(t, float)
-    if not scalar:
-        t = np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)
     if p.profile == ISOSO:
-        inside = (t > -p.t0) & (t < p.t0)
-        if scalar:
-            return p.xi0 if inside else 0.0
-        return np.where(inside, p.xi0, 0.0)
-    tanh = math.tanh if scalar else np.tanh
-    a = tanh((p.t0 + t) / p.tau)
-    b = tanh((p.t0 - t) / p.tau)
+        return np.where((t > -p.t0) & (t < p.t0), p.xi0, 0.0)
+    a = np.tanh((p.t0 + t) / p.tau)
+    b = np.tanh((p.t0 - t) / p.tau)
     return p.xi0 * (1.0 + a * b) / (1.0 + math.tanh(p.t0 / p.tau) ** 2)
 
 

@@ -39,22 +39,24 @@ def symmetrize(m):
     """Return (m + m^T)/2.
 
     Args:
-        m: square array.
+        m: square array, or a stack of them in the last two axes.
 
     Returns:
         Symmetric part of m.
     """
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def det2(m):
-    """Closed-form determinant of a 2x2 matrix."""
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    """Closed-form determinant of a 2x2 matrix, or of a (..., 2, 2) stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def inv2(m):
-    """Closed-form inverse (adjugate over determinant) of a 2x2 matrix."""
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det2(m)
+    """Closed-form inverse (adjugate over determinant) of a 2x2 matrix, or of
+    a (..., 2, 2) stack."""
+    adj = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], -1)
+    return adj.reshape(m.shape) / det2(m)[..., None, None]
 
 
 def cauchy_binet(a, b):
@@ -101,13 +103,14 @@ def eig_sym2(m):
     """Closed-form eigenvalues of a symmetric 2x2 matrix.
 
     Args:
-        m: symmetric 2x2 array.
+        m: symmetric 2x2 array, or a (..., 2, 2) stack.
 
     Returns:
         (lambda_minus, lambda_plus) with lambda_minus <= lambda_plus.
     """
-    half_tr = 0.5 * (m[0, 0] + m[1, 1])
-    disc = np.sqrt(0.25 * (m[0, 0] - m[1, 1]) ** 2 + m[0, 1] * m[1, 0])
+    a, d = m[..., 0, 0], m[..., 1, 1]
+    half_tr = 0.5 * (a + d)
+    disc = np.sqrt(0.25 * (a - d) ** 2 + m[..., 0, 1] * m[..., 1, 0])
     return half_tr - disc, half_tr + disc
 
 

@@ -20,14 +20,13 @@ propagator's error is at most atol + rtol |P_2n| (max-abs norms).
 
 `integrate` keeps the propagator at every step node and samples the window
 with one partial Magnus step from the node before each sample; arbitrary-time
-queries (`propagator_at`, `state_at`) use the same partial step.
+queries (`propagator_at`, `sigma_at`, `purity_at`) use the same partial step.
 `propagate` returns only U at the end point, for callers that need nothing
 but the late-time value.
 """
 
-import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -74,14 +73,6 @@ def generator_terms(p):
 
 
 @dataclass(frozen=True)
-class CovarianceState:
-    """Joint covariance matrix at one time."""
-
-    t: float
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True)
 class IntegratorConfig:
     """Integration controls.
 
@@ -119,9 +110,6 @@ class IntegratorConfig:
             raise ConfigError("cutoff_threshold must lie in (0, 1)")
         if self.t_end_policy not in _T_END_POLICIES:
             raise ConfigError("t_end_policy must be 'fixed' or 'cutoff'")
-
-    def with_updates(self, **kw):
-        return replace(self, **kw)
 
 
 def _vacuum_root(p):
@@ -416,9 +404,6 @@ class Trajectory:
         """Purity at an arbitrary time (propagator route)."""
         return purity_from_propagator(self.propagator_at(t), self.params, mode)
 
-    def state_at(self, t):
-        return CovarianceState(float(t), self.sigma_at(t))
-
     def to_csv(self, path_or_buf):
         """Write the trajectory in the standard CSV layout.
 
@@ -443,17 +428,6 @@ class Trajectory:
         finally:
             if own:
                 f.close()
-
-    def to_csv_string(self):
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
-
-
-def vacuum_initial(p):
-    """Vacuum covariance diag(1/w_S, w_S, 1/w_E, w_E) at t = t_in."""
-    sigma = np.diag([1.0 / p.omega_s, p.omega_s, 1.0 / p.omega_e, p.omega_e])
-    return CovarianceState(p.t_in, sigma)
 
 
 def _omega2_peak(p):

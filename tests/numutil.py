@@ -187,7 +187,7 @@ def map_pair_rk45(p, traj, t_a, t_b, rtol=1e-12, atol=1e-14):
 
     def rhs(t, y):
         x, ym = y[:4].reshape(2, 2), y[4:].reshape(2, 2)
-        b = noise_B(traj.state_at(t), p).B
+        b = noise_B(t, traj.sigma_at(t), p)
         return np.concatenate([(k @ x).ravel(), (k @ ym + ym @ k.T + b).ravel()])
 
     y0 = np.concatenate([np.eye(2).ravel(), np.zeros(4)])

@@ -23,6 +23,7 @@ from oscpurity.adiabatic import (
     recoherence_threshold_scan,
 )
 from oscpurity.errors import (
+    ConfigError,
     DerivativeUndefined,
     NoThreshold,
     SupercriticalExcursion,
@@ -201,8 +202,21 @@ def test_threshold_scan_no_threshold():
     p = make_params(t0=1.0)
     with pytest.raises(NoThreshold):
         recoherence_threshold_scan(
-            p, [1.0], t_omega_bounds=(0.5, 2.0), criterion=1e-12
+            p, [1.0, 2.0], t_omega_bounds=(0.5, 2.0), criterion=1e-12
         )
+
+
+@pytest.mark.parametrize("grid", [(), (0.8,)])
+def test_threshold_scan_rejects_grid_too_short_for_fit(grid, monkeypatch):
+    # The line fit needs two points; the grid is rejected before any probe.
+    import oscpurity.adiabatic as adiabatic_mod
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a probe")
+
+    monkeypatch.setattr(adiabatic_mod, "integrate", no_integration)
+    with pytest.raises(ConfigError):
+        recoherence_threshold_scan(make_params(t0=1.0), grid)
 
 
 def test_threshold_scan_probes_are_distinct(monkeypatch):

@@ -1,15 +1,18 @@
 """Tests for the reduced dynamics, Gaussian maps, fidelity/Bures
 diagnostics, and Markovian surrogates."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from numutil import map_pair_rk45
 
-from oscpurity.errors import NonPhysicalState, PureStateSingularity
+from oscpurity.errors import NonPhysicalState
 from oscpurity.markov import (
-    INFEASIBLE,
     SURROGATES,
+    _one_minus_fidelity_pert,
     best_markovian_B,
     bures_distance,
     bures_velocity,
@@ -28,8 +31,14 @@ from oscpurity.markov import (
     system_hamiltonian,
 )
 from oscpurity.model import ScenarioParams
-from oscpurity.symplectic import OMEGA2, det2
-from oscpurity.transport import CovarianceState, IntegratorConfig, integrate
+from oscpurity.presets import preset_scenarios
+from oscpurity.symplectic import OMEGA4, det2, eig_sym2, inv2, symmetrize
+from oscpurity.transport import (
+    IntegratorConfig,
+    integrate,
+    purity_from_propagator,
+    sigma_from_propagator,
+)
 
 
 def make_params():
@@ -60,15 +69,16 @@ def random_state(rng, mixed=True):
 
 def test_noise_matrix_structure(traj):
     p = make_params()
-    state = traj.state_at(0.0)
-    nm = noise_B(state, p)
+    sigma = traj.sigma_at(0.0)
+    b = noise_B(0.0, sigma, p)
+    lambda_minus, lambda_plus = eig_sym2(b)
     xi = float(traj.xi[np.argmin(np.abs(traj.t))])
-    assert nm.B[0, 0] == 0.0
-    assert nm.B[0, 1] == pytest.approx(nm.B[1, 0])
-    assert nm.B[0, 1] == pytest.approx(-xi * state.sigma[0, 2], rel=1e-6)
-    assert nm.lambda_minus <= nm.lambda_plus
+    assert b[0, 0] == 0.0
+    assert b[0, 1] == pytest.approx(b[1, 0])
+    assert b[0, 1] == pytest.approx(-xi * sigma[0, 2], rel=1e-6)
+    assert lambda_minus <= lambda_plus
     # det B = -xi^2 c11^2 <= 0 always.
-    assert det2(nm.B) <= 0.0
+    assert det2(b) <= 0.0
 
 
 def test_reduced_rhs_matches_full_dynamics(traj):
@@ -79,8 +89,8 @@ def test_reduced_rhs_matches_full_dynamics(traj):
     s_plus = traj.sigma_at(t + h)[0:2, 0:2]
     s_minus = traj.sigma_at(t - h)[0:2, 0:2]
     fd = (s_plus - s_minus) / (2.0 * h)
-    state = traj.state_at(t)
-    rhs = reduced_rhs(state.sigma[0:2, 0:2], noise_B(state, p).B, p)
+    sigma = traj.sigma_at(t)
+    rhs = reduced_rhs(sigma[0:2, 0:2], noise_B(t, sigma, p), p)
     assert np.allclose(rhs, fd, rtol=1e-4, atol=1e-6)
 
 
@@ -89,8 +99,8 @@ def test_purity_rate_matches_fd(traj):
     t = 1.7
     h = 1e-6
     fd = (traj.purity_at(t + h) - traj.purity_at(t - h)) / (2.0 * h)
-    state = traj.state_at(t)
-    rate = purity_rate(state.sigma[0:2, 0:2], noise_B(state, p).B)
+    sigma = traj.sigma_at(t)
+    rate = purity_rate(sigma[0:2, 0:2], traj.purity_at(t), noise_B(t, sigma, p))
     assert rate == pytest.approx(fd, rel=1e-4)
 
 
@@ -235,29 +245,29 @@ def test_bures_velocity_fd_matches_closed_form(traj):
     rng = np.random.default_rng(3)
     checked = 0
     for t in np.linspace(0.0, 8.0, 30):
-        state = traj.state_at(t)
-        s = state.sigma[0:2, 0:2]
-        if 1.0 / np.sqrt(det2(s)) > 0.999:
+        sigma = traj.sigma_at(t)
+        s = sigma[0:2, 0:2]
+        gamma = traj.purity_at(t)
+        if gamma > 0.999:
             continue
-        b = noise_B(state, p).B
+        b = noise_B(t, sigma, p)
         bt = drop_negative_B(b)
-        v = bures_velocity(s, b, bt)
+        v = bures_velocity(s, gamma, b, bt)
         if v < 1e-6:
             continue
-        v_fd = bures_velocity_fd(s, b, bt, p, dt)
+        v_fd = bures_velocity_fd(s, gamma, b, bt, p, dt)
         assert v_fd == pytest.approx(v, rel=1e-4)
         checked += 1
     assert checked >= 10
 
 
 def test_bures_velocity_pure_state_guard():
-    p = make_params()
     sigma = np.eye(2)
     b = np.array([[0.0, 0.2], [0.2, 0.1]])
-    with pytest.raises(PureStateSingularity):
-        bures_velocity(sigma, b, np.zeros((2, 2)))
+    # The closed form is singular at purity one: the point comes back NaN.
+    assert np.isnan(bures_velocity(sigma, 1.0, b, np.zeros((2, 2))))
     # Identical noise matrices give zero velocity even at purity one.
-    assert bures_velocity(sigma, b, b) == 0.0
+    assert bures_velocity(sigma, 1.0, b, b) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -279,31 +289,35 @@ def test_drop_negative_psd():
 
 def test_best_markovian_cancels_velocity(traj):
     p = make_params()
-    state = traj.state_at(1.0)
-    s = state.sigma[0:2, 0:2]
-    b = noise_B(state, p).B
-    bt = best_markovian_B(s, b)
-    if bt is INFEASIBLE:
+    sigma = traj.sigma_at(1.0)
+    s = sigma[0:2, 0:2]
+    gamma = traj.purity_at(1.0)
+    b = noise_B(1.0, sigma, p)
+    if purity_rate(s, gamma, b) > 0.0:
         pytest.skip("sampled a recohering instant")
-    assert bures_velocity(s, b, bt) == pytest.approx(0.0, abs=1e-12)
+    bt = best_markovian_B(s, gamma, b)
+    assert bures_velocity(s, gamma, b, bt) == pytest.approx(0.0, abs=1e-12)
     assert np.linalg.eigvalsh(bt)[0] >= -1e-12
 
 
 def test_best_markovian_infeasible_when_recohering():
     # gamma_dot > 0 (recohering) has no PSD surrogate cancelling the rate.
     s = np.diag([2.0, 2.0])
+    gamma = 1.0 / np.sqrt(det2(s))
     b = -0.1 * np.eye(2)
-    assert best_markovian_B(s, b) is INFEASIBLE
-    assert np.array_equal(surrogate_B("best", s, b), np.zeros((2, 2)))
+    assert purity_rate(s, gamma, b) > 0.0
+    assert np.array_equal(best_markovian_B(s, gamma, b), np.zeros((2, 2)))
+    assert np.array_equal(surrogate_B("best", s, gamma, b), np.zeros((2, 2)))
 
 
 def test_surrogate_dispatch():
     s = np.diag([2.0, 2.0])
+    gamma = 1.0 / np.sqrt(det2(s))
     b = np.array([[0.0, 0.3], [0.3, 0.2]])
-    assert np.array_equal(surrogate_B("unitary", s, b), np.zeros((2, 2)))
-    assert np.allclose(surrogate_B("drop-negative", s, b), drop_negative_B(b))
+    assert np.array_equal(surrogate_B("unitary", s, gamma, b), np.zeros((2, 2)))
+    assert np.allclose(surrogate_B("drop-negative", s, gamma, b), drop_negative_B(b))
     with pytest.raises(ValueError):
-        surrogate_B("bogus", s, b)
+        surrogate_B("bogus", s, gamma, b)
     assert SURROGATES == ("drop-negative", "best", "unitary")
 
 
@@ -327,3 +341,74 @@ def test_markov_series_structure(traj):
     assert np.all(np.isfinite(series["v_bures"][~flagged]))
     # The drop-negative surrogate always passes the infinitesimal CP check.
     assert np.all(series["cp_flag"])
+
+
+def test_markov_series_resolves_low_purities():
+    # fig2's fourth scenario decays to purities ~1e-7, where the determinant
+    # of sigma_S's entries cancels to zero or below; det sigma_S comes from
+    # the Cauchy-Binet purity instead, so no mixed sample is taken for a
+    # pure-state singularity and nothing divides by zero.
+    p = preset_scenarios("fig2")[3]
+    traj = integrate(p, IntegratorConfig())
+    assert np.min(traj.purity_s) < 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for surrogate in SURROGATES:
+            series = markov_series(traj, p, surrogate, stride=4)
+            assert not np.any(series["flagged"] & (series["purity"] < 0.5))
+
+
+def random_two_mode_states(rng, n):
+    """n random physical joint states (t, sigma, gamma_S) from symplectic
+    propagators exp(Omega H), with the S-E coupling of H scaled from 1e-7
+    (purity within 1e-9 of one: the Bures velocity is NaN) to 1."""
+    p = make_params()
+    t = rng.uniform(-8.0, 8.0, n)
+    u = np.empty((n, 4, 4))
+    for i in range(n):
+        h = rng.normal(size=(4, 4))
+        h = 0.5 * (h + h.T)
+        h[0:2, 2:4] *= 10.0 ** rng.uniform(-7.0, 0.0)
+        h[2:4, 0:2] = h[0:2, 2:4].T
+        u[i] = expm(OMEGA4 @ h)
+    return t, sigma_from_propagator(u, p), purity_from_propagator(u, p)
+
+
+def test_helpers_on_stacks_match_blockwise():
+    p = make_params()
+    rng = np.random.default_rng(41)
+    t, sigma, gamma = random_two_mode_states(rng, 60)
+    s = sigma[:, 0:2, 0:2]
+    b = noise_B(t, sigma, p)
+    bt = drop_negative_B(b)
+    m = rng.normal(size=(60, 2, 2))
+    e = 1e-6 * symmetrize(m)
+    cases = [
+        (det2, (s,)),
+        (inv2, (s,)),
+        (eig_sym2, (s,)),
+        (symmetrize, (m,)),
+        (noise_B, (t, sigma, p)),
+        (reduced_rhs, (s, b, p)),
+        (purity_rate, (s, gamma, b)),
+        (drop_negative_B, (b,)),
+        (best_markovian_B, (s, gamma, b)),
+        (bures_velocity, (s, gamma, b, bt)),
+        (bures_velocity_fd, (s, gamma, b, bt, p, 1e-6)),
+        (_one_minus_fidelity_pert, (s, 1.0 / (gamma * gamma), e)),
+        (cp_check_infinitesimal, (b,)),
+        (cp_check_infinitesimal, (bt,)),
+    ]
+    cases += [(surrogate_B, (name, s, gamma, b)) for name in SURROGATES]
+    for fn, args in cases:
+        stacked = fn(*args)
+        blocks = [
+            fn(*(a[i] if isinstance(a, np.ndarray) else a for a in args))
+            for i in range(60)
+        ]
+        parts = zip(stacked, zip(*blocks)) if isinstance(stacked, tuple) else [(stacked, blocks)]
+        for part, ref in parts:
+            np.testing.assert_array_equal(part, ref, fn.__name__)
+    # The sample covers singular (NaN) and regular velocities alike.
+    v = bures_velocity(s, gamma, b, np.zeros_like(b))
+    assert 0 < np.sum(np.isnan(v)) < 60

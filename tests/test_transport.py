@@ -6,6 +6,9 @@ cos/cosh propagator, rotate back), valid for the top-hat profile; and
 scipy's DOP853 at rtol 1e-12 (tests/numutil.py) for smooth profiles.
 """
 
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,12 +28,22 @@ from oscpurity.transport import (
     propagate,
     purity_from_propagator,
     sigma_from_propagator,
-    vacuum_initial,
 )
 
 
 def make_params(omega_e=2.0, psi=0.9, t0=10.0, tau=1.0, profile="smooth"):
     return ScenarioParams.from_psi(1.0, omega_e, psi, t0, tau, profile)
+
+
+def vacuum(p):
+    """Vacuum covariance diag(1/w_S, w_S, 1/w_E, w_E)."""
+    return np.diag([1.0 / p.omega_s, p.omega_s, 1.0 / p.omega_e, p.omega_e])
+
+
+def csv_text(traj):
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +103,11 @@ def oracle_sigma(t, p):
 
 
 def test_vacuum_initial():
-    p = make_params()
-    state = vacuum_initial(p)
-    assert state.t == pytest.approx(p.t_in)
+    p = make_params(t0=1.0)
+    traj = integrate(p, IntegratorConfig())
+    assert traj.t[0] == pytest.approx(p.t_in)
     assert np.allclose(
-        state.sigma, np.diag([1.0, 1.0, 0.5, 2.0])
+        traj.sigma[0], np.diag([1.0, 1.0, 0.5, 2.0])
     )
 
 
@@ -210,15 +223,14 @@ def test_propagator_is_symplectic():
         assert np.allclose(u @ OMEGA4 @ u.T, OMEGA4, atol=1e-8)
 
 
-def test_state_at_derives_sigma_from_propagator():
+def test_sigma_at_derives_sigma_from_propagator():
     p = make_params(t0=2.0)
     traj = integrate(p, IntegratorConfig())
-    state = traj.state_at(0.0)
+    sigma = traj.sigma_at(0.0)
     u = traj.propagator_at(0.0)
-    assert state.t == 0.0
-    assert np.array_equal(state.sigma, state.sigma.T)
-    ref = u @ vacuum_initial(p).sigma @ u.T
-    assert np.allclose(state.sigma, ref, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(sigma, sigma.T)
+    ref = u @ vacuum(p) @ u.T
+    assert np.allclose(sigma, ref, rtol=1e-13, atol=1e-13)
     assert traj.purity_at(0.0) == purity_from_propagator(u, p)
 
 
@@ -269,8 +281,8 @@ def test_cutoff_time_matches_brentq_oracle(ratio, threshold):
 def test_csv_layout_and_determinism():
     p = make_params(t0=1.0)
     cfg = IntegratorConfig()
-    s1 = integrate(p, cfg).to_csv_string()
-    s2 = integrate(p, cfg).to_csv_string()
+    s1 = csv_text(integrate(p, cfg))
+    s2 = csv_text(integrate(p, cfg))
     assert s1 == s2
     lines = s1.splitlines()
     assert lines[0] == "t,s11,s12,s22,e11,e12,e22,c11,c12,c21,c22,purity_s,xi"
@@ -287,7 +299,7 @@ def test_to_csv_writes_file(tmp_path):
     path = str(tmp_path / "traj.csv")
     traj.to_csv(path)
     with open(path) as f:
-        assert f.read() == traj.to_csv_string()
+        assert f.read() == csv_text(traj)
 
 
 def test_isoso_reference_run_matches_analytic_window():
@@ -345,7 +357,7 @@ def test_propagator_state_invariants(case):
     cfg = IntegratorConfig()
     traj = integrate(p, cfg)
     u = traj.propagator
-    vac = vacuum_initial(p).sigma
+    vac = vacuum(p)
     for i in range(0, len(traj.t), 25):
         ref = u[i] @ vac @ u[i].T
         assert np.allclose(traj.sigma[i], ref, rtol=1e-13, atol=1e-13)
@@ -502,4 +514,4 @@ def test_integrator_config_rejects_bad_values(field, value):
     with pytest.raises(ConfigError):
         IntegratorConfig(**{field: value})
     with pytest.raises(ConfigError):
-        IntegratorConfig().with_updates(**{field: value})
+        dataclasses.replace(IntegratorConfig(), **{field: value})
