@@ -15,8 +15,8 @@ import numpy as np
 from . import adiabatic, isoso, markov, perturbation, presets
 from .errors import ConfigError, InvalidCaseWarning, OscPurityError
 from .model import ISOSO, classify_regime, parse_config
-from .presets import FMT, summarize, write_markov_csv, write_rows
-from .transport import IntegratorConfig, integrate
+from .presets import summarize, write_markov_csv
+from .transport import FMT, IntegratorConfig, integrate, write_csv
 
 _SWEEP_KEYS = {"param", "grid", "min", "max", "count", "reduction", "workers"}
 
@@ -76,12 +76,12 @@ def cmd_isoso(args):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InvalidCaseWarning)
             exp = isoso.regime_purity(args.expansion, ts + p.t0, p)
-        rows = zip(ts, gam, exp)
+        columns = [ts, gam, exp]
         header += ",purity_expansion"
     else:
-        rows = zip(ts, gam)
+        columns = [ts, gam]
     os.makedirs(args.out, exist_ok=True)
-    write_rows(os.path.join(args.out, "isoso.csv"), header, rows)
+    write_csv(os.path.join(args.out, "isoso.csv"), header, columns)
     _emit(
         summarize(p, gamma_min=float(np.min(gam)), gamma_inf=float(gam[-1])),
         args.json,
@@ -95,7 +95,7 @@ def cmd_perturb(args):
     ts = np.linspace(p.t_in, t_end, 2001)
     gam = perturbation.purity_o2_quadrature(ts, p)
     os.makedirs(args.out, exist_ok=True)
-    write_rows(os.path.join(args.out, "perturb.csv"), "t,purity_o2", zip(ts, gam))
+    write_csv(os.path.join(args.out, "perturb.csv"), "t,purity_o2", [ts, gam])
     _emit(
         summarize(p, gamma_min=float(np.min(gam)), gamma_inf=float(gam[-1])),
         args.json,
@@ -115,15 +115,15 @@ def cmd_adiabatic(args):
     os.makedirs(args.out, exist_ok=True)
     if args.order == 1:
         nlo = adiabatic.purity_nlo_correction(ts, p, adiabatic.accumulate_phases(p))
-        write_rows(
+        write_csv(
             os.path.join(args.out, "adiabatic.csv"),
             "t,purity_lo,delta_nlo",
-            zip(ts, lo, nlo),
+            [ts, lo, nlo],
         )
         total = lo + nlo
     else:
-        write_rows(
-            os.path.join(args.out, "adiabatic.csv"), "t,purity_lo", zip(ts, lo)
+        write_csv(
+            os.path.join(args.out, "adiabatic.csv"), "t,purity_lo", [ts, lo]
         )
         total = lo
     _emit(
@@ -253,11 +253,11 @@ def cmd_sweep(args):
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     if res["kind"] == "slope":
-        write_rows(path, "tau_over_t0,gamma_inf", zip(res["tau_over_t0"], res["value"]))
-        write_rows(
+        write_csv(path, "tau_over_t0,gamma_inf", [res["tau_over_t0"], res["value"]])
+        write_csv(
             os.path.join(args.out, "sweep_slope.csv"),
             "tau_over_t0,slope,flagged",
-            zip(res["mid_tau_over_t0"], res["slope"], res["flagged"].astype(float)),
+            [res["mid_tau_over_t0"], res["slope"], res["flagged"].astype(float)],
         )
     else:
         header = (
@@ -265,7 +265,7 @@ def cmd_sweep(args):
             if res["kind"] == "threshold"
             else "tau_over_t0,gamma_inf"
         )
-        write_rows(path, header, zip(res["tau_over_t0"], res["value"]))
+        write_csv(path, header, [res["tau_over_t0"], res["value"]])
     summary = {
         "schema": 1,
         "kind": res["kind"],
@@ -328,20 +328,13 @@ def cmd_phase_diagram(args):
     rows = phase_diagram(w_grid, psi_grid)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "phase_diagram.csv")
-    with open(path, "w") as f:
-        f.write("w,psi,label,perturbative,g_p,near_critical\n")
-        for r in rows:
-            f.write(
-                "%s,%s,%s,%d,%s,%d\n"
-                % (
-                    FMT % r["w"],
-                    FMT % r["psi"],
-                    r["label"],
-                    int(r["perturbative"]),
-                    FMT % r["g_p"],
-                    int(r["near_critical"]),
-                )
-            )
+    keys = ("w", "psi", "label", "perturbative", "g_p", "near_critical")
+    write_csv(
+        path,
+        ",".join(keys),
+        [[r[k] for r in rows] for k in keys],
+        [FMT, FMT, "%s", "%d", FMT, "%d"],
+    )
     labels = sorted({r["label"] for r in rows})
     _emit({"schema": 1, "cells": len(rows), "labels": labels}, args.json)
     return 0

@@ -284,16 +284,6 @@ def frame_from_xi(xi, p, xi_dot=0.0):
     return AdiabaticFrame(delta_flag=(omega1_sq < 0).astype(int), **fields)
 
 
-def adiabatic_frame(t, p):
-    """Normal-mode frame at time t along the coupling profile."""
-    xi = float(coupling_xi(t, p))
-    if p.profile == SMOOTH:
-        xi_dot = float(coupling_xi_dot(t, p))
-    else:
-        xi_dot = 0.0
-    return frame_from_xi(xi, p, xi_dot)
-
-
 # ---------------------------------------------------------------------------
 # Regime classification
 # ---------------------------------------------------------------------------

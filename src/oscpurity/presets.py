@@ -10,9 +10,7 @@ import numpy as np
 from . import adiabatic, isoso, markov, perturbation
 from .errors import InvalidCaseWarning
 from .model import ScenarioParams, classify_regime, derived_params, normal_mode_sq
-from .transport import IntegratorConfig, integrate, isoso_reference_run
-
-FMT = "%.16e"
+from .transport import IntegratorConfig, integrate, isoso_reference_run, write_csv
 
 
 def _p(omega_e, psi, t0, tau=1.0, profile="smooth", omega_s=1.0):
@@ -93,20 +91,12 @@ def preset_scenarios(name):
     raise KeyError("unknown preset %r" % (name,))
 
 
-def write_rows(path, header, rows):
-    """Write a CSV file with 17-significant-digit floats."""
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(FMT % v for v in row) + "\n")
-
-
 def write_markov_csv(path, series):
     """Write a markov_series result in the standard markov.csv layout."""
-    write_rows(
+    write_csv(
         path,
         "t,purity,lambda_minus,lambda_plus,v_bures,v_bures_fd,cp_flag",
-        zip(
+        [
             series["t"],
             series["purity"],
             series["lambda_minus"],
@@ -114,7 +104,7 @@ def write_markov_csv(path, series):
             np.nan_to_num(series["v_bures"]),
             np.nan_to_num(series["v_bures_fd"]),
             series["cp_flag"].astype(float),
-        ),
+        ],
     )
 
 
@@ -165,10 +155,10 @@ def run_preset(name, outdir):
         for i, p in enumerate(preset_scenarios(name)):
             traj = isoso_reference_run(p, cfg)
             m = (traj.t >= -p.t0) & (traj.t <= p.t0)
-            write_rows(
+            write_csv(
                 os.path.join(outdir, "%s_compare%d.csv" % (name, i)),
                 "t,purity_analytic,purity_numeric",
-                zip(traj.t[m], isoso.isoso_purity(traj.t[m], p), traj.purity_s[m]),
+                [traj.t[m], isoso.isoso_purity(traj.t[m], p), traj.purity_s[m]],
             )
             summaries.append(
                 summarize(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
@@ -186,10 +176,10 @@ def run_preset(name, outdir):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", InvalidCaseWarning)
                 expansion = isoso.regime_purity(case, ts + p.t0, p)
-            write_rows(
+            write_csv(
                 os.path.join(outdir, "%s_%s.csv" % (name, case)),
                 "t,purity_analytic,purity_expansion",
-                zip(ts, gammas, expansion),
+                [ts, gammas, expansion],
             )
             summaries.append(summarize(p, float(np.min(gammas)), float(gammas[-1])))
     elif name in ("fig8L", "fig8R", "fig9"):
@@ -199,18 +189,18 @@ def run_preset(name, outdir):
         stride = 8
         ts = traj.t[::stride]
         if name == "fig9":
-            write_rows(
+            write_csv(
                 os.path.join(outdir, "fig9_contributions.csv"),
                 "t,itilde_omega,itilde_theta",
-                zip(ts, *adiabatic.nlo_contributions(ts, p, acc)),
+                [ts, *adiabatic.nlo_contributions(ts, p, acc)],
             )
         else:
             lo = adiabatic.purity_adiabatic_lo(ts, p)
             nlo = adiabatic.purity_nlo_correction(ts, p, acc)
-            write_rows(
+            write_csv(
                 os.path.join(outdir, "%s_adiabatic.csv" % name),
                 "t,purity_exact,purity_lo,purity_lo_plus_nlo",
-                zip(ts, traj.purity_s[::stride], lo, lo + nlo),
+                [ts, traj.purity_s[::stride], lo, lo + nlo],
             )
         summaries.append(
             summarize(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
@@ -219,25 +209,25 @@ def run_preset(name, outdir):
         (p,) = preset_scenarios(name)
         ts = np.linspace(-p.t0, p.t0, 2001)
         gammas = isoso.isoso_purity(ts, p)
-        write_rows(
+        write_csv(
             os.path.join(outdir, "%s_perturbative.csv" % name),
             "t,purity_analytic,purity_o2",
-            zip(ts, gammas, perturbation.purity_o2_isoso(ts + p.t0, p)),
+            [ts, gammas, perturbation.purity_o2_isoso(ts + p.t0, p)],
         )
         summaries.append(summarize(p, float(np.min(gammas)), float(gammas[-1])))
     elif name == "fig12":
         (p,) = preset_scenarios(name)
         taus = np.array([4.0, 5.0, 6.3, 7.9, 10.0, 14.1, 20.0]) * p.t0
         res = adiabatic.nonanalyticity_slope(p, taus)
-        write_rows(
+        write_csv(
             os.path.join(outdir, "fig12_deficit.csv"),
             "tau_over_t0,deficit",
-            zip(res["tau_over_t0"], res["deficit"]),
+            [res["tau_over_t0"], res["deficit"]],
         )
-        write_rows(
+        write_csv(
             os.path.join(outdir, "fig12_slope.csv"),
             "tau_over_t0,slope,flagged",
-            zip(res["mid_tau_over_t0"], res["slope"], res["flagged"].astype(float)),
+            [res["mid_tau_over_t0"], res["slope"], res["flagged"].astype(float)],
         )
         summaries.append(summarize(p, float("nan"), float(1.0 - res["deficit"][0])))
     elif name == "fig13":
@@ -246,14 +236,11 @@ def run_preset(name, outdir):
         # region (the threshold diverges once tau/t0 approaches ~10).
         ratios = (0.8, 1.4, 2.5, 4.5, 8.0)
         res = adiabatic.recoherence_threshold_scan(p, ratios)
-        rows = [
-            (r, t, res["slope"], res["r_squared"])
-            for r, t in zip(res["tau_over_t0"], res["T_omega_thr"])
-        ]
-        write_rows(
+        fit = [[res[key]] * len(res["tau_over_t0"]) for key in ("slope", "r_squared")]
+        write_csv(
             os.path.join(outdir, "fig13_threshold.csv"),
             "tau_over_t0,T_omega_thr,slope_fit,r_squared",
-            rows,
+            [res["tau_over_t0"], res["T_omega_thr"], *fit],
         )
         s = summarize(p, float("nan"), float("nan"))
         s["threshold_slope"] = res["slope"]

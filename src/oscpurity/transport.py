@@ -12,11 +12,12 @@ smaller than the sigma_S entries.
 The integrator is the sixth-order Magnus method at the three Gauss-Legendre
 nodes of each step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151):
 every step is the exponential of a Hamiltonian matrix, so U stays symplectic
-to round-off, and a step is exact wherever xi is constant.  Each segment of
-the window (split at the profile's switch regions) starts from a step cap
-that resolves the oscillation and the switch, and doubles the number of
-equal steps until the Richardson estimate |P_2n - P_n| / 63 of the segment
-propagator's error is at most atol + rtol |P_2n| (max-abs norms).
+to round-off, and a step is exact wherever xi is constant.  The window is
+split into segments at the profile's switch regions, and all segments refine
+together: each starts from a step cap that resolves the oscillation and the
+switch, and each level doubles the number of equal steps of every segment
+still refining, in one batch of Magnus steps, until the segment's Richardson
+estimate |P_2n - P_n| / 63 is at most atol + rtol |P_2n| (max-abs norms).
 
 `integrate` keeps the propagator at every step node and samples the window
 with one partial Magnus step from the node before each sample; arbitrary-time
@@ -25,6 +26,7 @@ queries (`propagator_at`, `sigma_at`, `purity_at`) use the same partial step.
 but the late-time value.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -285,50 +287,44 @@ def _prefix(e):
     return (q @ carry[:, None]).reshape(-1, 4, 4)[:m]
 
 
-def _level(stepper, t_lo, t_hi, n, keep_nodes):
-    """The propagator of [t_lo, t_hi] from n equal steps, and, with
-    keep_nodes, the (n, 4, 4) propagators from t_lo to each step's end."""
-    h = (t_hi - t_lo) / n
-    total = _EYE
-    nodes = []
-    for start in range(0, n, _CHUNK):
-        idx = np.arange(start, min(n, start + _CHUNK))
-        e = stepper.steps(t_lo + h * idx, np.full(len(idx), h))
-        if keep_nodes:
-            nodes.append(_prefix(e) @ total)
-            total = nodes[-1][-1]
-        else:
-            total = _product(e) @ total
-    if not np.all(np.isfinite(total)):
-        raise StepFailure("propagator overflow on [%g, %g]" % (t_lo, t_hi))
-    return total, (np.concatenate(nodes) if keep_nodes else None)
+def _segment_propagators(stepper, segments, keep_nodes):
+    """Propagators of the segments (t_lo, t_hi, n), each from n equal steps.
 
-
-def _segment(stepper, t_lo, t_hi, cfg, keep_nodes):
-    """Refine the equal-step grid of one segment by doubling until the
-    Richardson estimate meets the tolerance.
+    Each segment is cut into pieces of at most _CHUNK steps from its start;
+    consecutive pieces, of one segment or of several, share one batch of at
+    most _CHUNK steps, and each piece is folded into its own segment's
+    running product.
 
     Returns:
-        (P, nodes, n): the segment propagator, the node propagators (or
-        None) and the number of steps.
+        (totals, nodes): per segment its propagator and, with keep_nodes,
+        the (n, 4, 4) propagators from t_lo to each step's end (else None).
     """
-    cap = _segment_max_step(stepper.params, t_lo, t_hi, cfg)
-    n = max(1, math.ceil((t_hi - t_lo) / cap))
-    if n > MAX_STEPS:
-        raise StepFailure(
-            "[%g, %g] needs more than %d steps" % (t_lo, t_hi, MAX_STEPS)
+    batches, size = [[]], 0
+    for k, (t_lo, t_hi, n) in enumerate(segments):
+        h = (t_hi - t_lo) / n
+        for start in range(0, n, _CHUNK):
+            t0 = t_lo + h * np.arange(start, min(n, start + _CHUNK))
+            if size + len(t0) > _CHUNK:
+                batches.append([])
+                size = 0
+            batches[-1].append((k, t0, np.full(len(t0), h)))
+            size += len(t0)
+    totals = [_EYE] * len(segments)
+    nodes = [[] for _ in segments]
+    for batch in batches:
+        e = stepper.steps(
+            np.concatenate([t0 for _, t0, _ in batch]),
+            np.concatenate([h for _, _, h in batch]),
         )
-    coarse, _ = _level(stepper, t_lo, t_hi, n, False)
-    while 2 * n <= MAX_STEPS:
-        n *= 2
-        fine, nodes = _level(stepper, t_lo, t_hi, n, keep_nodes)
-        err = np.max(np.abs(fine - coarse)) / 63.0
-        if err <= cfg.atol + cfg.rtol * np.max(np.abs(fine)):
-            return fine, nodes, n
-        coarse = fine
-    raise StepFailure(
-        "no convergence on [%g, %g] within %d steps" % (t_lo, t_hi, MAX_STEPS)
-    )
+        lo = 0
+        for k, t0, _ in batch:
+            piece, lo = e[lo : lo + len(t0)], lo + len(t0)
+            if keep_nodes:
+                nodes[k].append(_prefix(piece) @ totals[k])
+                totals[k] = nodes[k][-1][-1]
+            else:
+                totals[k] = _product(piece) @ totals[k]
+    return totals, [np.concatenate(v) if keep_nodes else None for v in nodes]
 
 
 @dataclass(frozen=True)
@@ -352,15 +348,53 @@ class _StepGrid:
         return out
 
 
+#: Float format of CSV output: 17 significant digits.
+FMT = "%.16e"
+
+#: sigma entries of the trajectory CSV: the S block, the E block, then the
+#: S-E cross block.
+_CSV_ENTRIES = (
+    (0, 0), (0, 1), (1, 1), (2, 2), (2, 3), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3)
+)
+
+
+#: Rows converted to Python values at a time by write_csv.
+_CSV_ROWS = 256
+
+
+def write_csv(path_or_buf, header, columns, formats=None):
+    """Write equal-length columns as CSV rows under a header line, one row
+    template per file, streamed _CSV_ROWS rows at a time.
+
+    Args:
+        path_or_buf: file path, or an open text stream (left open).
+        header: the header line, without its newline.
+        columns: one sequence or array per column.
+        formats: one %-format per column (default FMT for all).
+    """
+    template = ",".join(formats or [FMT] * len(columns)) + "\n"
+    columns = [np.asarray(c) for c in columns]
+    own = isinstance(path_or_buf, str)
+    f = open(path_or_buf, "w") if own else path_or_buf
+    try:
+        f.write(header + "\n")
+        for lo in range(0, min(map(len, columns)), _CSV_ROWS):
+            rows = zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in columns))
+            f.writelines(template % row for row in rows)
+    finally:
+        if own:
+            f.close()
+
+
 class Trajectory:
     """Time-ordered propagator samples plus the series derived from them.
 
     Attributes:
         t: sample times (strictly increasing).
         propagator: (N, 4, 4) symplectic propagators from t_in.
-        sigma: (N, 4, 4) covariance samples derived from the propagators.
-        purity_s, purity_e: per-mode purities (propagator route).
-        xi: coupling strength at each sample.
+        purity_s: system purity (propagator route).
+        sigma, purity_e, xi: covariance samples, environment purity and
+            coupling at each sample, derived on first access.
         step_t: times of the integrator's step nodes, between which every
             query is one smooth partial step.
     """
@@ -371,10 +405,19 @@ class Trajectory:
         self.params = params
         self._grid = grid
         self.step_t = grid.t
-        self.sigma = sigma_from_propagator(self.propagator, params)
         self.purity_s = purity_from_propagator(self.propagator, params, "S")
-        self.purity_e = purity_from_propagator(self.propagator, params, "E")
-        self.xi = np.asarray(coupling_xi(self.t, params), dtype=float)
+
+    @functools.cached_property
+    def sigma(self):
+        return sigma_from_propagator(self.propagator, self.params)
+
+    @functools.cached_property
+    def purity_e(self):
+        return purity_from_propagator(self.propagator, self.params, "E")
+
+    @functools.cached_property
+    def xi(self):
+        return np.asarray(coupling_xi(self.t, self.params), dtype=float)
 
     @property
     def t_end(self):
@@ -410,24 +453,14 @@ class Trajectory:
         Header: t,s11,s12,s22,e11,e12,e22,c11,c12,c21,c22,purity_s,xi with
         17-significant-digit floats.
         """
-        own = isinstance(path_or_buf, str)
-        f = open(path_or_buf, "w") if own else path_or_buf
-        try:
-            f.write("t,s11,s12,s22,e11,e12,e22,c11,c12,c21,c22,purity_s,xi\n")
-            for i, t in enumerate(self.t):
-                s = self.sigma[i]
-                row = [
-                    t,
-                    s[0, 0], s[0, 1], s[1, 1],
-                    s[2, 2], s[2, 3], s[3, 3],
-                    s[0, 2], s[0, 3], s[1, 2], s[1, 3],
-                    self.purity_s[i],
-                    self.xi[i],
-                ]
-                f.write(",".join("%.16e" % v for v in row) + "\n")
-        finally:
-            if own:
-                f.close()
+        s = self.sigma
+        write_csv(
+            path_or_buf,
+            "t,s11,s12,s22,e11,e12,e22,c11,c12,c21,c22,purity_s,xi",
+            [self.t]
+            + [s[:, i, j] for i, j in _CSV_ENTRIES]
+            + [self.purity_s, self.xi],
+        )
 
 
 def _omega2_peak(p):
@@ -506,28 +539,73 @@ def _segment_max_step(p, t_lo, t_hi, cfg):
 
 
 def _solve(p, cfg, t_end, keep_nodes):
-    """Propagate U from t_in to t_end, one refined step grid per segment.
+    """Propagate U from t_in to t_end, refining all segments together.
+
+    Every segment starts from the step count of its cap; each level of the
+    segments still refining is one _segment_propagators call, and a segment
+    stops once its Richardson estimate meets the tolerance.  A failure is
+    raised for the first segment that fails, once every segment before it
+    converged, as if the segments were refined one after the other.
 
     Returns:
         (U(t_end), grid): grid is the _StepGrid of all step nodes with
         keep_nodes, else None.
     """
     stepper = _MagnusStepper(p)
+    pts = _segment_breakpoints(p, p.t_in, t_end)
+    bounds = list(zip(pts[:-1], pts[1:]))
+    n = [
+        max(1, math.ceil((hi - lo) / _segment_max_step(p, lo, hi, cfg)))
+        for lo, hi in bounds
+    ]
+    for (lo, hi), count in zip(bounds, n):
+        if count > MAX_STEPS:
+            raise StepFailure("[%g, %g] needs more than %d steps" % (lo, hi, MAX_STEPS))
+    # result[k]: None while refining, (P, nodes) once converged, or the
+    # failure message.
+    result = [None] * len(bounds)
+    coarse = [None] * len(bounds)
+    # The first level is only ever a coarse estimate: it keeps no nodes.
+    live, keep = list(range(len(bounds))), False
+    while live:
+        segments = [bounds[k] + (n[k],) for k in live]
+        totals, nodes = _segment_propagators(stepper, segments, keep)
+        for k, fine, fine_nodes in zip(live, totals, nodes):
+            lo, hi = bounds[k]
+            if not np.all(np.isfinite(fine)):
+                result[k] = "propagator overflow on [%g, %g]" % (lo, hi)
+            elif coarse[k] is not None and np.max(np.abs(fine - coarse[k])) / 63.0 <= (
+                cfg.atol + cfg.rtol * np.max(np.abs(fine))
+            ):
+                result[k] = (fine, fine_nodes)
+            elif 2 * n[k] > MAX_STEPS:
+                result[k] = "no convergence on [%g, %g] within %d steps" % (
+                    lo, hi, MAX_STEPS
+                )
+            else:
+                coarse[k], n[k] = fine, 2 * n[k]
+        for r in result:
+            if isinstance(r, str):
+                raise StepFailure(r)
+            if r is None:
+                break
+        live, keep = [k for k in live if result[k] is None], keep_nodes
     u = np.eye(4)
-    times, props = [np.array([p.t_in])], [u[None]]
-    breakpoints = _segment_breakpoints(p, p.t_in, t_end)
-    for t_lo, t_hi in zip(breakpoints[:-1], breakpoints[1:]):
-        seg, nodes, n = _segment(stepper, t_lo, t_hi, cfg, keep_nodes)
-        if keep_nodes:
-            times.append(t_lo + (t_hi - t_lo) / n * np.arange(1, n + 1))
-            times[-1][-1] = t_hi
-            props.append(nodes @ u)
-            u = props[-1][-1]
-        else:
-            u = seg @ u
     if not keep_nodes:
+        for seg, _ in result:
+            u = seg @ u
         return u, None
-    return u, _StepGrid(np.concatenate(times), np.concatenate(props), stepper)
+    # Carry each segment's nodes into the grid in place, releasing them as
+    # they go, so that no more than one extra copy is alive.
+    times, props = np.empty(sum(n) + 1), np.empty((sum(n) + 1, 4, 4))
+    times[0], props[0], end = p.t_in, u, 1
+    for k, ((lo, hi), count) in enumerate(zip(bounds, n)):
+        (_, nodes), result[k] = result[k], None
+        times[end : end + count] = lo + (hi - lo) / count * np.arange(1, count + 1)
+        times[end + count - 1] = hi
+        u = np.matmul(nodes, u, out=props[end : end + count])[-1]
+        end += count
+    return u, _StepGrid(times, props, stepper)
 
 
 def propagate(p, cfg=IntegratorConfig()):

@@ -1,9 +1,159 @@
-"""Shared numeric helpers for the test suite."""
+"""Shared numeric helpers for the test suite: independent references built
+from scipy and mpmath, small matrix helpers that serve as references, and
+the per-segment refinement loop that the batched integrator replaced."""
+
+import math
 
 import numpy as np
 
+from oscpurity.errors import NonPhysicalState, StepFailure
+from oscpurity.symplectic import det2
+
 #: Unit round-off of the extended-precision accumulator.
 LD_EPS = float(np.finfo(np.longdouble).eps)
+
+# Determinants in [1 - DET_CLAMP, 1) are clamped to 1 before the square root;
+# anything below 1 - DET_TOL is treated as unphysical.
+DET_CLAMP = 1e-9
+DET_TOL = 1e-6
+
+
+def inv2(m):
+    """Closed-form inverse (adjugate over determinant) of a 2x2 matrix, or of
+    a (..., 2, 2) stack."""
+    adj = np.stack([m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]], -1)
+    return adj.reshape(m.shape) / det2(m)[..., None, None]
+
+
+def purity_from_block(sigma_s):
+    """Purity of a single-mode Gaussian state from its covariance block.
+
+    Args:
+        sigma_s: symmetric 2x2 covariance block.
+
+    Returns:
+        1/sqrt(det sigma_s), clamped so that round-off cannot push the
+        result above 1.
+
+    Raises:
+        NonPhysicalState: if det sigma_s < 1 - 1e-6.
+    """
+    d = det2(sigma_s)
+    if d < 1.0 - DET_TOL:
+        raise NonPhysicalState(
+            "covariance block determinant %.6g violates the uncertainty bound" % d
+        )
+    if d < 1.0:
+        d = 1.0
+    return 1.0 / np.sqrt(d)
+
+
+def frobenius_norm(m):
+    """Frobenius norm sqrt(sum m_ij^2) of a real matrix."""
+    return float(np.sqrt(np.sum(np.asarray(m) ** 2)))
+
+
+def check_gaussian_valid(sigma):
+    """Physicality diagnostics for a two-mode covariance matrix.
+
+    Args:
+        sigma: symmetric 4x4 covariance matrix.
+
+    Returns:
+        dict with keys:
+            det_sigma: determinant of the full matrix,
+            nu_s, nu_e: per-mode symplectic eigenvalues sqrt(det sigma_I),
+            passed: True if both nu_I >= 1 - 1e-9.
+    """
+    sigma = np.asarray(sigma)
+    det_sigma = float(np.linalg.det(sigma))
+    det_s = det2(sigma[0:2, 0:2])
+    det_e = det2(sigma[2:4, 2:4])
+    nu_s = float(np.sqrt(max(det_s, 0.0))) if det_s > 0 else float("nan")
+    nu_e = float(np.sqrt(max(det_e, 0.0))) if det_e > 0 else float("nan")
+    passed = bool(nu_s >= 1.0 - DET_CLAMP and nu_e >= 1.0 - DET_CLAMP)
+    return {
+        "det_sigma": det_sigma,
+        "nu_s": nu_s,
+        "nu_e": nu_e,
+        "passed": passed,
+    }
+
+
+def adiabatic_frame(t, p):
+    """Normal-mode frame at one time t along the coupling profile."""
+    from oscpurity.model import SMOOTH, coupling_xi, coupling_xi_dot, frame_from_xi
+
+    xi = float(coupling_xi(t, p))
+    xi_dot = float(coupling_xi_dot(t, p)) if p.profile == SMOOTH else 0.0
+    return frame_from_xi(xi, p, xi_dot)
+
+
+def solve_per_segment(p, cfg, t_end, keep_nodes):
+    """The integrator's step grid refined one segment at a time, one stepper
+    call per chunk of each level, as an oracle for the batched refinement of
+    `transport._solve`.
+
+    Returns:
+        (U(t_end), step_t, nodes, levels): with keep_nodes the step node
+        times and propagators from t_in (else None), and the number of
+        levels each segment evaluated.
+    """
+    from oscpurity import transport as tr
+
+    def level(stepper, t_lo, t_hi, n, keep):
+        h = (t_hi - t_lo) / n
+        total, nodes = tr._EYE, []
+        for start in range(0, n, tr._CHUNK):
+            idx = np.arange(start, min(n, start + tr._CHUNK))
+            e = stepper.steps(t_lo + h * idx, np.full(len(idx), h))
+            if keep:
+                nodes.append(tr._prefix(e) @ total)
+                total = nodes[-1][-1]
+            else:
+                total = tr._product(e) @ total
+        if not np.all(np.isfinite(total)):
+            raise StepFailure("propagator overflow on [%g, %g]" % (t_lo, t_hi))
+        return total, (np.concatenate(nodes) if keep else None)
+
+    def segment(stepper, t_lo, t_hi):
+        cap = tr._segment_max_step(p, t_lo, t_hi, cfg)
+        n = max(1, math.ceil((t_hi - t_lo) / cap))
+        if n > tr.MAX_STEPS:
+            raise StepFailure(
+                "[%g, %g] needs more than %d steps" % (t_lo, t_hi, tr.MAX_STEPS)
+            )
+        coarse, _ = level(stepper, t_lo, t_hi, n, False)
+        levels = 1
+        while 2 * n <= tr.MAX_STEPS:
+            n *= 2
+            fine, nodes = level(stepper, t_lo, t_hi, n, keep_nodes)
+            levels += 1
+            err = np.max(np.abs(fine - coarse)) / 63.0
+            if err <= cfg.atol + cfg.rtol * np.max(np.abs(fine)):
+                return fine, nodes, n, levels
+            coarse = fine
+        raise StepFailure(
+            "no convergence on [%g, %g] within %d steps" % (t_lo, t_hi, tr.MAX_STEPS)
+        )
+
+    stepper = tr._MagnusStepper(p)
+    u = np.eye(4)
+    times, props, levels = [np.array([p.t_in])], [u[None]], []
+    pts = tr._segment_breakpoints(p, p.t_in, t_end)
+    for t_lo, t_hi in zip(pts[:-1], pts[1:]):
+        seg, nodes, n, count = segment(stepper, t_lo, t_hi)
+        levels.append(count)
+        if keep_nodes:
+            times.append(t_lo + (t_hi - t_lo) / n * np.arange(1, n + 1))
+            times[-1][-1] = t_hi
+            props.append(nodes @ u)
+            u = props[-1][-1]
+        else:
+            u = seg @ u
+    if not keep_nodes:
+        return u, None, None, levels
+    return u, np.concatenate(times), np.concatenate(props), levels
 
 
 def det_sigma_via_propagator(u, rtol):
@@ -131,7 +281,7 @@ def phase_system_rk45(p, t_end=None, rtol=1e-10, atol=1e-12):
     """
     from scipy.integrate import solve_ivp
 
-    from oscpurity.model import adiabatic_frame, frame_from_xi
+    from oscpurity.model import frame_from_xi
 
     def rhs(t, y):
         fr = adiabatic_frame(t, p)

@@ -8,7 +8,7 @@ power-law data with a known exponent.
 import numpy as np
 import pytest
 
-from numutil import phase_system_rk45
+from numutil import adiabatic_frame, phase_system_rk45
 
 from oscpurity import adiabatic
 from oscpurity.adiabatic import (
@@ -28,7 +28,7 @@ from oscpurity.errors import (
     NoThreshold,
     SupercriticalExcursion,
 )
-from oscpurity.model import ScenarioParams, adiabatic_frame
+from oscpurity.model import ScenarioParams
 from oscpurity.transport import IntegratorConfig
 
 

@@ -11,6 +11,7 @@ Two independent oracles pin the implementation:
 
 import numpy as np
 import pytest
+from numutil import purity_from_block
 
 from oscpurity.errors import CriticalPoint, InvalidCaseWarning, PrecisionFloor
 from oscpurity.isoso import (
@@ -23,7 +24,6 @@ from oscpurity.isoso import (
     regime_purity,
 )
 from oscpurity.model import ScenarioParams, frame_from_xi
-from oscpurity.symplectic import purity_from_block
 from test_transport import oracle_sigma
 
 

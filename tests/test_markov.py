@@ -32,7 +32,7 @@ from oscpurity.markov import (
 )
 from oscpurity.model import ScenarioParams
 from oscpurity.presets import preset_scenarios
-from oscpurity.symplectic import OMEGA4, det2, eig_sym2, inv2, symmetrize
+from oscpurity.symplectic import OMEGA4, det2, eig_sym2, symmetrize
 from oscpurity.transport import (
     IntegratorConfig,
     integrate,
@@ -385,7 +385,6 @@ def test_helpers_on_stacks_match_blockwise():
     e = 1e-6 * symmetrize(m)
     cases = [
         (det2, (s,)),
-        (inv2, (s,)),
         (eig_sym2, (s,)),
         (symmetrize, (m,)),
         (noise_B, (t, sigma, p)),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numutil import adiabatic_frame
 
 from oscpurity.errors import ConfigError, CriticalPoint, DerivativeUndefined
 from oscpurity.transport import IntegratorConfig
@@ -13,7 +14,6 @@ from oscpurity.model import (
     SMOOTH,
     RegimeThresholds,
     ScenarioParams,
-    adiabatic_frame,
     classify_regime,
     coupling_xi,
     coupling_xi_dot,

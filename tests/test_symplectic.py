@@ -1,22 +1,14 @@
-"""Tests for the fixed-size symplectic helpers."""
+"""Tests for the fixed-size symplectic helpers, and for the matrix helpers
+of tests/numutil.py that other tests use as references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numutil import check_gaussian_valid, frobenius_norm, inv2, purity_from_block
 
 from oscpurity.errors import NonPhysicalState
-from oscpurity.symplectic import (
-    OMEGA2,
-    OMEGA4,
-    check_gaussian_valid,
-    det2,
-    inv2,
-    eig_sym2,
-    frobenius_norm,
-    purity_from_block,
-    symmetrize,
-)
+from oscpurity.symplectic import OMEGA2, OMEGA4, det2, eig_sym2, symmetrize
 
 
 def test_omega_blocks():
@@ -46,12 +38,6 @@ def test_det2_matches_numpy(a, b, c, d):
     assert det2(m) == pytest.approx(np.linalg.det(m), rel=1e-10, abs=1e-10)
 
 
-@given(st.floats(0.1, 10), st.floats(-3, 3), st.floats(0.1, 10))
-def test_inv2_inverts_covariance_blocks(a, b, d):
-    m = np.array([[a, b], [b, d]]) + (abs(b) + 0.1) * np.eye(2)
-    assert np.allclose(inv2(m) @ m, np.eye(2), rtol=0, atol=1e-12)
-
-
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))
 def test_eig_sym2_matches_numpy(a, b, d):
     m = np.array([[a, b], [b, d]])
@@ -60,6 +46,21 @@ def test_eig_sym2_matches_numpy(a, b, d):
     assert lam_m == pytest.approx(ref[0], abs=1e-9)
     assert lam_p == pytest.approx(ref[1], abs=1e-9)
     assert lam_m <= lam_p
+
+
+# ---------------------------------------------------------------------------
+# Reference helpers of tests/numutil.py
+# ---------------------------------------------------------------------------
+
+
+@given(st.floats(0.1, 10), st.floats(-3, 3), st.floats(0.1, 10))
+def test_inv2_inverts_covariance_blocks(a, b, d):
+    m = np.array([[a, b], [b, d]]) + (abs(b) + 0.1) * np.eye(2)
+    assert np.allclose(inv2(m) @ m, np.eye(2), rtol=0, atol=1e-12)
+    # On a stack it equals the inverse of each block, bitwise.
+    stack = np.array([m, 2.0 * m, m.T + np.eye(2)])
+    for block, ref in zip(inv2(stack), stack):
+        np.testing.assert_array_equal(block, inv2(ref))
 
 
 def test_purity_from_block_thermal():

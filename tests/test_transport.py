@@ -13,12 +13,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numutil import cutoff_time_brentq, det_sigma_via_propagator, dop853_propagators
+from numutil import (
+    cutoff_time_brentq,
+    det_sigma_via_propagator,
+    dop853_propagators,
+    purity_from_block,
+    solve_per_segment,
+)
 
 from oscpurity import transport
 from oscpurity.errors import ConfigError, StepFailure
 from oscpurity.model import ISOSO, ScenarioParams, frame_from_xi
-from oscpurity.symplectic import OMEGA4, purity_from_block
+from oscpurity.symplectic import OMEGA4
 from oscpurity.transport import (
     IntegratorConfig,
     default_sample_dt,
@@ -302,6 +308,26 @@ def test_to_csv_writes_file(tmp_path):
         assert f.read() == csv_text(traj)
 
 
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    # Several conversion chunks of awkward floats, with the mixed formats of
+    # the phase diagram, against one "%.16e" % v call per value.
+    rng = np.random.default_rng(5)
+    n = 3 * transport._CSV_ROWS + 7
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    x[:4] = [np.nan, -0.0, np.inf, 5e-324]
+    labels = np.array(["U1", "C2minus"])[rng.integers(0, 2, n)].tolist()
+    flags = rng.integers(0, 2, n).astype(bool)
+    path = str(tmp_path / "rows.csv")
+    formats = ["%.16e", "%s", "%d", "%.16e"]
+    transport.write_csv(path, "x,label,flag,y", [x, labels, flags, -x], formats)
+    ref = "x,label,flag,y\n" + "".join(
+        "%s,%s,%d,%s\n" % ("%.16e" % a, b, int(c), "%.16e" % -a)
+        for a, b, c in zip(x, labels, flags)
+    )
+    with open(path) as f:
+        assert f.read() == ref
+
+
 def test_isoso_reference_run_matches_analytic_window():
     p = make_params(psi=0.9, profile=ISOSO)
     traj = isoso_reference_run(p, IntegratorConfig())
@@ -478,6 +504,91 @@ def test_integrator_is_exact_for_constant_coupling():
     u = propagate(p, IntegratorConfig(rtol=1e-14, atol=0.0))
     ref = oracle_propagator(p.t0, p)
     assert np.max(np.abs(u - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+REFINEMENT_CASES = [
+    pytest.param(make_params(t0=10.0, tau=0.5), IntegratorConfig(), False, id="smooth"),
+    pytest.param(make_params(profile=ISOSO), IntegratorConfig(), False, id="top-hat"),
+    # The plateau's fine level (4204 steps) spans two chunks.
+    pytest.param(
+        make_params(t0=200.0, tau=5.0), IntegratorConfig(), False, id="long-plateau"
+    ),
+    # The switch regions take one level more than the rest.
+    pytest.param(
+        make_params(t0=5.0, tau=0.3),
+        IntegratorConfig(rtol=1e-15, atol=0.0),
+        True,
+        id="mixed-levels",
+    ),
+]
+
+
+@pytest.mark.parametrize("p, cfg, mixed", REFINEMENT_CASES)
+def test_batched_refinement_matches_per_segment_loop(p, cfg, mixed):
+    # All segments refined together give the step grid and the node
+    # propagators of one segment at a time, bit for bit.
+    t_end = transport._resolve_t_end(p, cfg)
+    _, step_t, nodes, levels = solve_per_segment(p, cfg, t_end, keep_nodes=True)
+    assert (len(set(levels)) > 1) == mixed, levels
+    traj = integrate(p, cfg)
+    np.testing.assert_array_equal(traj.step_t, step_t)
+    np.testing.assert_array_equal(traj._grid.u, nodes)
+    end, _, _, _ = solve_per_segment(p, cfg, t_end, keep_nodes=False)
+    np.testing.assert_array_equal(propagate(p, cfg), end)
+
+
+def test_stepper_calls_per_level(monkeypatch):
+    # Five segments that converge at the first doubling and fit one chunk:
+    # the coarse level, the fine level and the samples are one stepper call
+    # each.
+    p = make_params(t0=10.0, tau=0.5)
+    calls = []
+    steps = transport._MagnusStepper.steps
+
+    def counted(self, t0, h):
+        calls.append(len(t0))
+        return steps(self, t0, h)
+
+    monkeypatch.setattr(transport._MagnusStepper, "steps", counted)
+    assert len(transport._segment_breakpoints(p, p.t_in, -p.t_in)) == 6
+    traj = integrate(p, IntegratorConfig())
+    assert len(calls) == 3
+    assert calls[1] == len(traj.step_t) - 1 <= transport._CHUNK
+    calls.clear()
+    propagate(p, IntegratorConfig())
+    assert len(calls) == 2
+    # Levels longer than a chunk still go in batches of at most one chunk.
+    calls.clear()
+    integrate(make_params(t0=200.0, tau=5.0), IntegratorConfig())
+    assert sum(calls) > 2 * transport._CHUNK >= 2 * max(calls)
+
+
+def test_series_derived_on_demand(monkeypatch):
+    derived = []
+    sigma = transport.sigma_from_propagator
+
+    def counted(u, p):
+        derived.append(len(u))
+        return sigma(u, p)
+
+    monkeypatch.setattr(transport, "sigma_from_propagator", counted)
+    traj = integrate(make_params(t0=2.0), IntegratorConfig())
+    assert traj.purity_s[-1] > 0.0
+    assert derived == []
+    first = traj.sigma
+    assert traj.sigma is first
+    assert derived == [len(traj.t)]
+
+
+def test_step_failures_match_per_segment_loop(monkeypatch):
+    # The budget failure names the same segment as the per-segment loop.
+    monkeypatch.setattr(transport, "MAX_STEPS", 64)
+    p, cfg = make_params(t0=1.0), IntegratorConfig(rtol=1e-15, atol=0.0)
+    with pytest.raises(StepFailure) as ref:
+        solve_per_segment(p, cfg, -p.t_in, keep_nodes=True)
+    with pytest.raises(StepFailure) as got:
+        integrate(p, cfg)
+    assert str(got.value) == str(ref.value)
 
 
 def test_no_convergence_within_budget_is_step_failure(monkeypatch):
