@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -356,7 +357,10 @@ def cmd_preset(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and reused by every main call
+    of the process."""
     parser = argparse.ArgumentParser(
         prog="oscpurity",
         description="Purity dynamics of two linearly coupled oscillators.",

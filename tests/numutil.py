@@ -1,6 +1,7 @@
 """Shared numeric helpers for the test suite: independent references built
-from scipy and mpmath, small matrix helpers that serve as references, and
-the per-segment refinement loop that the batched integrator replaced."""
+from scipy and mpmath, small matrix helpers that serve as references, the
+per-segment refinement loop that the batched integrator replaced, and the
+per-row CSV writer that the numpy formatter replaced."""
 
 import math
 
@@ -154,6 +155,24 @@ def solve_per_segment(p, cfg, t_end, keep_nodes):
     if not keep_nodes:
         return u, None, None, levels
     return u, np.concatenate(times), np.concatenate(props), levels
+
+
+def write_csv_per_row(path_or_buf, header, columns, formats=None):
+    """`transport.write_csv` as one Python %-template per row over columns
+    converted with .tolist() 256 rows at a time: the bit-for-bit reference of
+    the numpy formatter."""
+    template = ",".join(formats or ["%.16e"] * len(columns)) + "\n"
+    columns = [np.asarray(c) for c in columns]
+    own = isinstance(path_or_buf, str)
+    f = open(path_or_buf, "w") if own else path_or_buf
+    try:
+        f.write(header + "\n")
+        for lo in range(0, min(map(len, columns)), 256):
+            rows = zip(*(c[lo : lo + 256].tolist() for c in columns))
+            f.writelines(template % row for row in rows)
+    finally:
+        if own:
+            f.close()
 
 
 def det_sigma_via_propagator(u, rtol):

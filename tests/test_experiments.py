@@ -10,7 +10,13 @@ import textwrap
 import numpy as np
 import pytest
 
-from oscpurity.cli import main, parse_sweep_spec, phase_diagram, run_sweep
+from oscpurity.cli import (
+    build_parser,
+    main,
+    parse_sweep_spec,
+    phase_diagram,
+    run_sweep,
+)
 from oscpurity.errors import ConfigError
 from oscpurity.presets import PRESET_NAMES, REGIME_POINTS
 
@@ -247,6 +253,31 @@ def test_cli_runtime_never_imports_scipy(tmp_path):
     assert done.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0, 0, 0, 0] []"
 
 
+def test_cli_import_leaves_csv_formatter_tables_unbuilt():
+    # The CSV formatter's power-of-ten table is built on the first write, so
+    # importing the CLI pays neither for it nor for fractions or decimal.
+    script = textwrap.dedent(
+        """
+        import io, sys
+        import oscpurity.cli
+        from oscpurity import transport
+
+        before = transport._fmt_tables.cache_info().currsize
+        loaded = sorted({"fractions", "decimal"} & set(sys.modules))
+        transport.write_csv(io.StringIO(), "x", [[0.5]])
+        print(before, loaded, transport._fmt_tables.cache_info().currsize)
+        """
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 [] 1"
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------
@@ -260,6 +291,38 @@ def test_simulate_csv_is_byte_identical(config_file, tmp_path):
     assert read_bytes(os.path.join(out_a, "trajectory.csv")) == read_bytes(
         os.path.join(out_b, "trajectory.csv")
     )
+
+
+def test_parser_reused_across_main_calls(config_file, tmp_path, capsys):
+    # One process runs a usage error, simulate and isoso --expansion on the
+    # parser built by the first call; each gives the exit code and files of
+    # the same call on a freshly built parser.
+    t0, w, psi = REGIME_POINTS["U2a"]
+    iso = tmp_path / "u2a.cfg"
+    iso.write_text(
+        "omega_s = 1\nomega_e = %r\npsi = %r\nt0 = %r\nprofile = isoso\n"
+        % (1.0 / w, psi, t0)
+    )
+    runs = (
+        ["simulate"],
+        ["simulate", "--config", config_file],
+        ["isoso", "--config", str(iso), "--expansion", "U2a"],
+    )
+
+    def run_all(out, fresh):
+        codes = []
+        for argv in runs:
+            if fresh:
+                build_parser.cache_clear()
+            codes.append(main(argv + ["--out", out]))
+        return codes, {n: read_bytes(os.path.join(out, n)) for n in os.listdir(out)}
+
+    build_parser.cache_clear()
+    reused = run_all(str(tmp_path / "reused"), fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert reused[0] == [2, 0, 0]
+    assert sorted(reused[1]) == ["isoso.csv", "summary.json", "trajectory.csv"]
+    assert reused == run_all(str(tmp_path / "fresh"), fresh=True)
 
 
 def test_sweep_spec_with_workers_parses_and_sweeps():
