@@ -12,7 +12,6 @@ integration matrix (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071), and
 every quantity here is evaluated on a whole array of times at once.
 """
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -22,19 +21,13 @@ from numpy.polynomial import chebyshev
 from .errors import (
     ConfigError,
     DerivativeUndefined,
+    NoThreshold,
     PrecisionFloor,
     QuadratureNoConvergence,
     SupercriticalExcursion,
 )
-from .model import coupling_xi, coupling_xi_dot, frame_from_xi
-from .transport import (
-    IntegratorConfig,
-    _in_switch,
-    _segment_breakpoints,
-    integrate,
-    propagate,
-    purity_from_propagator,
-)
+from .model import ScenarioParams, coupling_xi, coupling_xi_dot, frame_from_xi, switch_segments
+from .transport import IntegratorConfig, integrate, propagate, purity_from_propagator
 
 #: Purity deficits below this are beyond double-precision resolution.
 DEFICIT_FLOOR = 1e-13
@@ -209,12 +202,11 @@ def accumulate_phases(p, t_end=None, rtol=1e-10, atol=1e-12):
     """Phases and moment integrals over [t_in, t_end] by cumulative
     Chebyshev panel quadrature.
 
-    The panel edges are t_in, t_end, the profile breakpoints and a tau / 20
-    grid in the switch regions (as in the perturbative quadrature), with no
-    panel wider than one period of the fastest channel, exp(2 i W2).  Each
-    panel is integrated at 33 Chebyshev-Lobatto nodes and at every other
-    one; a panel whose gap between the two exceeds, in any channel,
-    atol |panel| / |span| + rtol Int_panel |integrand| is bisected.
+    The panel edges are the steps of model.switch_segments with a cap of one
+    period of the fastest channel, exp(2 i W2).  Each panel is integrated at
+    33 Chebyshev-Lobatto nodes and at every other one; a panel whose gap
+    between the two exceeds, in any channel, atol |panel| / |span| + rtol
+    Int_panel |integrand| is bisected.
 
     Args:
         p: ScenarioParams (smooth subcritical profile).
@@ -234,14 +226,10 @@ def accumulate_phases(p, t_end=None, rtol=1e-10, atol=1e-12):
             "peak coupling psi = %g >= 1; profile is not subcritical" % p.psi
         )
     t_end = max(float(-p.t_in if t_end is None else t_end), p.t_in)
-    pts = _segment_breakpoints(p, p.t_in, t_end)
     # The fastest channel oscillates at 2 omega2 <= 2 omega2(peak).
     width = np.pi / frame_from_xi(p.xi0, p).omega2
-    edges = [pts]
-    for a, b in zip(pts[:-1], pts[1:]):
-        cap = min(width, p.tau / 20.0) if _in_switch(p, a, b) else width
-        edges.append(np.linspace(a, b, math.ceil((b - a) / cap) + 1))
-    edges = np.unique(np.concatenate(edges))
+    segments = switch_segments(p, p.t_in, t_end, width)
+    edges = np.unique(np.concatenate([np.linspace(lo, hi, n + 1) for lo, hi, n in segments]))
     if len(edges) < 2:  # t_end == t_in: one panel, only ever read at t_in
         edges = np.array([p.t_in, p.t_in + width])
     lo, hi = edges[:-1], edges[1:]
@@ -409,8 +397,6 @@ def recoherence_threshold_scan(
     Raises:
         ConfigError: for fewer than two grid points, which the line fit needs.
     """
-    from .errors import NoThreshold
-
     if len(tau_over_t0_grid) < 2:
         raise ConfigError("the threshold line fit needs at least two tau/t0 points")
     if cfg is None:
@@ -424,8 +410,6 @@ def recoherence_threshold_scan(
 
         def recoheres(t_omega):
             omega_e = p_base.omega_s * (1.0 + 1.0 / t_omega)
-            from .model import ScenarioParams
-
             p = ScenarioParams.from_psi(
                 p_base.omega_s, omega_e, psi, p_base.t0, tau, p_base.profile
             )

@@ -164,8 +164,9 @@ def parse_sweep_spec(text):
     accepted (an integer) and ignored, since sweeps run serially.
 
     Raises:
-        ConfigError: on a malformed spec, or a grid shorter than its
-            reduction needs.
+        ConfigError: on a malformed spec, a grid shorter than its reduction
+            needs, or an integrator key in a threshold spec, whose scan
+            sets its own tolerances.
     """
     sweep_lines = []
     base_lines = []
@@ -212,6 +213,11 @@ def parse_sweep_spec(text):
     else:
         grid = np.linspace(lo, hi, count)
     p, overrides = parse_config("\n".join(base_lines))
+    if kv["reduction"] == "threshold" and overrides:
+        raise ConfigError(
+            "reduction 'threshold' runs at its own tolerances; remove %s"
+            % ", ".join(sorted(overrides))
+        )
     cfg = IntegratorConfig(**overrides)
     return p, cfg, grid, kv["reduction"]
 

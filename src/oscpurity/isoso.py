@@ -16,8 +16,6 @@ from .symplectic import cauchy_binet
 #: Guard band around the critical coupling.
 NEAR_CRITICAL = 1e-8
 
-REGIME_CASES = ("U1", "U2a", "U2b", "C1", "C2", "O1a", "O1b", "O2")
-
 
 @dataclass(frozen=True)
 class BogoliubovSet:
@@ -199,26 +197,8 @@ def decoherence_rate(p):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpansionCase:
-    """One asymptotic expansion of the in-window purity."""
-
-    label: str
-    description: str
-
-
+#: The eight expansion cases and the regime labels of each one's domain.
 EXPANSIONS = {
-    "U1": ExpansionCase("U1", "weak coupling, hierarchical frequencies"),
-    "U2a": ExpansionCase("U2a", "weak coupling, frequency gap below psi"),
-    "U2b": ExpansionCase("U2b", "weak coupling, frequency gap above psi"),
-    "C1": ExpansionCase("C1", "near-critical, hierarchical frequencies"),
-    "C2": ExpansionCase("C2", "near-critical, comparable frequencies"),
-    "O1a": ExpansionCase("O1a", "over-critical, w below 1/psi"),
-    "O1b": ExpansionCase("O1b", "over-critical, w above 1/psi"),
-    "O2": ExpansionCase("O2", "over-critical, comparable frequencies"),
-}
-
-_CASE_FAMILY = {
     "U1": ("U1",),
     "U2a": ("U2a",),
     "U2b": ("U2b",),
@@ -228,16 +208,6 @@ _CASE_FAMILY = {
     "O1b": ("O1b",),
     "O2": ("O2",),
 }
-
-
-def _canonical_case(case):
-    if isinstance(case, ExpansionCase):
-        case = case.label
-    if case.startswith(("C1", "C2")) and case not in ("C1", "C2"):
-        case = case[:2]
-    if case not in EXPANSIONS:
-        raise ValueError("unknown expansion case %r" % (case,))
-    return case
 
 
 def regime_purity(case, dt, p):
@@ -256,9 +226,12 @@ def regime_purity(case, dt, p):
         Expansion value(s); NaN where the expansion breaks down (the
         expression under the inverse square root turns non-positive).
     """
-    case = _canonical_case(case)
+    if case.startswith(("C1", "C2")):
+        case = case[:2]
+    if case not in EXPANSIONS:
+        raise ValueError("unknown expansion case %r" % (case,))
     label = classify_regime(p.w, p.psi, p.omega_s).label
-    if label not in _CASE_FAMILY[case]:
+    if label not in EXPANSIONS[case]:
         warnings.warn(
             "parameters classify as %s, outside the %s domain" % (label, case),
             InvalidCaseWarning,

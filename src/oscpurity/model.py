@@ -91,33 +91,6 @@ class ScenarioParams:
         return replace(self, profile=profile, tau=self.tau if tau is None else tau)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Derived dimensionless quantities for a scenario."""
-
-    xi_c: float
-    w: float
-    psi: float
-    g_p: float
-    T_omega: Optional[float]
-    t_in: float
-
-
-def derived_params(p):
-    """Compute DerivedParams from ScenarioParams."""
-    t_omega = None
-    if p.omega_e != p.omega_s:
-        t_omega = p.omega_s / (p.omega_e - p.omega_s)
-    return DerivedParams(
-        xi_c=p.xi_c,
-        w=p.w,
-        psi=p.psi,
-        g_p=perturbativity_gp(p),
-        T_omega=t_omega,
-        t_in=p.t_in,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Coupling profile
 # ---------------------------------------------------------------------------
@@ -161,6 +134,42 @@ def coupling_xi_dot(t, p):
     da = 4.0 * eu / ((1.0 + eu) ** 2 * p.tau)
     db = -4.0 * ev / ((1.0 + ev) ** 2 * p.tau)
     return p.xi0 * (da * np.tanh(v) + np.tanh(u) * db) / (1.0 + np.tanh(p.t0 / p.tau) ** 2)
+
+
+def switch_segments(p, t_start, t_end, cap):
+    """Split [t_start, t_end] at the profile's features into segments of
+    equal steps: the one grid rule of the integrator and both quadratures.
+
+    The top-hat window breaks at +-t0.  The smooth one breaks at the edges
+    +-t0 -+ 10 tau of its switch regions, where steps are also capped at
+    tau / 20 to resolve the switch.
+
+    Args:
+        p: ScenarioParams.
+        t_start, t_end: the window.
+        cap: step cap everywhere (may be inf).
+
+    Returns:
+        list of (lo, hi, n): n = max(1, ceil((hi - lo) / step)) steps.
+    """
+    if p.profile == ISOSO:
+        candidates = [-p.t0, p.t0]
+    else:
+        half = 10.0 * p.tau  # half-width of a switch region
+        candidates = sorted([-p.t0 - half, -p.t0 + half, p.t0 - half, p.t0 + half])
+    pts = [t_start]
+    for c in candidates:
+        if t_start + 1e-12 < c < t_end - 1e-12 and c > pts[-1] + 1e-12:
+            pts.append(c)
+    pts.append(t_end)
+    near = 10.0 * p.tau + 1e-12
+    segments = []
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        mid = 0.5 * (lo + hi)
+        switch = p.profile == SMOOTH and min(abs(mid + p.t0), abs(mid - p.t0)) <= near
+        step = min(cap, p.tau / 20.0) if switch else cap
+        segments.append((lo, hi, max(1, math.ceil((hi - lo) / step))))
+    return segments
 
 
 def perturbativity_gp(p):
@@ -289,14 +298,13 @@ def frame_from_xi(xi, p, xi_dot=0.0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Classifier conventions (overridable via config)."""
-
-    psi_under: float = 0.5
-    psi_over: float = 2.0
-    w_split: float = 0.3
-    gp_perturbative: float = 0.1
+#: Regime classifier conventions: the psi bounds of the under- and
+#: over-critical regions, the w split between hierarchical and comparable
+#: frequencies, and the g_p bound of the perturbative flag.
+PSI_UNDER = 0.5
+PSI_OVER = 2.0
+W_SPLIT = 0.3
+GP_PERTURBATIVE = 0.1
 
 
 @dataclass(frozen=True)
@@ -306,14 +314,13 @@ class RegimeLabel:
     secular_time: Optional[float]
 
 
-def classify_regime(w, psi, omega_s=1.0, thresholds=RegimeThresholds()):
+def classify_regime(w, psi, omega_s=1.0):
     """Classify a point of the (w, psi) phase diagram.
 
     Args:
         w: frequency ratio omega_s/omega_e in (0, 1].
         psi: coupling ratio xi0/xi_c > 0.
         omega_s: system frequency used to dimension the secular time.
-        thresholds: classifier conventions.
 
     Returns:
         RegimeLabel with one of U1, U2a, U2b, C1plus, C1minus, C2plus,
@@ -323,23 +330,22 @@ def classify_regime(w, psi, omega_s=1.0, thresholds=RegimeThresholds()):
         raise ConfigError("w must lie in (0, 1]; swap the two modes otherwise")
     if psi <= 0:
         raise ConfigError("psi must be positive")
-    th = thresholds
-    if psi < th.psi_under:
-        if w < th.w_split:
+    if psi < PSI_UNDER:
+        if w < W_SPLIT:
             label = "U1"
         else:
             label = "U2a" if (1.0 / w - 1.0) < psi else "U2b"
-    elif psi <= th.psi_over:
+    elif psi <= PSI_OVER:
         sign = "plus" if psi > 1.0 else "minus"
-        label = ("C1" if w < th.w_split else "C2") + sign
+        label = ("C1" if w < W_SPLIT else "C2") + sign
     else:
-        if w < th.w_split:
+        if w < W_SPLIT:
             label = "O1a" if w < 1.0 / psi else "O1b"
         else:
             label = "O2"
     g_p = psi * np.sqrt(w / (2.0 * (1.0 + w * w)))
     sec = _secular_time(label, w, psi, omega_s)
-    return RegimeLabel(label, bool(g_p < th.gp_perturbative), sec)
+    return RegimeLabel(label, bool(g_p < GP_PERTURBATIVE), sec)
 
 
 def _secular_time(label, w, psi, omega_s):
@@ -355,12 +361,6 @@ def _secular_time(label, w, psi, omega_s):
             return 1.0 / (w * omega_s)
         return min(1.0 / w, 1.0 / np.sqrt(abs(dpsi))) / omega_s
     return None
-
-
-def secular_time(label, p):
-    """Secular break-down time for a labelled regime (None if unbounded)."""
-    name = label.label if isinstance(label, RegimeLabel) else label
-    return _secular_time(name, p.w, p.psi, p.omega_s)
 
 
 # ---------------------------------------------------------------------------

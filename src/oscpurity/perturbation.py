@@ -13,15 +13,13 @@ implementation evaluates that reduced form; the full symmetrized integrand
 is exposed for direct grid checks.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from .errors import QuadratureNoConvergence
-from .model import ISOSO, coupling_xi
-from .transport import _in_switch, _segment_breakpoints
+from .model import ISOSO, coupling_xi, perturbativity_gp, switch_segments
 
 
 @dataclass(frozen=True)
@@ -166,9 +164,10 @@ def _moments(t, p, q):
     """Moments C + i S of lambda at the sum frequency over [t_in, t] at the
     times t ((N,) array), and their error estimates.
 
-    The panel edges are the times, t_in, the profile breakpoints and, in the
-    switch regions, a grid no coarser than tau / 20; cumulative sums of the
-    panel moments give the moments at every time at once.
+    The panel edges are the times and the steps of model.switch_segments
+    with no cap: the profile breakpoints, and a tau / 20 grid in the switch
+    regions.  Cumulative sums of the panel moments give the moments at every
+    time at once.
     """
     om = p.omega_s + p.omega_e
     lam0 = p.xi0 / np.sqrt(p.omega_s * p.omega_e)
@@ -177,12 +176,10 @@ def _moments(t, p, q):
         c = lam0 * (np.sin(om * ts) - np.sin(om * -p.t0)) / om
         s = lam0 * (np.cos(om * -p.t0) - np.cos(om * ts)) / om
         return c + 1j * s, np.zeros(len(t))
-    pts = _segment_breakpoints(p, min(p.t_in, t.min()), max(p.t_in, t.max()))
-    edges = [t, pts]
-    for a, b in zip(pts[:-1], pts[1:]):
-        if _in_switch(p, a, b):
-            edges.append(np.linspace(a, b, math.ceil((b - a) / (p.tau / 20.0)) + 1))
-    edges = np.unique(np.concatenate(edges))
+    segments = switch_segments(p, min(p.t_in, t.min()), max(p.t_in, t.max()), np.inf)
+    edges = np.unique(
+        np.concatenate([t] + [np.linspace(lo, hi, n + 1) for lo, hi, n in segments])
+    )
     if len(edges) < 2:  # every time is t_in
         return np.zeros(len(t), dtype=complex), np.zeros(len(t))
     val, err = _panel_moments(edges, p, q)
@@ -244,8 +241,6 @@ def purity_o2_isoso(dt, p):
     Returns:
         1 - 4 g_p^2 (1 + w^2)/(1 + w)^2 sin^2[(w_S + w_E) dt / 2].
     """
-    from .model import perturbativity_gp
-
     dt = np.minimum(np.asarray(dt, dtype=float), 2.0 * p.t0)
     gp = perturbativity_gp(p)
     w = p.w

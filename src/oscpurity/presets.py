@@ -9,8 +9,8 @@ import numpy as np
 
 from . import adiabatic, isoso, markov, perturbation
 from .errors import InvalidCaseWarning
-from .model import ScenarioParams, classify_regime, derived_params, normal_mode_sq
-from .transport import IntegratorConfig, integrate, isoso_reference_run, write_csv
+from .model import ScenarioParams, classify_regime, normal_mode_sq, perturbativity_gp
+from .transport import integrate, isoso_reference_run, write_csv
 
 
 def _p(omega_e, psi, t0, tau=1.0, profile="smooth", omega_s=1.0):
@@ -32,63 +32,13 @@ REGIME_POINTS = {
 }
 
 
-def _regime_params(case):
-    t0, w, psi = REGIME_POINTS[case]
-    return _p(1.0 / w, psi, t0, profile="isoso")
-
-
-PRESET_NAMES = (
-    "fig2",
-    "fig3",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8L",
-    "fig8R",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14a",
-    "fig14b",
-    "fig14c",
-)
-
-
-def preset_scenarios(name):
-    """The ScenarioParams list a preset's trajectories are built from."""
-    if name == "fig2":
-        return [_p(2.0, psi, 10.0, 1.0) for psi in (0.5, 0.9, 1.1, 1.5)]
-    if name == "fig3":
-        return [_p(2.0, psi, 10.0, profile="isoso") for psi in (1.1, 0.9)]
-    if name == "fig5":
-        return [_regime_params(c) for c in ("U1", "U2a", "U2b")]
-    if name == "fig6":
-        return [
-            _regime_params(c) for c in ("C1plus", "C1minus", "C2plus", "C2minus")
-        ]
-    if name == "fig7":
-        return [_regime_params(c) for c in ("O1a", "O1b", "O2")]
-    if name == "fig8L":
-        return [_p(2.0, 0.9, 1.0, 50.0)]
-    if name in ("fig8R", "fig9"):
-        return [_p(2.0, 0.9, 1.0, 10.0)]
-    if name == "fig10":
-        return [_p(100.0, 1.1, 0.5, profile="isoso")]
-    if name == "fig11":
-        return [_p(1000.0, 7.0, 0.1, profile="isoso")]
-    if name == "fig12":
-        return [_p(2.0, 0.9, 1.0, 4.0)]
-    if name == "fig13":
-        return [_p(2.0, 0.9, 1.0, 5.0)]
-    if name == "fig14a":
-        return [_p(10.0, 0.5, 1.0, 0.01)]
-    if name == "fig14b":
-        return [_p(2.0, 1.1, 5.0, 1.0)]
-    if name == "fig14c":
-        return [_p(10.0, 1.1, 5.0, 1.0)]
-    raise KeyError("unknown preset %r" % (name,))
+def _regimes(*cases):
+    """Top-hat scenarios at labelled expansion points, keyed by case."""
+    scenarios = {}
+    for case in cases:
+        t0, w, psi = REGIME_POINTS[case]
+        scenarios[case] = _p(1.0 / w, psi, t0, profile="isoso")
+    return scenarios
 
 
 def write_markov_csv(path, series):
@@ -114,7 +64,6 @@ def summarize(p, gamma_min=None, gamma_inf=None, **extra):
     omega1_abs = sqrt|omega1^2| at peak coupling comes from the closed form,
     so it reads 0 rather than failing at exactly critical coupling.
     """
-    d = derived_params(p)
     label = classify_regime(min(p.w, 1.0 / p.w), p.psi, p.omega_s)
     out = {
         "schema": 1,
@@ -122,133 +71,189 @@ def summarize(p, gamma_min=None, gamma_inf=None, **extra):
         "gamma_inf": gamma_inf,
         "regime": label.label,
         "omega1_abs": float(np.sqrt(abs(normal_mode_sq(p.xi0, p)[0]))),
-        "g_p": d.g_p,
-        "xi_c": d.xi_c,
+        "g_p": perturbativity_gp(p),
+        "xi_c": p.xi_c,
     }
     out.update(extra)
     return out
 
 
+def _summary(p, purity):
+    """summarize with the minimum and the last value of a purity series."""
+    return summarize(p, float(np.min(purity)), float(purity[-1]))
+
+
+# ---------------------------------------------------------------------------
+# Runners: each writes the CSV files of a preset's scenarios, given keyed by
+# the tag of their file names, and returns one summary per scenario.
+# ---------------------------------------------------------------------------
+
+
+def _run_trajectories(name, scenarios, outdir):
+    """Exact trajectories; for fig14, also their Markovianity series."""
+    summaries = []
+    for i, p in scenarios.items():
+        traj = integrate(p)
+        traj.to_csv(os.path.join(outdir, "%s_traj%d.csv" % (name, i)))
+        if name.startswith("fig14"):
+            series = markov.markov_series(traj, p, "drop-negative", stride=4)
+            write_markov_csv(os.path.join(outdir, "%s_markov%d.csv" % (name, i)), series)
+        summaries.append(_summary(p, traj.purity_s))
+    return summaries
+
+
+def _run_isoso_reference(name, scenarios, outdir):
+    """Top-hat closed form against a near-top-hat smooth integration."""
+    summaries = []
+    for i, p in scenarios.items():
+        traj = isoso_reference_run(p)
+        m = (traj.t >= -p.t0) & (traj.t <= p.t0)
+        write_csv(
+            os.path.join(outdir, "%s_compare%d.csv" % (name, i)),
+            "t,purity_analytic,purity_numeric",
+            [traj.t[m], isoso.isoso_purity(traj.t[m], p), traj.purity_s[m]],
+        )
+        summaries.append(_summary(p, traj.purity_s))
+    return summaries
+
+
+def _run_regimes(name, scenarios, outdir):
+    """Top-hat closed form against the expansion of each labelled case."""
+    summaries = []
+    for case, p in scenarios.items():
+        ts = np.linspace(-p.t0, p.t0, 801)
+        gammas = isoso.isoso_purity(ts, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InvalidCaseWarning)
+            expansion = isoso.regime_purity(case, ts + p.t0, p)
+        write_csv(
+            os.path.join(outdir, "%s_%s.csv" % (name, case)),
+            "t,purity_analytic,purity_expansion",
+            [ts, gammas, expansion],
+        )
+        summaries.append(_summary(p, gammas))
+    return summaries
+
+
+def _run_adiabatic(name, scenarios, outdir):
+    """Slow-switching purity against the exact one; for fig9, the two NLO
+    contributions instead."""
+    (p,) = scenarios.values()
+    traj = integrate(p)
+    acc = adiabatic.accumulate_phases(p)
+    stride = 8
+    ts = traj.t[::stride]
+    if name == "fig9":
+        write_csv(
+            os.path.join(outdir, "fig9_contributions.csv"),
+            "t,itilde_omega,itilde_theta",
+            [ts, *adiabatic.nlo_contributions(ts, p, acc)],
+        )
+    else:
+        lo = adiabatic.purity_adiabatic_lo(ts, p)
+        nlo = adiabatic.purity_nlo_correction(ts, p, acc)
+        write_csv(
+            os.path.join(outdir, "%s_adiabatic.csv" % name),
+            "t,purity_exact,purity_lo,purity_lo_plus_nlo",
+            [ts, traj.purity_s[::stride], lo, lo + nlo],
+        )
+    return [_summary(p, traj.purity_s)]
+
+
+def _run_perturbative(name, scenarios, outdir):
+    """Top-hat closed form against its second-order closed form."""
+    (p,) = scenarios.values()
+    ts = np.linspace(-p.t0, p.t0, 2001)
+    gammas = isoso.isoso_purity(ts, p)
+    write_csv(
+        os.path.join(outdir, "%s_perturbative.csv" % name),
+        "t,purity_analytic,purity_o2",
+        [ts, gammas, perturbation.purity_o2_isoso(ts + p.t0, p)],
+    )
+    return [_summary(p, gammas)]
+
+
+def _run_slope(name, scenarios, outdir):
+    """Late-time deficits and their log-log slopes over a tau grid."""
+    (p,) = scenarios.values()
+    taus = np.array([4.0, 5.0, 6.3, 7.9, 10.0, 14.1, 20.0]) * p.t0
+    res = adiabatic.nonanalyticity_slope(p, taus)
+    write_csv(
+        os.path.join(outdir, "fig12_deficit.csv"),
+        "tau_over_t0,deficit",
+        [res["tau_over_t0"], res["deficit"]],
+    )
+    write_csv(
+        os.path.join(outdir, "fig12_slope.csv"),
+        "tau_over_t0,slope,flagged",
+        [res["mid_tau_over_t0"], res["slope"], res["flagged"].astype(float)],
+    )
+    return [summarize(p, float("nan"), float(1.0 - res["deficit"][0]))]
+
+
+def _run_threshold(name, scenarios, outdir):
+    """Recoherence threshold per switch rate, and its line fit."""
+    (p,) = scenarios.values()
+    # One decade of switch-rate ratios inside the linear-threshold
+    # region (the threshold diverges once tau/t0 approaches ~10).
+    ratios = (0.8, 1.4, 2.5, 4.5, 8.0)
+    res = adiabatic.recoherence_threshold_scan(p, ratios)
+    fit = [[res[key]] * len(res["tau_over_t0"]) for key in ("slope", "r_squared")]
+    write_csv(
+        os.path.join(outdir, "fig13_threshold.csv"),
+        "tau_over_t0,T_omega_thr,slope_fit,r_squared",
+        [res["tau_over_t0"], res["T_omega_thr"], *fit],
+    )
+    nan = float("nan")
+    return [
+        summarize(
+            p, nan, nan, threshold_slope=res["slope"], threshold_r_squared=res["r_squared"]
+        )
+    ]
+
+
+#: Preset name -> (runner, scenarios keyed by the tag of their file names).
+PRESETS = {
+    "fig2": (
+        _run_trajectories,
+        dict(enumerate(_p(2.0, psi, 10.0) for psi in (0.5, 0.9, 1.1, 1.5))),
+    ),
+    "fig3": (
+        _run_isoso_reference,
+        dict(enumerate(_p(2.0, psi, 10.0, profile="isoso") for psi in (1.1, 0.9))),
+    ),
+    "fig5": (_run_regimes, _regimes("U1", "U2a", "U2b")),
+    "fig6": (_run_regimes, _regimes("C1plus", "C1minus", "C2plus", "C2minus")),
+    "fig7": (_run_regimes, _regimes("O1a", "O1b", "O2")),
+    "fig8L": (_run_adiabatic, {0: _p(2.0, 0.9, 1.0, 50.0)}),
+    "fig8R": (_run_adiabatic, {0: _p(2.0, 0.9, 1.0, 10.0)}),
+    "fig9": (_run_adiabatic, {0: _p(2.0, 0.9, 1.0, 10.0)}),
+    "fig10": (_run_perturbative, {0: _p(100.0, 1.1, 0.5, profile="isoso")}),
+    "fig11": (_run_perturbative, {0: _p(1000.0, 7.0, 0.1, profile="isoso")}),
+    "fig12": (_run_slope, {0: _p(2.0, 0.9, 1.0, 4.0)}),
+    "fig13": (_run_threshold, {0: _p(2.0, 0.9, 1.0, 5.0)}),
+    "fig14a": (_run_trajectories, {0: _p(10.0, 0.5, 1.0, 0.01)}),
+    "fig14b": (_run_trajectories, {0: _p(2.0, 1.1, 5.0, 1.0)}),
+    "fig14c": (_run_trajectories, {0: _p(10.0, 1.1, 5.0, 1.0)}),
+}
+
+PRESET_NAMES = tuple(PRESETS)
+
+
+def preset_scenarios(name):
+    """The ScenarioParams list a preset's runs are built from."""
+    return list(PRESETS[name][1].values())
+
+
 def run_preset(name, outdir):
-    """Run a preset and write its CSV artifacts.
+    """Run a preset and write its CSV artifacts and summary JSON.
 
     Returns:
         JSON-serializable summary dict (schema 1).
     """
+    runner, scenarios = PRESETS[name]
     os.makedirs(outdir, exist_ok=True)
-    cfg = IntegratorConfig()
-    summaries = []
-
-    if name in ("fig2", "fig14a", "fig14b", "fig14c"):
-        for i, p in enumerate(preset_scenarios(name)):
-            traj = integrate(p, cfg)
-            traj.to_csv(os.path.join(outdir, "%s_traj%d.csv" % (name, i)))
-            if name.startswith("fig14"):
-                series = markov.markov_series(traj, p, "drop-negative", stride=4)
-                write_markov_csv(
-                    os.path.join(outdir, "%s_markov%d.csv" % (name, i)), series
-                )
-            summaries.append(
-                summarize(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
-            )
-    elif name == "fig3":
-        for i, p in enumerate(preset_scenarios(name)):
-            traj = isoso_reference_run(p, cfg)
-            m = (traj.t >= -p.t0) & (traj.t <= p.t0)
-            write_csv(
-                os.path.join(outdir, "%s_compare%d.csv" % (name, i)),
-                "t,purity_analytic,purity_numeric",
-                [traj.t[m], isoso.isoso_purity(traj.t[m], p), traj.purity_s[m]],
-            )
-            summaries.append(
-                summarize(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
-            )
-    elif name in ("fig5", "fig6", "fig7"):
-        cases = {
-            "fig5": ("U1", "U2a", "U2b"),
-            "fig6": ("C1plus", "C1minus", "C2plus", "C2minus"),
-            "fig7": ("O1a", "O1b", "O2"),
-        }[name]
-        for case in cases:
-            p = _regime_params(case)
-            ts = np.linspace(-p.t0, p.t0, 801)
-            gammas = isoso.isoso_purity(ts, p)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", InvalidCaseWarning)
-                expansion = isoso.regime_purity(case, ts + p.t0, p)
-            write_csv(
-                os.path.join(outdir, "%s_%s.csv" % (name, case)),
-                "t,purity_analytic,purity_expansion",
-                [ts, gammas, expansion],
-            )
-            summaries.append(summarize(p, float(np.min(gammas)), float(gammas[-1])))
-    elif name in ("fig8L", "fig8R", "fig9"):
-        (p,) = preset_scenarios(name)
-        traj = integrate(p, cfg)
-        acc = adiabatic.accumulate_phases(p)
-        stride = 8
-        ts = traj.t[::stride]
-        if name == "fig9":
-            write_csv(
-                os.path.join(outdir, "fig9_contributions.csv"),
-                "t,itilde_omega,itilde_theta",
-                [ts, *adiabatic.nlo_contributions(ts, p, acc)],
-            )
-        else:
-            lo = adiabatic.purity_adiabatic_lo(ts, p)
-            nlo = adiabatic.purity_nlo_correction(ts, p, acc)
-            write_csv(
-                os.path.join(outdir, "%s_adiabatic.csv" % name),
-                "t,purity_exact,purity_lo,purity_lo_plus_nlo",
-                [ts, traj.purity_s[::stride], lo, lo + nlo],
-            )
-        summaries.append(
-            summarize(p, float(np.min(traj.purity_s)), float(traj.purity_s[-1]))
-        )
-    elif name in ("fig10", "fig11"):
-        (p,) = preset_scenarios(name)
-        ts = np.linspace(-p.t0, p.t0, 2001)
-        gammas = isoso.isoso_purity(ts, p)
-        write_csv(
-            os.path.join(outdir, "%s_perturbative.csv" % name),
-            "t,purity_analytic,purity_o2",
-            [ts, gammas, perturbation.purity_o2_isoso(ts + p.t0, p)],
-        )
-        summaries.append(summarize(p, float(np.min(gammas)), float(gammas[-1])))
-    elif name == "fig12":
-        (p,) = preset_scenarios(name)
-        taus = np.array([4.0, 5.0, 6.3, 7.9, 10.0, 14.1, 20.0]) * p.t0
-        res = adiabatic.nonanalyticity_slope(p, taus)
-        write_csv(
-            os.path.join(outdir, "fig12_deficit.csv"),
-            "tau_over_t0,deficit",
-            [res["tau_over_t0"], res["deficit"]],
-        )
-        write_csv(
-            os.path.join(outdir, "fig12_slope.csv"),
-            "tau_over_t0,slope,flagged",
-            [res["mid_tau_over_t0"], res["slope"], res["flagged"].astype(float)],
-        )
-        summaries.append(summarize(p, float("nan"), float(1.0 - res["deficit"][0])))
-    elif name == "fig13":
-        (p,) = preset_scenarios(name)
-        # One decade of switch-rate ratios inside the linear-threshold
-        # region (the threshold diverges once tau/t0 approaches ~10).
-        ratios = (0.8, 1.4, 2.5, 4.5, 8.0)
-        res = adiabatic.recoherence_threshold_scan(p, ratios)
-        fit = [[res[key]] * len(res["tau_over_t0"]) for key in ("slope", "r_squared")]
-        write_csv(
-            os.path.join(outdir, "fig13_threshold.csv"),
-            "tau_over_t0,T_omega_thr,slope_fit,r_squared",
-            [res["tau_over_t0"], res["T_omega_thr"], *fit],
-        )
-        s = summarize(p, float("nan"), float("nan"))
-        s["threshold_slope"] = res["slope"]
-        s["threshold_r_squared"] = res["r_squared"]
-        summaries.append(s)
-    else:
-        raise KeyError("unknown preset %r" % (name,))
-
+    summaries = runner(name, scenarios, outdir)
     summary = {"schema": 1, "preset": name, "runs": summaries}
     with open(os.path.join(outdir, "%s_summary.json" % name), "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)

@@ -14,16 +14,6 @@ import numpy as np
 #: Single-mode symplectic form [[0, 1], [-1, 0]].
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-#: Two-mode symplectic form, block-diagonal in (x_S, p_S, x_E, p_E) ordering.
-OMEGA4 = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
-
 # Column pairs (i < j) of the 2x2 minors in cauchy_binet.
 _MINOR_I, _MINOR_J = np.triu_indices(4, 1)
 

@@ -13,9 +13,9 @@ The integrator is the sixth-order Magnus method at the three Gauss-Legendre
 nodes of each step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151):
 every step is the exponential of a Hamiltonian matrix, so U stays symplectic
 to round-off, and a step is exact wherever xi is constant.  The window is
-split into segments at the profile's switch regions, and all segments refine
-together: each starts from a step cap that resolves the oscillation and the
-switch, and each level doubles the number of equal steps of every segment
+split into the segments of model.switch_segments, and all segments refine
+together: each starts from a step count that resolves the oscillation and
+the switch, and each level doubles the number of equal steps of every segment
 still refining, in one batch of Magnus steps, until the segment's Richardson
 estimate |P_2n - P_n| / 63 is at most atol + rtol |P_2n| (max-abs norms).
 
@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, StepFailure
-from .model import ISOSO, SMOOTH, coupling_xi, normal_mode_sq
+from .model import ISOSO, SMOOTH, coupling_xi, normal_mode_sq, switch_segments
 from .symplectic import cauchy_binet
 
 #: dK/dxi: the coupling enters K = Omega H only as K[1, 2] = K[3, 0] = -xi.
@@ -628,46 +628,6 @@ def _resolve_t_end(p, cfg):
     return max(p.t0, 0.5 * p.tau * arccosh)
 
 
-def _segment_breakpoints(p, t_start, t_end):
-    """Split [t_start, t_end] at profile features.
-
-    Top-hat: exact breaks at +-t0.  Smooth: breaks bracketing the switch
-    regions (+-t0 -+ 10 tau) so the fine step cap applies only there.
-    """
-    if p.profile == ISOSO:
-        candidates = [-p.t0, p.t0]
-    else:
-        candidates = [
-            -p.t0 - 10.0 * p.tau,
-            -p.t0 + 10.0 * p.tau,
-            p.t0 - 10.0 * p.tau,
-            p.t0 + 10.0 * p.tau,
-        ]
-    pts = [t_start]
-    for c in sorted(candidates):
-        if t_start + 1e-12 < c < t_end - 1e-12 and c > pts[-1] + 1e-12:
-            pts.append(c)
-    pts.append(t_end)
-    return pts
-
-
-def _in_switch(p, t_lo, t_hi):
-    """Whether the segment [t_lo, t_hi] of _segment_breakpoints lies in a
-    switch region (+-t0 -+ 10 tau) of a smooth profile, where steps and
-    quadrature panels are capped at tau / 20 to resolve the switch."""
-    mid = 0.5 * (t_lo + t_hi)
-    near = 10.0 * p.tau + 1e-12
-    return p.profile == SMOOTH and (abs(mid + p.t0) <= near or abs(mid - p.t0) <= near)
-
-
-def _segment_max_step(p, t_lo, t_hi, cfg):
-    osc = 0.05 * 2.0 * np.pi / _omega2_peak(p)
-    cap = min(osc, p.tau / 20.0) if _in_switch(p, t_lo, t_hi) else osc
-    if cfg.max_step is not None:
-        cap = min(cap, cfg.max_step)
-    return cap
-
-
 def _solve(p, cfg, t_end, keep_nodes):
     """Propagate U from t_in to t_end, refining all segments together.
 
@@ -682,12 +642,12 @@ def _solve(p, cfg, t_end, keep_nodes):
         keep_nodes, else None.
     """
     stepper = _MagnusStepper(p)
-    pts = _segment_breakpoints(p, p.t_in, t_end)
-    bounds = list(zip(pts[:-1], pts[1:]))
-    n = [
-        max(1, math.ceil((hi - lo) / _segment_max_step(p, lo, hi, cfg)))
-        for lo, hi in bounds
-    ]
+    cap = 0.05 * 2.0 * np.pi / _omega2_peak(p)
+    if cfg.max_step is not None:
+        cap = min(cap, cfg.max_step)
+    segments = switch_segments(p, p.t_in, t_end, cap)
+    bounds = [(lo, hi) for lo, hi, _ in segments]
+    n = [count for _, _, count in segments]
     for (lo, hi), count in zip(bounds, n):
         if count > MAX_STEPS:
             raise StepFailure("[%g, %g] needs more than %d steps" % (lo, hi, MAX_STEPS))

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from oscpurity.errors import NonPhysicalState, StepFailure
+from oscpurity.model import switch_segments
 from oscpurity.symplectic import det2
 
 #: Unit round-off of the extended-precision accumulator.
@@ -17,6 +18,16 @@ LD_EPS = float(np.finfo(np.longdouble).eps)
 # anything below 1 - DET_TOL is treated as unphysical.
 DET_CLAMP = 1e-9
 DET_TOL = 1e-6
+
+#: Two-mode symplectic form, block-diagonal in (x_S, p_S, x_E, p_E) ordering.
+OMEGA4 = np.array(
+    [
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0, 0.0],
+    ]
+)
 
 
 def inv2(m):
@@ -117,9 +128,7 @@ def solve_per_segment(p, cfg, t_end, keep_nodes):
             raise StepFailure("propagator overflow on [%g, %g]" % (t_lo, t_hi))
         return total, (np.concatenate(nodes) if keep else None)
 
-    def segment(stepper, t_lo, t_hi):
-        cap = tr._segment_max_step(p, t_lo, t_hi, cfg)
-        n = max(1, math.ceil((t_hi - t_lo) / cap))
+    def segment(stepper, t_lo, t_hi, n):
         if n > tr.MAX_STEPS:
             raise StepFailure(
                 "[%g, %g] needs more than %d steps" % (t_lo, t_hi, tr.MAX_STEPS)
@@ -141,9 +150,11 @@ def solve_per_segment(p, cfg, t_end, keep_nodes):
     stepper = tr._MagnusStepper(p)
     u = np.eye(4)
     times, props, levels = [np.array([p.t_in])], [u[None]], []
-    pts = tr._segment_breakpoints(p, p.t_in, t_end)
-    for t_lo, t_hi in zip(pts[:-1], pts[1:]):
-        seg, nodes, n, count = segment(stepper, t_lo, t_hi)
+    cap = 0.05 * 2.0 * np.pi / tr._omega2_peak(p)
+    if cfg.max_step is not None:
+        cap = min(cap, cfg.max_step)
+    for t_lo, t_hi, n in switch_segments(p, p.t_in, t_end, cap):
+        seg, nodes, n, count = segment(stepper, t_lo, t_hi, n)
         levels.append(count)
         if keep_nodes:
             times.append(t_lo + (t_hi - t_lo) / n * np.arange(1, n + 1))

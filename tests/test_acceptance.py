@@ -35,7 +35,7 @@ from oscpurity.markov import (
     noise_B,
     purity_rate,
 )
-from oscpurity.model import ScenarioParams, frame_from_xi
+from oscpurity.model import ScenarioParams, frame_from_xi, perturbativity_gp
 from oscpurity.presets import (
     PRESET_NAMES,
     REGIME_POINTS,
@@ -193,9 +193,7 @@ def test_criterion_04_regime_expansion_suite():
             # Early-time agreement with the second-order closed form:
             # the difference must be higher-order small compared with the
             # O(g_p^2) purity deficit itself.
-            from oscpurity.model import derived_params
-
-            gp4 = derived_params(p).g_p ** 4
+            gp4 = perturbativity_gp(p) ** 4
             hi = min(2.0 / (p.omega_s + p.omega_e), 2.0 * p.t0)
             dts = np.linspace(0.0, hi, 9)
             deficits = [abs(1.0 - perturbation.purity_o2_isoso(dt, p)) for dt in dts]

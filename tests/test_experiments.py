@@ -194,6 +194,41 @@ def test_sweep_grid_too_short_for_reduction(reduction, count, tmp_path, capsys, 
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "rtol = 1e-12",
+        "atol = 1e-14",
+        "max_step = 0.1",
+        "sample_dt = 0.1",
+        "t_end_policy = cutoff",
+        "cutoff_threshold = 1e-8",
+    ],
+)
+def test_threshold_sweep_rejects_integrator_keys(line, tmp_path, capsys, monkeypatch):
+    # The threshold scan runs at its own tolerances: an integrator key in its
+    # spec would be ignored, so it is rejected while parsing, before any cell
+    # is integrated.
+    import oscpurity.adiabatic as adiabatic_mod
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a cell")
+
+    monkeypatch.setattr(adiabatic_mod, "recoherence_threshold_scan", no_integration)
+    spec = tmp_path / "threshold.spec"
+    spec.write_text(
+        SWEEP_SPEC.replace("reduction = latetime_purity", "reduction = threshold")
+        + line
+        + "\n"
+    )
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--spec", str(spec), "--out", out]) == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not os.path.exists(out)
+    with pytest.raises(ConfigError):
+        parse_sweep_spec(spec.read_text())
+
+
 @pytest.mark.parametrize("order", ["0", "1"])
 def test_adiabatic_on_top_hat_is_config_error(order, tmp_path, capsys):
     path = tmp_path / "tophat.cfg"

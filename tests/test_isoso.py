@@ -24,6 +24,7 @@ from oscpurity.isoso import (
     regime_purity,
 )
 from oscpurity.model import ScenarioParams, frame_from_xi
+from oscpurity.presets import REGIME_POINTS
 from test_transport import oracle_sigma
 
 
@@ -151,20 +152,6 @@ def test_decoherence_rate():
 # ---------------------------------------------------------------------------
 
 
-REGIME_POINTS = {
-    "U1": (0.3, 1e-2, 1e-2),
-    "U2a": (10.0, 1.0 / 1.01, 0.1),
-    "U2b": (10.0, 1.0 / 1.1, 0.01),
-    "C1plus": (5.0, 0.1, 1.1),
-    "C1minus": (5.0, 0.1, 0.9),
-    "C2plus": (5.0, 1.0 / 1.1, 1.1),
-    "C2minus": (5.0, 1.0 / 1.1, 0.9),
-    "O1a": (0.2, 1e-2, 10.0),
-    "O1b": (0.2, 0.1, 100.0),
-    "O2": (2.0, 1.0 / 1.1, 10.0),
-}
-
-
 def regime_params(case):
     t0, w, psi = REGIME_POINTS[case]
     return ScenarioParams.from_psi(1.0, 1.0 / w, psi, t0, profile="isoso")
@@ -223,3 +210,6 @@ def test_mismatched_case_warns():
 
 def test_expansion_registry():
     assert set(EXPANSIONS) == {"U1", "U2a", "U2b", "C1", "C2", "O1a", "O1b", "O2"}
+    # Every labelled regime point lies in the domain of exactly one case.
+    for label in REGIME_POINTS:
+        assert sum(label in labels for labels in EXPANSIONS.values()) == 1, label

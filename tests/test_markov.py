@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from numutil import map_pair_rk45
+from numutil import OMEGA4, map_pair_rk45
 
 from oscpurity.errors import NonPhysicalState
 from oscpurity.markov import (
@@ -32,7 +32,7 @@ from oscpurity.markov import (
 )
 from oscpurity.model import ScenarioParams
 from oscpurity.presets import preset_scenarios
-from oscpurity.symplectic import OMEGA4, det2, eig_sym2, symmetrize
+from oscpurity.symplectic import det2, eig_sym2, symmetrize
 from oscpurity.transport import (
     IntegratorConfig,
     integrate,

@@ -12,16 +12,14 @@ from oscpurity.transport import IntegratorConfig
 from oscpurity.model import (
     ISOSO,
     SMOOTH,
-    RegimeThresholds,
     ScenarioParams,
     classify_regime,
     coupling_xi,
     coupling_xi_dot,
-    derived_params,
     frame_from_xi,
     parse_config,
     perturbativity_gp,
-    secular_time,
+    switch_segments,
 )
 
 
@@ -60,9 +58,6 @@ def test_derived_quantities():
     assert p.w == pytest.approx(0.5)
     assert p.t_in == pytest.approx(-10.0 - 20.0)
     assert p.with_profile(ISOSO).t_in == pytest.approx(-10.0)
-    d = derived_params(p)
-    assert d.T_omega == pytest.approx(1.0)
-    assert d.g_p == pytest.approx(perturbativity_gp(p))
 
 
 def test_perturbativity_closed_forms_agree():
@@ -118,6 +113,45 @@ def test_isoso_profile():
     assert coupling_xi(p.t0 + 1e-9, p) == 0.0
     with pytest.raises(DerivativeUndefined):
         coupling_xi_dot(0.0, p)
+
+
+def test_switch_segments_smooth_window():
+    # Breaks at +-t0 -+ 10 tau; tau / 20 = 0.025 caps the two switch regions.
+    p = make_params(t0=10.0, tau=0.5)
+    assert switch_segments(p, p.t_in, -p.t_in, 0.3) == [
+        (-20.0, -15.0, 17),
+        (-15.0, -5.0, 400),
+        (-5.0, 5.0, 34),
+        (5.0, 15.0, 400),
+        (15.0, 20.0, 17),
+    ]
+
+
+def test_switch_segments_top_hat_window():
+    # Breaks at +-t0 only, and no tau / 20 cap anywhere.
+    p = make_params(t0=10.0, tau=1.0, profile=ISOSO)
+    assert switch_segments(p, -12.0, 12.0, 0.3) == [
+        (-12.0, -10.0, 7),
+        (-10.0, 10.0, 67),
+        (10.0, 12.0, 7),
+    ]
+    assert switch_segments(p, p.t_in, -p.t_in, 0.3) == [(-10.0, 10.0, 67)]
+    # A break within 1e-12 of a window end leaves no sliver segment.
+    assert switch_segments(p, -10.0 - 1e-13, 10.0 + 1e-13, 0.3) == [
+        (-10.0 - 1e-13, 10.0 + 1e-13, 67)
+    ]
+
+
+def test_switch_segments_without_cap():
+    # cap = inf: one step outside the switch regions, tau / 20 inside.
+    p = make_params(t0=10.0, tau=0.5)
+    counts = [n for _, _, n in switch_segments(p, p.t_in, -p.t_in, np.inf)]
+    assert counts == [1, 400, 1, 400, 1]
+
+
+def test_switch_segments_window_starting_in_switch_region():
+    p = make_params(t0=10.0, tau=0.5)
+    assert switch_segments(p, -10.0, 0.0, 0.3) == [(-10.0, -5.0, 200), (-5.0, 0.0, 17)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +270,9 @@ def test_secular_times():
     lbl = classify_regime(1e-2, 1e-2)
     assert lbl.secular_time == pytest.approx(1.0 / 1e-4)
     assert classify_regime(1.0 / 1.1, 10.0).secular_time is None
-    p = make_params()
-    assert secular_time("U2a", p) == pytest.approx(1.0 / (p.omega_s * p.psi))
-
-
-def test_thresholds_are_overridable():
-    th = RegimeThresholds(psi_under=0.2)
-    assert classify_regime(0.5, 0.3, thresholds=th).label.startswith("C")
+    lbl = classify_regime(1.0 / 1.01, 0.1, omega_s=2.0)
+    assert lbl.label == "U2a"
+    assert lbl.secular_time == pytest.approx(1.0 / (2.0 * 0.1))
 
 
 # ---------------------------------------------------------------------------

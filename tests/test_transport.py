@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numutil import (
+    OMEGA4,
     cutoff_time_brentq,
     det_sigma_via_propagator,
     dop853_propagators,
@@ -26,8 +27,7 @@ from numutil import (
 
 from oscpurity import transport
 from oscpurity.errors import ConfigError, StepFailure
-from oscpurity.model import ISOSO, ScenarioParams, frame_from_xi
-from oscpurity.symplectic import OMEGA4
+from oscpurity.model import ISOSO, ScenarioParams, frame_from_xi, switch_segments
 from oscpurity.transport import (
     IntegratorConfig,
     default_sample_dt,
@@ -638,7 +638,7 @@ def test_stepper_calls_per_level(monkeypatch):
         return steps(self, t0, h)
 
     monkeypatch.setattr(transport._MagnusStepper, "steps", counted)
-    assert len(transport._segment_breakpoints(p, p.t_in, -p.t_in)) == 6
+    assert len(switch_segments(p, p.t_in, -p.t_in, np.inf)) == 5
     traj = integrate(p, IntegratorConfig())
     assert len(calls) == 3
     assert calls[1] == len(traj.step_t) - 1 <= transport._CHUNK
