@@ -6,20 +6,18 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 import argparse
 import functools
-import json
 import os
 import sys
 import warnings
 
 import numpy as np
 
-from . import adiabatic, isoso, markov, perturbation, presets
+from . import adiabatic, isoso, markov, output, perturbation, presets
 from .errors import ConfigError, InvalidCaseWarning, OscPurityError
 from .model import ISOSO, classify_regime, parse_config
-from .presets import summarize, write_markov_csv
-from .transport import FMT, IntegratorConfig, integrate, write_csv
+from .transport import IntegratorConfig, integrate
 
-_SWEEP_KEYS = {"param", "grid", "min", "max", "count", "reduction", "workers"}
+_SWEEP_KEYS = {"param", "grid", "min", "max", "count", "reduction"}
 
 #: Sweep reductions and the fewest grid points each needs: the centered
 #: log-log slope takes three, the threshold line fit two.
@@ -39,14 +37,6 @@ def _load_scenario(path):
     return p, IntegratorConfig(**overrides)
 
 
-def _emit(summary, json_mode):
-    if json_mode:
-        print(json.dumps(summary, sort_keys=True))
-    else:
-        for key in sorted(summary):
-            print("%s: %s" % (key, summary[key]))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -56,15 +46,10 @@ def cmd_simulate(args):
     p, cfg = _load_scenario(args.config)
     traj = integrate(p, cfg)
     os.makedirs(args.out, exist_ok=True)
-    traj.to_csv(os.path.join(args.out, "trajectory.csv"))
-    summary = summarize(
-        p,
-        gamma_min=float(np.min(traj.purity_s)),
-        gamma_inf=float(traj.purity_s[-1]),
-    )
-    with open(os.path.join(args.out, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-    _emit(summary, args.json)
+    output.write_trajectory(os.path.join(args.out, "trajectory.csv"), traj)
+    summary = output.summarize_purity(p, traj.purity_s)
+    output.write_json(os.path.join(args.out, "summary.json"), summary)
+    output.emit(summary, args.json)
     return 0
 
 
@@ -72,35 +57,25 @@ def cmd_isoso(args):
     p, _ = _load_scenario(args.config)
     ts = np.linspace(-p.t0, p.t0, 2001)
     gam = isoso.isoso_purity(ts, p)
-    header = "t,purity_analytic"
+    header, columns = "t,purity_analytic", [ts, gam]
     if args.expansion is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InvalidCaseWarning)
             exp = isoso.regime_purity(args.expansion, ts + p.t0, p)
-        columns = [ts, gam, exp]
-        header += ",purity_expansion"
-    else:
-        columns = [ts, gam]
+        header, columns = header + ",purity_expansion", columns + [exp]
     os.makedirs(args.out, exist_ok=True)
-    write_csv(os.path.join(args.out, "isoso.csv"), header, columns)
-    _emit(
-        summarize(p, gamma_min=float(np.min(gam)), gamma_inf=float(gam[-1])),
-        args.json,
-    )
+    output.write_csv(os.path.join(args.out, "isoso.csv"), header, columns)
+    output.emit(output.summarize_purity(p, gam), args.json)
     return 0
 
 
 def cmd_perturb(args):
     p, _ = _load_scenario(args.config)
-    t_end = -p.t_in
-    ts = np.linspace(p.t_in, t_end, 2001)
+    ts = np.linspace(p.t_in, -p.t_in, 2001)
     gam = perturbation.purity_o2_quadrature(ts, p)
     os.makedirs(args.out, exist_ok=True)
-    write_csv(os.path.join(args.out, "perturb.csv"), "t,purity_o2", [ts, gam])
-    _emit(
-        summarize(p, gamma_min=float(np.min(gam)), gamma_inf=float(gam[-1])),
-        args.json,
-    )
+    output.write_csv(os.path.join(args.out, "perturb.csv"), "t,purity_o2", [ts, gam])
+    output.emit(output.summarize_purity(p, gam), args.json)
     return 0
 
 
@@ -112,25 +87,14 @@ def cmd_adiabatic(args):
             "switch has no derivative"
         )
     ts = np.linspace(p.t_in, -p.t_in, 1001)
-    lo = adiabatic.purity_adiabatic_lo(ts, p)
+    lo = total = adiabatic.purity_adiabatic_lo(ts, p)
+    header, columns = "t,purity_lo", [ts, lo]
     os.makedirs(args.out, exist_ok=True)
     if args.order == 1:
         nlo = adiabatic.purity_nlo_correction(ts, p, adiabatic.accumulate_phases(p))
-        write_csv(
-            os.path.join(args.out, "adiabatic.csv"),
-            "t,purity_lo,delta_nlo",
-            [ts, lo, nlo],
-        )
-        total = lo + nlo
-    else:
-        write_csv(
-            os.path.join(args.out, "adiabatic.csv"), "t,purity_lo", [ts, lo]
-        )
-        total = lo
-    _emit(
-        summarize(p, gamma_min=float(np.min(total)), gamma_inf=float(total[-1])),
-        args.json,
-    )
+        header, columns, total = header + ",delta_nlo", columns + [nlo], lo + nlo
+    output.write_csv(os.path.join(args.out, "adiabatic.csv"), header, columns)
+    output.emit(output.summarize_purity(p, total), args.json)
     return 0
 
 
@@ -139,15 +103,14 @@ def cmd_markov(args):
     traj = integrate(p, cfg)
     series = markov.markov_series(traj, p, args.surrogate, stride=4)
     os.makedirs(args.out, exist_ok=True)
-    write_markov_csv(os.path.join(args.out, "markov.csv"), series)
-    summary = summarize(
+    output.write_markov_csv(os.path.join(args.out, "markov.csv"), series)
+    summary = output.summarize_purity(
         p,
-        gamma_min=float(np.min(series["purity"])),
-        gamma_inf=float(series["purity"][-1]),
+        series["purity"],
         surrogate=args.surrogate,
         cp_fraction=float(np.mean(series["cp_flag"])),
     )
-    _emit(summary, args.json)
+    output.emit(summary, args.json)
     return 0
 
 
@@ -160,13 +123,11 @@ def parse_sweep_spec(text):
     """Parse a sweep spec: scenario keys plus param/grid/min/max/count/
     reduction.
 
-    Specs written when sweeps took a worker count may carry `workers`; it is
-    accepted (an integer) and ignored, since sweeps run serially.
-
     Raises:
-        ConfigError: on a malformed spec, a grid shorter than its reduction
-            needs, or an integrator key in a threshold spec, whose scan
-            sets its own tolerances.
+        ConfigError: on a malformed spec, an unknown key (`workers` too:
+            sweeps run serially), a grid shorter than its reduction needs, or
+            an integrator key in a threshold spec, whose scan sets its own
+            tolerances.
     """
     sweep_lines = []
     base_lines = []
@@ -196,7 +157,6 @@ def parse_sweep_spec(text):
     try:
         lo, hi = float(kv["min"]), float(kv["max"])
         count = int(kv["count"])
-        int(kv.get("workers", 1))
     except ValueError as exc:
         raise ConfigError("bad sweep number: %s" % exc)
     if count < 1 or not lo < hi or lo <= 0:
@@ -258,29 +218,19 @@ def cmd_sweep(args):
     p, cfg, grid, reduction = parse_sweep_spec(text)
     res = run_sweep(p, cfg, grid, reduction)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "sweep.csv")
+    value = "T_omega_thr" if res["kind"] == "threshold" else "gamma_inf"
+    output.write_csv(
+        os.path.join(args.out, "sweep.csv"),
+        "tau_over_t0," + value,
+        [res["tau_over_t0"], res["value"]],
+    )
     if res["kind"] == "slope":
-        write_csv(path, "tau_over_t0,gamma_inf", [res["tau_over_t0"], res["value"]])
-        write_csv(
-            os.path.join(args.out, "sweep_slope.csv"),
-            "tau_over_t0,slope,flagged",
-            [res["mid_tau_over_t0"], res["slope"], res["flagged"].astype(float)],
-        )
-    else:
-        header = (
-            "tau_over_t0,T_omega_thr"
-            if res["kind"] == "threshold"
-            else "tau_over_t0,gamma_inf"
-        )
-        write_csv(path, header, [res["tau_over_t0"], res["value"]])
-    summary = {
-        "schema": 1,
-        "kind": res["kind"],
-        "points": len(res["tau_over_t0"]),
-    }
+        output.write_slope_csv(os.path.join(args.out, "sweep_slope.csv"), res)
+    points = len(res["tau_over_t0"])
+    summary = {"schema": output.SCHEMA, "kind": res["kind"], "points": points}
     if "fit" in res:
         summary["fit"] = res["fit"]
-    _emit(summary, args.json)
+    output.emit(summary, args.json)
     return 0
 
 
@@ -315,14 +265,13 @@ def phase_diagram(w_grid, psi_grid):
             raise ConfigError("w > 1: swap the two oscillators instead")
         for psi in psi_grid:
             label = classify_regime(float(w), float(psi))
-            gp = float(psi) * np.sqrt(float(w) / (2.0 * (1.0 + w * w)))
             rows.append(
                 {
                     "w": float(w),
                     "psi": float(psi),
                     "label": label.label,
                     "perturbative": label.perturbative_flag,
-                    "g_p": gp,
+                    "g_p": label.g_p,
                     "near_critical": abs(float(psi) - 1.0) < 0.1,
                 }
             )
@@ -336,14 +285,15 @@ def cmd_phase_diagram(args):
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "phase_diagram.csv")
     keys = ("w", "psi", "label", "perturbative", "g_p", "near_critical")
-    write_csv(
+    output.write_csv(
         path,
         ",".join(keys),
         [[r[k] for r in rows] for k in keys],
-        [FMT, FMT, "%s", "%d", FMT, "%d"],
+        [output.FMT, output.FMT, "%s", "%d", output.FMT, "%d"],
     )
     labels = sorted({r["label"] for r in rows})
-    _emit({"schema": 1, "cells": len(rows), "labels": labels}, args.json)
+    summary = {"schema": output.SCHEMA, "cells": len(rows), "labels": labels}
+    output.emit(summary, args.json)
     return 0
 
 
@@ -353,8 +303,7 @@ def cmd_preset(args):
             "unknown preset %r (choose from %s)"
             % (args.name, ", ".join(presets.PRESET_NAMES))
         )
-    summary = presets.run_preset(args.name, args.out)
-    _emit(summary, args.json)
+    output.emit(presets.run_preset(args.name, args.out), args.json)
     return 0
 
 
@@ -387,7 +336,12 @@ def build_parser():
 
     sp = add("isoso", cmd_isoso, help="top-hat analytic purity")
     sp.add_argument("--config", required=True)
-    sp.add_argument("--expansion", default=None, help="regime expansion case")
+    sp.add_argument(
+        "--expansion",
+        choices=isoso.EXPANSION_NAMES,
+        metavar="EXPANSION",
+        help="regime expansion case",
+    )
 
     sp = add("perturb", cmd_perturb, help="second-order purity")
     sp.add_argument("--config", required=True)

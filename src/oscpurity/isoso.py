@@ -209,6 +209,12 @@ EXPANSIONS = {
     "O2": ("O2",),
 }
 
+#: Each name regime_purity accepts (a case, or a regime label of its
+#: domain) -> its case.
+EXPANSION_NAMES = {
+    name: case for case, labels in EXPANSIONS.items() for name in (case, *labels)
+}
+
 
 def regime_purity(case, dt, p):
     """Asymptotic in-window purity for one of the eight regimes.
@@ -218,7 +224,7 @@ def regime_purity(case, dt, p):
     the complex omega1 bookkeeping.
 
     Args:
-        case: case label ("U1", ..., "O2"; "C1plus" etc. accepted).
+        case: a key of EXPANSION_NAMES ("U1", ..., "O2", or "C1plus" etc.).
         dt: time since the window start, t + t0 (scalar or array, >= 0).
         p: ScenarioParams.
 
@@ -226,10 +232,9 @@ def regime_purity(case, dt, p):
         Expansion value(s); NaN where the expansion breaks down (the
         expression under the inverse square root turns non-positive).
     """
-    if case.startswith(("C1", "C2")):
-        case = case[:2]
-    if case not in EXPANSIONS:
+    if case not in EXPANSION_NAMES:
         raise ValueError("unknown expansion case %r" % (case,))
+    case = EXPANSION_NAMES[case]
     label = classify_regime(p.w, p.psi, p.omega_s).label
     if label not in EXPANSIONS[case]:
         warnings.warn(

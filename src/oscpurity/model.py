@@ -310,6 +310,7 @@ GP_PERTURBATIVE = 0.1
 @dataclass(frozen=True)
 class RegimeLabel:
     label: str
+    g_p: float
     perturbative_flag: bool
     secular_time: Optional[float]
 
@@ -324,7 +325,8 @@ def classify_regime(w, psi, omega_s=1.0):
 
     Returns:
         RegimeLabel with one of U1, U2a, U2b, C1plus, C1minus, C2plus,
-        C2minus, O1a, O1b, O2.
+        C2minus, O1a, O1b, O2, the perturbativity g_p = psi sqrt(w / (2 (1
+        + w^2))) and its flag g_p < GP_PERTURBATIVE.
     """
     if not (0 < w <= 1):
         raise ConfigError("w must lie in (0, 1]; swap the two modes otherwise")
@@ -343,9 +345,9 @@ def classify_regime(w, psi, omega_s=1.0):
             label = "O1a" if w < 1.0 / psi else "O1b"
         else:
             label = "O2"
-    g_p = psi * np.sqrt(w / (2.0 * (1.0 + w * w)))
+    g_p = float(psi * np.sqrt(w / (2.0 * (1.0 + w * w))))
     sec = _secular_time(label, w, psi, omega_s)
-    return RegimeLabel(label, bool(g_p < GP_PERTURBATIVE), sec)
+    return RegimeLabel(label, g_p, g_p < GP_PERTURBATIVE, sec)
 
 
 def _secular_time(label, w, psi, omega_s):

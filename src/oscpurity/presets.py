@@ -1,16 +1,15 @@
 """Named parameter presets reproducing the reference scenarios, and the
 runners that turn them into plot-ready CSV files."""
 
-import json
 import os
 import warnings
 
 import numpy as np
 
-from . import adiabatic, isoso, markov, perturbation
+from . import adiabatic, isoso, markov, output, perturbation
 from .errors import InvalidCaseWarning
-from .model import ScenarioParams, classify_regime, normal_mode_sq, perturbativity_gp
-from .transport import integrate, isoso_reference_run, write_csv
+from .model import ScenarioParams
+from .transport import integrate, isoso_reference_run
 
 
 def _p(omega_e, psi, t0, tau=1.0, profile="smooth", omega_s=1.0):
@@ -41,48 +40,6 @@ def _regimes(*cases):
     return scenarios
 
 
-def write_markov_csv(path, series):
-    """Write a markov_series result in the standard markov.csv layout."""
-    write_csv(
-        path,
-        "t,purity,lambda_minus,lambda_plus,v_bures,v_bures_fd,cp_flag",
-        [
-            series["t"],
-            series["purity"],
-            series["lambda_minus"],
-            series["lambda_plus"],
-            np.nan_to_num(series["v_bures"]),
-            np.nan_to_num(series["v_bures_fd"]),
-            series["cp_flag"].astype(float),
-        ],
-    )
-
-
-def summarize(p, gamma_min=None, gamma_inf=None, **extra):
-    """Schema-1 summary of one scenario run.
-
-    omega1_abs = sqrt|omega1^2| at peak coupling comes from the closed form,
-    so it reads 0 rather than failing at exactly critical coupling.
-    """
-    label = classify_regime(min(p.w, 1.0 / p.w), p.psi, p.omega_s)
-    out = {
-        "schema": 1,
-        "gamma_min": gamma_min,
-        "gamma_inf": gamma_inf,
-        "regime": label.label,
-        "omega1_abs": float(np.sqrt(abs(normal_mode_sq(p.xi0, p)[0]))),
-        "g_p": perturbativity_gp(p),
-        "xi_c": p.xi_c,
-    }
-    out.update(extra)
-    return out
-
-
-def _summary(p, purity):
-    """summarize with the minimum and the last value of a purity series."""
-    return summarize(p, float(np.min(purity)), float(purity[-1]))
-
-
 # ---------------------------------------------------------------------------
 # Runners: each writes the CSV files of a preset's scenarios, given keyed by
 # the tag of their file names, and returns one summary per scenario.
@@ -94,11 +51,13 @@ def _run_trajectories(name, scenarios, outdir):
     summaries = []
     for i, p in scenarios.items():
         traj = integrate(p)
-        traj.to_csv(os.path.join(outdir, "%s_traj%d.csv" % (name, i)))
+        output.write_trajectory(os.path.join(outdir, "%s_traj%d.csv" % (name, i)), traj)
         if name.startswith("fig14"):
             series = markov.markov_series(traj, p, "drop-negative", stride=4)
-            write_markov_csv(os.path.join(outdir, "%s_markov%d.csv" % (name, i)), series)
-        summaries.append(_summary(p, traj.purity_s))
+            output.write_markov_csv(
+                os.path.join(outdir, "%s_markov%d.csv" % (name, i)), series
+            )
+        summaries.append(output.summarize_purity(p, traj.purity_s))
     return summaries
 
 
@@ -108,12 +67,12 @@ def _run_isoso_reference(name, scenarios, outdir):
     for i, p in scenarios.items():
         traj = isoso_reference_run(p)
         m = (traj.t >= -p.t0) & (traj.t <= p.t0)
-        write_csv(
+        output.write_csv(
             os.path.join(outdir, "%s_compare%d.csv" % (name, i)),
             "t,purity_analytic,purity_numeric",
             [traj.t[m], isoso.isoso_purity(traj.t[m], p), traj.purity_s[m]],
         )
-        summaries.append(_summary(p, traj.purity_s))
+        summaries.append(output.summarize_purity(p, traj.purity_s))
     return summaries
 
 
@@ -126,12 +85,12 @@ def _run_regimes(name, scenarios, outdir):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InvalidCaseWarning)
             expansion = isoso.regime_purity(case, ts + p.t0, p)
-        write_csv(
+        output.write_csv(
             os.path.join(outdir, "%s_%s.csv" % (name, case)),
             "t,purity_analytic,purity_expansion",
             [ts, gammas, expansion],
         )
-        summaries.append(_summary(p, gammas))
+        summaries.append(output.summarize_purity(p, gammas))
     return summaries
 
 
@@ -144,7 +103,7 @@ def _run_adiabatic(name, scenarios, outdir):
     stride = 8
     ts = traj.t[::stride]
     if name == "fig9":
-        write_csv(
+        output.write_csv(
             os.path.join(outdir, "fig9_contributions.csv"),
             "t,itilde_omega,itilde_theta",
             [ts, *adiabatic.nlo_contributions(ts, p, acc)],
@@ -152,12 +111,12 @@ def _run_adiabatic(name, scenarios, outdir):
     else:
         lo = adiabatic.purity_adiabatic_lo(ts, p)
         nlo = adiabatic.purity_nlo_correction(ts, p, acc)
-        write_csv(
+        output.write_csv(
             os.path.join(outdir, "%s_adiabatic.csv" % name),
             "t,purity_exact,purity_lo,purity_lo_plus_nlo",
             [ts, traj.purity_s[::stride], lo, lo + nlo],
         )
-    return [_summary(p, traj.purity_s)]
+    return [output.summarize_purity(p, traj.purity_s)]
 
 
 def _run_perturbative(name, scenarios, outdir):
@@ -165,12 +124,12 @@ def _run_perturbative(name, scenarios, outdir):
     (p,) = scenarios.values()
     ts = np.linspace(-p.t0, p.t0, 2001)
     gammas = isoso.isoso_purity(ts, p)
-    write_csv(
+    output.write_csv(
         os.path.join(outdir, "%s_perturbative.csv" % name),
         "t,purity_analytic,purity_o2",
         [ts, gammas, perturbation.purity_o2_isoso(ts + p.t0, p)],
     )
-    return [_summary(p, gammas)]
+    return [output.summarize_purity(p, gammas)]
 
 
 def _run_slope(name, scenarios, outdir):
@@ -178,17 +137,13 @@ def _run_slope(name, scenarios, outdir):
     (p,) = scenarios.values()
     taus = np.array([4.0, 5.0, 6.3, 7.9, 10.0, 14.1, 20.0]) * p.t0
     res = adiabatic.nonanalyticity_slope(p, taus)
-    write_csv(
+    output.write_csv(
         os.path.join(outdir, "fig12_deficit.csv"),
         "tau_over_t0,deficit",
         [res["tau_over_t0"], res["deficit"]],
     )
-    write_csv(
-        os.path.join(outdir, "fig12_slope.csv"),
-        "tau_over_t0,slope,flagged",
-        [res["mid_tau_over_t0"], res["slope"], res["flagged"].astype(float)],
-    )
-    return [summarize(p, float("nan"), float(1.0 - res["deficit"][0]))]
+    output.write_slope_csv(os.path.join(outdir, "fig12_slope.csv"), res)
+    return [output.summarize(p, float("nan"), float(1.0 - res["deficit"][0]))]
 
 
 def _run_threshold(name, scenarios, outdir):
@@ -199,14 +154,14 @@ def _run_threshold(name, scenarios, outdir):
     ratios = (0.8, 1.4, 2.5, 4.5, 8.0)
     res = adiabatic.recoherence_threshold_scan(p, ratios)
     fit = [[res[key]] * len(res["tau_over_t0"]) for key in ("slope", "r_squared")]
-    write_csv(
+    output.write_csv(
         os.path.join(outdir, "fig13_threshold.csv"),
         "tau_over_t0,T_omega_thr,slope_fit,r_squared",
         [res["tau_over_t0"], res["T_omega_thr"], *fit],
     )
     nan = float("nan")
     return [
-        summarize(
+        output.summarize(
             p, nan, nan, threshold_slope=res["slope"], threshold_r_squared=res["r_squared"]
         )
     ]
@@ -254,7 +209,6 @@ def run_preset(name, outdir):
     runner, scenarios = PRESETS[name]
     os.makedirs(outdir, exist_ok=True)
     summaries = runner(name, scenarios, outdir)
-    summary = {"schema": 1, "preset": name, "runs": summaries}
-    with open(os.path.join(outdir, "%s_summary.json" % name), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+    summary = {"schema": output.SCHEMA, "preset": name, "runs": summaries}
+    output.write_json(os.path.join(outdir, "%s_summary.json" % name), summary)
     return summary

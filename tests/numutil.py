@@ -169,7 +169,7 @@ def solve_per_segment(p, cfg, t_end, keep_nodes):
 
 
 def write_csv_per_row(path_or_buf, header, columns, formats=None):
-    """`transport.write_csv` as one Python %-template per row over columns
+    """`output.write_csv` as one Python %-template per row over columns
     converted with .tolist() 256 rows at a time: the bit-for-bit reference of
     the numpy formatter."""
     template = ",".join(formats or ["%.16e"] * len(columns)) + "\n"

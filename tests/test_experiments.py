@@ -15,7 +15,6 @@ from oscpurity.cli import (
     main,
     parse_sweep_spec,
     phase_diagram,
-    run_sweep,
 )
 from oscpurity.errors import ConfigError
 from oscpurity.presets import PRESET_NAMES, REGIME_POINTS
@@ -276,7 +275,7 @@ def test_cli_runtime_never_imports_scipy(tmp_path):
         map_pair_evolve(p, integrate(p), -1.0, 1.0)
         print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         """
-        % (SWEEP_SPEC + "workers = 2\n")
+        % SWEEP_SPEC
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -295,12 +294,12 @@ def test_cli_import_leaves_csv_formatter_tables_unbuilt():
         """
         import io, sys
         import oscpurity.cli
-        from oscpurity import transport
+        from oscpurity import output
 
-        before = transport._fmt_tables.cache_info().currsize
+        before = output._fmt_tables.cache_info().currsize
         loaded = sorted({"fractions", "decimal"} & set(sys.modules))
-        transport.write_csv(io.StringIO(), "x", [[0.5]])
-        print(before, loaded, transport._fmt_tables.cache_info().currsize)
+        output.write_csv(io.StringIO(), "x", [[0.5]])
+        print(before, loaded, output._fmt_tables.cache_info().currsize)
         """
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -360,13 +359,17 @@ def test_parser_reused_across_main_calls(config_file, tmp_path, capsys):
     assert reused == run_all(str(tmp_path / "fresh"), fresh=True)
 
 
-def test_sweep_spec_with_workers_parses_and_sweeps():
-    # Specs written when sweeps took a worker count still parse, and the
-    # key changes nothing.
-    res = run_sweep(*parse_sweep_spec(SWEEP_SPEC + "workers = 2\n"))
-    ref = run_sweep(*parse_sweep_spec(SWEEP_SPEC))
-    assert np.array_equal(res["value"], ref["value"])
-    assert np.array_equal(res["tau_over_t0"], ref["tau_over_t0"])
+def test_sweep_spec_rejects_workers(tmp_path, capsys):
+    # Sweeps run serially: the worker count of the earlier process pool is
+    # an unknown key, named in the error.
+    with pytest.raises(ConfigError, match="workers"):
+        parse_sweep_spec(SWEEP_SPEC + "workers = 2\n")
+    spec = tmp_path / "workers.spec"
+    spec.write_text(SWEEP_SPEC + "workers = 2\n")
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--spec", str(spec), "--out", out]) == 2
+    assert "'workers'" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_sweep_cli_writes_csv(tmp_path, capsys):
@@ -436,6 +439,28 @@ def test_isoso_subcommand_with_expansion(tmp_path, capsys):
         ["isoso", "--config", str(path), "--out", out, "--expansion", "U2a", "--json"]
     )
     assert rc == 0
+    rows = read_bytes(os.path.join(out, "isoso.csv")).decode().splitlines()
+    assert rows[0] == "t,purity_analytic,purity_expansion"
+    assert len(rows) == 2002
+
+
+def test_isoso_expansion_names_are_exact(tmp_path, capsys):
+    # Only the expansion cases and their domain labels are accepted: an
+    # unknown name and a case label with a suffix are usage errors (exit 2)
+    # before anything is written, and a domain label still runs.
+    t0, w, psi = REGIME_POINTS["C2plus"]
+    path = tmp_path / "c2plus.cfg"
+    path.write_text(
+        "omega_s = 1\nomega_e = %r\npsi = %r\nt0 = %r\nprofile = isoso\n"
+        % (1.0 / w, psi, t0)
+    )
+    for bad in ("Z9", "C2foo"):
+        out = str(tmp_path / bad)
+        assert main(["isoso", "--config", str(path), "--out", out, "--expansion", bad]) == 2
+        assert "invalid choice: %r" % bad in capsys.readouterr().err
+        assert not os.path.exists(out)
+    out = str(tmp_path / "ok")
+    assert main(["isoso", "--config", str(path), "--out", out, "--expansion", "C2plus"]) == 0
     rows = read_bytes(os.path.join(out, "isoso.csv")).decode().splitlines()
     assert rows[0] == "t,purity_analytic,purity_expansion"
     assert len(rows) == 2002

@@ -198,8 +198,10 @@ def test_case_aliases_and_unknown():
     a = regime_purity("C1plus", 1.0, p)
     b = regime_purity("C1", 1.0, p)
     assert a == pytest.approx(b)
-    with pytest.raises(ValueError):
-        regime_purity("Z9", 1.0, p)
+    # Names match exactly: a case label's prefix does not select its case.
+    for bad in ("Z9", "C1foo", "C1plusminus", "c1"):
+        with pytest.raises(ValueError):
+            regime_purity(bad, 1.0, p)
 
 
 def test_mismatched_case_warns():

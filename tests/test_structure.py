@@ -1,6 +1,6 @@
 """Guards on the package's module structure: no module reaches into another
-module's private names, and the analytic layers load without the
-integrator."""
+module's private names, output is formatted and written by one module, and
+the analytic and physics layers load without the layers above them."""
 
 import ast
 import glob
@@ -11,27 +11,50 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def test_no_module_imports_private_names_of_another():
-    found = []
+def _modules():
     for path in sorted(glob.glob(os.path.join(SRC, "oscpurity", "*.py"))):
         with open(path) as f:
-            tree = ast.parse(f.read(), path)
+            yield os.path.basename(path), ast.parse(f.read(), path)
+
+
+def test_no_module_imports_private_names_of_another():
+    found = []
+    for name, tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 for alias in node.names:
                     if alias.name.startswith("_"):
                         found.append(
                             "%s: from %s%s import %s"
-                            % (os.path.basename(path), "." * node.level, node.module, alias.name)
+                            % (name, "." * node.level, node.module, alias.name)
                         )
     assert found == []
 
 
-def test_perturbation_loads_without_transport():
-    script = (
-        "import sys, oscpurity.perturbation; "
-        "print('oscpurity.transport' in sys.modules)"
-    )
+def test_only_output_formats_and_writes_results():
+    # json is imported, and the CSV writer and its float format defined, in
+    # output.py alone.
+    found = set()
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found |= {(name, "json") for a in node.names if a.name == "json"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.add((name, "json"))
+            elif isinstance(node, ast.FunctionDef) and node.name == "write_csv":
+                found.add((name, "write_csv"))
+            elif isinstance(node, ast.Assign):
+                found |= {
+                    (name, "FMT")
+                    for t in node.targets
+                    if isinstance(t, ast.Name) and t.id == "FMT"
+                }
+    assert found == {("output.py", "json"), ("output.py", "write_csv"), ("output.py", "FMT")}
+
+
+def _loaded_after(imports, module):
+    """Whether a fresh interpreter has module loaded after the imports."""
+    script = "import sys, %s; print(%r in sys.modules)" % (imports, module)
     done = subprocess.run(
         [sys.executable, "-c", script],
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -40,4 +63,13 @@ def test_perturbation_loads_without_transport():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_perturbation_loads_without_transport():
+    assert not _loaded_after("oscpurity.perturbation", "oscpurity.transport")
+
+
+def test_physics_layers_load_without_output():
+    imports = "oscpurity.transport, oscpurity.adiabatic, oscpurity.markov"
+    assert not _loaded_after(imports, "oscpurity.output")
