@@ -26,8 +26,15 @@ from .errors import (
     QuadratureNoConvergence,
     SupercriticalExcursion,
 )
-from .model import ScenarioParams, coupling_xi, coupling_xi_dot, frame_from_xi, switch_segments
-from .transport import IntegratorConfig, integrate, propagate, purity_from_propagator
+from .model import (
+    IntegratorConfig,
+    ScenarioParams,
+    coupling_xi,
+    coupling_xi_dot,
+    frame_from_xi,
+    switch_segments,
+)
+from .transport import integrate, propagate, purity_from_propagator
 
 #: Purity deficits below this are beyond double-precision resolution.
 DEFICIT_FLOOR = 1e-13
@@ -348,10 +355,10 @@ def loglog_slope(ratios, deficits, floor=DEFICIT_FLOOR):
 def nonanalyticity_slope(p, tau_grid, cfg: Optional[IntegratorConfig] = None):
     """Late-time deficit slope diagnostic over a switch-time grid.
 
-    For each tau, the scenario is rerun and 1 - gamma_inf recorded; the
-    returned series is the centered log-log slope versus tau/t0.  A power
-    law would plateau; a faster-than-any-power decay yields a strictly
-    increasing slope magnitude.
+    For each tau, the scenario is rerun and gamma_inf and the deficit
+    1 - gamma_inf recorded; the returned series is the centered log-log
+    slope of the deficit versus tau/t0.  A power law would plateau; a
+    faster-than-any-power decay yields a strictly increasing slope magnitude.
 
     Raises:
         PrecisionFloor: if every deficit on the grid is below resolution.
@@ -359,14 +366,14 @@ def nonanalyticity_slope(p, tau_grid, cfg: Optional[IntegratorConfig] = None):
     if cfg is None:
         cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    deficits = np.array(
-        [1.0 - latetime_purity(p.with_tau(tau), cfg) for tau in tau_grid]
-    )
+    gamma_inf = np.array([latetime_purity(p.with_tau(tau), cfg) for tau in tau_grid])
+    deficits = 1.0 - gamma_inf
     mid, slopes, flags = loglog_slope(tau_grid / p.t0, deficits)
     if np.all(deficits < DEFICIT_FLOOR):
         raise PrecisionFloor("all purity deficits below double-precision resolution")
     return {
         "tau_over_t0": tau_grid / p.t0,
+        "gamma_inf": gamma_inf,
         "deficit": deficits,
         "mid_tau_over_t0": mid,
         "slope": slopes,

@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -14,8 +15,8 @@ import numpy as np
 
 from . import adiabatic, isoso, markov, output, perturbation, presets
 from .errors import ConfigError, InvalidCaseWarning, OscPurityError
-from .model import ISOSO, classify_regime, parse_config
-from .transport import IntegratorConfig, integrate
+from .model import ISOSO, classify_regime, config_from_pairs, parse_config, read_pairs
+from .transport import integrate
 
 _SWEEP_KEYS = {"param", "grid", "min", "max", "count", "reduction"}
 
@@ -33,8 +34,7 @@ def _read_text(path, what):
 
 
 def _load_scenario(path):
-    p, overrides = parse_config(_read_text(path, "config"))
-    return p, IntegratorConfig(**overrides)
+    return parse_config(_read_text(path, "config"))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,10 @@ def cmd_markov(args):
 
 def parse_sweep_spec(text):
     """Parse a sweep spec: scenario keys plus param/grid/min/max/count/
-    reduction.
+    reduction, read by model.read_pairs.
+
+    Returns:
+        (ScenarioParams, IntegratorConfig, tau grid, reduction name).
 
     Raises:
         ConfigError: on a malformed spec, an unknown key (`workers` too:
@@ -129,21 +132,8 @@ def parse_sweep_spec(text):
             an integrator key in a threshold spec, whose scan sets its own
             tolerances.
     """
-    sweep_lines = []
-    base_lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        key = line.split("=", 1)[0].strip() if "=" in line else None
-        if key in _SWEEP_KEYS:
-            sweep_lines.append(line)
-        else:
-            base_lines.append(raw)
-    kv = {}
-    for line in sweep_lines:
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in kv:
-            raise ConfigError("duplicate sweep key %r" % key)
-        kv[key] = value
+    base = read_pairs(text)
+    kv = {key: base.pop(key) for key in list(base) if key in _SWEEP_KEYS}
     for req in ("param", "min", "max", "count", "reduction"):
         if req not in kv:
             raise ConfigError("missing sweep key %r" % req)
@@ -166,19 +156,14 @@ def parse_sweep_spec(text):
         raise ConfigError(
             "reduction %r needs count >= %d, got %d" % (kv["reduction"], need, count)
         )
-    if count == 1:
-        grid = np.array([lo])
-    elif grid_kind == "log":
-        grid = np.geomspace(lo, hi, count)
-    else:
-        grid = np.linspace(lo, hi, count)
-    p, overrides = parse_config("\n".join(base_lines))
+    grid = (np.geomspace if grid_kind == "log" else np.linspace)(lo, hi, count)
+    p, cfg = config_from_pairs(base)
+    overrides = sorted(f.name for f in dataclasses.fields(cfg) if f.name in base)
     if kv["reduction"] == "threshold" and overrides:
         raise ConfigError(
             "reduction 'threshold' runs at its own tolerances; remove %s"
-            % ", ".join(sorted(overrides))
+            % ", ".join(overrides)
         )
-    cfg = IntegratorConfig(**overrides)
     return p, cfg, grid, kv["reduction"]
 
 
@@ -196,21 +181,13 @@ def run_sweep(p, cfg, grid, reduction):
                 "r_squared": res["r_squared"],
             },
         }
+    if reduction == "slope":
+        res = adiabatic.nonanalyticity_slope(p, grid, cfg)
+        return dict(res, kind=reduction, value=res["gamma_inf"])
     gamma_inf = np.array(
         [adiabatic.latetime_purity(p.with_tau(float(tau)), cfg) for tau in grid]
     )
-    out = {
-        "kind": reduction,
-        "tau_over_t0": grid / p.t0,
-        "value": gamma_inf,
-    }
-    if reduction == "slope":
-        deficits = 1.0 - gamma_inf
-        mid, slopes, flags = adiabatic.loglog_slope(grid / p.t0, deficits)
-        out["mid_tau_over_t0"] = mid
-        out["slope"] = slopes
-        out["flagged"] = flags
-    return out
+    return {"kind": reduction, "tau_over_t0": grid / p.t0, "value": gamma_inf}
 
 
 def cmd_sweep(args):
@@ -249,7 +226,7 @@ def _parse_grid(text, name, hi_max):
         raise ConfigError(
             "--%s grid must lie in (0, %g] with count >= 1" % (name, hi_max)
         )
-    return np.linspace(lo, hi, n) if n > 1 else np.array([lo])
+    return np.linspace(lo, hi, n)
 
 
 def phase_diagram(w_grid, psi_grid):

@@ -3,7 +3,7 @@ frame, criticality/perturbativity measures, and regime classification.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -89,6 +89,46 @@ class ScenarioParams:
 
     def with_profile(self, profile, tau=None):
         return replace(self, profile=profile, tau=self.tau if tau is None else tau)
+
+
+@dataclass(frozen=True)
+class IntegratorConfig:
+    """Integration controls.
+
+    Attributes:
+        rtol, atol: bound on the Richardson error estimate of each
+            segment's propagator, atol + rtol |U| in max-abs norm.
+        max_step: optional global step cap (defaults derived from params).
+        sample_dt: output cadence (default (2 pi/omega2)/40 at peak coupling).
+        t_end_policy: "fixed" (window mirrors t_in) or "cutoff" (stop once
+            xi/xi_c drops below cutoff_threshold).
+        cutoff_threshold: threshold for the cutoff policy.
+
+    Raises:
+        ConfigError: on an unknown policy, a non-positive or non-finite
+            tolerance, step or cadence, or a threshold outside (0, 1).
+    """
+
+    rtol: float = 1e-10
+    atol: float = 1e-12
+    max_step: Optional[float] = None
+    sample_dt: Optional[float] = None
+    t_end_policy: str = "fixed"
+    cutoff_threshold: float = 1e-10
+
+    def __post_init__(self):
+        if self.t_end_policy not in ("fixed", "cutoff"):
+            raise ConfigError("t_end_policy must be 'fixed' or 'cutoff'")
+        if not (math.isfinite(self.rtol) and self.rtol > 0):
+            raise ConfigError("rtol must be positive and finite")
+        if not (math.isfinite(self.atol) and self.atol >= 0):
+            raise ConfigError("atol must be non-negative and finite")
+        for name in ("max_step", "sample_dt"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError("%s must be positive and finite" % name)
+        if not 0 < self.cutoff_threshold < 1:
+            raise ConfigError("cutoff_threshold must lie in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -374,28 +414,18 @@ def _secular_time(label, w, psi, omega_s):
 _LEGACY_METHODS = ("RK45", "DOP853")
 
 _SCENARIO_KEYS = {"omega_s", "omega_e", "xi0", "psi", "t0", "tau", "profile"}
-_INTEGRATOR_KEYS = {
-    "rtol",
-    "atol",
-    "max_step",
-    "sample_dt",
-    "t_end_policy",
-    "cutoff_threshold",
-    "method",
-}
 
 
-def parse_config(text):
-    """Parse a key-value scenario config.
-
-    Format: one `key = value` pair per line; '#' starts a comment.  Exactly
-    one of xi0/psi must be present.  Unknown or duplicate keys are errors.
-
-    Args:
-        text: config file contents.
+def read_pairs(text):
+    """Read the `key = value` lines of a config or a sweep spec; '#' starts
+    a comment.
 
     Returns:
-        (ScenarioParams, dict of integrator overrides).
+        dict of key -> value string, in the order of the text.
+
+    Raises:
+        ConfigError: on a non-blank line without '=' (named by its line
+            number in text) or a duplicate key.
     """
     kv = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -407,10 +437,26 @@ def parse_config(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if key in kv:
             raise ConfigError("duplicate key %r" % key)
-        if key not in _SCENARIO_KEYS | _INTEGRATOR_KEYS:
-            raise ConfigError("unknown key %r" % key)
         kv[key] = value
+    return kv
 
+
+def config_from_pairs(kv):
+    """Build a scenario and its integrator settings from the pairs of
+    read_pairs.
+
+    The keys are ScenarioParams' (with psi in place of xi0 if wanted),
+    IntegratorConfig's fields, and the legacy `method`.  Exactly one of
+    xi0/psi must be present.  Unknown keys are errors.
+
+    Returns:
+        (ScenarioParams, IntegratorConfig).
+    """
+    integrator_keys = [f.name for f in fields(IntegratorConfig)]
+    known = _SCENARIO_KEYS.union(integrator_keys, ["method"])
+    for key in kv:
+        if key not in known:
+            raise ConfigError("unknown key %r" % key)
     if not kv:
         raise ConfigError("empty config")
     has_xi0 = "xi0" in kv
@@ -441,12 +487,19 @@ def parse_config(text):
 
     if kv.get("method", "RK45") not in _LEGACY_METHODS:
         raise ConfigError("method must be one of %s" % ", ".join(_LEGACY_METHODS))
-    integ = {}
-    for key in _INTEGRATOR_KEYS & set(kv) - {"method"}:
-        if key == "t_end_policy":
-            integ[key] = kv[key]
-        else:
-            integ[key] = _f(key)
-    if "t_end_policy" in integ and integ["t_end_policy"] not in ("fixed", "cutoff"):
-        raise ConfigError("t_end_policy must be 'fixed' or 'cutoff'")
-    return p, integ
+    integ = {
+        key: kv[key] if key == "t_end_policy" else _f(key)
+        for key in integrator_keys
+        if key in kv
+    }
+    return p, IntegratorConfig(**integ)
+
+
+def parse_config(text):
+    """Parse a key-value scenario config (read_pairs, then
+    config_from_pairs).
+
+    Returns:
+        (ScenarioParams, IntegratorConfig).
+    """
+    return config_from_pairs(read_pairs(text))

@@ -8,8 +8,8 @@ import numpy as np
 
 from . import adiabatic, isoso, markov, output, perturbation
 from .errors import InvalidCaseWarning
-from .model import ScenarioParams
-from .transport import integrate, isoso_reference_run
+from .model import SMOOTH, ScenarioParams
+from .transport import integrate
 
 
 def _p(omega_e, psi, t0, tau=1.0, profile="smooth", omega_s=1.0):
@@ -62,10 +62,11 @@ def _run_trajectories(name, scenarios, outdir):
 
 
 def _run_isoso_reference(name, scenarios, outdir):
-    """Top-hat closed form against a near-top-hat smooth integration."""
+    """Top-hat closed form against a smooth integration at tau = 1e-4 t0,
+    the near-top-hat limit."""
     summaries = []
     for i, p in scenarios.items():
-        traj = isoso_reference_run(p)
+        traj = integrate(p.with_profile(SMOOTH, tau=1e-4 * p.t0))
         m = (traj.t >= -p.t0) & (traj.t <= p.t0)
         output.write_csv(
             os.path.join(outdir, "%s_compare%d.csv" % (name, i)),
@@ -143,7 +144,7 @@ def _run_slope(name, scenarios, outdir):
         [res["tau_over_t0"], res["deficit"]],
     )
     output.write_slope_csv(os.path.join(outdir, "fig12_slope.csv"), res)
-    return [output.summarize(p, float("nan"), float(1.0 - res["deficit"][0]))]
+    return [output.summarize(p, float("nan"), float(res["gamma_inf"][0]))]
 
 
 def _run_threshold(name, scenarios, outdir):

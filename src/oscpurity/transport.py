@@ -29,12 +29,11 @@ but the late-time value.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, StepFailure
-from .model import ISOSO, SMOOTH, coupling_xi, normal_mode_sq, switch_segments
+from .errors import StepFailure
+from .model import ISOSO, IntegratorConfig, coupling_xi, normal_mode_sq, switch_segments
 from .symplectic import cauchy_binet
 
 #: dK/dxi: the coupling enters K = Omega H only as K[1, 2] = K[3, 0] = -xi.
@@ -60,8 +59,6 @@ _CHUNK = 4096
 #: Step budget per segment; refining past it is a StepFailure.
 MAX_STEPS = 1 << 20
 
-_T_END_POLICIES = ("fixed", "cutoff")
-
 
 def generator_terms(p):
     """Constant parts (K0, K1) of the generator K(xi) = Omega H(xi) = K0 +
@@ -72,46 +69,6 @@ def generator_terms(p):
     k0[1, 0] = -p.omega_s**2
     k0[3, 2] = -p.omega_e**2
     return k0, _K1
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Integration controls.
-
-    Attributes:
-        rtol, atol: bound on the Richardson error estimate of each
-            segment's propagator, atol + rtol |U| in max-abs norm.
-        max_step: optional global step cap (defaults derived from params).
-        sample_dt: output cadence (default (2 pi/omega2)/40 at peak coupling).
-        t_end_policy: "fixed" (window mirrors t_in) or "cutoff" (stop once
-            xi/xi_c drops below cutoff_threshold).
-        cutoff_threshold: threshold for the cutoff policy.
-
-    Raises:
-        ConfigError: on a non-positive or non-finite tolerance, step or
-            cadence, a threshold outside (0, 1), or an unknown policy.
-    """
-
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    max_step: Optional[float] = None
-    sample_dt: Optional[float] = None
-    t_end_policy: str = "fixed"
-    cutoff_threshold: float = 1e-10
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rtol) and self.rtol > 0):
-            raise ConfigError("rtol must be positive and finite")
-        if not (math.isfinite(self.atol) and self.atol >= 0):
-            raise ConfigError("atol must be non-negative and finite")
-        for name in ("max_step", "sample_dt"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigError("%s must be positive and finite" % name)
-        if not 0 < self.cutoff_threshold < 1:
-            raise ConfigError("cutoff_threshold must lie in (0, 1)")
-        if self.t_end_policy not in _T_END_POLICIES:
-            raise ConfigError("t_end_policy must be 'fixed' or 'cutoff'")
 
 
 def _vacuum_root(p):
@@ -185,7 +142,7 @@ def _omega_coefficients(h, x1, x2, x3):
 
 
 def _expm(om):
-    """exp(om) of a 4x4 Hamiltonian matrix, or of a (N, 4, 4) stack.
+    """exp(om) of each 4x4 Hamiltonian matrix of a (N, 4, 4) stack.
 
     X = om^2 satisfies X^2 + a X + b = 0 with a = -tr(X)/2 and
     b = (tr(X)^2/2 - tr(X^2))/4 (Cayley-Hamilton; the odd traces of a
@@ -196,11 +153,9 @@ def _expm(om):
     Scaling and squaring keep the eigenvalues of X inside the unit disc.
     """
     x = om @ om
-    # The 16 entries of X: floats for one matrix, (N,) arrays for a stack.
+    # The 16 entries of X, as (N,) arrays.
     (x00, x01, x02, x03, x10, x11, x12, x13,
-     x20, x21, x22, x23, x30, x31, x32, x33) = (
-        x.reshape(-1, 16).T if om.ndim == 3 else x.ravel().tolist()
-    )
+     x20, x21, x22, x23, x30, x31, x32, x33) = x.reshape(-1, 16).T
     tr = x00 + x11 + x22 + x33
     tr2 = x00 * x00 + x11 * x11 + x22 * x22 + x33 * x33 + 2.0 * (
         x01 * x10 + x02 * x20 + x03 * x30 + x12 * x21 + x13 * x31 + x23 * x32
@@ -208,9 +163,7 @@ def _expm(om):
     a = -0.5 * tr
     b = 0.25 * (0.5 * tr * tr - tr2)
     # Bound on the eigenvalue moduli of X (roots of z^2 + a z + b).
-    radius = 0.5 * abs(a) + (0.25 * a * a + abs(b)) ** 0.5
-    if om.ndim == 3:
-        radius = float(radius.max())
+    radius = float((0.5 * abs(a) + (0.25 * a * a + abs(b)) ** 0.5).max())
     squarings = max(0, math.ceil(0.5 * math.log2(radius))) if radius > 1.0 else 0
     if squarings:
         om = om * 0.5**squarings
@@ -229,8 +182,7 @@ def _expm(om):
         s0 = s0 + alpha * odd
         s1 = s1 + beta * odd
         alpha, beta = -b * beta, alpha - a * beta
-    if om.ndim == 3:
-        c0, c1, s0, s1 = (v[:, None, None] for v in (c0, c1, s0, s1))
+    c0, c1, s0, s1 = (v[:, None, None] for v in (c0, c1, s0, s1))
     f = (c1 * _EYE + s1 * om) @ x + s0 * om + c0 * _EYE  # exp(om) - 1
     for _ in range(squarings):
         f = 2.0 * f + f @ f
@@ -550,9 +502,3 @@ def integrate(p, cfg=IntegratorConfig()):
     n_samples = max(int(np.ceil((t_end - t_start) / sample_dt)) + 1, 2)
     ts = np.linspace(t_start, t_end, n_samples)
     return Trajectory(ts, grid.at(ts), p, grid)
-
-
-def isoso_reference_run(p, cfg=IntegratorConfig()):
-    """Integrate a smooth profile with tau = 1e-4 t0 (near-top-hat limit)."""
-    p_ref = p.with_profile(SMOOTH, tau=1e-4 * p.t0)
-    return integrate(p_ref, cfg)

@@ -35,19 +35,20 @@ from oscpurity.markov import (
     noise_B,
     purity_rate,
 )
-from oscpurity.model import ScenarioParams, frame_from_xi, perturbativity_gp
+from oscpurity.model import (
+    SMOOTH,
+    IntegratorConfig,
+    ScenarioParams,
+    frame_from_xi,
+    perturbativity_gp,
+)
 from oscpurity.presets import (
     PRESET_NAMES,
     REGIME_POINTS,
     preset_scenarios,
 )
 from oscpurity.symplectic import det2
-from oscpurity.transport import (
-    IntegratorConfig,
-    default_sample_dt,
-    integrate,
-    isoso_reference_run,
-)
+from oscpurity.transport import default_sample_dt, integrate
 
 
 def report(num, detail):
@@ -115,7 +116,7 @@ def test_criterion_01_isoso_exactness():
     for psi in (1.1, 0.9):
         p = make_params(psi, profile="isoso")
         start = time.perf_counter()
-        traj = isoso_reference_run(p)
+        traj = integrate(p.with_profile(SMOOTH, tau=1e-4 * p.t0))
         errs = [
             abs(isoso.isoso_purity(t, p) - traj.purity_at(t))
             for t in np.linspace(-p.t0, p.t0, 201)

@@ -28,8 +28,7 @@ from oscpurity.errors import (
     NoThreshold,
     SupercriticalExcursion,
 )
-from oscpurity.model import ScenarioParams
-from oscpurity.transport import IntegratorConfig
+from oscpurity.model import IntegratorConfig, ScenarioParams
 
 
 def make_params(omega_e=2.0, psi=0.9, t0=1.0, tau=10.0):

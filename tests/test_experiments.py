@@ -372,6 +372,22 @@ def test_sweep_spec_rejects_workers(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_slope_sweep_below_the_deficit_floor_is_numerical_failure(
+    tmp_path, capsys, monkeypatch
+):
+    # The slope reduction is fig12's: when every deficit is below
+    # DEFICIT_FLOOR there is no slope to report.
+    import oscpurity.adiabatic as adiabatic_mod
+
+    monkeypatch.setattr(adiabatic_mod, "latetime_purity", lambda p, cfg: 1.0 - 1e-15)
+    spec = tmp_path / "slope.spec"
+    spec.write_text(SWEEP_SPEC.replace("latetime_purity", "slope"))
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--spec", str(spec), "--out", out]) == 3
+    assert "all purity deficits below" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_sweep_cli_writes_csv(tmp_path, capsys):
     spec = tmp_path / "sweep.cfg"
     spec.write_text(SWEEP_SPEC)
@@ -409,8 +425,18 @@ def test_sweep_spec_rejections(mutation):
 
 
 def test_sweep_spec_duplicate_key():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="duplicate key 'count'"):
         parse_sweep_spec(SWEEP_SPEC + "\ncount = 7\n")
+
+
+def test_sweep_spec_syntax_error_names_the_spec_line():
+    # Sweep keys before the faulty line count too: it is line 8 of the spec.
+    spec = (
+        "param = tau\nmin = 2.0\nmax = 6.0\ncount = 4\nreduction = latetime_purity\n"
+        "omega_e = 2.0\nt0 = 1.0\npsi 0.9\n"
+    )
+    with pytest.raises(ConfigError, match="^line 8: expected 'key = value'$"):
+        parse_sweep_spec(spec)
 
 
 def test_sweep_grid_kinds():

@@ -30,15 +30,10 @@ from oscpurity.markov import (
     surrogate_B,
     system_hamiltonian,
 )
-from oscpurity.model import ScenarioParams
+from oscpurity.model import IntegratorConfig, ScenarioParams
 from oscpurity.presets import preset_scenarios
 from oscpurity.symplectic import det2, eig_sym2, symmetrize
-from oscpurity.transport import (
-    IntegratorConfig,
-    integrate,
-    purity_from_propagator,
-    sigma_from_propagator,
-)
+from oscpurity.transport import integrate, purity_from_propagator, sigma_from_propagator
 
 
 def make_params():

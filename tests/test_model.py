@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from numutil import adiabatic_frame
 
 from oscpurity.errors import ConfigError, CriticalPoint, DerivativeUndefined
-from oscpurity.transport import IntegratorConfig
 from oscpurity.model import (
     ISOSO,
     SMOOTH,
+    IntegratorConfig,
     ScenarioParams,
     classify_regime,
     coupling_xi,
@@ -281,7 +281,7 @@ def test_secular_times():
 
 
 def test_parse_config_roundtrip():
-    p, integ = parse_config(
+    p, cfg = parse_config(
         """
         # scenario
         omega_s = 1.0
@@ -295,7 +295,7 @@ def test_parse_config_roundtrip():
         """
     )
     assert p.psi == pytest.approx(0.9)
-    assert integ == {"rtol": 1e-9}
+    assert cfg == IntegratorConfig(rtol=1e-9)
 
 
 def test_parse_config_errors():
@@ -320,8 +320,8 @@ def test_parse_config_errors():
 @pytest.mark.parametrize("method", ["RK45", "DOP853"])
 def test_parse_config_accepts_and_drops_legacy_method(method):
     # Configs written for the earlier Runge-Kutta solvers still load.
-    _, integ = parse_config("omega_e = 2\nt0 = 1\npsi = 0.5\nmethod = %s\n" % method)
-    assert integ == {}
+    _, cfg = parse_config("omega_e = 2\nt0 = 1\npsi = 0.5\nmethod = %s\n" % method)
+    assert cfg == IntegratorConfig()
 
 
 _POSITIVE = st.floats(1e-3, 1e3)
@@ -329,6 +329,17 @@ _KNOWN_KEYS = (
     "omega_s omega_e xi0 psi t0 tau profile rtol atol max_step sample_dt "
     "t_end_policy cutoff_threshold method"
 ).split()
+
+
+#: Valid values of each integrator key.
+_INTEGRATOR_VALUES = {
+    "rtol": st.floats(1e-14, 1e-2),
+    "atol": st.floats(0.0, 1e-6),
+    "max_step": _POSITIVE,
+    "sample_dt": _POSITIVE,
+    "t_end_policy": st.sampled_from(["fixed", "cutoff"]),
+    "cutoff_threshold": st.floats(1e-12, 0.5),
+}
 
 
 @st.composite
@@ -341,12 +352,7 @@ def config_values(draw):
         "omega_s": _POSITIVE,
         "tau": _POSITIVE,
         "profile": st.sampled_from(["smooth", "isoso"]),
-        "rtol": st.floats(1e-14, 1e-2),
-        "atol": st.floats(0.0, 1e-6),
-        "max_step": _POSITIVE,
-        "sample_dt": _POSITIVE,
-        "t_end_policy": st.sampled_from(["fixed", "cutoff"]),
-        "cutoff_threshold": st.floats(1e-12, 0.5),
+        **_INTEGRATOR_VALUES,
     }
     for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
         kv[key] = draw(optional[key])
@@ -364,12 +370,6 @@ def config_text(kv, order=None, comments=False):
     return "\n".join(lines) + "\n"
 
 
-def load(text):
-    """parse_config plus the integrator settings check, as the CLI loads."""
-    p, integ = parse_config(text)
-    return p, IntegratorConfig(**integ)
-
-
 @settings(max_examples=100)
 @given(config_values(), st.randoms(use_true_random=False), st.booleans())
 def test_parse_config_roundtrip_property(kv, rnd, comments):
@@ -377,7 +377,7 @@ def test_parse_config_roundtrip_property(kv, rnd, comments):
     # exactly the written values.
     order = list(kv)
     rnd.shuffle(order)
-    p, cfg = load(config_text(kv, order, comments))
+    p, cfg = parse_config(config_text(kv, order, comments))
     omega_s = kv.get("omega_s", 1.0)
     assert (p.omega_s, p.omega_e, p.t0) == (omega_s, kv["omega_e"], kv["t0"])
     assert p.tau == kv.get("tau", 1.0)
@@ -386,8 +386,9 @@ def test_parse_config_roundtrip_property(kv, rnd, comments):
         assert p.xi0 == kv["xi0"]
     else:
         assert p.xi0 == kv["psi"] * omega_s * kv["omega_e"]
-    for key in set(kv) & set(IntegratorConfig.__dataclass_fields__):
-        assert getattr(cfg, key) == kv[key]
+    default = IntegratorConfig()
+    for key in _INTEGRATOR_VALUES:
+        assert getattr(cfg, key) == kv.get(key, getattr(default, key))
 
 
 @settings(max_examples=50)
@@ -429,4 +430,4 @@ def test_parse_config_rejects_non_finite_values(kv, data, bad):
     key = data.draw(st.sampled_from(numeric))
     kv[key] = bad
     with pytest.raises(ConfigError):
-        load(config_text(kv))
+        parse_config(config_text(kv))

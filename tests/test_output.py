@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from numutil import write_csv_per_row
 
 from oscpurity import output
-from oscpurity.model import ScenarioParams
-from oscpurity.transport import IntegratorConfig, integrate
+from oscpurity.model import IntegratorConfig, ScenarioParams
+from oscpurity.transport import integrate
 
 
 def test_write_trajectory_writes_file(tmp_path):

@@ -87,7 +87,8 @@ def test_isoso_closed_form_freezes_after_window():
 
 
 def test_smooth_quadrature_matches_exact_when_weak():
-    from oscpurity.transport import IntegratorConfig, integrate
+    from oscpurity.model import IntegratorConfig
+    from oscpurity.transport import integrate
 
     p = make_params(psi=0.05, t0=5.0, tau=1.0)
     traj = integrate(p, IntegratorConfig())

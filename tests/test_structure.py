@@ -1,6 +1,7 @@
 """Guards on the package's module structure: no module reaches into another
-module's private names, output is formatted and written by one module, and
-the analytic and physics layers load without the layers above them."""
+module's private names, output is formatted and written by one module, input
+text is read by one module, and the analytic and physics layers load without
+the layers above them."""
 
 import ast
 import glob
@@ -50,6 +51,17 @@ def test_only_output_formats_and_writes_results():
                     if isinstance(t, ast.Name) and t.id == "FMT"
                 }
     assert found == {("output.py", "json"), ("output.py", "write_csv"), ("output.py", "FMT")}
+
+
+def test_only_model_splits_input_text():
+    # Configs and sweep specs are split into lines by model.read_pairs alone.
+    found = {
+        name
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "splitlines"
+    }
+    assert found == {"model.py"}
 
 
 def _loaded_after(imports, module):

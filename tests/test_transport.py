@@ -24,13 +24,18 @@ from numutil import (
 
 from oscpurity import output, transport
 from oscpurity.errors import ConfigError, StepFailure
-from oscpurity.model import ISOSO, ScenarioParams, frame_from_xi, switch_segments
-from oscpurity.transport import (
+from oscpurity.model import (
+    ISOSO,
+    SMOOTH,
     IntegratorConfig,
+    ScenarioParams,
+    frame_from_xi,
+    switch_segments,
+)
+from oscpurity.transport import (
     default_sample_dt,
     generator_terms,
     integrate,
-    isoso_reference_run,
     propagate,
     purity_from_propagator,
     sigma_from_propagator,
@@ -301,7 +306,7 @@ def test_csv_layout_and_determinism():
 
 def test_isoso_reference_run_matches_analytic_window():
     p = make_params(psi=0.9, profile=ISOSO)
-    traj = isoso_reference_run(p, IntegratorConfig())
+    traj = integrate(p.with_profile(SMOOTH, tau=1e-4 * p.t0), IntegratorConfig())
     # The steep-switch reference stays close to the exact top-hat propagator.
     for t in (-5.0, 0.0, 5.0):
         ref = purity_from_block(oracle_sigma(t, p)[0:2, 0:2])
@@ -416,8 +421,8 @@ def test_magnus_exponent_matches_textbook_formula():
 
 @pytest.mark.parametrize("scale, rel", [(0.05, 1e-15), (1.0, 1e-14), (30.0, 1e-13)])
 def test_step_exponential_matches_expm(scale, rel):
-    # Random Hamiltonian matrices Omega H (H symmetric), one at a time and as
-    # a stack, against a 50-digit exponential; the large scale exercises
+    # Random Hamiltonian matrices Omega H (H symmetric), each alone and as
+    # one stack, against a 50-digit exponential; the large scale exercises
     # scaling and squaring (results up to ~1e53).
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
@@ -433,29 +438,29 @@ def test_step_exponential_matches_expm(scale, rel):
     tol = rel * np.max(np.abs(ref), axis=(1, 2))
     batched = transport._expm(stack)
     for i, m in enumerate(stack):
-        assert np.max(np.abs(transport._expm(m) - ref[i])) < tol[i]
+        assert np.max(np.abs(transport._expm(m[None])[0] - ref[i])) < tol[i]
         assert np.max(np.abs(batched[i] - ref[i])) < tol[i]
 
 
 ORACLE_CASES = [
-    pytest.param(ScenarioParams.from_psi(1.0, 2.0, 0.9, 2.0, 0.5), integrate, id="subcritical"),
-    pytest.param(ScenarioParams.from_psi(1.0, 2.0, 1.4, 2.0, 0.5), integrate, id="supercritical"),
-    pytest.param(make_params(psi=0.9, t0=2.0, profile=ISOSO), isoso_reference_run, id="near-top-hat"),
+    pytest.param(ScenarioParams.from_psi(1.0, 2.0, 0.9, 2.0, 0.5), id="subcritical"),
+    pytest.param(ScenarioParams.from_psi(1.0, 2.0, 1.4, 2.0, 0.5), id="supercritical"),
+    # The near-top-hat limit tau = 1e-4 t0 of a t0 = 2 top-hat scenario.
+    pytest.param(make_params(psi=0.9, t0=2.0, tau=2e-4), id="near-top-hat"),
 ]
 
 
-@pytest.mark.parametrize("p, run", ORACLE_CASES)
-def test_magnus_matches_dop853_oracle(p, run):
+@pytest.mark.parametrize("p", ORACLE_CASES)
+def test_magnus_matches_dop853_oracle(p):
     cfg = IntegratorConfig()
-    traj = run(p, cfg)
-    p_run = traj.params
+    traj = integrate(p, cfg)
     # Samples, arbitrary times (almost surely off the step grid) and the end
     # point, all against DOP853 at rtol 1e-12.
     rng = np.random.default_rng(11)
     idx = np.unique(rng.integers(0, len(traj.t), 12))
-    t_any = np.sort(rng.uniform(p_run.t_in, traj.t_end, 12))
+    t_any = np.sort(rng.uniform(p.t_in, traj.t_end, 12))
     ts = np.unique(np.concatenate([traj.t[idx], t_any, [traj.t_end]]))
-    ref = dict(zip(ts, dop853_propagators(p_run, ts)))
+    ref = dict(zip(ts, dop853_propagators(p, ts)))
 
     def check(u, t):
         scale = max(1.0, np.max(np.abs(ref[t])))
@@ -465,7 +470,7 @@ def test_magnus_matches_dop853_oracle(p, run):
         check(traj.propagator[i], traj.t[i])
     for t in t_any:
         check(traj.propagator_at(t), t)
-    check(propagate(p_run, cfg), traj.t_end)
+    check(propagate(p, cfg), traj.t_end)
 
 
 def test_integrator_is_exact_for_constant_coupling():
