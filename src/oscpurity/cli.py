@@ -15,14 +15,25 @@ import numpy as np
 
 from . import adiabatic, isoso, markov, output, perturbation, presets
 from .errors import ConfigError, InvalidCaseWarning, OscPurityError
-from .model import ISOSO, classify_regime, config_from_pairs, parse_config, read_pairs
+from .model import (
+    ISOSO, IntegratorConfig, classify_regime, config_from_pairs, parse_config, read_pairs,
+)
 from .transport import integrate
 
 _SWEEP_KEYS = {"param", "grid", "min", "max", "count", "reduction"}
 
-#: Sweep reductions and the fewest grid points each needs: the centered
-#: log-log slope takes three, the threshold line fit two.
-_REDUCTIONS = {"latetime_purity": 1, "slope": 3, "threshold": 2}
+#: Integrator keys that a late-time purity cannot honour: it runs to the
+#: cutoff end point and takes no samples.
+_LATETIME_IGNORES = frozenset({"t_end_policy", "sample_dt"})
+
+#: Sweep reductions: the fewest grid points each needs (the centered log-log
+#: slope takes three, the threshold line fit two) and the integrator keys it
+#: would ignore.  The threshold scan sets all of them itself.
+_REDUCTIONS = {
+    "latetime_purity": (1, _LATETIME_IGNORES),
+    "slope": (3, _LATETIME_IGNORES),
+    "threshold": (2, frozenset(f.name for f in dataclasses.fields(IntegratorConfig))),
+}
 
 
 def _read_text(path, what):
@@ -129,8 +140,7 @@ def parse_sweep_spec(text):
     Raises:
         ConfigError: on a malformed spec, an unknown key (`workers` too:
             sweeps run serially), a grid shorter than its reduction needs, or
-            an integrator key in a threshold spec, whose scan sets its own
-            tolerances.
+            an integrator key that the reduction would ignore.
     """
     base = read_pairs(text)
     kv = {key: base.pop(key) for key in list(base) if key in _SWEEP_KEYS}
@@ -151,18 +161,17 @@ def parse_sweep_spec(text):
         raise ConfigError("bad sweep number: %s" % exc)
     if count < 1 or not lo < hi or lo <= 0:
         raise ConfigError("sweep grid bounds must satisfy 0 < min < max, count >= 1")
-    need = _REDUCTIONS[kv["reduction"]]
+    need, ignored = _REDUCTIONS[kv["reduction"]]
     if count < need:
         raise ConfigError(
             "reduction %r needs count >= %d, got %d" % (kv["reduction"], need, count)
         )
     grid = (np.geomspace if grid_kind == "log" else np.linspace)(lo, hi, count)
     p, cfg = config_from_pairs(base)
-    overrides = sorted(f.name for f in dataclasses.fields(cfg) if f.name in base)
-    if kv["reduction"] == "threshold" and overrides:
+    unused = sorted(ignored.intersection(base))
+    if unused:
         raise ConfigError(
-            "reduction 'threshold' runs at its own tolerances; remove %s"
-            % ", ".join(overrides)
+            "reduction %r would ignore %s" % (kv["reduction"], ", ".join(unused))
         )
     return p, cfg, grid, kv["reduction"]
 

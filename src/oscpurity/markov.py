@@ -87,9 +87,13 @@ def _free_rotation(p, dt):
     return np.stack([np.stack([c, s / w], -1), np.stack([-w * s, c], -1)], -2)
 
 
-#: Gauss-Legendre rule per step of the trajectory's grid.  Steps resolve a
-#: twentieth of the fastest period, so four nodes integrate the smooth
-#: integrand between step nodes to round-off.
+#: Gauss-Legendre rule per piece of at most a fortieth of the fastest
+#: period.  The step grid alone is too coarse wherever xi is constant: the
+#: tolerance leaves steps of up to a tenth of the period there, and four
+#: nodes per step missed Y by up to 2e-10 (|Y| ~ 2) on a top-hat window at
+#: rtol 1e-10.  On the cut pieces Y stays within 1.3e-14 (relative) of the
+#: rule on four times as many, so what remains is the trajectory's own
+#: error: 1.4e-11 relative at rtol 1e-10 on a psi = 1.1 smooth window.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(4)
 
 
@@ -98,9 +102,10 @@ def map_pair_evolve(p, traj, t_a, t_b, rtol=1e-10, atol=1e-12):
 
     X = exp(Omega H_S (t_b - t_a)) is the free rotation, and
     Y = Int_{t_a}^{t_b} X(t_b, s) B(s) X(t_b, s)^T ds, with B(s) from the
-    driving trajectory, by a four-node Gauss-Legendre rule on every piece of
+    driving trajectory, by a four-node Gauss-Legendre rule on the pieces of
     [t_a, t_b] between the trajectory's step nodes (where the propagator is
-    smooth).  rtol and atol are accepted and ignored: the trajectory's own
+    smooth), each cut into equal parts of at most a fortieth of the fastest
+    period.  rtol and atol are accepted and ignored: the trajectory's own
     tolerances set the accuracy.
 
     Raises:
@@ -110,8 +115,13 @@ def map_pair_evolve(p, traj, t_a, t_b, rtol=1e-10, atol=1e-12):
         return MapPair(np.eye(2), np.zeros((2, 2)), t_a, t_b)
     steps = traj.step_t
     edges = np.concatenate([[t_a], steps[(steps > t_a) & (steps < t_b)], [t_b]])
-    half = 0.5 * np.diff(edges)[:, None]
-    s = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * _GL_X).ravel()
+    width = 0.05 * np.pi / np.sqrt(normal_mode_sq(p.xi0, p)[1])
+    span = np.diff(edges)
+    cuts = np.maximum(1, np.ceil(np.abs(span) / width)).astype(int)
+    h = np.repeat(span / cuts, cuts)
+    j = np.arange(len(h)) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+    half = 0.5 * h[:, None]
+    s = ((np.repeat(edges[:-1], cuts) + (j + 0.5) * h)[:, None] + half * _GL_X).ravel()
     b = noise_B(s, traj.sigma_at(s), p)
     x = _free_rotation(p, t_b - s)
     y = np.einsum("n,nij,njk,nlk->il", (half * _GL_W).ravel(), x, b, x)

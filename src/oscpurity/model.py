@@ -98,7 +98,8 @@ class IntegratorConfig:
     Attributes:
         rtol, atol: bound on the Richardson error estimate of each
             segment's propagator, atol + rtol |U| in max-abs norm.
-        max_step: optional global step cap (defaults derived from params).
+        max_step: optional step cap of the integrator's coarse first
+            level, so that accepted steps are at most max_step / 2.
         sample_dt: output cadence (default (2 pi/omega2)/40 at peak coupling).
         t_end_policy: "fixed" (window mirrors t_in) or "cutoff" (stop once
             xi/xi_c drops below cutoff_threshold).
@@ -176,18 +177,19 @@ def coupling_xi_dot(t, p):
     return p.xi0 * (da * np.tanh(v) + np.tanh(u) * db) / (1.0 + np.tanh(p.t0 / p.tau) ** 2)
 
 
-def switch_segments(p, t_start, t_end, cap):
+def switch_segments(p, t_start, t_end, cap, switch_cap=None):
     """Split [t_start, t_end] at the profile's features into segments of
     equal steps: the one grid rule of the integrator and both quadratures.
 
     The top-hat window breaks at +-t0.  The smooth one breaks at the edges
     +-t0 -+ 10 tau of its switch regions, where steps are also capped at
-    tau / 20 to resolve the switch.
+    switch_cap to resolve the switch.
 
     Args:
         p: ScenarioParams.
         t_start, t_end: the window.
         cap: step cap everywhere (may be inf).
+        switch_cap: step cap in the switch regions (default tau / 20).
 
     Returns:
         list of (lo, hi, n): n = max(1, ceil((hi - lo) / step)) steps.
@@ -203,11 +205,12 @@ def switch_segments(p, t_start, t_end, cap):
             pts.append(c)
     pts.append(t_end)
     near = 10.0 * p.tau + 1e-12
+    switch_cap = p.tau / 20.0 if switch_cap is None else switch_cap
     segments = []
     for lo, hi in zip(pts[:-1], pts[1:]):
         mid = 0.5 * (lo + hi)
         switch = p.profile == SMOOTH and min(abs(mid + p.t0), abs(mid - p.t0)) <= near
-        step = min(cap, p.tau / 20.0) if switch else cap
+        step = min(cap, switch_cap) if switch else cap
         segments.append((lo, hi, max(1, math.ceil((hi - lo) / step))))
     return segments
 

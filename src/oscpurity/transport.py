@@ -14,10 +14,13 @@ nodes of each step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151):
 every step is the exponential of a Hamiltonian matrix, so U stays symplectic
 to round-off, and a step is exact wherever xi is constant.  The window is
 split into the segments of model.switch_segments, and all segments refine
-together: each starts from a step count that resolves the oscillation and
-the switch, and each level doubles the number of equal steps of every segment
-still refining, in one batch of Magnus steps, until the segment's Richardson
-estimate |P_2n - P_n| / 63 is at most atol + rtol |P_2n| (max-abs norms).
+together: each starts from a coarse step count (a fifth of the fastest
+period, tau / 5 in the switch regions) that serves only as the first
+Richardson estimate, and each level doubles the number of equal steps of
+every segment still refining, in one batch of Magnus steps, until the
+segment's estimate |P_2n - P_n| / 63 is at most atol + rtol |P_2n| (max-abs
+norms).  So the tolerance, not a fixed fraction of the period, sets the
+accepted grid.
 
 `integrate` keeps the propagator at every step node and samples the window
 with one partial Magnus step from the node before each sample; arbitrary-time
@@ -397,11 +400,26 @@ def _resolve_t_end(p, cfg):
     return max(p.t0, 0.5 * p.tau * arccosh)
 
 
+def _start_segments(p, t_end, cfg):
+    """Segments of [t_in, t_end] with the step counts of the first level.
+
+    The first level is only ever the coarse Richardson estimate, so it
+    starts two doublings coarser than a grid that resolves the motion: steps
+    of a fifth of the fastest period (or max_step, if smaller) and tau / 5
+    in the switch regions.  The tolerance alone then sets the accepted grid,
+    whose steps are at most half of these.
+    """
+    cap = 0.2 * 2.0 * np.pi / _omega2_peak(p)
+    if cfg.max_step is not None:
+        cap = min(cap, cfg.max_step)
+    return switch_segments(p, p.t_in, t_end, cap, switch_cap=p.tau / 5.0)
+
+
 def _solve(p, cfg, t_end, keep_nodes):
     """Propagate U from t_in to t_end, refining all segments together.
 
-    Every segment starts from the step count of its cap; each level of the
-    segments still refining is one _segment_propagators call, and a segment
+    Every segment starts from its _start_segments step count; each level of
+    the segments still refining is one _segment_propagators call, and a segment
     stops once its Richardson estimate meets the tolerance.  A failure is
     raised for the first segment that fails, once every segment before it
     converged, as if the segments were refined one after the other.
@@ -411,22 +429,27 @@ def _solve(p, cfg, t_end, keep_nodes):
         keep_nodes, else None.
     """
     stepper = _MagnusStepper(p)
-    cap = 0.05 * 2.0 * np.pi / _omega2_peak(p)
-    if cfg.max_step is not None:
-        cap = min(cap, cfg.max_step)
-    segments = switch_segments(p, p.t_in, t_end, cap)
+    segments = _start_segments(p, t_end, cfg)
     bounds = [(lo, hi) for lo, hi, _ in segments]
     n = [count for _, _, count in segments]
-    for (lo, hi), count in zip(bounds, n):
-        if count > MAX_STEPS:
-            raise StepFailure("[%g, %g] needs more than %d steps" % (lo, hi, MAX_STEPS))
     # result[k]: None while refining, (P, nodes) once converged, or the
     # failure message.
-    result = [None] * len(bounds)
+    result = [
+        "[%g, %g] needs more than %d steps" % (lo, hi, MAX_STEPS)
+        if count > MAX_STEPS else None
+        for (lo, hi), count in zip(bounds, n)
+    ]
     coarse = [None] * len(bounds)
     # The first level is only ever a coarse estimate: it keeps no nodes.
-    live, keep = list(range(len(bounds))), False
-    while live:
+    live, keep = [k for k, r in enumerate(result) if r is None], False
+    while True:
+        for r in result:
+            if isinstance(r, str):
+                raise StepFailure(r)
+            if r is None:
+                break
+        if not live:
+            break
         segments = [bounds[k] + (n[k],) for k in live]
         totals, nodes = _segment_propagators(stepper, segments, keep)
         for k, fine, fine_nodes in zip(live, totals, nodes):
@@ -443,11 +466,6 @@ def _solve(p, cfg, t_end, keep_nodes):
                 )
             else:
                 coarse[k], n[k] = fine, 2 * n[k]
-        for r in result:
-            if isinstance(r, str):
-                raise StepFailure(r)
-            if r is None:
-                break
         live, keep = [k for k in live if result[k] is None], keep_nodes
     u = np.eye(4)
     if not keep_nodes:

@@ -8,7 +8,6 @@ import math
 import numpy as np
 
 from oscpurity.errors import NonPhysicalState, StepFailure
-from oscpurity.model import switch_segments
 from oscpurity.symplectic import det2
 
 #: Unit round-off of the extended-precision accumulator.
@@ -150,10 +149,7 @@ def solve_per_segment(p, cfg, t_end, keep_nodes):
     stepper = tr._MagnusStepper(p)
     u = np.eye(4)
     times, props, levels = [np.array([p.t_in])], [u[None]], []
-    cap = 0.05 * 2.0 * np.pi / tr._omega2_peak(p)
-    if cfg.max_step is not None:
-        cap = min(cap, cfg.max_step)
-    for t_lo, t_hi, n in switch_segments(p, p.t_in, t_end, cap):
+    for t_lo, t_hi, n in tr._start_segments(p, t_end, cfg):
         seg, nodes, n, count = segment(stepper, t_lo, t_hi, n)
         levels.append(count)
         if keep_nodes:

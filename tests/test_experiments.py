@@ -17,6 +17,7 @@ from oscpurity.cli import (
     phase_diagram,
 )
 from oscpurity.errors import ConfigError
+from oscpurity.model import IntegratorConfig
 from oscpurity.presets import PRESET_NAMES, REGIME_POINTS
 
 FAST_CONFIG = """
@@ -226,6 +227,40 @@ def test_threshold_sweep_rejects_integrator_keys(line, tmp_path, capsys, monkeyp
     assert not os.path.exists(out)
     with pytest.raises(ConfigError):
         parse_sweep_spec(spec.read_text())
+
+
+@pytest.mark.parametrize("line", ["t_end_policy = fixed", "sample_dt = 0.5"])
+@pytest.mark.parametrize(
+    "reduction, entry", [("latetime_purity", "latetime_purity"), ("slope", "nonanalyticity_slope")]
+)
+def test_latetime_sweeps_reject_ignored_integrator_keys(
+    reduction, entry, line, tmp_path, capsys, monkeypatch
+):
+    # A late-time purity runs to the cutoff end point and takes no samples,
+    # so these keys would be ignored: the spec is rejected while parsing,
+    # before any cell is integrated.
+    import oscpurity.adiabatic as adiabatic_mod
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a cell")
+
+    monkeypatch.setattr(adiabatic_mod, entry, no_integration)
+    spec = tmp_path / "latetime.spec"
+    spec.write_text(
+        SWEEP_SPEC.replace("reduction = latetime_purity", "reduction = " + reduction)
+        + line
+        + "\n"
+    )
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--spec", str(spec), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and line.split(" =")[0] in err
+    assert not os.path.exists(out)
+    with pytest.raises(ConfigError):
+        parse_sweep_spec(spec.read_text())
+    # The keys these reductions honour stay accepted.
+    spec.write_text(spec.read_text().replace(line, "rtol = 1e-9\nmax_step = 0.1"))
+    assert parse_sweep_spec(spec.read_text())[1] == IntegratorConfig(rtol=1e-9, max_step=0.1)
 
 
 @pytest.mark.parametrize("order", ["0", "1"])

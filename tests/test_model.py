@@ -149,6 +149,13 @@ def test_switch_segments_without_cap():
     assert counts == [1, 400, 1, 400, 1]
 
 
+def test_switch_segments_switch_cap():
+    # The caller's switch cap replaces tau / 20 in the switch regions only.
+    p = make_params(t0=10.0, tau=0.5)
+    counts = [n for _, _, n in switch_segments(p, p.t_in, -p.t_in, 0.3, switch_cap=0.1)]
+    assert counts == [17, 100, 34, 100, 17]
+
+
 def test_switch_segments_window_starting_in_switch_region():
     p = make_params(t0=10.0, tau=0.5)
     assert switch_segments(p, -10.0, 0.0, 0.3) == [(-10.0, -5.0, 200), (-5.0, 0.0, 17)]

@@ -482,14 +482,39 @@ def test_integrator_is_exact_for_constant_coupling():
     assert np.max(np.abs(u - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
+def test_cost_follows_tolerance():
+    # The tolerance, not a fixed fraction of the period, sets the step grid:
+    # a loose run keeps at most half the nodes of a tight one, and each run's
+    # purity series stays within its rtol of an rtol 1e-14 run.
+    p = make_params(psi=0.78, t0=2.0, tau=0.5)
+    ref = integrate(p, IntegratorConfig(rtol=1e-14, atol=0.0))
+    nodes = {}
+    for rtol in (1e-7, 1e-10, 1e-12):
+        traj = integrate(p, IntegratorConfig(rtol=rtol, atol=1e-2 * rtol))
+        nodes[rtol] = len(traj.step_t)
+        if rtol > 1e-12:
+            np.testing.assert_allclose(traj.purity_s, ref.purity_s, rtol=rtol, atol=0.0)
+    assert nodes[1e-7] <= nodes[1e-12] / 2, nodes
+
+
+@pytest.mark.parametrize("profile", ["smooth", ISOSO])
+def test_accepted_steps_are_at_most_half_the_max_step(profile):
+    # The first level is only the coarse estimate, so every accepted step is
+    # at most half of the start grid's cap, max_step included.
+    p = make_params(t0=3.0, tau=0.5, profile=profile)
+    for max_step in (0.05, 0.3):
+        traj = integrate(p, IntegratorConfig(rtol=1e-6, max_step=max_step))
+        assert np.diff(traj.step_t).max() <= 0.5 * max_step * (1.0 + 1e-12)
+
+
 REFINEMENT_CASES = [
     pytest.param(make_params(t0=10.0, tau=0.5), IntegratorConfig(), False, id="smooth"),
     pytest.param(make_params(profile=ISOSO), IntegratorConfig(), False, id="top-hat"),
-    # The plateau's fine level (4204 steps) spans two chunks.
+    # The plateau's fine level (4450 steps) spans two chunks.
     pytest.param(
-        make_params(t0=200.0, tau=5.0), IntegratorConfig(), False, id="long-plateau"
+        make_params(t0=640.0, tau=0.5), IntegratorConfig(), False, id="long-plateau"
     ),
-    # The switch regions take one level more than the rest.
+    # The switch regions take two levels more than the rest.
     pytest.param(
         make_params(t0=5.0, tau=0.3),
         IntegratorConfig(rtol=1e-15, atol=0.0),
