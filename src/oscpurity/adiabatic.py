@@ -34,7 +34,7 @@ from .model import (
     frame_from_xi,
     switch_segments,
 )
-from .transport import integrate, propagate, purity_from_propagator
+from .transport import node_purities, propagate, purity_from_propagator
 
 #: Purity deficits below this are beyond double-precision resolution.
 DEFICIT_FLOOR = 1e-13
@@ -393,65 +393,96 @@ def recoherence_threshold_scan(
 
     For each tau/t0, finds the largest T_omega = w_S/(w_E - w_S) for which
     the late-time deficit satisfies 1 - gamma_inf < criterion *
-    (1 - gamma_min), by bisection in log T_omega to 1% resolution.  The
-    coupling is kept at the base scenario's psi while omega_e follows
-    T_omega.
+    (1 - gamma_min), with gamma_min the smallest system purity over the
+    integrator's step nodes, to a bracket [lo, hi] with hi / lo <= 1 +
+    rel_resolution; the threshold is sqrt(lo hi).  The coupling is kept at
+    the base scenario's psi while omega_e follows T_omega.
+
+    The first switch rate is bracketed by the bounds.  Each later one starts
+    from two probes a factor just under sqrt(1 + rel_resolution) either side
+    of the threshold predicted by the line through the last two thresholds
+    (the first through the origin), which already meet the resolution when
+    the test changes sign between them.  Otherwise the bracket widens
+    geometrically towards the change of sign, the exponent doubling each
+    time.  Every bracket is then bisected in log T_omega.  Like bisection,
+    this assumes the test changes sign once in T_omega.
 
     Returns:
-        dict with per-point thresholds and the least-squares line fit
-        (slope, intercept, r_squared) of T_omega_thr versus tau/t0.
+        dict with per-point thresholds, the least-squares line fit (slope,
+        intercept, r_squared) of T_omega_thr versus tau/t0, and the number
+        of probes.
 
     Raises:
-        ConfigError: for fewer than two grid points, which the line fit needs.
+        ConfigError: for fewer than two grid points, which the line fit needs,
+            or bounds and resolution outside 0 < lower < upper and
+            rel_resolution > 0, on which the search would not end.
+        NoThreshold: if the criterion fails at the lower bound.
     """
     if len(tau_over_t0_grid) < 2:
         raise ConfigError("the threshold line fit needs at least two tau/t0 points")
+    lo_b, hi_b = t_omega_bounds
+    if not (0.0 < lo_b < hi_b and rel_resolution > 0.0):
+        raise ConfigError(
+            "the threshold scan needs 0 < lower < upper bound and rel_resolution > 0"
+        )
     if cfg is None:
         # The threshold only needs deficits to one part in 1e-5 or so.
         cfg = IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff")
     psi = p_base.psi
+    # Just under sqrt(1 + rel_resolution), so that round-off cannot leave the
+    # first bracket wider than the resolution.
+    half_width = np.sqrt(1.0 + rel_resolution) * (1.0 - 1e-12)
     results = []
-    prev_thr = None
+    probes = 0
     for ratio in tau_over_t0_grid:
         tau = ratio * p_base.t0
 
         def recoheres(t_omega):
+            nonlocal probes
+            probes += 1
             omega_e = p_base.omega_s * (1.0 + 1.0 / t_omega)
             p = ScenarioParams.from_psi(
                 p_base.omega_s, omega_e, psi, p_base.t0, tau, p_base.profile
             )
-            traj = integrate(p, cfg)
-            gamma_min = float(np.min(traj.purity_s))
-            gamma_inf = float(traj.purity_s[-1])
-            return (1.0 - gamma_inf) < criterion * (1.0 - gamma_min)
+            gamma = node_purities(p, cfg)
+            return (1.0 - gamma[-1]) < criterion * (1.0 - np.min(gamma))
 
-        lo_b, hi_b = t_omega_bounds
-        # Warm-start the bracket from the previous threshold (thresholds
-        # grow monotonically with the switch rate ratio).
-        lo = max(lo_b, prev_thr / 2.0) if prev_thr is not None else lo_b
-        hi = min(hi_b, prev_thr * 4.0) if prev_thr is not None else hi_b
-        while not recoheres(lo):
-            if lo <= lo_b:
-                raise NoThreshold(
-                    "criterion never met at tau/t0 = %g on the given bounds" % ratio
-                )
-            lo = max(lo_b, lo / 4.0)
-        recohering = recoheres(hi)
-        while recohering and hi < hi_b:
-            hi = min(hi_b, hi * 4.0)
+        if results:
+            # On the line through the last two thresholds, the first one's
+            # through the origin.
+            (r1, t1), (r2, t2) = ([(0.0, 0.0)] + results)[-2:]
+            pred = t2 + (t2 - t1) * (ratio - r2) / (r2 - r1) if r2 != r1 else t2
+            pred = min(max(pred, lo_b), hi_b)
+            lo, hi = max(lo_b, pred / half_width), min(hi_b, pred * half_width)
+        else:
+            lo, hi = lo_b, hi_b
+        step = hi / lo
+        if recoheres(lo):
             recohering = recoheres(hi)
-        if recohering:
-            prev_thr = hi
-            results.append((ratio, hi))
-            continue
+            while recohering and hi < hi_b:
+                step *= step
+                lo, hi = hi, min(hi_b, hi * step)
+                recohering = recoheres(hi)
+            if recohering:
+                results.append((ratio, hi))
+                continue
+        else:
+            while True:
+                if lo <= lo_b:
+                    raise NoThreshold(
+                        "criterion never met at tau/t0 = %g on the given bounds" % ratio
+                    )
+                step *= step
+                lo, hi = max(lo_b, lo / step), lo
+                if recoheres(lo):
+                    break
         while hi / lo > 1.0 + rel_resolution:
             mid = np.sqrt(lo * hi)
             if recoheres(mid):
                 lo = mid
             else:
                 hi = mid
-        prev_thr = float(np.sqrt(lo * hi))
-        results.append((ratio, prev_thr))
+        results.append((ratio, float(np.sqrt(lo * hi))))
 
     ratios = np.array([r for r, _ in results])
     thrs = np.array([t for _, t in results])
@@ -466,4 +497,5 @@ def recoherence_threshold_scan(
         "slope": float(slope),
         "intercept": float(intercept),
         "r_squared": r_squared,
+        "probes": probes,
     }

@@ -16,7 +16,7 @@ import numpy as np
 from . import adiabatic, isoso, markov, output, perturbation, presets
 from .errors import ConfigError, InvalidCaseWarning, OscPurityError
 from .model import (
-    ISOSO, IntegratorConfig, classify_regime, config_from_pairs, parse_config, read_pairs,
+    ISOSO, IntegratorConfig, classify_regime, config_from_pairs, read_pairs,
 )
 from .transport import integrate
 
@@ -26,13 +26,17 @@ _SWEEP_KEYS = {"param", "grid", "min", "max", "count", "reduction"}
 #: cutoff end point and takes no samples.
 _LATETIME_IGNORES = frozenset({"t_end_policy", "sample_dt"})
 
+#: Every integrator key: what the threshold scan sets itself, and what the
+#: closed forms and quadratures of isoso, perturb and adiabatic never read.
+_INTEGRATOR_KEYS = frozenset(f.name for f in dataclasses.fields(IntegratorConfig))
+
 #: Sweep reductions: the fewest grid points each needs (the centered log-log
 #: slope takes three, the threshold line fit two) and the integrator keys it
-#: would ignore.  The threshold scan sets all of them itself.
+#: would ignore.
 _REDUCTIONS = {
     "latetime_purity": (1, _LATETIME_IGNORES),
     "slope": (3, _LATETIME_IGNORES),
-    "threshold": (2, frozenset(f.name for f in dataclasses.fields(IntegratorConfig))),
+    "threshold": (2, _INTEGRATOR_KEYS),
 }
 
 
@@ -44,8 +48,20 @@ def _read_text(path, what):
         raise ConfigError("cannot read %s %r: %s" % (what, path, exc))
 
 
-def _load_scenario(path):
-    return parse_config(_read_text(path, "config"))
+def _reject_ignored(kv, ignored, what):
+    """ConfigError naming the keys of kv in ignored, which `what` would ignore."""
+    unused = sorted(ignored.intersection(kv))
+    if unused:
+        raise ConfigError("%s would ignore %s" % (what, ", ".join(unused)))
+
+
+def _load_scenario(args, ignored=frozenset()):
+    """Scenario and integrator settings of args.config; a key in ignored is a
+    ConfigError."""
+    kv = read_pairs(_read_text(args.config, "config"))
+    p, cfg = config_from_pairs(kv)
+    _reject_ignored(kv, ignored, repr(args.command))
+    return p, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +70,7 @@ def _load_scenario(path):
 
 
 def cmd_simulate(args):
-    p, cfg = _load_scenario(args.config)
+    p, cfg = _load_scenario(args)
     traj = integrate(p, cfg)
     os.makedirs(args.out, exist_ok=True)
     output.write_trajectory(os.path.join(args.out, "trajectory.csv"), traj)
@@ -65,7 +81,7 @@ def cmd_simulate(args):
 
 
 def cmd_isoso(args):
-    p, _ = _load_scenario(args.config)
+    p, _ = _load_scenario(args, _INTEGRATOR_KEYS)
     ts = np.linspace(-p.t0, p.t0, 2001)
     gam = isoso.isoso_purity(ts, p)
     header, columns = "t,purity_analytic", [ts, gam]
@@ -81,7 +97,7 @@ def cmd_isoso(args):
 
 
 def cmd_perturb(args):
-    p, _ = _load_scenario(args.config)
+    p, _ = _load_scenario(args, _INTEGRATOR_KEYS)
     ts = np.linspace(p.t_in, -p.t_in, 2001)
     gam = perturbation.purity_o2_quadrature(ts, p)
     os.makedirs(args.out, exist_ok=True)
@@ -91,7 +107,7 @@ def cmd_perturb(args):
 
 
 def cmd_adiabatic(args):
-    p, _ = _load_scenario(args.config)
+    p, _ = _load_scenario(args, _INTEGRATOR_KEYS)
     if p.profile == ISOSO:
         raise ConfigError(
             "the slow-switching expansion needs the smooth profile; the top-hat "
@@ -110,7 +126,7 @@ def cmd_adiabatic(args):
 
 
 def cmd_markov(args):
-    p, cfg = _load_scenario(args.config)
+    p, cfg = _load_scenario(args)
     traj = integrate(p, cfg)
     series = markov.markov_series(traj, p, args.surrogate, stride=4)
     os.makedirs(args.out, exist_ok=True)
@@ -168,11 +184,7 @@ def parse_sweep_spec(text):
         )
     grid = (np.geomspace if grid_kind == "log" else np.linspace)(lo, hi, count)
     p, cfg = config_from_pairs(base)
-    unused = sorted(ignored.intersection(base))
-    if unused:
-        raise ConfigError(
-            "reduction %r would ignore %s" % (kv["reduction"], ", ".join(unused))
-        )
+    _reject_ignored(base, ignored, "reduction %r" % kv["reduction"])
     return p, cfg, grid, kv["reduction"]
 
 

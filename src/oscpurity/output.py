@@ -86,12 +86,14 @@ def _scaled(a, e10, pow10):
 def _fmt_e16(x):
     """'%.16e' fields of a float array as (n, 7) uint32 words, NUL padded:
     [NUL, sign, digit, '.'], 16 digits, ['e', sign, exponent...], plus the
-    mask of values the words cannot be trusted for: non-finite, zero, |x|
-    outside [1e-250, 1e250] or within _TIE of a rounding tie."""
+    mask of values the words cannot be trusted for: non-finite, |x| outside
+    [1e-250, 1e250] but not zero, or within _TIE of a rounding tie."""
     pow10, ascii4, exps = _fmt_tables()
     a = np.abs(x)
-    slow = ~((a >= 1e-250) & (a <= 1e250))
-    a[slow] = 1.0
+    zero = a == 0.0
+    slow = ~((a >= 1e-250) & (a <= 1e250) | zero)
+    # A zero is formatted as 1.0 with the leading digit 0: +-0.000...0e+00.
+    a[slow | zero] = 1.0
     e10 = np.floor(np.log10(a)).astype(np.int64)
     n, frac, step = _scaled(a, e10, pow10)
     # log10 can be one decade off.  The scaled value decides, not the
@@ -106,9 +108,10 @@ def _fmt_e16(x):
     m[top] = 10**16
     e10 += top
     lead, m = np.divmod(m, 10**16)
+    lead[zero] = 0
     q, r = np.divmod(m, 10**8)
     w = np.empty((len(x), 7), "<u4")
-    w[:, 0] = np.where(x < 0, 0x2E002D00, 0x2E000000) | (48 + lead) << 16
+    w[:, 0] = np.where(np.signbit(x), 0x2E002D00, 0x2E000000) | (48 + lead) << 16
     w[:, 1], w[:, 2] = ascii4[q // 10000], ascii4[q % 10000]
     w[:, 3], w[:, 4] = ascii4[r // 10000], ascii4[r % 10000]
     k = 16 - _POW10_K.start - e10
@@ -156,8 +159,9 @@ def _csv_block(columns, formats):
 def write_csv(path_or_buf, header, columns, formats=None):
     """Write equal-length columns as CSV rows under a header line, one write
     per block of _CSV_ROWS rows. FMT columns are formatted in numpy, byte for
-    byte as Python's "%.16e" % v; other formats, and the non-finite, zero,
-    extreme (|x| outside [1e-250, 1e250]) or near-tie values, by Python's %.
+    byte as Python's "%.16e" % v; other formats, and the non-finite, extreme
+    (|x| outside [1e-250, 1e250], zeros aside) or near-tie values, by
+    Python's %.
 
     Args:
         path_or_buf: file path, or an open text stream (left open).

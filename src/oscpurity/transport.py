@@ -26,7 +26,8 @@ accepted grid.
 with one partial Magnus step from the node before each sample; arbitrary-time
 queries (`propagator_at`, `sigma_at`, `purity_at`) use the same partial step.
 `propagate` returns only U at the end point, for callers that need nothing
-but the late-time value.
+but the late-time value, and `node_purities` only the system purity at the
+step nodes.
 """
 
 import functools
@@ -496,6 +497,19 @@ def propagate(p, cfg=IntegratorConfig()):
     """
     u, _ = _solve(p, cfg, _resolve_t_end(p, cfg), keep_nodes=False)
     return u
+
+
+def node_purities(p, cfg=IntegratorConfig()):
+    """System purity at every step node of the window, without samples.
+
+    The end time follows cfg.t_end_policy as in integrate; the last node is
+    the end point, so the last purity is the last sample's of integrate.
+
+    Raises:
+        StepFailure: as integrate.
+    """
+    _, grid = _solve(p, cfg, _resolve_t_end(p, cfg), keep_nodes=True)
+    return purity_from_propagator(grid.u, p)
 
 
 def integrate(p, cfg=IntegratorConfig()):

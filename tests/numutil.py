@@ -1,7 +1,9 @@
 """Shared numeric helpers for the test suite: independent references built
 from scipy and mpmath, small matrix helpers that serve as references, the
-per-segment refinement loop that the batched integrator replaced, and the
-per-row CSV writer that the numpy formatter replaced."""
+per-segment refinement loop that the batched integrator replaced, the
+bisection threshold scan on dense samples that the bracketed scan on step
+nodes replaced, and the per-row CSV writer that the numpy formatter
+replaced."""
 
 import math
 
@@ -162,6 +164,102 @@ def solve_per_segment(p, cfg, t_end, keep_nodes):
     if not keep_nodes:
         return u, None, None, levels
     return u, np.concatenate(times), np.concatenate(props), levels
+
+
+def sample_purities(p, cfg):
+    """System purity at the dense samples of `transport.integrate`: the probe
+    the threshold scan used before it read the step nodes."""
+    from oscpurity.transport import integrate
+
+    return integrate(p, cfg).purity_s
+
+
+def threshold_scan_bisection(
+    p_base,
+    tau_over_t0_grid,
+    t_omega_bounds=(0.1, 30.0),
+    criterion=0.01,
+    cfg=None,
+    rel_resolution=0.01,
+    purities=sample_purities,
+):
+    """The threshold scan that `adiabatic.recoherence_threshold_scan`
+    replaced, as its oracle: every probe (by default) a dense `integrate`,
+    every switch rate bracketed from the bounds or from the previous
+    threshold (prev / 2, prev * 4) and bisected in log T_omega.  purities(p,
+    cfg) gives the system purities a probe reads its smallest and its last
+    from.
+
+    Returns:
+        dict with per-point thresholds and the least-squares line fit
+        (slope, intercept, r_squared) of T_omega_thr versus tau/t0.
+    """
+    from oscpurity.errors import ConfigError, NoThreshold
+    from oscpurity.model import IntegratorConfig, ScenarioParams
+
+    if len(tau_over_t0_grid) < 2:
+        raise ConfigError("the threshold line fit needs at least two tau/t0 points")
+    if cfg is None:
+        # The threshold only needs deficits to one part in 1e-5 or so.
+        cfg = IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff")
+    psi = p_base.psi
+    results = []
+    prev_thr = None
+    for ratio in tau_over_t0_grid:
+        tau = ratio * p_base.t0
+
+        def recoheres(t_omega):
+            omega_e = p_base.omega_s * (1.0 + 1.0 / t_omega)
+            p = ScenarioParams.from_psi(
+                p_base.omega_s, omega_e, psi, p_base.t0, tau, p_base.profile
+            )
+            gamma = purities(p, cfg)
+            gamma_min = float(np.min(gamma))
+            gamma_inf = float(gamma[-1])
+            return (1.0 - gamma_inf) < criterion * (1.0 - gamma_min)
+
+        lo_b, hi_b = t_omega_bounds
+        # Warm-start the bracket from the previous threshold (thresholds
+        # grow monotonically with the switch rate ratio).
+        lo = max(lo_b, prev_thr / 2.0) if prev_thr is not None else lo_b
+        hi = min(hi_b, prev_thr * 4.0) if prev_thr is not None else hi_b
+        while not recoheres(lo):
+            if lo <= lo_b:
+                raise NoThreshold(
+                    "criterion never met at tau/t0 = %g on the given bounds" % ratio
+                )
+            lo = max(lo_b, lo / 4.0)
+        recohering = recoheres(hi)
+        while recohering and hi < hi_b:
+            hi = min(hi_b, hi * 4.0)
+            recohering = recoheres(hi)
+        if recohering:
+            prev_thr = hi
+            results.append((ratio, hi))
+            continue
+        while hi / lo > 1.0 + rel_resolution:
+            mid = np.sqrt(lo * hi)
+            if recoheres(mid):
+                lo = mid
+            else:
+                hi = mid
+        prev_thr = float(np.sqrt(lo * hi))
+        results.append((ratio, prev_thr))
+
+    ratios = np.array([r for r, _ in results])
+    thrs = np.array([t for _, t in results])
+    slope, intercept = np.polyfit(ratios, thrs, 1)
+    fitted = slope * ratios + intercept
+    ss_res = float(np.sum((thrs - fitted) ** 2))
+    ss_tot = float(np.sum((thrs - np.mean(thrs)) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return {
+        "tau_over_t0": ratios,
+        "T_omega_thr": thrs,
+        "slope": float(slope),
+        "intercept": float(intercept),
+        "r_squared": r_squared,
+    }
 
 
 def write_csv_per_row(path_or_buf, header, columns, formats=None):

@@ -1,14 +1,20 @@
 """Tests for the slow-switching expansion and late-time diagnostics.
 
 The phase accumulator is checked against a direct trapezoid quadrature of
-the normal frequencies, and the slope diagnostic against synthetic
-power-law data with a known exponent.
+the normal frequencies, the slope diagnostic against synthetic power-law
+data with a known exponent, and the threshold scan against the bisection on
+dense samples that it replaced (tests/numutil.py).
 """
 
 import numpy as np
 import pytest
 
-from numutil import adiabatic_frame, phase_system_rk45
+from numutil import (
+    adiabatic_frame,
+    phase_system_rk45,
+    sample_purities,
+    threshold_scan_bisection,
+)
 
 from oscpurity import adiabatic
 from oscpurity.adiabatic import (
@@ -29,6 +35,7 @@ from oscpurity.errors import (
     SupercriticalExcursion,
 )
 from oscpurity.model import IntegratorConfig, ScenarioParams
+from oscpurity.transport import node_purities
 
 
 def make_params(omega_e=2.0, psi=0.9, t0=1.0, tau=10.0):
@@ -208,30 +215,84 @@ def test_threshold_scan_no_threshold():
 @pytest.mark.parametrize("grid", [(), (0.8,)])
 def test_threshold_scan_rejects_grid_too_short_for_fit(grid, monkeypatch):
     # The line fit needs two points; the grid is rejected before any probe.
-    import oscpurity.adiabatic as adiabatic_mod
-
-    def no_integration(*args, **kwargs):
+    def no_probe(*args, **kwargs):
         raise AssertionError("integrated a probe")
 
-    monkeypatch.setattr(adiabatic_mod, "integrate", no_integration)
+    monkeypatch.setattr(adiabatic, "node_purities", no_probe)
     with pytest.raises(ConfigError):
         recoherence_threshold_scan(make_params(t0=1.0), grid)
 
 
+@pytest.mark.parametrize(
+    "bounds, rel",
+    [((0.5, 0.5), 0.01), ((0.8, 0.5), 0.01), ((0.0, 0.5), 0.01), ((0.2, 0.5), 0.0)],
+)
+def test_threshold_scan_rejects_bounds_it_cannot_bracket(bounds, rel, monkeypatch):
+    # Empty or non-positive bounds, or a zero resolution, on which bisection
+    # would never stop, are rejected before any probe.
+    def no_probe(*args, **kwargs):
+        raise AssertionError("integrated a probe")
+
+    monkeypatch.setattr(adiabatic, "node_purities", no_probe)
+    with pytest.raises(ConfigError):
+        recoherence_threshold_scan(
+            make_params(t0=1.0), (0.8, 1.6), t_omega_bounds=bounds, rel_resolution=rel
+        )
+
+
 def test_threshold_scan_probes_are_distinct(monkeypatch):
     # Every probe integrates a different (params, config); the bracket's
-    # upper end at the bound is not probed twice.
-    import oscpurity.adiabatic as adiabatic_mod
-
+    # upper end at the bound is not probed twice, and the result counts
+    # every probe.
     probes = []
-    real = adiabatic_mod.integrate
 
     def counting(p, cfg):
         probes.append((p, cfg))
-        return real(p, cfg)
+        return node_purities(p, cfg)
 
-    monkeypatch.setattr(adiabatic_mod, "integrate", counting)
+    monkeypatch.setattr(adiabatic, "node_purities", counting)
     p = make_params(t0=1.0, tau=5.0)
     res = recoherence_threshold_scan(p, (0.8, 2.5, 8.0), t_omega_bounds=(0.1, 3.0))
-    assert len(probes) == len(set(probes)) == 23
+    assert len(probes) == len(set(probes)) == res["probes"] == 20
     assert np.all(res["T_omega_thr"] > 0.1)
+
+
+#: (scenario, tau/t0 grid, scan options): the fig13 preset, and the short
+#: grid with narrow bounds of perfbench's `scan` workload.
+THRESHOLD_GRIDS = {
+    "fig13": (make_params(t0=1.0, tau=5.0), (0.8, 1.4, 2.5, 4.5, 8.0), {}),
+    "scan": (
+        make_params(t0=1.0, tau=1.0),
+        (0.8, 1.6),
+        {"t_omega_bounds": (0.25, 0.8), "rel_resolution": 0.1},
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(THRESHOLD_GRIDS))
+def test_threshold_scan_matches_bisection_on_dense_samples(grid):
+    # Each threshold lies within the resolution of the bisection on dense
+    # samples, found with fewer probes.
+    p, ratios, kwargs = THRESHOLD_GRIDS[grid]
+    calls = []
+
+    def counting(probe, cfg):
+        calls.append(probe)
+        return sample_purities(probe, cfg)
+
+    ref = threshold_scan_bisection(p, ratios, purities=counting, **kwargs)
+    res = recoherence_threshold_scan(p, ratios, **kwargs)
+    factor = 1.0 + kwargs.get("rel_resolution", 0.01)
+    gap = res["T_omega_thr"] / ref["T_omega_thr"]
+    assert np.all((gap < factor) & (gap > 1.0 / factor)), gap
+    assert res["probes"] < len(calls)
+
+
+@pytest.mark.parametrize("grid", sorted(THRESHOLD_GRIDS))
+def test_step_node_probes_keep_the_bisection_thresholds(grid):
+    # The same bisection reading its purities at the step nodes instead of
+    # the dense samples finds the same thresholds, bit for bit.
+    p, ratios, kwargs = THRESHOLD_GRIDS[grid]
+    ref = threshold_scan_bisection(p, ratios, **kwargs)
+    res = threshold_scan_bisection(p, ratios, purities=node_purities, **kwargs)
+    assert np.array_equal(res["T_omega_thr"], ref["T_omega_thr"])

@@ -263,6 +263,29 @@ def test_latetime_sweeps_reject_ignored_integrator_keys(
     assert parse_sweep_spec(spec.read_text())[1] == IntegratorConfig(rtol=1e-9, max_step=0.1)
 
 
+@pytest.mark.parametrize(
+    "command, config, line",
+    [
+        ("isoso", "omega_e = 2\npsi = 0.9\nt0 = 1\nprofile = isoso\n", "rtol = 1e-3"),
+        ("perturb", "omega_e = 2\npsi = 0.05\nt0 = 3\ntau = 0.5\n", "t_end_policy = cutoff"),
+        ("adiabatic", "omega_e = 2\npsi = 0.9\nt0 = 1\ntau = 4\n", "sample_dt = 0.1"),
+    ],
+)
+def test_analytic_subcommands_reject_integrator_keys(command, config, line, tmp_path, capsys):
+    # isoso, perturb and adiabatic integrate nothing, so an integrator key
+    # in their config is a config error naming it (exit 2), before anything
+    # is written; without it the same config runs.
+    path = tmp_path / "scenario.cfg"
+    path.write_text(config + line + "\n")
+    out = str(tmp_path / "out")
+    assert main([command, "--config", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and line.split(" =")[0] in err
+    assert not os.path.exists(out)
+    path.write_text(config)
+    assert main([command, "--config", str(path), "--out", out]) == 0
+
+
 @pytest.mark.parametrize("order", ["0", "1"])
 def test_adiabatic_on_top_hat_is_config_error(order, tmp_path, capsys):
     path = tmp_path / "tophat.cfg"

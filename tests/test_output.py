@@ -73,6 +73,12 @@ def _seeded_floats(kind):
         ).astype(float)
         ties = [1234567890123456.75, 1234567890123456.25, 9999999999999999.5]
         return np.concatenate([ints, ints / 4.0, -ints / 1024.0, ties])
+    if kind == "zeros":
+        # Both zeros scattered through blocks of ordinary values.
+        x = rng.normal(size=3 * output._CSV_ROWS + 5) * 10.0 ** rng.integers(-20, 20)
+        x[rng.random(len(x)) < 0.3] = 0.0
+        x[rng.random(len(x)) < 0.2] *= -1.0
+        return x
     if kind == "powers_of_ten":
         p = np.array([float("1e%d" % k) for k in range(-300, 301)])
         return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
@@ -88,7 +94,7 @@ def _seeded_floats(kind):
 
 
 @pytest.mark.parametrize(
-    "kind", ["bit_patterns", "integers", "powers_of_ten", "range_limits"]
+    "kind", ["bit_patterns", "integers", "zeros", "powers_of_ten", "range_limits"]
 )
 def test_write_csv_is_byte_identical_to_per_row_writer(kind):
     # Two columns, so blocks, fields and separators are all exercised; the
@@ -116,10 +122,11 @@ def _is_17_digit_tie(v):
 def test_formatter_backstops_only_what_it_cannot_prove():
     # Powers of ten and their neighbours are where log10 misjudges the
     # decade; the exponent retry must format them in numpy, leaving Python's
-    # % only the values outside [1e-250, 1e250] and the exact ties.
-    x = _seeded_floats("powers_of_ten")
+    # % only the values outside [1e-250, 1e250] and the exact ties.  Zeros
+    # are formatted in numpy too.
+    x = np.concatenate([_seeded_floats("powers_of_ten"), [0.0, -0.0]])
     inside = (np.abs(x) >= 1e-250) & (np.abs(x) <= 1e250)
-    expected = ~inside
+    expected = ~inside & (x != 0.0)
     expected[inside] = [_is_17_digit_tie(v) for v in x[inside].tolist()]
     _, slow = output._fmt_e16(x)
     assert 0 < expected[inside].sum() < 10
