@@ -408,9 +408,11 @@ def recoherence_threshold_scan(
     this assumes the test changes sign once in T_omega.
 
     Returns:
-        dict with per-point thresholds, the least-squares line fit (slope,
-        intercept, r_squared) of T_omega_thr versus tau/t0, and the number
-        of probes.
+        dict with per-point thresholds T_omega_thr and their final brackets
+        T_omega_lo, T_omega_hi (the test holds at lo and fails at hi; hi is
+        inf where it still holds at the upper bound, whose threshold is then
+        lo), the least-squares line fit (slope, intercept, r_squared) of
+        T_omega_thr versus tau/t0, and the number of probes.
 
     Raises:
         ConfigError: for fewer than two grid points, which the line fit needs,
@@ -450,7 +452,7 @@ def recoherence_threshold_scan(
         if results:
             # On the line through the last two thresholds, the first one's
             # through the origin.
-            (r1, t1), (r2, t2) = ([(0.0, 0.0)] + results)[-2:]
+            (r1, t1), (r2, t2) = [r[:2] for r in ([(0.0, 0.0)] + results)[-2:]]
             pred = t2 + (t2 - t1) * (ratio - r2) / (r2 - r1) if r2 != r1 else t2
             pred = min(max(pred, lo_b), hi_b)
             lo, hi = max(lo_b, pred / half_width), min(hi_b, pred * half_width)
@@ -464,7 +466,7 @@ def recoherence_threshold_scan(
                 lo, hi = hi, min(hi_b, hi * step)
                 recohering = recoheres(hi)
             if recohering:
-                results.append((ratio, hi))
+                results.append((ratio, hi, hi, np.inf))
                 continue
         else:
             while True:
@@ -482,10 +484,9 @@ def recoherence_threshold_scan(
                 lo = mid
             else:
                 hi = mid
-        results.append((ratio, float(np.sqrt(lo * hi))))
+        results.append((ratio, float(np.sqrt(lo * hi)), lo, hi))
 
-    ratios = np.array([r for r, _ in results])
-    thrs = np.array([t for _, t in results])
+    ratios, thrs, lows, highs = (np.array(v, dtype=float) for v in zip(*results))
     slope, intercept = np.polyfit(ratios, thrs, 1)
     fitted = slope * ratios + intercept
     ss_res = float(np.sum((thrs - fitted) ** 2))
@@ -494,6 +495,8 @@ def recoherence_threshold_scan(
     return {
         "tau_over_t0": ratios,
         "T_omega_thr": thrs,
+        "T_omega_lo": lows,
+        "T_omega_hi": highs,
         "slope": float(slope),
         "intercept": float(intercept),
         "r_squared": r_squared,

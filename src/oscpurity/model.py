@@ -143,6 +143,10 @@ def coupling_xi(t, p):
     Smooth profile: xi0 [1 + tanh((t0+t)/tau) tanh((t0-t)/tau)] /
     (1 + tanh^2(t0/tau)).  Top-hat: xi0 on (-t0, t0), else 0.
 
+    Both are even bit for bit: t -> -t only swaps the two tanh factors (or
+    the two bounds).  transport relies on it when it mirrors the propagator
+    of t >= 0 onto t < 0.
+
     Args:
         t: time (float or array).
         p: ScenarioParams.

@@ -196,11 +196,6 @@ PRESETS = {
 PRESET_NAMES = tuple(PRESETS)
 
 
-def preset_scenarios(name):
-    """The ScenarioParams list a preset's runs are built from."""
-    return list(PRESETS[name][1].values())
-
-
 def run_preset(name, outdir):
     """Run a preset and write its CSV artifacts and summary JSON.
 

@@ -12,14 +12,20 @@ smaller than the sigma_S entries.
 The integrator is the sixth-order Magnus method at the three Gauss-Legendre
 nodes of each step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151):
 every step is the exponential of a Hamiltonian matrix, so U stays symplectic
-to round-off, and a step is exact wherever xi is constant.  The window is
-split into the segments of model.switch_segments, and all segments refine
-together: each starts from a coarse step count (a fifth of the fastest
-period, tau / 5 in the switch regions) that serves only as the first
-Richardson estimate, and each level doubles the number of equal steps of
-every segment still refining, in one batch of Magnus steps, until the
-segment's estimate |P_2n - P_n| / 63 is at most atol + rtol |P_2n| (max-abs
-norms).  So the tolerance, not a fixed fraction of the period, sets the
+to round-off, and a step is exact wherever xi is constant.
+
+The switch profile is even, so only t >= 0 is stepped.  With R = diag(1, -1,
+1, -1), R K(t) R = -K(-t), and the propagator of [-b, -a] is S U^T S for the
+propagator U of [a, b], S swapping x and p within each mode; the step nodes
+of t < 0 are the running products of these mirrored steps.  The segments of
+model.switch_segments on [0, t_end] (and a forward tail where the cutoff
+policy ends the window before -t_in) refine together: each starts from a
+coarse step count (a fifth of the fastest period, tau / 5 in the switch
+regions) that serves only as the first Richardson estimate, and each level
+doubles the number of equal steps of every segment still refining, in one
+batch of Magnus steps, until the segment's estimate |P_2n - P_n| / 63 is at
+most atol + rtol |P_2n| (max-abs norms; the segment at 0 is tested with its
+mirror).  So the tolerance, not a fixed fraction of the period, sets the
 accepted grid.
 
 `integrate` keeps the propagator at every step node and samples the window
@@ -48,14 +54,23 @@ _K1[1, 2] = _K1[3, 0] = -1.0
 _SQRT15 = math.sqrt(15.0)
 _GAUSS = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
 
-#: (1/(2k)!, 1/(2k+1)!) for the even/odd parts of the exponential series;
-#: with the eigenvalues of the squared exponent inside the unit disc, ten
-#: pairs leave a truncation error below 1/20! ~ 4e-19.
-_FACTORIALS = [
-    (1.0 / math.factorial(2 * k), 1.0 / math.factorial(2 * k + 1)) for k in range(10)
-]
+#: (1/(2k)!, 1/(2k+1)!) for k = 9, ..., 0: the even and odd parts of the
+#: exponential series, highest order first for Horner's rule, as (10, 2, 1).
+#: The even constant term 1 is left out and added last.
+_SERIES = np.array(
+    [[1.0 / math.factorial(2 * k), 1.0 / math.factorial(2 * k + 1)] for k in range(9, -1, -1)]
+)[:, :, None]
+_SERIES[-1, 0] = 0.0
+
+#: With the eigenvalues of the squared exponent inside the disc of radius
+#: r <= 1, the terms from k = K on sum to about r^K / (2K)!; enough terms are
+#: kept to bring that below 1/20! ~ 4e-19, as all ten do at r = 1.
+_TRUNCATION = 1.0 / math.factorial(20)
 
 _EYE = np.eye(4)
+
+#: S swaps x and p within each mode: the permutation (1, 0, 3, 2).
+_SWAP = [1, 0, 3, 2]
 
 #: Steps computed per batch, which bounds the temporaries of a level.
 _CHUNK = 4096
@@ -150,11 +165,11 @@ def _expm(om):
 
     X = om^2 satisfies X^2 + a X + b = 0 with a = -tr(X)/2 and
     b = (tr(X)^2/2 - tr(X^2))/4 (Cayley-Hamilton; the odd traces of a
-    Hamiltonian matrix vanish).  So X^k = alpha_k + beta_k X with
-    alpha_{k+1} = -b beta_k, beta_{k+1} = alpha_k - a beta_k, and
-    exp(om) = c0 + s0 om + (c1 + s1 om) X with the scalar series
-    c = sum_k (alpha_k, beta_k)/(2k)!, s = sum_k (alpha_k, beta_k)/(2k+1)!.
-    Scaling and squaring keep the eigenvalues of X inside the unit disc.
+    Hamiltonian matrix vanish).  So every power series in X reduces to
+    p + q X, and exp(om) = c0 + s0 om + (c1 + s1 om) X with (c0, c1) the
+    reduction of sum_k X^k/(2k)! and (s0, s1) that of sum_k X^k/(2k+1)!.
+    Scaling and squaring keep the eigenvalues of X inside the unit disc, and
+    the series stop once their remainder is below _TRUNCATION.
     """
     x = om @ om
     # The 16 entries of X, as (N,) arrays.
@@ -174,19 +189,20 @@ def _expm(om):
         x = x * 0.25**squarings
         a = a * 0.25**squarings
         b = b * 0.0625**squarings
-    # c0 - 1 is summed instead of c0, and the identity added last, entry by
-    # entry: a rounded c0 ~ 1 would shift the whole diagonal alike, a
-    # symplecticity defect that repeats coherently over thousands of steps.
-    alpha, beta = 1.0, 0.0
-    c0 = -1.0
-    c1 = s0 = s1 = 0.0
-    for even, odd in _FACTORIALS:
-        c0 = c0 + alpha * even
-        c1 = c1 + beta * even
-        s0 = s0 + alpha * odd
-        s1 = s1 + beta * odd
-        alpha, beta = -b * beta, alpha - a * beta
-    c0, c1, s0, s1 = (v[:, None, None] for v in (c0, c1, s0, s1))
+    r = radius * 0.25**squarings
+    terms = next((k for k in range(1, 10) if r**k / math.factorial(2 * k) <= _TRUNCATION), 10)
+    # Horner's rule in the basis (1, X) of both series at once, in place:
+    # (p + q X) X + e = (e - b q) + (p - a q) X.  c0 - 1 is summed instead of
+    # c0, and the identity added last, entry by entry: a rounded c0 ~ 1
+    # would shift the whole diagonal alike, a symplecticity defect that
+    # repeats coherently over thousands of steps.
+    series = _SERIES[10 - terms :]
+    p, q, t = np.repeat(series[0], len(a), axis=1), np.zeros((2, len(a))), np.empty((2, len(a)))
+    for e in series[1:]:
+        np.subtract(e, np.multiply(b, q, out=t), out=t)
+        np.subtract(p, np.multiply(a, q, out=q), out=q)
+        p, t = t, p
+    c0, s0, c1, s1 = (v[:, None, None] for v in (*p, *q))
     f = (c1 * _EYE + s1 * om) @ x + s0 * om + c0 * _EYE  # exp(om) - 1
     for _ in range(squarings):
         f = 2.0 * f + f @ f
@@ -215,10 +231,13 @@ class _MagnusStepper:
 
 
 def _product(e):
-    """e[m-1] ... e[1] e[0] of a (m, 4, 4) stack by pairwise reduction."""
+    """e[m-1] ... e[1] e[0] of a (m, 4, 4) stack by pairwise reduction; an
+    odd last factor joins the last pair."""
     while len(e) > 1:
-        last = e[-1:] if len(e) % 2 else e[:0]
-        e = np.concatenate([e[1::2] @ e[0:-1:2], last])
+        pairs = e[1::2] @ e[0:-1:2]
+        if len(e) % 2:
+            pairs[-1] = e[-1] @ pairs[-1]
+        e = pairs
     return e[0]
 
 
@@ -243,17 +262,24 @@ def _prefix(e):
     return (q @ carry[:, None]).reshape(-1, 4, 4)[:m]
 
 
-def _segment_propagators(stepper, segments, keep_nodes):
+def _mirror(u):
+    """S u^T S of one matrix or a (N, 4, 4) stack, with S swapping x and p
+    within each mode: by time reversal, the propagator of the mirrored
+    interval.  Only permutes entries, so it is exact."""
+    return np.swapaxes(u, -1, -2)[..., _SWAP, :][..., :, _SWAP]
+
+
+def _segment_propagators(stepper, segments, keep_steps):
     """Propagators of the segments (t_lo, t_hi, n), each from n equal steps.
 
     Each segment is cut into pieces of at most _CHUNK steps from its start;
     consecutive pieces, of one segment or of several, share one batch of at
-    most _CHUNK steps, and each piece is folded into its own segment's
-    running product.
+    most _CHUNK steps, and each piece's product is folded into its own
+    segment's propagator.
 
     Returns:
-        (totals, nodes): per segment its propagator and, with keep_nodes,
-        the (n, 4, 4) propagators from t_lo to each step's end (else None).
+        (totals, steps): per segment its propagator and, with keep_steps,
+        the list of its step propagators' pieces in time order (else None).
     """
     batches, size = [[]], 0
     for k, (t_lo, t_hi, n) in enumerate(segments):
@@ -266,7 +292,7 @@ def _segment_propagators(stepper, segments, keep_nodes):
             batches[-1].append((k, t0, np.full(len(t0), h)))
             size += len(t0)
     totals = [_EYE] * len(segments)
-    nodes = [[] for _ in segments]
+    steps = [[] if keep_steps else None for _ in segments]
     for batch in batches:
         e = stepper.steps(
             np.concatenate([t0 for _, t0, _ in batch]),
@@ -275,12 +301,10 @@ def _segment_propagators(stepper, segments, keep_nodes):
         lo = 0
         for k, t0, _ in batch:
             piece, lo = e[lo : lo + len(t0)], lo + len(t0)
-            if keep_nodes:
-                nodes[k].append(_prefix(piece) @ totals[k])
-                totals[k] = nodes[k][-1][-1]
-            else:
-                totals[k] = _product(piece) @ totals[k]
-    return totals, [np.concatenate(v) if keep_nodes else None for v in nodes]
+            totals[k] = _product(piece) @ totals[k]
+            if keep_steps:
+                steps[k].append(piece)
+    return totals, steps
 
 
 @dataclass(frozen=True)
@@ -313,8 +337,10 @@ class Trajectory:
         purity_s: system purity (propagator route).
         sigma, purity_e, xi: covariance samples, environment purity and
             coupling at each sample, derived on first access.
-        step_t: times of the integrator's step nodes, between which every
-            query is one smooth partial step.
+        step_t: times of the integrator's step nodes (strictly increasing
+            from t_in), between which every query is one smooth partial
+            step; the nodes of t < 0 mirror those of t > 0, apart from the
+            forward steps where the cutoff moves the window's end off -t_in.
     """
 
     def __init__(self, t, propagator, params, grid):
@@ -401,8 +427,8 @@ def _resolve_t_end(p, cfg):
     return max(p.t0, 0.5 * p.tau * arccosh)
 
 
-def _start_segments(p, t_end, cfg):
-    """Segments of [t_in, t_end] with the step counts of the first level.
+def _start_segments(p, t_start, t_end, cfg):
+    """Segments of [t_start, t_end] with the step counts of the first level.
 
     The first level is only ever the coarse Richardson estimate, so it
     starts two doublings coarser than a grid that resolves the motion: steps
@@ -413,35 +439,61 @@ def _start_segments(p, t_end, cfg):
     cap = 0.2 * 2.0 * np.pi / _omega2_peak(p)
     if cfg.max_step is not None:
         cap = min(cap, cfg.max_step)
-    return switch_segments(p, p.t_in, t_end, cap, switch_cap=p.tau / 5.0)
+    return switch_segments(p, t_start, t_end, cap, switch_cap=p.tau / 5.0)
 
 
 def _solve(p, cfg, t_end, keep_nodes):
-    """Propagate U from t_in to t_end, refining all segments together.
+    """Propagate U from t_in to t_end, stepping only t >= 0 and mirroring it
+    onto t < 0.
 
-    Every segment starts from its _start_segments step count; each level of
-    the segments still refining is one _segment_propagators call, and a segment
-    stops once its Richardson estimate meets the tolerance.  A failure is
-    raised for the first segment that fails, once every segment before it
+    xi is even, so with R = diag(1, -1, 1, -1) the generator obeys
+    R K(t) R = -K(-t), and a symplectic propagator U over [a, b] has the
+    mirror image _mirror(U) = S U^T S over [-b, -a].  Only the segments of
+    [0, t_half], t_half = min(t_end, -t_in), are stepped; the window's
+    [-t_half, 0] is their mirror.  Forward segments cover the rest: the tail
+    [t_in, -t_half] where the cutoff policy ends the window before -t_in,
+    the head [t_half, t_end] where it ends it after.
+
+    All segments refine together: each starts from its _start_segments step
+    count, each level of the segments still refining is one
+    _segment_propagators call, and a segment stops once its Richardson
+    estimate meets the tolerance.  The segment that starts at 0 is tested on
+    the whole mirrored segment [-hi, hi], P S P^T S: its half alone would
+    converge a level early.  A failure is raised for the first segment that
+    fails (tail, then half, then head), once every segment before it
     converged, as if the segments were refined one after the other.
+
+    The nodes of t < 0 are the running products of the mirrored steps
+    S e^T S in reverse order, marched forward from t_in like every other
+    node.  Deriving them from the nodes of t > 0 would need the inverse of
+    U(t_end, 0), which cancels like exp(2 gamma t) where U grows.
 
     Returns:
         (U(t_end), grid): grid is the _StepGrid of all step nodes with
         keep_nodes, else None.
     """
     stepper = _MagnusStepper(p)
-    segments = _start_segments(p, t_end, cfg)
+    t_half = min(t_end, -p.t_in)
+    tail = _start_segments(p, p.t_in, -t_half, cfg) if -t_half > p.t_in else []
+    half = _start_segments(p, 0.0, t_half, cfg)
+    head = _start_segments(p, t_half, t_end, cfg) if t_end > t_half else []
+    segments = tail + half + head
+    centre = len(tail)
     bounds = [(lo, hi) for lo, hi, _ in segments]
     n = [count for _, _, count in segments]
-    # result[k]: None while refining, (P, nodes) once converged, or the
+    # The intervals that failure messages name: the central segment's
+    # Richardson test covers its mirror too.
+    span = list(bounds)
+    span[centre] = (-bounds[centre][1], bounds[centre][1])
+    # result[k]: None while refining, (P, steps) once converged, or the
     # failure message.
     result = [
         "[%g, %g] needs more than %d steps" % (lo, hi, MAX_STEPS)
         if count > MAX_STEPS else None
-        for (lo, hi), count in zip(bounds, n)
+        for (lo, hi), count in zip(span, n)
     ]
-    coarse = [None] * len(bounds)
-    # The first level is only ever a coarse estimate: it keeps no nodes.
+    coarse = [None] * len(segments)
+    # The first level is only ever a coarse estimate: it keeps no steps.
     live, keep = [k for k, r in enumerate(result) if r is None], False
     while True:
         for r in result:
@@ -451,39 +503,60 @@ def _solve(p, cfg, t_end, keep_nodes):
                 break
         if not live:
             break
-        segments = [bounds[k] + (n[k],) for k in live]
-        totals, nodes = _segment_propagators(stepper, segments, keep)
-        for k, fine, fine_nodes in zip(live, totals, nodes):
-            lo, hi = bounds[k]
-            if not np.all(np.isfinite(fine)):
+        segs = [bounds[k] + (n[k],) for k in live]
+        for k, fine, fine_steps in zip(live, *_segment_propagators(stepper, segs, keep)):
+            lo, hi = span[k]
+            estimate = fine @ _mirror(fine) if k == centre else fine
+            if not np.all(np.isfinite(estimate)):
                 result[k] = "propagator overflow on [%g, %g]" % (lo, hi)
-            elif coarse[k] is not None and np.max(np.abs(fine - coarse[k])) / 63.0 <= (
-                cfg.atol + cfg.rtol * np.max(np.abs(fine))
+            elif coarse[k] is not None and np.max(np.abs(estimate - coarse[k])) / 63.0 <= (
+                cfg.atol + cfg.rtol * np.max(np.abs(estimate))
             ):
-                result[k] = (fine, fine_nodes)
+                result[k] = (fine, fine_steps)
             elif 2 * n[k] > MAX_STEPS:
                 result[k] = "no convergence on [%g, %g] within %d steps" % (
                     lo, hi, MAX_STEPS
                 )
             else:
-                coarse[k], n[k] = fine, 2 * n[k]
+                coarse[k], n[k] = estimate, 2 * n[k]
         live, keep = [k for k in live if result[k] is None], keep_nodes
-    u = np.eye(4)
+    halves = range(centre, centre + len(half))
     if not keep_nodes:
-        for seg, _ in result:
-            u = seg @ u
+        u = w = _EYE
+        for k in range(centre):
+            u = result[k][0] @ u
+        for k in halves:
+            w = result[k][0] @ w
+        u = w @ _mirror(w) @ u
+        for k in range(halves.stop, len(segments)):
+            u = result[k][0] @ u
         return u, None
-    # Carry each segment's nodes into the grid in place, releasing them as
-    # they go, so that no more than one extra copy is alive.
-    times, props = np.empty(sum(n) + 1), np.empty((sum(n) + 1, 4, 4))
-    times[0], props[0], end = p.t_in, u, 1
-    for k, ((lo, hi), count) in enumerate(zip(bounds, n)):
-        (_, nodes), result[k] = result[k], None
+    # Lay the steps out in time order in one buffer, leaving room for the
+    # mirrored half before the half they mirror, then march them in place
+    # into the nodes.
+    m = sum(n[k] for k in halves)
+    size = 1 + sum(n) + m
+    times, props = np.empty(size), np.empty((size, 4, 4))
+    times[0], props[0], end = p.t_in, _EYE, 1
+    for k in range(len(segments)):
+        if k == centre:
+            mid, end = end, end + m
+        (lo, hi), count = bounds[k], n[k]
         times[end : end + count] = lo + (hi - lo) / count * np.arange(1, count + 1)
         times[end + count - 1] = hi
-        u = np.matmul(nodes, u, out=props[end : end + count])[-1]
-        end += count
-    return u, _StepGrid(times, props, stepper)
+        for piece in result[k][1]:
+            props[end : end + len(piece)] = piece
+            end += len(piece)
+        result[k] = None
+    # Each step of t >= 0 ends at a node of t > 0 and starts at one of
+    # t >= 0, whose negative is a node of the mirrored half.
+    times[mid : mid + m - 1] = -times[mid + m : mid + 2 * m - 1][::-1]
+    times[mid + m - 1] = 0.0
+    props[mid : mid + m] = _mirror(props[mid + m : mid + 2 * m][::-1])
+    for lo in range(1, size, _CHUNK):
+        hi = min(size, lo + _CHUNK)
+        np.matmul(_prefix(props[lo:hi]), props[lo - 1], out=props[lo:hi])
+    return props[-1], _StepGrid(times, props, stepper)
 
 
 def propagate(p, cfg=IntegratorConfig()):

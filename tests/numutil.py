@@ -1,6 +1,7 @@
 """Shared numeric helpers for the test suite: independent references built
 from scipy and mpmath, small matrix helpers that serve as references, the
-per-segment refinement loop that the batched integrator replaced, the
+per-segment refinement loop of the batched integrator's mirrored step grid,
+the full-window march that the mirrored one replaced, the
 bisection threshold scan on dense samples that the bracketed scan on step
 nodes replaced, and the per-row CSV writer that the numpy formatter
 replaced."""
@@ -103,9 +104,91 @@ def adiabatic_frame(t, p):
 
 
 def solve_per_segment(p, cfg, t_end, keep_nodes):
-    """The integrator's step grid refined one segment at a time, one stepper
-    call per chunk of each level, as an oracle for the batched refinement of
-    `transport._solve`.
+    """The integrator's mirrored step grid refined one segment at a time, one
+    stepper call per chunk of each level, as an oracle for the batched
+    refinement of `transport._solve`: the segments of [0, t_half], t_half =
+    min(t_end, -t_in), are stepped and mirrored onto [-t_half, 0]; a tail
+    [t_in, -t_half] and a head [t_half, t_end] are stepped forward.
+
+    Returns:
+        (U(t_end), step_t, nodes, levels): with keep_nodes the step node
+        times and propagators from t_in (else None), and the number of
+        levels each segment evaluated.
+    """
+    from oscpurity import transport as tr
+
+    def level(stepper, t_lo, t_hi, n):
+        h = (t_hi - t_lo) / n
+        total, pieces = tr._EYE, []
+        for start in range(0, n, tr._CHUNK):
+            idx = np.arange(start, min(n, start + tr._CHUNK))
+            pieces.append(stepper.steps(t_lo + h * idx, np.full(len(idx), h)))
+            total = tr._product(pieces[-1]) @ total
+        return total, pieces
+
+    def segment(stepper, t_lo, t_hi, n, central):
+        # The central segment's test covers its mirror too.
+        name = (-t_hi, t_hi) if central else (t_lo, t_hi)
+        if n > tr.MAX_STEPS:
+            raise StepFailure("[%g, %g] needs more than %d steps" % (name + (tr.MAX_STEPS,)))
+        coarse, levels = None, 0
+        while True:
+            fine, pieces = level(stepper, t_lo, t_hi, n)
+            levels += 1
+            est = fine @ tr._mirror(fine) if central else fine
+            if not np.all(np.isfinite(est)):
+                raise StepFailure("propagator overflow on [%g, %g]" % name)
+            err = np.max(np.abs(est - coarse)) / 63.0 if coarse is not None else np.inf
+            if err <= cfg.atol + cfg.rtol * np.max(np.abs(est)):
+                return fine, pieces, n, levels
+            if 2 * n > tr.MAX_STEPS:
+                raise StepFailure(
+                    "no convergence on [%g, %g] within %d steps" % (name + (tr.MAX_STEPS,))
+                )
+            coarse, n = est, 2 * n
+
+    stepper = tr._MagnusStepper(p)
+    t_half = min(t_end, -p.t_in)
+    tail = tr._start_segments(p, p.t_in, -t_half, cfg) if -t_half > p.t_in else []
+    half = tr._start_segments(p, 0.0, t_half, cfg)
+    head = tr._start_segments(p, t_half, t_end, cfg) if t_end > t_half else []
+    done = [
+        (lo, hi) + segment(stepper, lo, hi, n, k == len(tail))
+        for k, (lo, hi, n) in enumerate(tail + half + head)
+    ]
+    levels = [d[-1] for d in done]
+    at, stop = len(tail), len(tail) + len(half)
+    if not keep_nodes:
+        u = w = tr._EYE
+        for k, d in enumerate(done):
+            if at <= k < stop:
+                w = d[2] @ w
+                if k == stop - 1:
+                    u = w @ tr._mirror(w) @ u
+            else:
+                u = d[2] @ u
+        return u, None, None, levels
+    steps = [np.concatenate(d[3]) for d in done]
+    times = []
+    for lo, hi, _, _, n, _ in done:
+        times.append(lo + (hi - lo) / n * np.arange(1, n + 1))
+        times[-1][-1] = hi
+    # The mirrored half: nodes at minus the step starts of t >= 0, steps
+    # mirrored in reverse order.
+    half_t = np.concatenate(times[at:stop])
+    times.insert(at, np.append(-half_t[-2::-1], 0.0))
+    steps.insert(at, tr._mirror(np.concatenate(steps[at:stop])[::-1]))
+    e = np.concatenate(steps)
+    props = [tr._EYE[None]]
+    for lo in range(0, len(e), tr._CHUNK):
+        props.append(tr._prefix(e[lo : lo + tr._CHUNK]) @ props[-1][-1])
+    return props[-1][-1], np.concatenate([[p.t_in]] + times), np.concatenate(props), levels
+
+
+def solve_full_window(p, cfg, t_end, keep_nodes):
+    """The integrator as it was before it mirrored t >= 0 onto t < 0: every
+    segment of the whole window [t_in, t_end] stepped and refined one at a
+    time, as an oracle for the mirrored march of `transport._solve`.
 
     Returns:
         (U(t_end), step_t, nodes, levels): with keep_nodes the step node
@@ -151,7 +234,7 @@ def solve_per_segment(p, cfg, t_end, keep_nodes):
     stepper = tr._MagnusStepper(p)
     u = np.eye(4)
     times, props, levels = [np.array([p.t_in])], [u[None]], []
-    for t_lo, t_hi, n in tr._start_segments(p, t_end, cfg):
+    for t_lo, t_hi, n in tr._start_segments(p, p.t_in, t_end, cfg):
         seg, nodes, n, count = segment(stepper, t_lo, t_hi, n)
         levels.append(count)
         if keep_nodes:

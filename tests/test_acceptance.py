@@ -42,11 +42,7 @@ from oscpurity.model import (
     frame_from_xi,
     perturbativity_gp,
 )
-from oscpurity.presets import (
-    PRESET_NAMES,
-    REGIME_POINTS,
-    preset_scenarios,
-)
+from oscpurity.presets import PRESETS, REGIME_POINTS
 from oscpurity.symplectic import det2
 from oscpurity.transport import default_sample_dt, integrate
 
@@ -69,8 +65,8 @@ def suite():
     """One numeric trajectory per distinct preset scenario."""
     runs = []
     seen = set()
-    for name in PRESET_NAMES:
-        for p in preset_scenarios(name):
+    for name, (_, scenarios) in PRESETS.items():
+        for p in scenarios.values():
             key = (p.omega_s, p.omega_e, p.xi0, p.t0, p.tau, p.profile)
             if key in seen:
                 continue

@@ -255,6 +255,10 @@ def test_threshold_scan_probes_are_distinct(monkeypatch):
     res = recoherence_threshold_scan(p, (0.8, 2.5, 8.0), t_omega_bounds=(0.1, 3.0))
     assert len(probes) == len(set(probes)) == res["probes"] == 20
     assert np.all(res["T_omega_thr"] > 0.1)
+    # The last switch rate still recoheres at the upper bound: its bracket
+    # is open above.
+    assert res["T_omega_lo"][-1] == res["T_omega_thr"][-1] == 3.0
+    assert res["T_omega_hi"][-1] == np.inf
 
 
 #: (scenario, tau/t0 grid, scan options): the fig13 preset, and the short
@@ -296,3 +300,14 @@ def test_step_node_probes_keep_the_bisection_thresholds(grid):
     ref = threshold_scan_bisection(p, ratios, **kwargs)
     res = threshold_scan_bisection(p, ratios, purities=node_purities, **kwargs)
     assert np.array_equal(res["T_omega_thr"], ref["T_omega_thr"])
+
+
+@pytest.mark.parametrize("grid", sorted(THRESHOLD_GRIDS))
+def test_threshold_scan_reports_each_final_bracket(grid):
+    # Each threshold lies in its final bracket, which meets the resolution.
+    p, ratios, kwargs = THRESHOLD_GRIDS[grid]
+    res = recoherence_threshold_scan(p, ratios, **kwargs)
+    lo, thr, hi = res["T_omega_lo"], res["T_omega_thr"], res["T_omega_hi"]
+    assert len(lo) == len(hi) == len(ratios)
+    assert np.all((lo <= thr) & (thr <= hi))
+    assert np.all(hi / lo <= 1.0 + kwargs.get("rel_resolution", 0.01))

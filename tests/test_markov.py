@@ -31,7 +31,7 @@ from oscpurity.markov import (
     system_hamiltonian,
 )
 from oscpurity.model import IntegratorConfig, ScenarioParams
-from oscpurity.presets import preset_scenarios
+from oscpurity.presets import PRESETS
 from oscpurity.symplectic import det2, eig_sym2, symmetrize
 from oscpurity.transport import integrate, purity_from_propagator, sigma_from_propagator
 
@@ -343,7 +343,7 @@ def test_markov_series_resolves_low_purities():
     # of sigma_S's entries cancels to zero or below; det sigma_S comes from
     # the Cauchy-Binet purity instead, so no mixed sample is taken for a
     # pure-state singularity and nothing divides by zero.
-    p = preset_scenarios("fig2")[3]
+    p = PRESETS["fig2"][1][3]
     traj = integrate(p, IntegratorConfig())
     assert np.min(traj.purity_s) < 1e-6
     with warnings.catch_warnings():

@@ -88,6 +88,21 @@ def test_smooth_profile_peak_and_symmetry():
     assert coupling_xi(0.0, p) == pytest.approx(np.max(coupling_xi(ts, p)))
 
 
+@settings(max_examples=200)
+@given(
+    st.floats(-1e4, 1e4),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.sampled_from([SMOOTH, ISOSO]),
+)
+def test_profile_is_even_bit_for_bit(t, t0, tau, profile):
+    # transport mirrors the propagator of t >= 0 onto t < 0, which is exact
+    # only because xi(-t) and xi(t) are the same double.
+    p = make_params(t0=t0, tau=tau, profile=profile)
+    ts = np.array([t, t0, t0 + tau, 0.5 * t0])
+    assert coupling_xi(-ts, p).tobytes() == coupling_xi(ts, p).tobytes()
+
+
 def test_smooth_profile_peak_equals_xi0():
     p = make_params()
     assert coupling_xi(0.0, p) == pytest.approx(p.xi0, rel=1e-12)

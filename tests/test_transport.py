@@ -19,6 +19,7 @@ from numutil import (
     det_sigma_via_propagator,
     dop853_propagators,
     purity_from_block,
+    solve_full_window,
     solve_per_segment,
 )
 
@@ -536,6 +537,20 @@ REFINEMENT_CASES = [
         True,
         id="mixed-levels",
     ),
+    # The cutoff ends the window before -t_in (a forward tail before the
+    # mirrored half) and, at a tiny threshold, after it (a forward head).
+    pytest.param(
+        make_params(t0=10.0, tau=0.5),
+        IntegratorConfig(t_end_policy="cutoff"),
+        False,
+        id="cutoff-tail",
+    ),
+    pytest.param(
+        make_params(t0=10.0, tau=0.5),
+        IntegratorConfig(t_end_policy="cutoff", cutoff_threshold=1e-25),
+        False,
+        id="cutoff-head",
+    ),
 ]
 
 
@@ -553,10 +568,90 @@ def test_batched_refinement_matches_per_segment_loop(p, cfg, mixed):
     np.testing.assert_array_equal(propagate(p, cfg), end)
 
 
+MIRROR_CASES = [
+    pytest.param(ScenarioParams.from_psi(1.0, 2.0, 0.9, 2.0, 0.5), id="subcritical"),
+    pytest.param(ScenarioParams.from_psi(1.0, 2.0, 1.0, 2.0, 0.5), id="critical"),
+    # fig2's deepest scenario, where U grows to ~1e7 over the plateau.
+    pytest.param(ScenarioParams.from_psi(1.0, 2.0, 1.5, 10.0, 1.0), id="supercritical"),
+    pytest.param(make_params(psi=1.1, t0=3.0, profile=ISOSO), id="top-hat"),
+]
+
+
+@pytest.mark.parametrize("policy", ["fixed", "cutoff"])
+@pytest.mark.parametrize("p", MIRROR_CASES)
+def test_mirrored_march_matches_full_window_oracle(p, policy):
+    # Stepping t >= 0 and mirroring it onto t < 0 gives the propagators of
+    # stepping the whole window to within the tolerance, at the end point,
+    # at the samples and, as purities, at the step nodes; every node of
+    # t <= 0 stays unimodular and symplectic to round-off.
+    cfg = IntegratorConfig(t_end_policy=policy)
+    t_end = transport._resolve_t_end(p, cfg)
+    ref_end, ref_t, ref_u, _ = solve_full_window(p, cfg, t_end, keep_nodes=True)
+    oracle = transport._StepGrid(ref_t, ref_u, transport._MagnusStepper(p))
+
+    def close(u, ref):
+        scale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
+        assert np.all(np.max(np.abs(u - ref), axis=(-2, -1)) <= cfg.rtol * scale)
+
+    close(propagate(p, cfg), ref_end)
+    traj = integrate(p, cfg)
+    assert traj.step_t[0] == p.t_in and np.all(np.diff(traj.step_t) > 0)
+    close(traj.propagator, oracle.at(traj.t))
+    gamma = transport.node_purities(p, cfg)
+    ref_gamma = purity_from_propagator(oracle.at(traj.step_t), p)
+    np.testing.assert_allclose(gamma, ref_gamma, rtol=0.0, atol=cfg.rtol)
+    u = traj._grid.u[traj.step_t <= 0.0]
+    bound = 1e-12 * np.maximum(1.0, np.max(np.abs(u), axis=(1, 2))) ** 2
+    assert np.all(np.abs(np.linalg.det(u) - 1.0) <= bound)
+    gap = np.swapaxes(u, 1, 2) @ OMEGA4 @ u - OMEGA4
+    assert np.all(np.max(np.abs(gap), axis=(1, 2)) <= bound)
+
+
+def test_mirrored_march_past_the_fixed_window():
+    # A cutoff past -t_in mirrors [0, -t_in] and steps the rest forward.
+    p = make_params(t0=2.0, tau=0.5)
+    cfg = IntegratorConfig(t_end_policy="cutoff", cutoff_threshold=1e-25)
+    t_end = transport._resolve_t_end(p, cfg)
+    assert t_end > -p.t_in
+    ref, ref_t, _, _ = solve_full_window(p, cfg, t_end, keep_nodes=True)
+    u = propagate(p, cfg)
+    assert np.max(np.abs(u - ref)) <= cfg.rtol * max(1.0, np.max(np.abs(ref)))
+    traj = integrate(p, cfg)
+    assert traj.step_t[-1] == t_end and np.all(np.diff(traj.step_t) > 0)
+    assert len(traj.step_t) == len(ref_t)
+
+
+def test_mirror_halves_the_step_exponentials(monkeypatch):
+    # A fixed-window propagate computes at most 55% of the Magnus
+    # exponentials of stepping the whole window, and integrate keeps the
+    # whole window's accepted grids on test_cost_follows_tolerance's
+    # scenario.
+    p = make_params(psi=0.78, t0=2.0, tau=0.5)
+    counted = []
+    expm = transport._expm
+
+    def counting(om):
+        counted.append(len(om))
+        return expm(om)
+
+    monkeypatch.setattr(transport, "_expm", counting)
+    cfg = IntegratorConfig()
+    propagate(p, cfg)
+    mirrored = sum(counted)
+    counted.clear()
+    solve_full_window(p, cfg, -p.t_in, keep_nodes=False)
+    assert mirrored <= 0.55 * sum(counted), (mirrored, sum(counted))
+    for rtol in (1e-7, 1e-10, 1e-12):
+        cfg = IntegratorConfig(rtol=rtol, atol=1e-2 * rtol)
+        _, ref_t, _, _ = solve_full_window(p, cfg, -p.t_in, keep_nodes=True)
+        assert len(integrate(p, cfg).step_t) == len(ref_t), rtol
+
+
 def test_stepper_calls_per_level(monkeypatch):
-    # Five segments that converge at the first doubling and fit one chunk:
-    # the coarse level, the fine level and the samples are one stepper call
-    # each.
+    # Three segments of t >= 0 that converge at the first doubling and fit
+    # one chunk: the coarse level, the fine level and the samples are one
+    # stepper call each, and the fine level steps half of the window, the
+    # other half being its mirror.
     p = make_params(t0=10.0, tau=0.5)
     calls = []
     steps = transport._MagnusStepper.steps
@@ -566,10 +661,10 @@ def test_stepper_calls_per_level(monkeypatch):
         return steps(self, t0, h)
 
     monkeypatch.setattr(transport._MagnusStepper, "steps", counted)
-    assert len(switch_segments(p, p.t_in, -p.t_in, np.inf)) == 5
+    assert len(switch_segments(p, 0.0, -p.t_in, np.inf)) == 3
     traj = integrate(p, IntegratorConfig())
     assert len(calls) == 3
-    assert calls[1] == len(traj.step_t) - 1 <= transport._CHUNK
+    assert 2 * calls[1] == len(traj.step_t) - 1 <= 2 * transport._CHUNK
     calls.clear()
     propagate(p, IntegratorConfig())
     assert len(calls) == 2
