@@ -90,9 +90,10 @@ MAX_PANELS = 1 << 18
 
 #: Panels evaluated at once.  A block's temporaries (tens of kB each) stay
 #: in the allocator's heap from one block and one call to the next, while
-#: (K, N + 1) temporaries for all K ~ 500 panels at once take megabytes that
-#: go back to the system after each call and are page-faulted in again by
-#: the next, a kernel cost that varies from run to run.
+#: (K, N + 1) temporaries for all panels of a long window at once (K in the
+#: hundreds or more) take megabytes that go back to the system after each
+#: call and are page-faulted in again by the next, a kernel cost that varies
+#: from run to run.
 _BLOCK = 64
 
 #: An error estimate below this fraction of a panel's scale is round-off.
@@ -209,11 +210,12 @@ def accumulate_phases(p, t_end=None, rtol=1e-10, atol=1e-12):
     """Phases and moment integrals over [t_in, t_end] by cumulative
     Chebyshev panel quadrature.
 
-    The panel edges are the steps of model.switch_segments with a cap of one
-    period of the fastest channel, exp(2 i W2).  Each panel is integrated at
-    33 Chebyshev-Lobatto nodes and at every other one; a panel whose gap
-    between the two exceeds, in any channel, atol |panel| / |span| + rtol
-    Int_panel |integrand| is bisected.
+    The first panels are the steps of model.switch_segments with a cap of
+    one period of the fastest channel, exp(2 i W2), and of tau, the scale on
+    which the coupling changes, in the switch regions.  Each panel is
+    integrated at 33 Chebyshev-Lobatto nodes and at every other one; a panel
+    whose gap between the two exceeds, in any channel, atol |panel| / |span|
+    + rtol Int_panel |integrand| is bisected.
 
     Args:
         p: ScenarioParams (smooth subcritical profile).
@@ -225,7 +227,8 @@ def accumulate_phases(p, t_end=None, rtol=1e-10, atol=1e-12):
 
     Raises:
         SupercriticalExcursion: if the coupling reaches the critical value.
-        QuadratureNoConvergence: if refining runs past MAX_DEPTH passes or
+        QuadratureNoConvergence: if the first panels already number more
+            than MAX_PANELS, or refining runs past MAX_DEPTH passes or
             MAX_PANELS panels.
     """
     if p.psi >= 1.0:
@@ -235,7 +238,12 @@ def accumulate_phases(p, t_end=None, rtol=1e-10, atol=1e-12):
     t_end = max(float(-p.t_in if t_end is None else t_end), p.t_in)
     # The fastest channel oscillates at 2 omega2 <= 2 omega2(peak).
     width = np.pi / frame_from_xi(p.xi0, p).omega2
-    segments = switch_segments(p, p.t_in, t_end, width)
+    segments = switch_segments(p, p.t_in, t_end, width, switch_cap=p.tau)
+    if sum(n for _, _, n in segments) > MAX_PANELS:
+        raise QuadratureNoConvergence(
+            "phase quadrature on [%g, %g] needs more than %d panels of at most "
+            "one period" % (p.t_in, t_end, MAX_PANELS)
+        )
     edges = np.unique(np.concatenate([np.linspace(lo, hi, n + 1) for lo, hi, n in segments]))
     if len(edges) < 2:  # t_end == t_in: one panel, only ever read at t_in
         edges = np.array([p.t_in, p.t_in + width])

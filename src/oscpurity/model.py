@@ -181,7 +181,7 @@ def coupling_xi_dot(t, p):
     return p.xi0 * (da * np.tanh(v) + np.tanh(u) * db) / (1.0 + np.tanh(p.t0 / p.tau) ** 2)
 
 
-def switch_segments(p, t_start, t_end, cap, switch_cap=None):
+def switch_segments(p, t_start, t_end, cap, *, switch_cap):
     """Split [t_start, t_end] at the profile's features into segments of
     equal steps: the one grid rule of the integrator and both quadratures.
 
@@ -193,7 +193,8 @@ def switch_segments(p, t_start, t_end, cap, switch_cap=None):
         p: ScenarioParams.
         t_start, t_end: the window.
         cap: step cap everywhere (may be inf).
-        switch_cap: step cap in the switch regions (default tau / 20).
+        switch_cap: step cap in the switch regions (the caller's starting
+            scale: tau / 5 for the integrator, tau for both quadratures).
 
     Returns:
         list of (lo, hi, n): n = max(1, ceil((hi - lo) / step)) steps.
@@ -209,7 +210,6 @@ def switch_segments(p, t_start, t_end, cap, switch_cap=None):
             pts.append(c)
     pts.append(t_end)
     near = 10.0 * p.tau + 1e-12
-    switch_cap = p.tau / 20.0 if switch_cap is None else switch_cap
     segments = []
     for lo, hi in zip(pts[:-1], pts[1:]):
         mid = 0.5 * (lo + hi)

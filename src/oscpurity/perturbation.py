@@ -8,9 +8,8 @@ lambda(t) = xi(t)/sqrt(w_S w_E).  Under the symmetrization t' <-> t'' the
 difference-frequency term integrates to zero exactly (its symmetrized
 integrand is odd) and the step functions average to one, so the double
 integral reduces to (1/2) [C^2 + S^2] with the one-dimensional
-cosine/sine moments C, S of lambda at the sum frequency.  The
-implementation evaluates that reduced form; the full symmetrized integrand
-is exposed for direct grid checks.
+cosine/sine moments C, S of lambda at the sum frequency, which is the form
+evaluated here.
 """
 
 from dataclasses import dataclass
@@ -36,18 +35,6 @@ class QuadratureConfig:
 def coupling_lambda(t, p):
     """Dimensionless coupling lambda(t) = xi(t)/sqrt(w_S w_E)."""
     return coupling_xi(t, p) / np.sqrt(p.omega_s * p.omega_e)
-
-
-def o2_integrand(tp, tpp, p):
-    """Symmetrized second-order integrand (value of the double-integral
-    kernel at (t', t''), including the 1/4 prefactor)."""
-    theta = np.where(tp > tpp, 1.0, np.where(tp < tpp, 0.0, 0.5))
-    lam = coupling_lambda(tp, p) * coupling_lambda(tpp, p)
-    diff = (p.omega_e - p.omega_s) * (tp - tpp)
-    tot = (p.omega_s + p.omega_e) * (tp - tpp)
-    return 0.25 * lam * (
-        (1.0 - 2.0 * theta) * np.cos(diff) + (1.0 + 2.0 * theta) * np.cos(tot)
-    )
 
 
 def spherical_jn_orders(n, x):
@@ -111,15 +98,18 @@ def _filon(lo, hi, p):
     Gauss-Legendre nodes against exp(i om u) exactly, through
     Int_{-1}^{1} P_k(x) exp(i kappa x) dx = 2 i^k j_k(kappa): it is the
     Gauss-Legendre rule at kappa = 0 and stays exact for any number of
-    oscillations per panel while lambda is smooth there.
+    oscillations per panel while lambda is smooth there.  The weights
+    depend on the panel width alone, and bisection leaves few distinct
+    widths, so they are computed once per width.
     """
     om = p.omega_s + p.omega_e
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     phase = half * np.exp(1j * om * mid)
+    widths, which = np.unique(half, return_inverse=True)
     out = []
     for x, table in _RULES:
         lam = coupling_lambda(mid[:, None] + half[:, None] * x, p)
-        weights = spherical_jn_orders(len(x), om * half) @ table.T
+        weights = (spherical_jn_orders(len(x), om * widths) @ table.T)[which]
         out.append(phase * np.sum(lam * weights, axis=1))
     return out
 
@@ -164,9 +154,10 @@ def _moments(t, p, q):
     """Moments C + i S of lambda at the sum frequency over [t_in, t] at the
     times t ((N,) array), and their error estimates.
 
-    The panel edges are the times and the steps of model.switch_segments
-    with no cap: the profile breakpoints, and a tau / 20 grid in the switch
-    regions.  Cumulative sums of the panel moments give the moments at every
+    The first panel edges are the times and the steps of model.switch_segments
+    with no cap outside the switch regions and a cap of tau, the scale on
+    which the coupling changes, inside them; _panel_moments refines from
+    there.  Cumulative sums of the panel moments give the moments at every
     time at once.
     """
     om = p.omega_s + p.omega_e
@@ -176,7 +167,9 @@ def _moments(t, p, q):
         c = lam0 * (np.sin(om * ts) - np.sin(om * -p.t0)) / om
         s = lam0 * (np.cos(om * -p.t0) - np.cos(om * ts)) / om
         return c + 1j * s, np.zeros(len(t))
-    segments = switch_segments(p, min(p.t_in, t.min()), max(p.t_in, t.max()), np.inf)
+    segments = switch_segments(
+        p, min(p.t_in, t.min()), max(p.t_in, t.max()), np.inf, switch_cap=p.tau
+    )
     edges = np.unique(
         np.concatenate([t] + [np.linspace(lo, hi, n + 1) for lo, hi, n in segments])
     )

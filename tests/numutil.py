@@ -1,10 +1,11 @@
 """Shared numeric helpers for the test suite: independent references built
 from scipy and mpmath, small matrix helpers that serve as references, the
-per-segment refinement loop of the batched integrator's mirrored step grid,
-the full-window march that the mirrored one replaced, the
-bisection threshold scan on dense samples that the bracketed scan on step
-nodes replaced, and the per-row CSV writer that the numpy formatter
-replaced."""
+unreduced second-order kernel, the per-panel Filon weights that the
+per-width ones replaced, the per-segment refinement loop of the batched
+integrator's mirrored step grid, the full-window march that the mirrored
+one replaced, the bisection threshold scan on dense samples that the
+bracketed scan on step nodes replaced, and the per-row CSV writer that the
+numpy formatter replaced."""
 
 import math
 
@@ -434,6 +435,37 @@ def dop853_propagators(p, ts, rtol=1e-12):
         if np.any(inside):
             out[inside] = sol.sol(ts[inside]).T.reshape(-1, 4, 4)
         y = sol.y[:, -1]
+    return out
+
+
+def o2_integrand(tp, tpp, p):
+    """Symmetrized second-order integrand (value of the double-integral
+    kernel at (t', t''), including the 1/4 prefactor), the unreduced form
+    behind `perturbation.purity_o2_quadrature`, for direct grid checks."""
+    from oscpurity.perturbation import coupling_lambda
+
+    theta = np.where(tp > tpp, 1.0, np.where(tp < tpp, 0.0, 0.5))
+    lam = coupling_lambda(tp, p) * coupling_lambda(tpp, p)
+    diff = (p.omega_e - p.omega_s) * (tp - tpp)
+    tot = (p.omega_s + p.omega_e) * (tp - tpp)
+    return 0.25 * lam * (
+        (1.0 - 2.0 * theta) * np.cos(diff) + (1.0 + 2.0 * theta) * np.cos(tot)
+    )
+
+
+def filon_per_panel(lo, hi, p):
+    """`perturbation._filon` with the Filon weights computed panel by panel,
+    as the rule was before they were shared between panels of one width."""
+    from oscpurity.perturbation import _RULES, coupling_lambda, spherical_jn_orders
+
+    om = p.omega_s + p.omega_e
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    phase = half * np.exp(1j * om * mid)
+    out = []
+    for x, table in _RULES:
+        lam = coupling_lambda(mid[:, None] + half[:, None] * x, p)
+        weights = spherical_jn_orders(len(x), om * half) @ table.T
+        out.append(phase * np.sum(lam * weights, axis=1))
     return out
 
 

@@ -93,8 +93,47 @@ def test_panel_blocks_do_not_change_the_result(monkeypatch, tau):
     whole = accumulate_phases(p)
     monkeypatch.setattr(adiabatic, "_BLOCK", 7)
     blocked = accumulate_phases(p)
+    assert len(whole.edges) - 1 >= 4 * 7  # several blocks
     for name in ("edges", "w", "m"):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+
+
+def test_switch_panels_start_at_tau():
+    # The benchmark's slow-switching scenario: panels tau wide in the switch
+    # regions meet the default tolerances with at most 40 panels in all.
+    p = ScenarioParams.from_psi(1.0, 2.0, 0.78, 1.0, 1.0)
+    assert len(accumulate_phases(p).edges) - 1 <= 40
+
+
+#: (omega_e, psi, t0, tau): switches from far sharper than the oscillation
+#: to slower than it, short and long plateaus, psi up to 0.97.
+AGREEMENT_SCENARIOS = [
+    (2.0, 0.97, 5.0, 0.01),
+    (2.5, 0.5, 0.1, 0.03),
+    (1.5, 0.9, 30.0, 0.1),
+    (2.0, 0.78, 1.0, 0.3),
+    (2.0, 0.97, 3.0, 1.0),
+    (3.0, 0.3, 10.0, 1.0),
+    (2.0, 0.9, 0.5, 3.0),
+    (1.3, 0.97, 30.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("omega_e,psi,t0,tau", AGREEMENT_SCENARIOS)
+def test_default_tolerances_agree_with_tight_reference(omega_e, psi, t0, tau):
+    # Phases, memory integrals and the NLO correction at the default rtol =
+    # 1e-10, atol = 1e-12 against the same quadrature at rtol = 1e-13.
+    p = ScenarioParams.from_psi(1.0, omega_e, psi, t0, tau)
+    ts = np.linspace(p.t_in, -p.t_in, 401)
+    acc = accumulate_phases(p)
+    ref = accumulate_phases(p, rtol=1e-13, atol=1e-15)
+    for got, want in [
+        (acc.phases(ts), ref.phases(ts)),
+        (acc.memory_integrals(ts), ref.memory_integrals(ts)),
+        (purity_nlo_correction(ts, p, acc), purity_nlo_correction(ts, p, ref)),
+    ]:
+        got, want = np.array(got), np.array(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 + 1e-10 * np.max(np.abs(want))
 
 
 def test_grid_evaluation_matches_per_time():

@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oscpurity import adiabatic
 from oscpurity.cli import (
     build_parser,
     main,
@@ -141,6 +143,23 @@ def test_absurd_window_is_numerical_failure(tmp_path, capsys):
     path.write_text("omega_e = 2\npsi = 0.9\nt0 = 1e300\ntau = 0.5\n")
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t0", ["1e8", "1e300"])
+def test_window_too_long_to_panel_is_numerical_failure(t0, tmp_path, capsys):
+    # The plateau alone needs ~1.3e8 one-period phase panels at t0 = 1e8, more
+    # than MAX_PANELS: refused before any panel edge is allocated.
+    path = tmp_path / "long.cfg"
+    path.write_text("omega_e = 2\npsi = 0.78\nt0 = %s\ntau = 1\n" % t0)
+    tracemalloc.start()
+    try:
+        rc = main(["adiabatic", "--config", str(path), "--out", str(tmp_path), "--order", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert "more than %d panels" % adiabatic.MAX_PANELS in capsys.readouterr().err
+    assert peak < 1 << 22
 
 
 @pytest.mark.parametrize(

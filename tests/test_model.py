@@ -133,7 +133,7 @@ def test_isoso_profile():
 def test_switch_segments_smooth_window():
     # Breaks at +-t0 -+ 10 tau; tau / 20 = 0.025 caps the two switch regions.
     p = make_params(t0=10.0, tau=0.5)
-    assert switch_segments(p, p.t_in, -p.t_in, 0.3) == [
+    assert switch_segments(p, p.t_in, -p.t_in, 0.3, switch_cap=p.tau / 20) == [
         (-20.0, -15.0, 17),
         (-15.0, -5.0, 400),
         (-5.0, 5.0, 34),
@@ -145,14 +145,16 @@ def test_switch_segments_smooth_window():
 def test_switch_segments_top_hat_window():
     # Breaks at +-t0 only, and no tau / 20 cap anywhere.
     p = make_params(t0=10.0, tau=1.0, profile=ISOSO)
-    assert switch_segments(p, -12.0, 12.0, 0.3) == [
+    assert switch_segments(p, -12.0, 12.0, 0.3, switch_cap=p.tau / 20) == [
         (-12.0, -10.0, 7),
         (-10.0, 10.0, 67),
         (10.0, 12.0, 7),
     ]
-    assert switch_segments(p, p.t_in, -p.t_in, 0.3) == [(-10.0, 10.0, 67)]
+    assert switch_segments(p, p.t_in, -p.t_in, 0.3, switch_cap=p.tau / 20) == [
+        (-10.0, 10.0, 67)
+    ]
     # A break within 1e-12 of a window end leaves no sliver segment.
-    assert switch_segments(p, -10.0 - 1e-13, 10.0 + 1e-13, 0.3) == [
+    assert switch_segments(p, -10.0 - 1e-13, 10.0 + 1e-13, 0.3, switch_cap=p.tau / 20) == [
         (-10.0 - 1e-13, 10.0 + 1e-13, 67)
     ]
 
@@ -160,20 +162,26 @@ def test_switch_segments_top_hat_window():
 def test_switch_segments_without_cap():
     # cap = inf: one step outside the switch regions, tau / 20 inside.
     p = make_params(t0=10.0, tau=0.5)
-    counts = [n for _, _, n in switch_segments(p, p.t_in, -p.t_in, np.inf)]
-    assert counts == [1, 400, 1, 400, 1]
+    segments = switch_segments(p, p.t_in, -p.t_in, np.inf, switch_cap=p.tau / 20)
+    assert [n for _, _, n in segments] == [1, 400, 1, 400, 1]
 
 
 def test_switch_segments_switch_cap():
-    # The caller's switch cap replaces tau / 20 in the switch regions only.
+    # The switch cap applies in the switch regions only.
     p = make_params(t0=10.0, tau=0.5)
     counts = [n for _, _, n in switch_segments(p, p.t_in, -p.t_in, 0.3, switch_cap=0.1)]
     assert counts == [17, 100, 34, 100, 17]
+    # Every caller states where its switch grid starts.
+    with pytest.raises(TypeError):
+        switch_segments(p, p.t_in, -p.t_in, 0.3)
 
 
 def test_switch_segments_window_starting_in_switch_region():
     p = make_params(t0=10.0, tau=0.5)
-    assert switch_segments(p, -10.0, 0.0, 0.3) == [(-10.0, -5.0, 200), (-5.0, 0.0, 17)]
+    assert switch_segments(p, -10.0, 0.0, 0.3, switch_cap=p.tau / 20) == [
+        (-10.0, -5.0, 200),
+        (-5.0, 0.0, 17),
+    ]
 
 
 # ---------------------------------------------------------------------------

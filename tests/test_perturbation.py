@@ -8,14 +8,14 @@ against the adaptive quadrature and the exact solution.
 
 import numpy as np
 import pytest
-from numutil import purity_o2_qawo, spherical_jn_mp
+from numutil import filon_per_panel, o2_integrand, purity_o2_qawo, spherical_jn_mp
 
+from oscpurity import perturbation
 from oscpurity.errors import QuadratureNoConvergence
 from oscpurity.model import ScenarioParams
 from oscpurity.perturbation import (
     QuadratureConfig,
     coupling_lambda,
-    o2_integrand,
     purity_o2_isoso,
     purity_o2_quadrature,
     spherical_jn_orders,
@@ -151,6 +151,50 @@ def test_sharp_switch_matches_breakpoint_split_reference():
     # quadrature itself, not to neighbouring sample times.
     for got in (purity_o2_quadrature(ts, p), [purity_o2_quadrature(t, p) for t in ts]):
         assert np.max(np.abs(np.subtract(got, ref))) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "omega_e,psi,t0,tau",
+    [
+        (2.0, 0.97, 5.0, 0.01),
+        (2.5, 0.5, 0.1, 0.03),
+        (1.5, 0.9, 30.0, 0.1),
+        (2.0, 0.3, 1.5, 0.3),
+        (3.0, 0.3, 10.0, 1.0),
+        (1.3, 0.97, 30.0, 3.0),
+    ],
+)
+def test_default_tolerances_agree_with_tight_reference(omega_e, psi, t0, tau):
+    # Panels start tau wide in the switch regions; the default tolerances
+    # still hold against abs_tol = rel_tol = 1e-13.
+    p = make_params(omega_e=omega_e, psi=psi, t0=t0, tau=tau)
+    ts = np.linspace(p.t_in, -p.t_in, 401)
+    ref = purity_o2_quadrature(ts, p, QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13))
+    assert np.max(np.abs(purity_o2_quadrature(ts, p) - ref)) <= QuadratureConfig().abs_tol
+
+
+def test_filon_weights_per_width_match_per_panel(monkeypatch):
+    # Weights computed once per distinct panel width give the panel results
+    # of weights computed panel by panel, to a few ulps.
+    filon, worst = perturbation._filon, []
+
+    def checked(lo, hi, p):
+        got = filon(lo, hi, p)
+        for g, want in zip(got, filon_per_panel(lo, hi, p)):
+            worst.append(np.max(np.abs(g - want)) / np.max(np.abs(want)))
+        return got
+
+    monkeypatch.setattr(perturbation, "_filon", checked)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        p = make_params(
+            omega_e=rng.uniform(1.2, 3.0),
+            psi=rng.uniform(0.05, 0.97),
+            t0=10 ** rng.uniform(-1.0, np.log10(30.0)),
+            tau=10 ** rng.uniform(-2.0, np.log10(3.0)),
+        )
+        purity_o2_quadrature(np.linspace(p.t_in, -p.t_in, 401), p)
+    assert worst and max(worst) <= 4 * np.finfo(float).eps
 
 
 def test_no_convergence_when_depth_runs_out():

@@ -661,7 +661,7 @@ def test_stepper_calls_per_level(monkeypatch):
         return steps(self, t0, h)
 
     monkeypatch.setattr(transport._MagnusStepper, "steps", counted)
-    assert len(switch_segments(p, 0.0, -p.t_in, np.inf)) == 3
+    assert len(switch_segments(p, 0.0, -p.t_in, np.inf, switch_cap=p.tau / 20)) == 3
     traj = integrate(p, IntegratorConfig())
     assert len(calls) == 3
     assert 2 * calls[1] == len(traj.step_t) - 1 <= 2 * transport._CHUNK
