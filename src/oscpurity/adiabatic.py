@@ -27,11 +27,13 @@ from .errors import (
     SupercriticalExcursion,
 )
 from .model import (
+    ROUNDOFF,
     IntegratorConfig,
     ScenarioParams,
     coupling_xi,
     coupling_xi_dot,
     frame_from_xi,
+    refine_panels,
     switch_segments,
 )
 from .transport import node_purities, propagate, purity_from_propagator
@@ -84,9 +86,10 @@ _COARSE = _integration_matrix(_NODES[::2])
 _BARY = (-1.0) ** np.arange(_CHEB_N + 1)
 _BARY[[0, -1]] *= 0.5
 
-#: Bisection passes, and the panel count past which refining stops.
-MAX_DEPTH = 30
-MAX_PANELS = 1 << 18
+#: A panel's fine/coarse gap must stay within ATOL |panel| / |span| + RTOL
+#: Int_panel |integrand| in every channel.
+RTOL = 1e-10
+ATOL = 1e-12
 
 #: Panels evaluated at once.  A block's temporaries (tens of kB each) stay
 #: in the allocator's heap from one block and one call to the next, while
@@ -95,9 +98,6 @@ MAX_PANELS = 1 << 18
 #: call and are page-faulted in again by the next, a kernel cost that varies
 #: from run to run.
 _BLOCK = 64
-
-#: An error estimate below this fraction of a panel's scale is round-off.
-_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 #: Phase of each moment channel as a combination of (W1, W2).
 _CHANNEL_PHASES = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
@@ -206,21 +206,20 @@ class PhaseAccumulator:
         return i[..., 0][()], i[..., 1][()], i[..., 2][()]
 
 
-def accumulate_phases(p, t_end=None, rtol=1e-10, atol=1e-12):
+def accumulate_phases(p, t_end=None):
     """Phases and moment integrals over [t_in, t_end] by cumulative
     Chebyshev panel quadrature.
 
     The first panels are the steps of model.switch_segments with a cap of
     one period of the fastest channel, exp(2 i W2), and of tau, the scale on
     which the coupling changes, in the switch regions.  Each panel is
-    integrated at 33 Chebyshev-Lobatto nodes and at every other one; a panel
-    whose gap between the two exceeds, in any channel, atol |panel| / |span|
-    + rtol Int_panel |integrand| is bisected.
+    integrated at 33 Chebyshev-Lobatto nodes and at every other one;
+    model.refine_panels bisects a panel whose gap between the two exceeds,
+    in any channel, ATOL |panel| / |span| + RTOL Int_panel |integrand|.
 
     Args:
         p: ScenarioParams (smooth subcritical profile).
         t_end: final time (default -t_in); an earlier one counts as t_in.
-        rtol, atol: quadrature targets.
 
     Returns:
         PhaseAccumulator.
@@ -228,8 +227,8 @@ def accumulate_phases(p, t_end=None, rtol=1e-10, atol=1e-12):
     Raises:
         SupercriticalExcursion: if the coupling reaches the critical value.
         QuadratureNoConvergence: if the first panels already number more
-            than MAX_PANELS, or refining runs past MAX_DEPTH passes or
-            MAX_PANELS panels.
+            than model.MAX_PANELS, or a panel still fails its test where
+            refine_panels stops.
     """
     if p.psi >= 1.0:
         raise SupercriticalExcursion(
@@ -239,37 +238,24 @@ def accumulate_phases(p, t_end=None, rtol=1e-10, atol=1e-12):
     # The fastest channel oscillates at 2 omega2 <= 2 omega2(peak).
     width = np.pi / frame_from_xi(p.xi0, p).omega2
     segments = switch_segments(p, p.t_in, t_end, width, switch_cap=p.tau)
-    if sum(n for _, _, n in segments) > MAX_PANELS:
-        raise QuadratureNoConvergence(
-            "phase quadrature on [%g, %g] needs more than %d panels of at most "
-            "one period" % (p.t_in, t_end, MAX_PANELS)
-        )
-    edges = np.unique(np.concatenate([np.linspace(lo, hi, n + 1) for lo, hi, n in segments]))
-    if len(edges) < 2:  # t_end == t_in: one panel, only ever read at t_in
-        edges = np.array([p.t_in, p.t_in + width])
-    lo, hi = edges[:-1], edges[1:]
-    share = atol / (hi[-1] - lo[0])
-    done = []  # accepted (lo, hi, w, m) batches
-    for _ in range(MAX_DEPTH):
+    if t_end == p.t_in:  # one panel, only ever read at t_in
+        segments = [(p.t_in, p.t_in + width, 1)]
+    share = ATOL / (segments[-1][1] - p.t_in)
+
+    def rule(lo, hi):
         w, m, err, scale = _panels(lo, hi, p)
-        ok = np.all(err <= share * (hi - lo)[:, None] + max(rtol, _ROUNDOFF) * scale, axis=1)
-        if np.all(ok):
-            if done:  # merge with the panels accepted in earlier passes
-                done.append((lo, hi, w, m))
-                lo, hi, w, m = (np.concatenate(a) for a in zip(*done))
-                order = np.argsort(lo)
-                lo, hi, w, m = lo[order], hi[order], w[order], m[order]
-            _chain(w, m)
-            return PhaseAccumulator(p, t_end, np.append(lo, hi[-1]), w, m)
-        done.append((lo[ok], hi[ok], w[ok], m[ok]))
-        lo, hi = lo[~ok], hi[~ok]
-        if sum(len(d[0]) for d in done) + 2 * len(lo) > MAX_PANELS:
-            break
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    raise QuadratureNoConvergence(
-        "phase quadrature did not converge on [%g, %g]" % (p.t_in, t_end)
-    )
+        ok = np.all(err <= share * (hi - lo)[:, None] + max(RTOL, ROUNDOFF) * scale, axis=1)
+        return ok, (w, m)
+
+    _, (lo, hi, _, converged, w, m) = refine_panels(segments, rule)
+    if not np.all(converged):
+        raise QuadratureNoConvergence(
+            "phase quadrature did not converge on [%g, %g]" % (p.t_in, t_end)
+        )
+    order = np.argsort(lo)
+    w, m = w[order], m[order]
+    _chain(w, m)
+    return PhaseAccumulator(p, t_end, np.append(lo[order], hi[order][-1]), w, m)
 
 
 def _lo(fr):

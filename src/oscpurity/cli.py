@@ -18,7 +18,7 @@ from .errors import ConfigError, InvalidCaseWarning, OscPurityError
 from .model import (
     ISOSO, IntegratorConfig, classify_regime, config_from_pairs, read_pairs,
 )
-from .transport import integrate
+from .transport import MAX_STEPS, integrate
 
 _SWEEP_KEYS = {"param", "grid", "min", "max", "count", "reduction"}
 
@@ -155,7 +155,8 @@ def parse_sweep_spec(text):
 
     Raises:
         ConfigError: on a malformed spec, an unknown key (`workers` too:
-            sweeps run serially), a grid shorter than its reduction needs, or
+            sweeps run serially), a grid shorter than its reduction needs or
+            longer than MAX_STEPS, the top-hat profile (which ignores tau), or
             an integrator key that the reduction would ignore.
     """
     base = read_pairs(text)
@@ -175,16 +176,20 @@ def parse_sweep_spec(text):
         count = int(kv["count"])
     except ValueError as exc:
         raise ConfigError("bad sweep number: %s" % exc)
-    if count < 1 or not lo < hi or lo <= 0:
-        raise ConfigError("sweep grid bounds must satisfy 0 < min < max, count >= 1")
+    if count < 1 or not 0 < lo < hi < np.inf:
+        raise ConfigError("sweep grid bounds must satisfy 0 < min < max < inf, count >= 1")
     need, ignored = _REDUCTIONS[kv["reduction"]]
     if count < need:
         raise ConfigError(
             "reduction %r needs count >= %d, got %d" % (kv["reduction"], need, count)
         )
-    grid = (np.geomspace if grid_kind == "log" else np.linspace)(lo, hi, count)
+    if count > MAX_STEPS:
+        raise ConfigError("sweep key 'count' = %d is more than %d" % (count, MAX_STEPS))
     p, cfg = config_from_pairs(base)
+    if p.profile == ISOSO:
+        raise ConfigError("a tau sweep needs the smooth profile; the top-hat ignores tau")
     _reject_ignored(base, ignored, "reduction %r" % kv["reduction"])
+    grid = (np.geomspace if grid_kind == "log" else np.linspace)(lo, hi, count)
     return p, cfg, grid, kv["reduction"]
 
 
@@ -238,6 +243,7 @@ def cmd_sweep(args):
 
 
 def _parse_grid(text, name, hi_max):
+    """(min, max, count) of a 'min:max:count' grid option."""
     try:
         lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
@@ -247,7 +253,7 @@ def _parse_grid(text, name, hi_max):
         raise ConfigError(
             "--%s grid must lie in (0, %g] with count >= 1" % (name, hi_max)
         )
-    return np.linspace(lo, hi, n)
+    return lo, hi, n
 
 
 def phase_diagram(w_grid, psi_grid):
@@ -279,7 +285,10 @@ def phase_diagram(w_grid, psi_grid):
 def cmd_phase_diagram(args):
     w_grid = _parse_grid(args.w, "w", 1.0)
     psi_grid = _parse_grid(args.psi, "psi", 100.0)
-    rows = phase_diagram(w_grid, psi_grid)
+    if w_grid[2] * psi_grid[2] > MAX_STEPS:
+        raise ConfigError("--w and --psi counts %d x %d give more than %d cells" % (
+            w_grid[2], psi_grid[2], MAX_STEPS))
+    rows = phase_diagram(np.linspace(*w_grid), np.linspace(*psi_grid))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "phase_diagram.csv")
     keys = ("w", "psi", "label", "perturbative", "g_p", "near_critical")

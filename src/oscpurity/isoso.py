@@ -235,7 +235,7 @@ def regime_purity(case, dt, p):
     if case not in EXPANSION_NAMES:
         raise ValueError("unknown expansion case %r" % (case,))
     case = EXPANSION_NAMES[case]
-    label = classify_regime(p.w, p.psi, p.omega_s).label
+    label = classify_regime(p.w, p.psi).label
     if label not in EXPANSIONS[case]:
         warnings.warn(
             "parameters classify as %s, outside the %s domain" % (label, case),

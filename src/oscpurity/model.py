@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, CriticalPoint, DerivativeUndefined
+from .errors import ConfigError, CriticalPoint, DerivativeUndefined, QuadratureNoConvergence
 
 SMOOTH = "smooth"
 ISOSO = "isoso"
@@ -219,6 +219,61 @@ def switch_segments(p, t_start, t_end, cap, *, switch_cap):
     return segments
 
 
+#: Panel refinement of both quadratures: at most MAX_DEPTH bisections of a
+#: first-grid panel and MAX_PANELS panels in all.  An error estimate below
+#: ROUNDOFF times a panel's scale is round-off, which bisection cannot lower.
+MAX_DEPTH = 40
+MAX_PANELS = 1 << 18
+ROUNDOFF = 50.0 * np.finfo(float).eps
+
+
+def refine_panels(segments, rule, points=()):
+    """The one panel refinement of both quadratures, continuing the grid of
+    switch_segments.
+
+    The first grid has the steps of the segments and the points as edges.
+    Each pass calls rule(lo, hi) -> (ok, values) on the panels still
+    refining ((K,) arrays): ok (K,) is their error test, values a tuple of
+    (K, ...) arrays.  The panels that pass are kept, the rest bisected.
+    After MAX_DEPTH bisections, or where bisecting would leave more than
+    MAX_PANELS panels in all, the failing panels are kept too, as not
+    converged, and the caller decides what that means.
+
+    Returns:
+        (edges, (lo, hi, owner, converged, *values)): the first grid, and
+        the kept panels in the order kept (pass by pass, each pass in the
+        rule's order), each with the first-grid panel it lies in and
+        whether it passed its test.
+
+    Raises:
+        QuadratureNoConvergence: if the first grid alone has more than
+            MAX_PANELS panels, before anything is allocated.
+    """
+    if sum(n for _, _, n in segments) + len(points) > MAX_PANELS:
+        raise QuadratureNoConvergence(
+            "quadrature on [%g, %g] needs more than %d panels"
+            % (segments[0][0], segments[-1][1], MAX_PANELS)
+        )
+    edges = np.unique(
+        np.concatenate([points] + [np.linspace(lo, hi, n + 1) for lo, hi, n in segments])
+    )
+    lo, hi, owner = edges[:-1], edges[1:], np.arange(len(edges) - 1)
+    kept, count = [], 0
+    for depth in range(MAX_DEPTH + 1):
+        ok, values = rule(lo, hi)
+        fail = ~ok
+        count += np.count_nonzero(ok)
+        stop = depth == MAX_DEPTH or count + 2 * np.count_nonzero(fail) > MAX_PANELS
+        keep = np.ones_like(ok) if stop else ok
+        kept.append((lo[keep], hi[keep], owner[keep], ok[keep]) + tuple(v[keep] for v in values))
+        if stop or not np.any(fail):
+            break
+        lo, hi, owner = lo[fail], hi[fail], owner[fail]
+        mid = 0.5 * (lo + hi)
+        lo, hi, owner = np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(owner, 2)
+    return edges, tuple(np.concatenate(a) for a in zip(*kept))
+
+
 def perturbativity_gp(p):
     """Perturbativity measure g_p = xi0 / sqrt(2 w_S w_E (w_S^2 + w_E^2))."""
     return p.xi0 / np.sqrt(
@@ -359,16 +414,14 @@ class RegimeLabel:
     label: str
     g_p: float
     perturbative_flag: bool
-    secular_time: Optional[float]
 
 
-def classify_regime(w, psi, omega_s=1.0):
+def classify_regime(w, psi):
     """Classify a point of the (w, psi) phase diagram.
 
     Args:
         w: frequency ratio omega_s/omega_e in (0, 1].
         psi: coupling ratio xi0/xi_c > 0.
-        omega_s: system frequency used to dimension the secular time.
 
     Returns:
         RegimeLabel with one of U1, U2a, U2b, C1plus, C1minus, C2plus,
@@ -393,23 +446,7 @@ def classify_regime(w, psi, omega_s=1.0):
         else:
             label = "O2"
     g_p = float(psi * np.sqrt(w / (2.0 * (1.0 + w * w))))
-    sec = _secular_time(label, w, psi, omega_s)
-    return RegimeLabel(label, g_p, g_p < GP_PERTURBATIVE, sec)
-
-
-def _secular_time(label, w, psi, omega_s):
-    if label == "U1":
-        return 1.0 / (omega_s * psi * psi)
-    if label == "U2a":
-        return 1.0 / (omega_s * psi)
-    if label == "U2b":
-        return (1.0 / w - 1.0) / (omega_s * psi * psi)
-    if label in ("C1plus", "C1minus"):
-        dpsi = 1.0 - psi
-        if dpsi == 0.0:
-            return 1.0 / (w * omega_s)
-        return min(1.0 / w, 1.0 / np.sqrt(abs(dpsi))) / omega_s
-    return None
+    return RegimeLabel(label, g_p, g_p < GP_PERTURBATIVE)
 
 
 # ---------------------------------------------------------------------------

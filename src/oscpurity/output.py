@@ -235,7 +235,7 @@ def summarize(p, gamma_min=None, gamma_inf=None, **extra):
     omega1_abs = sqrt|omega1^2| at peak coupling comes from the closed form,
     so it reads 0 rather than failing at exactly critical coupling.
     """
-    label = classify_regime(min(p.w, 1.0 / p.w), p.psi, p.omega_s)
+    label = classify_regime(min(p.w, 1.0 / p.w), p.psi)
     out = {
         "schema": SCHEMA,
         "gamma_min": gamma_min,

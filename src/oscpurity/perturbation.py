@@ -12,24 +12,18 @@ cosine/sine moments C, S of lambda at the sum frequency, which is the form
 evaluated here.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
 from .errors import QuadratureNoConvergence
-from .model import ISOSO, coupling_xi, perturbativity_gp, switch_segments
+from .model import (
+    ISOSO, ROUNDOFF, coupling_xi, perturbativity_gp, refine_panels, switch_segments,
+)
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Panel quadrature controls: the accumulated error estimate of each
-    moment must stay within 100 max(abs_tol, rel_tol |moment|), and a panel
-    is bisected at most max_depth times."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_depth: int = 40
+#: The accumulated error estimate of each moment must stay within
+#: 100 max(ABS_TOL, REL_TOL |moment|).
+ABS_TOL = 1e-10
+REL_TOL = 1e-8
 
 
 def coupling_lambda(t, p):
@@ -80,15 +74,6 @@ _RULES = [_filon_rule(n) for n in (8, 16)]
 #: Panels evaluated per batch, which bounds the temporaries of a pass.
 _CHUNK = 4096
 
-#: An error estimate below this fraction of a panel's value is round-off,
-#: which bisection cannot lower.
-_ROUNDOFF = 50.0 * np.finfo(float).eps
-
-#: Bisection stops once more than this many panels would be refined; the
-#: panels left keep their error estimates, which then fail the acceptance
-#: test instead of exhausting memory.
-MAX_PANELS = 1 << 18
-
 
 def _filon(lo, hi, p):
     """Int lambda(u) exp(i om u) du (om = w_S + w_E) over the panels [lo, hi]
@@ -114,69 +99,40 @@ def _filon(lo, hi, p):
     return out
 
 
-def _panel_moments(edges, p, q):
-    """Sum-frequency moments C + i S of lambda over each panel [edges[k],
-    edges[k + 1]] (complex (K,)), and their error estimates (real (K,)).
+def _moments(t, p):
+    """Moments C + i S of lambda at the sum frequency over [t_in, t] at the
+    times t ((N,) array), and their error estimates.
 
-    Each panel is integrated with the 8- and 16-node Filon rules; a panel
-    whose estimate |G16 - G8| exceeds both its share abs_tol |panel| /
-    |span| of the absolute tolerance and the round-off level of its value
-    is bisected, at most q.max_depth times, and the 16-node values of its
-    pieces are summed back into it.
+    The first panel edges are the times and the steps of model.switch_segments
+    with no cap outside the switch regions and a cap of tau, the scale on
+    which the coupling changes, inside them.  model.refine_panels bisects a
+    panel while its estimate |G16 - G8| of the 8- and 16-node Filon rules
+    exceeds both its share ABS_TOL |panel| / |span| of the absolute
+    tolerance and the round-off level of its value.  The 16-node values of
+    the kept panels are summed into the first-grid panels they lie in, and
+    cumulative sums of those give the moments at every time at once.
     """
-    lo, hi = edges[:-1], edges[1:]
-    owner = np.arange(len(lo))
-    val = np.zeros(len(lo), dtype=complex)
-    err = np.zeros(len(lo))
-    share = q.abs_tol / (edges[-1] - edges[0])
-    for depth in range(q.max_depth + 1):
+    t_lo, t_hi = min(p.t_in, t.min()), max(p.t_in, t.max())
+    if t_lo == t_hi:  # every time is t_in
+        return np.zeros(len(t), dtype=complex), np.zeros(len(t))
+    share = ABS_TOL / (t_hi - t_lo)
+
+    def rule(lo, hi):
         parts = [
             _filon(lo[i : i + _CHUNK], hi[i : i + _CHUNK], p)
             for i in range(0, len(lo), _CHUNK)
         ]
         coarse, fine = (np.concatenate(r) for r in zip(*parts))
         delta = np.abs(fine - coarse)
-        done = delta <= np.maximum(share * (hi - lo), _ROUNDOFF * np.abs(fine))
-        if depth == q.max_depth or 2 * np.count_nonzero(~done) > MAX_PANELS:
-            done[:] = True
-        np.add.at(val, owner[done], fine[done])
-        np.add.at(err, owner[done], delta[done])
-        if np.all(done):
-            break
-        lo, hi, owner = lo[~done], hi[~done], owner[~done]
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        owner = np.tile(owner, 2)
-    return val, err
+        return delta <= np.maximum(share * (hi - lo), ROUNDOFF * np.abs(fine)), (fine, delta)
 
-
-def _moments(t, p, q):
-    """Moments C + i S of lambda at the sum frequency over [t_in, t] at the
-    times t ((N,) array), and their error estimates.
-
-    The first panel edges are the times and the steps of model.switch_segments
-    with no cap outside the switch regions and a cap of tau, the scale on
-    which the coupling changes, inside them; _panel_moments refines from
-    there.  Cumulative sums of the panel moments give the moments at every
-    time at once.
-    """
-    om = p.omega_s + p.omega_e
-    lam0 = p.xi0 / np.sqrt(p.omega_s * p.omega_e)
-    if p.profile == ISOSO:
-        ts = np.clip(t, -p.t0, p.t0)
-        c = lam0 * (np.sin(om * ts) - np.sin(om * -p.t0)) / om
-        s = lam0 * (np.cos(om * -p.t0) - np.cos(om * ts)) / om
-        return c + 1j * s, np.zeros(len(t))
-    segments = switch_segments(
-        p, min(p.t_in, t.min()), max(p.t_in, t.max()), np.inf, switch_cap=p.tau
-    )
-    edges = np.unique(
-        np.concatenate([t] + [np.linspace(lo, hi, n + 1) for lo, hi, n in segments])
-    )
-    if len(edges) < 2:  # every time is t_in
-        return np.zeros(len(t), dtype=complex), np.zeros(len(t))
-    val, err = _panel_moments(edges, p, q)
+    segments = switch_segments(p, t_lo, t_hi, np.inf, switch_cap=p.tau)
+    edges, (_, _, owner, _, fine, delta) = refine_panels(segments, rule, points=t)
+    val, err = np.zeros(len(edges) - 1, dtype=complex), np.zeros(len(edges) - 1)
+    np.add.at(val, owner, fine)
+    np.add.at(err, owner, delta)
     val, err = (np.concatenate([[0], np.cumsum(a)]) for a in (val, err))
+    lam0 = p.xi0 / np.sqrt(p.omega_s * p.omega_e)
     k, k_in = np.searchsorted(edges, t), np.searchsorted(edges, p.t_in)
     # A float time stands for an interval of width ~ |t| eps, over which a
     # moment moves by up to lam0 |t| eps; that floor joins the estimate.
@@ -184,14 +140,13 @@ def _moments(t, p, q):
     return val[k] - val[k_in], np.abs(err[k] - err[k_in]) + floor
 
 
-def purity_o2_quadrature(t, p, q=QuadratureConfig()):
+def purity_o2_quadrature(t, p):
     """Second-order purity by Filon panel quadrature (smooth profiles) or
-    in closed form (top-hat).
+    in closed form (top-hat: purity_o2_isoso).
 
     Args:
         t: evaluation time, or an array of times in any order.
         p: ScenarioParams (any profile).
-        q: QuadratureConfig.
 
     Returns:
         1 minus the symmetrized double integral of the second-order kernel
@@ -200,18 +155,20 @@ def purity_o2_quadrature(t, p, q=QuadratureConfig()):
 
     Raises:
         QuadratureNoConvergence: if the accumulated error estimate of the
-            moments exceeds 100 max(abs_tol, rel_tol |C|) or 100 max(abs_tol,
-            rel_tol |S|), or a purity is not finite; the message names the
+            moments exceeds 100 max(ABS_TOL, REL_TOL |C|) or 100 max(ABS_TOL,
+            REL_TOL |S|), or a purity is not finite; the message names the
             first such time.
     """
     t = np.asarray(t, dtype=float)
     if p.xi0 == 0.0:
         return 1.0 if t.ndim == 0 else np.ones(t.shape)
+    if p.profile == ISOSO:
+        return purity_o2_isoso(np.clip(t, -p.t0, p.t0) + p.t0, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        m, err = _moments(t.ravel(), p, q)
+        m, err = _moments(t.ravel(), p)
         gam = 1.0 - 0.5 * (m.real * m.real + m.imag * m.imag)
         small = np.minimum(np.abs(m.real), np.abs(m.imag))
-        tol = 100.0 * np.maximum(q.abs_tol, q.rel_tol * small)
+        tol = 100.0 * np.maximum(ABS_TOL, REL_TOL * small)
     for bad, what in (
         (~(err <= tol), "moment error estimate too large"),
         (~np.isfinite(gam), "purity not finite"),

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepFailure
+from .errors import ConfigError, StepFailure
 from .model import ISOSO, IntegratorConfig, coupling_xi, normal_mode_sq, switch_segments
 from .symplectic import cauchy_binet
 
@@ -75,7 +75,8 @@ _SWAP = [1, 0, 3, 2]
 #: Steps computed per batch, which bounds the temporaries of a level.
 _CHUNK = 4096
 
-#: Step budget per segment; refining past it is a StepFailure.
+#: Step budget per segment (refining past it is a StepFailure), and the budget
+#: of every count an input asks for: samples, sweep points, phase-diagram cells.
 MAX_STEPS = 1 << 20
 
 
@@ -599,11 +600,19 @@ def integrate(p, cfg=IntegratorConfig()):
     Raises:
         StepFailure: if the step grid cannot meet the tolerances within the
             step budget, or the propagator overflows.
+        ConfigError: if the window holds more than MAX_STEPS samples (checked
+            after the steps: a window too long to step is a StepFailure).
     """
     t_start = p.t_in
     t_end = _resolve_t_end(p, cfg)
     sample_dt = cfg.sample_dt if cfg.sample_dt is not None else default_sample_dt(p)
     _, grid = _solve(p, cfg, t_end, keep_nodes=True)
-    n_samples = max(int(np.ceil((t_end - t_start) / sample_dt)) + 1, 2)
+    intervals = (t_end - t_start) / sample_dt
+    if intervals + 1 > MAX_STEPS:
+        raise ConfigError(
+            "sample_dt = %g asks for %.4g samples, more than %d"
+            % (sample_dt, intervals + 1, MAX_STEPS)
+        )
+    n_samples = max(int(np.ceil(intervals)) + 1, 2)
     ts = np.linspace(t_start, t_end, n_samples)
     return Trajectory(ts, grid.at(ts), p, grid)

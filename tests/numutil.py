@@ -469,20 +469,20 @@ def filon_per_panel(lo, hi, p):
     return out
 
 
-def o2_moments_qawo(p, lo, hi, q=None):
+def o2_moments_qawo(p, lo, hi):
     """Cosine and sine moments of lambda at the sum frequency over [lo, hi]
     by scipy's QAWO rule (one adaptive call per weight), as an oracle for
-    the panel quadrature of `perturbation`.
+    the panel quadrature of `perturbation`, at its tolerances.
 
     Raises:
         AssertionError: if QUADPACK's error estimate fails the acceptance
-            rule 100 max(abs_tol, rel_tol |moment|).
+            rule 100 max(ABS_TOL, REL_TOL |moment|).
     """
     from scipy.integrate import quad
 
-    from oscpurity.perturbation import QuadratureConfig, coupling_lambda
+    from oscpurity.model import MAX_DEPTH
+    from oscpurity.perturbation import ABS_TOL, REL_TOL, coupling_lambda
 
-    q = q or QuadratureConfig()
     out = []
     for weight in ("cos", "sin"):
         val, err = quad(
@@ -491,11 +491,11 @@ def o2_moments_qawo(p, lo, hi, q=None):
             hi,
             weight=weight,
             wvar=p.omega_s + p.omega_e,
-            epsabs=q.abs_tol,
-            epsrel=q.rel_tol,
-            limit=max(50, 2 ** min(q.max_depth, 12)),
+            epsabs=ABS_TOL,
+            epsrel=REL_TOL,
+            limit=max(50, 2 ** min(MAX_DEPTH, 12)),
         )
-        assert err <= max(q.abs_tol, q.rel_tol * abs(val)) * 100, err
+        assert err <= max(ABS_TOL, REL_TOL * abs(val)) * 100, err
         out.append(val)
     return np.array(out)
 

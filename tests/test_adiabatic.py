@@ -16,7 +16,7 @@ from numutil import (
     threshold_scan_bisection,
 )
 
-from oscpurity import adiabatic
+from oscpurity import adiabatic, model
 from oscpurity.adiabatic import (
     DEFICIT_FLOOR,
     accumulate_phases,
@@ -32,6 +32,7 @@ from oscpurity.errors import (
     ConfigError,
     DerivativeUndefined,
     NoThreshold,
+    QuadratureNoConvergence,
     SupercriticalExcursion,
 )
 from oscpurity.model import IntegratorConfig, ScenarioParams
@@ -98,6 +99,15 @@ def test_panel_blocks_do_not_change_the_result(monkeypatch, tau):
         assert np.array_equal(getattr(blocked, name), getattr(whole, name))
 
 
+def test_no_convergence_when_depth_runs_out(monkeypatch):
+    # tau = 1e-6 bisects panels over several passes; with no bisection left,
+    # the panels still failing are a failure, not a result.
+    p = make_params(tau=1e-6)
+    monkeypatch.setattr(model, "MAX_DEPTH", 0)
+    with pytest.raises(QuadratureNoConvergence, match="did not converge"):
+        accumulate_phases(p)
+
+
 def test_switch_panels_start_at_tau():
     # The benchmark's slow-switching scenario: panels tau wide in the switch
     # regions meet the default tolerances with at most 40 panels in all.
@@ -120,13 +130,15 @@ AGREEMENT_SCENARIOS = [
 
 
 @pytest.mark.parametrize("omega_e,psi,t0,tau", AGREEMENT_SCENARIOS)
-def test_default_tolerances_agree_with_tight_reference(omega_e, psi, t0, tau):
-    # Phases, memory integrals and the NLO correction at the default rtol =
-    # 1e-10, atol = 1e-12 against the same quadrature at rtol = 1e-13.
+def test_default_tolerances_agree_with_tight_reference(omega_e, psi, t0, tau, monkeypatch):
+    # Phases, memory integrals and the NLO correction at the default RTOL =
+    # 1e-10, ATOL = 1e-12 against the same quadrature at RTOL = 1e-13.
     p = ScenarioParams.from_psi(1.0, omega_e, psi, t0, tau)
     ts = np.linspace(p.t_in, -p.t_in, 401)
     acc = accumulate_phases(p)
-    ref = accumulate_phases(p, rtol=1e-13, atol=1e-15)
+    monkeypatch.setattr(adiabatic, "RTOL", 1e-13)
+    monkeypatch.setattr(adiabatic, "ATOL", 1e-15)
+    ref = accumulate_phases(p)
     for got, want in [
         (acc.phases(ts), ref.phases(ts)),
         (acc.memory_integrals(ts), ref.memory_integrals(ts)),

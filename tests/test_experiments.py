@@ -7,11 +7,12 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from oscpurity import adiabatic
+from oscpurity import model
 from oscpurity.cli import (
     build_parser,
     main,
@@ -158,7 +159,43 @@ def test_window_too_long_to_panel_is_numerical_failure(t0, tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert rc == 3
-    assert "more than %d panels" % adiabatic.MAX_PANELS in capsys.readouterr().err
+    assert "more than %d panels" % model.MAX_PANELS in capsys.readouterr().err
+    assert peak < 1 << 22
+
+
+ABSURD_SCENARIO = "omega_e = 2\npsi = 0.9\nt0 = 1\ntau = 0.5\nsample_dt = 1e-9\n"
+
+
+@pytest.mark.parametrize(
+    "argv, spec, named",
+    [
+        # 2.2e10 samples (164 GiB of propagators).
+        (["simulate", "--config"], ABSURD_SCENARIO, "sample_dt"),
+        (["markov", "--config"], ABSURD_SCENARIO, "sample_dt"),
+        # A 1e11-point tau grid (745 GiB).
+        (["sweep", "--spec"], SWEEP_SPEC.replace("count = 4", "count = 100000000000"), "count"),
+        # 1e12 phase-diagram cells.
+        (["phase-diagram", "--w", "0.1:1:1000000", "--psi", "0.1:1:1000000"], None, "--w"),
+    ],
+    ids=["simulate", "markov", "sweep", "phase-diagram"],
+)
+def test_absurd_count_is_config_error(argv, spec, named, tmp_path, capsys):
+    # Each count is held to one budget before anything of its size is
+    # allocated: exit 2 naming the key and the count, no traceback.
+    if spec is not None:
+        path = tmp_path / "absurd.cfg"
+        path.write_text(spec)
+        argv = argv + [str(path)]
+    tracemalloc.start()
+    try:
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and named in err
+    assert "more than %d" % (1 << 20) in err
     assert peak < 1 << 22
 
 
@@ -499,6 +536,35 @@ def test_sweep_spec_rejections(mutation):
     old, new = mutation
     with pytest.raises(ConfigError):
         parse_sweep_spec(SWEEP_SPEC.replace(old, new))
+
+
+@pytest.mark.parametrize("reduction", ["latetime_purity", "slope", "threshold"])
+def test_tau_sweep_rejects_the_top_hat(reduction, tmp_path, capsys):
+    # The top-hat profile ignores tau: every point of the sweep would be the
+    # same scenario.
+    spec = SWEEP_SPEC.replace("profile = smooth", "profile = isoso").replace(
+        "reduction = latetime_purity", "reduction = " + reduction
+    )
+    with pytest.raises(ConfigError, match="top-hat"):
+        parse_sweep_spec(spec)
+    path = tmp_path / "tophat.spec"
+    path.write_text(spec)
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--spec", str(path), "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "line", ["max = inf", "max = nan", "min = nan", "min = -inf", "min = inf"]
+)
+def test_sweep_spec_rejects_non_finite_bounds(line):
+    # Rejected before the grid is built, so numpy warns of nothing.
+    key = line.split(" =")[0]
+    old = "%s = %s" % (key, "2.0" if key == "min" else "6.0")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="0 < min < max < inf"):
+            parse_sweep_spec(SWEEP_SPEC.replace(old, line))
 
 
 def test_sweep_spec_duplicate_key():

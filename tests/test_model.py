@@ -1,15 +1,24 @@
 """Tests for scenario parameters, the coupling profile, the normal-mode
 frame, regime classification, and config parsing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numutil import adiabatic_frame
 
-from oscpurity.errors import ConfigError, CriticalPoint, DerivativeUndefined
+from oscpurity import model
+from oscpurity.errors import (
+    ConfigError,
+    CriticalPoint,
+    DerivativeUndefined,
+    QuadratureNoConvergence,
+)
 from oscpurity.model import (
     ISOSO,
+    MAX_PANELS,
     SMOOTH,
     IntegratorConfig,
     ScenarioParams,
@@ -19,6 +28,7 @@ from oscpurity.model import (
     frame_from_xi,
     parse_config,
     perturbativity_gp,
+    refine_panels,
     switch_segments,
 )
 
@@ -185,6 +195,97 @@ def test_switch_segments_window_starting_in_switch_region():
 
 
 # ---------------------------------------------------------------------------
+# Panel refinement
+# ---------------------------------------------------------------------------
+
+
+def narrower_than(width, calls):
+    """A refine_panels rule that passes the panels at most width wide and
+    records how many panels each pass sees; its value is the panel width."""
+
+    def rule(lo, hi):
+        calls.append(len(lo))
+        return hi - lo <= width, (hi - lo,)
+
+    return rule
+
+
+def test_refine_panels_keeps_panels_in_pass_order():
+    # [4, 5] passes at once; [0, 4] is bisected twice, and each pass lists
+    # the lower halves before the upper ones.
+    calls = []
+    edges, kept = refine_panels([(0.0, 4.0, 1), (4.0, 5.0, 1)], narrower_than(1.0, calls))
+    lo, hi, owner, converged, width = kept
+    assert calls == [2, 2, 4]
+    assert edges.tolist() == [0.0, 4.0, 5.0]
+    assert lo.tolist() == [4.0, 0.0, 2.0, 1.0, 3.0]
+    assert hi.tolist() == [5.0, 1.0, 3.0, 2.0, 4.0]
+    assert owner.tolist() == [1, 0, 0, 0, 0]
+    assert converged.all()
+    assert width.tolist() == [1.0] * 5
+
+
+def test_refine_panels_first_grid_takes_the_points():
+    # The points split the segment's steps; every first-grid panel owns itself.
+    calls = []
+    edges, kept = refine_panels(
+        [(0.0, 3.0, 3)], narrower_than(1.0, calls), points=np.array([2.0, 0.5])
+    )
+    assert calls == [4]
+    assert edges.tolist() == [0.0, 0.5, 1.0, 2.0, 3.0]
+    assert kept[2].tolist() == [0, 1, 2, 3]
+
+
+def test_refine_panels_stops_after_max_depth(monkeypatch):
+    # Every panel touching 0.3 fails.  After MAX_DEPTH = 2 bisections the
+    # panel still failing is kept, marked not converged, and the kept panels
+    # still tile the window.
+    monkeypatch.setattr(model, "MAX_DEPTH", 2)
+    calls = []
+
+    def rule(lo, hi):
+        calls.append(len(lo))
+        return ~((lo <= 0.3) & (0.3 <= hi)), ()
+
+    _, (lo, hi, owner, converged) = refine_panels([(0.0, 1.0, 1)], rule)
+    assert calls == [1, 2, 2]
+    assert lo.tolist() == [0.5, 0.0, 0.25]
+    assert hi.tolist() == [1.0, 0.25, 0.5]
+    assert owner.tolist() == [0, 0, 0]
+    assert converged.tolist() == [True, True, False]
+
+
+def test_refine_panels_stops_before_max_panels(monkeypatch):
+    # Two panels that never pass: bisecting them once gives 4 <= 5 panels,
+    # twice would give 8, so the 4 are kept, none converged.
+    monkeypatch.setattr(model, "MAX_PANELS", 5)
+    calls = []
+    _, (lo, _, owner, converged, _) = refine_panels([(0.0, 1.0, 2)], narrower_than(0.0, calls))
+    assert calls == [2, 4]
+    assert lo.tolist() == [0.0, 0.5, 0.25, 0.75]
+    assert owner.tolist() == [0, 1, 0, 1]
+    assert not converged.any()
+
+
+def test_refine_panels_refuses_a_first_grid_past_max_panels():
+    def rule(lo, hi):
+        raise AssertionError("evaluated a panel")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureNoConvergence, match="more than %d panels" % MAX_PANELS):
+            refine_panels([(0.0, 1e300, 10**300)], rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # The points count towards the first grid.
+    refine_panels([(0.0, 1.0, MAX_PANELS - 1)], lambda lo, hi: (lo == lo, ()), points=[0.5])
+    with pytest.raises(QuadratureNoConvergence):
+        refine_panels([(0.0, 1.0, MAX_PANELS)], rule, points=[0.5])
+
+
+# ---------------------------------------------------------------------------
 # Normal-mode frame
 # ---------------------------------------------------------------------------
 
@@ -294,15 +395,6 @@ def test_classifier_rejects_bad_input():
 def test_perturbative_flag():
     assert classify_regime(1e-2, 1e-2).perturbative_flag
     assert not classify_regime(1.0 / 1.1, 1.1).perturbative_flag
-
-
-def test_secular_times():
-    lbl = classify_regime(1e-2, 1e-2)
-    assert lbl.secular_time == pytest.approx(1.0 / 1e-4)
-    assert classify_regime(1.0 / 1.1, 10.0).secular_time is None
-    lbl = classify_regime(1.0 / 1.01, 0.1, omega_s=2.0)
-    assert lbl.label == "U2a"
-    assert lbl.secular_time == pytest.approx(1.0 / (2.0 * 0.1))
 
 
 # ---------------------------------------------------------------------------

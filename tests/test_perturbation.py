@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 from numutil import filon_per_panel, o2_integrand, purity_o2_qawo, spherical_jn_mp
 
-from oscpurity import perturbation
+from oscpurity import model, perturbation
 from oscpurity.errors import QuadratureNoConvergence
 from oscpurity.model import ScenarioParams
 from oscpurity.perturbation import (
-    QuadratureConfig,
     coupling_lambda,
     purity_o2_isoso,
     purity_o2_quadrature,
@@ -72,11 +71,14 @@ def test_reduction_matches_grid(profile):
 
 
 def test_isoso_closed_form_matches_quadrature():
+    # The closed form (which purity_o2_quadrature returns for the top-hat)
+    # against QAWO moments split at the switch times.
     p = make_params(psi=0.1, t0=10.0, profile="isoso")
     for t in np.linspace(-9.0, 9.0, 13):
-        quad_val = purity_o2_quadrature(t, p)
+        quad_val = purity_o2_qawo(t, p, split_at=(-p.t0, p.t0))
         closed = purity_o2_isoso(t + p.t0, p)
         assert closed == pytest.approx(quad_val, abs=1e-10)
+        assert purity_o2_quadrature(t, p) == closed
 
 
 def test_isoso_closed_form_freezes_after_window():
@@ -164,13 +166,15 @@ def test_sharp_switch_matches_breakpoint_split_reference():
         (1.3, 0.97, 30.0, 3.0),
     ],
 )
-def test_default_tolerances_agree_with_tight_reference(omega_e, psi, t0, tau):
+def test_default_tolerances_agree_with_tight_reference(omega_e, psi, t0, tau, monkeypatch):
     # Panels start tau wide in the switch regions; the default tolerances
-    # still hold against abs_tol = rel_tol = 1e-13.
+    # still hold against ABS_TOL = REL_TOL = 1e-13.
     p = make_params(omega_e=omega_e, psi=psi, t0=t0, tau=tau)
     ts = np.linspace(p.t_in, -p.t_in, 401)
-    ref = purity_o2_quadrature(ts, p, QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13))
-    assert np.max(np.abs(purity_o2_quadrature(ts, p) - ref)) <= QuadratureConfig().abs_tol
+    got, abs_tol = purity_o2_quadrature(ts, p), perturbation.ABS_TOL
+    monkeypatch.setattr(perturbation, "ABS_TOL", 1e-13)
+    monkeypatch.setattr(perturbation, "REL_TOL", 1e-13)
+    assert np.max(np.abs(got - purity_o2_quadrature(ts, p))) <= abs_tol
 
 
 def test_filon_weights_per_width_match_per_panel(monkeypatch):
@@ -197,23 +201,24 @@ def test_filon_weights_per_width_match_per_panel(monkeypatch):
     assert worst and max(worst) <= 4 * np.finfo(float).eps
 
 
-def test_no_convergence_when_depth_runs_out():
+def test_no_convergence_when_depth_runs_out(monkeypatch):
     # Tolerances tight enough that the long plateau panel (whose coupling
     # still varies by ~1e-9 near the switch regions) must be bisected:
     # with the default depth the estimate is met, with no bisection it is not.
     p = make_params(psi=0.3, t0=30.0, tau=1.0)
-    tight = dict(abs_tol=1e-13, rel_tol=1e-13)
-    ok = purity_o2_quadrature(25.0, p, QuadratureConfig(**tight))
-    assert ok == pytest.approx(purity_o2_qawo(25.0, p), abs=1e-10)
+    ref = purity_o2_qawo(25.0, p)
+    monkeypatch.setattr(perturbation, "ABS_TOL", 1e-13)
+    monkeypatch.setattr(perturbation, "REL_TOL", 1e-13)
+    assert purity_o2_quadrature(25.0, p) == pytest.approx(ref, abs=1e-10)
+    monkeypatch.setattr(model, "MAX_DEPTH", 0)
     with pytest.raises(QuadratureNoConvergence, match="t = 25.0"):
-        purity_o2_quadrature(25.0, p, QuadratureConfig(max_depth=0, **tight))
+        purity_o2_quadrature(25.0, p)
 
 
-def test_quadrature_config_defaults():
-    q = QuadratureConfig()
-    assert q.abs_tol == 1e-10
-    assert q.rel_tol == 1e-8
-    assert q.max_depth == 40
+def test_quadrature_tolerance_defaults():
+    assert perturbation.ABS_TOL == 1e-10
+    assert perturbation.REL_TOL == 1e-8
+    assert model.MAX_DEPTH == 40
 
 
 def test_spherical_bessel_recurrence_matches_references():

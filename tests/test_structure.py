@@ -53,6 +53,21 @@ def test_only_output_formats_and_writes_results():
     assert found == {("output.py", "json"), ("output.py", "write_csv"), ("output.py", "FMT")}
 
 
+def test_only_model_sets_the_panel_refinement_limits():
+    # The quadratures' bisection limits and round-off level are assigned in
+    # model.py alone, next to the one refinement loop that reads them.
+    names = {"MAX_PANELS", "MAX_DEPTH", "ROUNDOFF", "_ROUNDOFF"}
+    found = {
+        (name, t.id)
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name) and t.id in names
+    }
+    assert found == {("model.py", "MAX_PANELS"), ("model.py", "MAX_DEPTH"), ("model.py", "ROUNDOFF")}
+
+
 def test_only_model_splits_input_text():
     # Configs and sweep specs are split into lines by model.read_pairs alone.
     found = {
