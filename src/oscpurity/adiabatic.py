@@ -307,16 +307,18 @@ def purity_nlo_correction(t, p, acc=None):
     return 0.5 * np.sin(2.0 * fr.theta) * _lo(fr) ** 3 * (itilde_omega - itilde_theta)
 
 
-def latetime_purity(p, cfg: Optional[IntegratorConfig] = None):
-    """Frozen late-time purity from the exact integrator.
+def latetime_purity(ps, cfg: Optional[IntegratorConfig] = None):
+    """Frozen late-time purities of a list of scenarios from the exact
+    integrator.
 
-    Propagates to the coupling-cutoff end point (threshold 1e-10 by
-    default), without samples, and returns the purity there.
+    Propagates every scenario to its coupling-cutoff end point (threshold
+    1e-10 by default) in one transport.propagate call, without samples, and
+    returns the purities there as an array, one per scenario.
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    u = propagate(p, replace(cfg, t_end_policy="cutoff"))
-    return float(purity_from_propagator(u, p))
+    us = propagate(ps, replace(cfg, t_end_policy="cutoff"))
+    return np.array([purity_from_propagator(u, p) for u, p in zip(us, ps)])
 
 
 def loglog_slope(ratios, deficits, floor=DEFICIT_FLOOR):
@@ -349,10 +351,11 @@ def loglog_slope(ratios, deficits, floor=DEFICIT_FLOOR):
 def nonanalyticity_slope(p, tau_grid, cfg: Optional[IntegratorConfig] = None):
     """Late-time deficit slope diagnostic over a switch-time grid.
 
-    For each tau, the scenario is rerun and gamma_inf and the deficit
-    1 - gamma_inf recorded; the returned series is the centered log-log
-    slope of the deficit versus tau/t0.  A power law would plateau; a
-    faster-than-any-power decay yields a strictly increasing slope magnitude.
+    The scenarios at every tau of the grid are solved in one latetime_purity
+    call, and gamma_inf and the deficit 1 - gamma_inf recorded; the returned
+    series is the centered log-log slope of the deficit versus tau/t0.  A
+    power law would plateau; a faster-than-any-power decay yields a strictly
+    increasing slope magnitude.
 
     Raises:
         PrecisionFloor: if every deficit on the grid is below resolution.
@@ -360,7 +363,7 @@ def nonanalyticity_slope(p, tau_grid, cfg: Optional[IntegratorConfig] = None):
     if cfg is None:
         cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    gamma_inf = np.array([latetime_purity(p.with_tau(tau), cfg) for tau in tau_grid])
+    gamma_inf = latetime_purity([p.with_tau(tau) for tau in tau_grid], cfg)
     deficits = 1.0 - gamma_inf
     mid, slopes, flags = loglog_slope(tau_grid / p.t0, deficits)
     if np.all(deficits < DEFICIT_FLOOR):
@@ -401,12 +404,18 @@ def recoherence_threshold_scan(
     time.  Every bracket is then bisected in log T_omega.  Like bisection,
     this assumes the test changes sign once in T_omega.
 
+    Both ends of each starting bracket, the bounds or the predicted pair,
+    are probed in one node_purities call, which refines the two scenarios
+    together; so the upper end is integrated even where the lower end
+    already fails the test, and a step failure of either end is raised.
+
     Returns:
         dict with per-point thresholds T_omega_thr and their final brackets
         T_omega_lo, T_omega_hi (the test holds at lo and fails at hi; hi is
         inf where it still holds at the upper bound, whose threshold is then
         lo), the least-squares line fit (slope, intercept, r_squared) of
-        T_omega_thr versus tau/t0, and the number of probes.
+        T_omega_thr versus tau/t0, and the number of probes (every
+        scenario integrated, the speculative upper ends included).
 
     Raises:
         ConfigError: for fewer than two grid points, which the line fit needs,
@@ -433,15 +442,21 @@ def recoherence_threshold_scan(
     for ratio in tau_over_t0_grid:
         tau = ratio * p_base.t0
 
-        def recoheres(t_omega):
+        def recoheres(*t_omegas):
+            # The test at each T_omega, all probed in one node_purities call.
             nonlocal probes
-            probes += 1
-            omega_e = p_base.omega_s * (1.0 + 1.0 / t_omega)
-            p = ScenarioParams.from_psi(
-                p_base.omega_s, omega_e, psi, p_base.t0, tau, p_base.profile
-            )
-            gamma = node_purities(p, cfg)
-            return (1.0 - gamma[-1]) < criterion * (1.0 - np.min(gamma))
+            probes += len(t_omegas)
+            ps = [
+                ScenarioParams.from_psi(
+                    p_base.omega_s, p_base.omega_s * (1.0 + 1.0 / t), psi, p_base.t0, tau,
+                    p_base.profile,
+                )
+                for t in t_omegas
+            ]
+            return [
+                (1.0 - gamma[-1]) < criterion * (1.0 - np.min(gamma))
+                for gamma in node_purities(ps, cfg)
+            ]
 
         if results:
             # On the line through the last two thresholds, the first one's
@@ -453,12 +468,12 @@ def recoherence_threshold_scan(
         else:
             lo, hi = lo_b, hi_b
         step = hi / lo
-        if recoheres(lo):
-            recohering = recoheres(hi)
+        lo_holds, recohering = recoheres(lo, hi)
+        if lo_holds:
             while recohering and hi < hi_b:
                 step *= step
                 lo, hi = hi, min(hi_b, hi * step)
-                recohering = recoheres(hi)
+                (recohering,) = recoheres(hi)
             if recohering:
                 results.append((ratio, hi, hi, np.inf))
                 continue
@@ -470,11 +485,11 @@ def recoherence_threshold_scan(
                     )
                 step *= step
                 lo, hi = max(lo_b, lo / step), lo
-                if recoheres(lo):
+                if recoheres(lo)[0]:
                     break
         while hi / lo > 1.0 + rel_resolution:
             mid = np.sqrt(lo * hi)
-            if recoheres(mid):
+            if recoheres(mid)[0]:
                 lo = mid
             else:
                 hi = mid

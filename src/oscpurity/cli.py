@@ -194,7 +194,7 @@ def parse_sweep_spec(text):
 
 
 def run_sweep(p, cfg, grid, reduction):
-    """Evaluate the sweep reduction over the grid, one cell after another."""
+    """Evaluate the sweep reduction over the grid."""
     if reduction == "threshold":
         res = adiabatic.recoherence_threshold_scan(p, grid / p.t0, cfg=None)
         return {
@@ -210,9 +210,7 @@ def run_sweep(p, cfg, grid, reduction):
     if reduction == "slope":
         res = adiabatic.nonanalyticity_slope(p, grid, cfg)
         return dict(res, kind=reduction, value=res["gamma_inf"])
-    gamma_inf = np.array(
-        [adiabatic.latetime_purity(p.with_tau(float(tau)), cfg) for tau in grid]
-    )
+    gamma_inf = adiabatic.latetime_purity([p.with_tau(float(tau)) for tau in grid], cfg)
     return {"kind": reduction, "tau_over_t0": grid / p.t0, "value": gamma_inf}
 
 

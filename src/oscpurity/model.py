@@ -56,6 +56,11 @@ class ScenarioParams:
             raise ConfigError("tau must be positive for the smooth profile")
         if self.xi0 < 0:
             raise ConfigError("xi0 must be non-negative")
+        if not math.isfinite(2.0 * self.t_in):
+            raise ConfigError(
+                "the window [%g, %g] is too long: its length overflows a float"
+                % (self.t_in, -self.t_in)
+            )
 
     @classmethod
     def from_psi(cls, omega_s, omega_e, psi, t0, tau=1.0, profile=SMOOTH):

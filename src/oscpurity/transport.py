@@ -22,23 +22,30 @@ model.switch_segments on [0, t_end] (and a forward tail where the cutoff
 policy ends the window before -t_in) refine together: each starts from a
 coarse step count (a fifth of the fastest period, tau / 5 in the switch
 regions) that serves only as the first Richardson estimate, and each level
-doubles the number of equal steps of every segment still refining, in one
-batch of Magnus steps, until the segment's estimate |P_2n - P_n| / 63 is at
-most atol + rtol |P_2n| (max-abs norms; the segment at 0 is tested with its
-mirror).  So the tolerance, not a fixed fraction of the period, sets the
-accepted grid.
+doubles the number of equal steps of every segment still refining until the
+segment's estimate |P_2n - P_n| / 63 is at most atol + rtol |P_2n| (max-abs
+norms; the segment at 0 is tested with its mirror).  So the tolerance, not a
+fixed fraction of the period, sets the accepted grid.
+
+Scenarios that share an IntegratorConfig refine together too: each pass
+evaluates the next level of every segment still refining, of every scenario,
+in one batch of Magnus exponentials (at most _CHUNK steps per call), and the
+first pass evaluates the coarse level and its first doubling at once.  The
+exponential of each step does not depend on the batch it is computed in, so a
+scenario's propagator is the same bit for bit alone or in any batch.
 
 `integrate` keeps the propagator at every step node and samples the window
 with one partial Magnus step from the node before each sample; arbitrary-time
 queries (`propagator_at`, `sigma_at`, `purity_at`) use the same partial step.
-`propagate` returns only U at the end point, for callers that need nothing
-but the late-time value, and `node_purities` only the system purity at the
-step nodes.
+`propagate` returns only U at the end point of each of a list of scenarios,
+for callers that need nothing but the late-time value, and `node_purities`
+only the system purity at the step nodes.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -56,16 +63,13 @@ _GAUSS = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
 
 #: (1/(2k)!, 1/(2k+1)!) for k = 9, ..., 0: the even and odd parts of the
 #: exponential series, highest order first for Horner's rule, as (10, 2, 1).
-#: The even constant term 1 is left out and added last.
+#: The even constant term 1 is left out and added last.  With the eigenvalues
+#: of the squared exponent inside the unit disc, the terms left out sum to
+#: about 1/20! ~ 4e-19.
 _SERIES = np.array(
     [[1.0 / math.factorial(2 * k), 1.0 / math.factorial(2 * k + 1)] for k in range(9, -1, -1)]
 )[:, :, None]
 _SERIES[-1, 0] = 0.0
-
-#: With the eigenvalues of the squared exponent inside the disc of radius
-#: r <= 1, the terms from k = K on sum to about r^K / (2K)!; enough terms are
-#: kept to bring that below 1/20! ~ 4e-19, as all ten do at r = 1.
-_TRUNCATION = 1.0 / math.factorial(20)
 
 _EYE = np.eye(4)
 
@@ -74,6 +78,10 @@ _SWAP = [1, 0, 3, 2]
 
 #: Steps computed per batch, which bounds the temporaries of a level.
 _CHUNK = 4096
+
+#: Scenarios refined together at most: longer lists are solved in groups,
+#: which bounds the state that one pass holds.
+_GROUP = 64
 
 #: Step budget per segment (refining past it is a StepFailure), and the budget
 #: of every count an input asks for: samples, sweep points, phase-diagram cells.
@@ -169,8 +177,12 @@ def _expm(om):
     Hamiltonian matrix vanish).  So every power series in X reduces to
     p + q X, and exp(om) = c0 + s0 om + (c1 + s1 om) X with (c0, c1) the
     reduction of sum_k X^k/(2k)! and (s0, s1) that of sum_k X^k/(2k+1)!.
-    Scaling and squaring keep the eigenvalues of X inside the unit disc, and
-    the series stop once their remainder is below _TRUNCATION.
+
+    Each matrix's series is summed at om / 2^s, with its own s, the least
+    that puts the eigenvalues of its X inside the unit disc, and the result
+    squared s times; both series always run all ten terms.  So no matrix's
+    exponential depends on the stack it is computed in: a scenario's
+    propagator is the same bit for bit whatever it is batched with.
     """
     x = om @ om
     # The 16 entries of X, as (N,) arrays.
@@ -182,32 +194,49 @@ def _expm(om):
     )
     a = -0.5 * tr
     b = 0.25 * (0.5 * tr * tr - tr2)
-    # Bound on the eigenvalue moduli of X (roots of z^2 + a z + b).
-    radius = float((0.5 * abs(a) + (0.25 * a * a + abs(b)) ** 0.5).max())
-    squarings = max(0, math.ceil(0.5 * math.log2(radius))) if radius > 1.0 else 0
-    if squarings:
-        om = om * 0.5**squarings
-        x = x * 0.25**squarings
-        a = a * 0.25**squarings
-        b = b * 0.0625**squarings
-    r = radius * 0.25**squarings
-    terms = next((k for k in range(1, 10) if r**k / math.factorial(2 * k) <= _TRUNCATION), 10)
-    # Horner's rule in the basis (1, X) of both series at once, in place:
-    # (p + q X) X + e = (e - b q) + (p - a q) X.  c0 - 1 is summed instead of
-    # c0, and the identity added last, entry by entry: a rounded c0 ~ 1
-    # would shift the whole diagonal alike, a symplecticity defect that
-    # repeats coherently over thousands of steps.
-    series = _SERIES[10 - terms :]
-    p, q, t = np.repeat(series[0], len(a), axis=1), np.zeros((2, len(a))), np.empty((2, len(a)))
-    for e in series[1:]:
+    # Bound on the eigenvalue moduli of X (roots of z^2 + a z + b), and the
+    # squarings s = ceil(log4(radius)) from its exact binary exponent.
+    radius = 0.5 * np.abs(a) + np.sqrt(0.25 * a * a + np.abs(b))
+    mantissa, exponent = np.frexp(radius)
+    s = np.maximum(0, (exponent - (mantissa == 0.5) + 1) // 2)
+    # Horner's rule in the basis (1, X') of both series at once for the
+    # scaled X' = X / 4^s, in place: (p + q X') X' + e = (e - b' q) +
+    # (p - a' q) X'.  c0 - 1 is summed instead of c0, and the identity added
+    # last, entry by entry: a rounded c0 ~ 1 would shift the whole diagonal
+    # alike, a symplecticity defect that repeats coherently over thousands of
+    # steps.
+    scale = np.ldexp(1.0, -s)
+    sq = scale * scale
+    a, b = a * sq, b * (sq * sq)
+    p, q, t = np.repeat(_SERIES[0], len(a), axis=1), np.zeros((2, len(a))), np.empty((2, len(a)))
+    for e in _SERIES[1:]:
         np.subtract(e, np.multiply(b, q, out=t), out=t)
         np.subtract(p, np.multiply(a, q, out=q), out=q)
         p, t = t, p
-    c0, s0, c1, s1 = (v[:, None, None] for v in (*p, *q))
-    f = (c1 * _EYE + s1 * om) @ x + s0 * om + c0 * _EYE  # exp(om) - 1
-    for _ in range(squarings):
-        f = 2.0 * f + f @ f
-    return f + _EYE
+    # exp(om / 2^s) - 1 = c0 + s0 om / 2^s + (c1 + s1 om / 2^s) X / 4^s, the
+    # powers of two folded exactly into the coefficients; the identity terms
+    # go on the diagonals only.
+    c0, s0, c1, s1 = p[0], p[1] * scale, q[0] * sq, q[1] * (sq * scale)
+    f = s1[:, None, None] * om
+    _add_to_diagonals(f, c1)
+    f = f @ x
+    f += s0[:, None, None] * om
+    _add_to_diagonals(f, c0)
+    for j in range(s.max(initial=0)):
+        if j < s.min():  # every matrix: no gather, the same arithmetic
+            f = 2.0 * f + f @ f
+        else:
+            g = f[s > j]
+            f[s > j] = 2.0 * g + g @ g
+    _add_to_diagonals(f, 1.0)
+    return f
+
+
+def _add_to_diagonals(f, c):
+    """f[n] += c[n] I in place for a (N, 4, 4) stack (c an (N,) array or a
+    float)."""
+    for i in range(4):
+        f[:, i, i] += c
 
 
 class _MagnusStepper:
@@ -223,12 +252,17 @@ class _MagnusStepper:
         basis += [_commutator(u, v) for u in (k0, k1, m1) for v in (m2, m3)]
         self.basis = np.array(basis).reshape(len(basis), 16)
 
-    def steps(self, t0, h):
-        """Step propagators exp(Omega) of the steps [t0, t0 + h] ((N,) arrays)
-        as a (N, 4, 4) stack."""
+    def exponents(self, t0, h):
+        """Magnus exponents Omega of the steps [t0, t0 + h] ((N,) arrays) as a
+        (N, 4, 4) stack."""
         xi = coupling_xi(t0[:, None] + h[:, None] * _GAUSS, self.params)
         coef = np.stack(_omega_coefficients(h, xi[:, 0], xi[:, 1], xi[:, 2]), axis=-1)
-        return _expm((coef @ self.basis).reshape(-1, 4, 4))
+        return (coef @ self.basis).reshape(-1, 4, 4)
+
+    def steps(self, t0, h):
+        """Step propagators exp(Omega) of the steps [t0, t0 + h] as a
+        (N, 4, 4) stack."""
+        return _expm(self.exponents(t0, h))
 
 
 def _product(e):
@@ -270,40 +304,51 @@ def _mirror(u):
     return np.swapaxes(u, -1, -2)[..., _SWAP, :][..., :, _SWAP]
 
 
-def _segment_propagators(stepper, segments, keep_steps):
-    """Propagators of the segments (t_lo, t_hi, n), each from n equal steps.
+def _segment_propagators(levels):
+    """Propagators of the levels (stepper, t_lo, t_hi, n, keep), each the
+    product of n equal steps of its own scenario's stepper.
 
-    Each segment is cut into pieces of at most _CHUNK steps from its start;
-    consecutive pieces, of one segment or of several, share one batch of at
-    most _CHUNK steps, and each piece's product is folded into its own
-    segment's propagator.
+    Each level is cut into pieces of at most _CHUNK steps from its start;
+    consecutive pieces, of one level or of several and of one scenario or of
+    several, share one _expm batch of at most _CHUNK steps, and each piece's
+    product is folded into its own level's propagator.
 
     Returns:
-        (totals, steps): per segment its propagator and, with keep_steps,
-        the list of its step propagators' pieces in time order (else None).
+        (totals, steps): the (L, 4, 4) stack of the levels' propagators, and
+        per level the list of its step propagators' pieces in time order
+        with keep, else None.  The pieces are views into a batch.
     """
     batches, size = [[]], 0
-    for k, (t_lo, t_hi, n) in enumerate(segments):
-        h = (t_hi - t_lo) / n
+    for k, (_, _, _, n, _) in enumerate(levels):
         for start in range(0, n, _CHUNK):
-            t0 = t_lo + h * np.arange(start, min(n, start + _CHUNK))
-            if size + len(t0) > _CHUNK:
+            count = min(n - start, _CHUNK)
+            if size + count > _CHUNK:
                 batches.append([])
                 size = 0
-            batches[-1].append((k, t0, np.full(len(t0), h)))
-            size += len(t0)
-    totals = [_EYE] * len(segments)
-    steps = [[] if keep_steps else None for _ in segments]
+            batches[-1].append((k, start, count))
+            size += count
+    totals = np.broadcast_to(_EYE, (len(levels), 4, 4)).copy()
+    steps = [[] if keep else None for *_, keep in levels]
     for batch in batches:
-        e = stepper.steps(
-            np.concatenate([t0 for _, t0, _ in batch]),
-            np.concatenate([h for _, _, h in batch]),
+        ks, starts, counts = (np.array(v) for v in zip(*batch))
+        t_lo = np.array([levels[k][1] for k in ks])
+        h = np.repeat([(levels[k][2] - levels[k][1]) / levels[k][3] for k in ks], counts)
+        # Step j of a piece starts at t_lo + h (start + j).
+        t0 = np.repeat(t_lo, counts) + h * (
+            np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - starts, counts)
         )
+        # One exponent call per run of pieces of the same scenario.
+        om, lo = [], 0
+        for stepper, run in groupby(zip(ks, counts), lambda piece: levels[piece[0]][0]):
+            hi = lo + sum(count for _, count in run)
+            om.append(stepper.exponents(t0[lo:hi], h[lo:hi]))
+            lo = hi
+        e = _expm(om[0] if len(om) == 1 else np.concatenate(om))
         lo = 0
-        for k, t0, _ in batch:
-            piece, lo = e[lo : lo + len(t0)], lo + len(t0)
+        for k, count in zip(ks, counts):
+            piece, lo = e[lo : lo + count], lo + count
             totals[k] = _product(piece) @ totals[k]
-            if keep_steps:
+            if steps[k] is not None:
                 steps[k].append(piece)
     return totals, steps
 
@@ -443,9 +488,9 @@ def _start_segments(p, t_start, t_end, cfg):
     return switch_segments(p, t_start, t_end, cap, switch_cap=p.tau / 5.0)
 
 
-def _solve(p, cfg, t_end, keep_nodes):
-    """Propagate U from t_in to t_end, stepping only t >= 0 and mirroring it
-    onto t < 0.
+def _solve(ps, cfg, keep_nodes):
+    """Propagate U from t_in to the end time of each scenario of the list ps,
+    stepping only t >= 0 and mirroring it onto t < 0.
 
     xi is even, so with R = diag(1, -1, 1, -1) the generator obeys
     R K(t) R = -K(-t), and a symplectic propagator U over [a, b] has the
@@ -455,14 +500,17 @@ def _solve(p, cfg, t_end, keep_nodes):
     [t_in, -t_half] where the cutoff policy ends the window before -t_in,
     the head [t_half, t_end] where it ends it after.
 
-    All segments refine together: each starts from its _start_segments step
-    count, each level of the segments still refining is one
-    _segment_propagators call, and a segment stops once its Richardson
-    estimate meets the tolerance.  The segment that starts at 0 is tested on
-    the whole mirrored segment [-hi, hi], P S P^T S: its half alone would
-    converge a level early.  A failure is raised for the first segment that
-    fails (tail, then half, then head), once every segment before it
-    converged, as if the segments were refined one after the other.
+    The segments of all scenarios refine together, in groups of at most
+    _GROUP scenarios: each pass is one _segment_propagators call over every
+    segment still refining, and a segment stops once its Richardson estimate
+    meets the tolerance.  The first pass evaluates each segment at its
+    _start_segments step count n, only ever the coarse estimate, and at 2n.
+    The segment that starts at 0 is tested on the whole mirrored segment
+    [-hi, hi], P S P^T S: its half alone would converge a level early.  A
+    failure is raised for the first segment that fails, in the order of the
+    scenarios and within one of tail, half and head, once every segment
+    before it converged, as if the segments were refined one after the
+    other; the segments after it stop refining.
 
     The nodes of t < 0 are the running products of the mirrored steps
     S e^T S in reverse order, marched forward from t_in like every other
@@ -470,22 +518,34 @@ def _solve(p, cfg, t_end, keep_nodes):
     U(t_end, 0), which cancels like exp(2 gamma t) where U grows.
 
     Returns:
-        (U(t_end), grid): grid is the _StepGrid of all step nodes with
-        keep_nodes, else None.
+        per scenario (U(t_end), grid): grid is the _StepGrid of all step
+        nodes with keep_nodes, else None.
     """
-    stepper = _MagnusStepper(p)
-    t_half = min(t_end, -p.t_in)
-    tail = _start_segments(p, p.t_in, -t_half, cfg) if -t_half > p.t_in else []
-    half = _start_segments(p, 0.0, t_half, cfg)
-    head = _start_segments(p, t_half, t_end, cfg) if t_end > t_half else []
-    segments = tail + half + head
-    centre = len(tail)
-    bounds = [(lo, hi) for lo, hi, _ in segments]
-    n = [count for _, _, count in segments]
-    # The intervals that failure messages name: the central segment's
-    # Richardson test covers its mirror too.
-    span = list(bounds)
-    span[centre] = (-bounds[centre][1], bounds[centre][1])
+    if len(ps) > _GROUP:
+        groups = (ps[g : g + _GROUP] for g in range(0, len(ps), _GROUP))
+        return [r for group in groups for r in _solve(group, cfg, keep_nodes)]
+    # Every scenario's segments in one list, in the order failures are
+    # raised; layout[s] holds the first segment of scenario s, its central
+    # one, and the ends of its halves and of its segments.
+    steppers, owner, bounds, n, span, layout = [], [], [], [], [], []
+    for s, p in enumerate(ps):
+        t_end = _resolve_t_end(p, cfg)
+        t_half = min(t_end, -p.t_in)
+        tail = _start_segments(p, p.t_in, -t_half, cfg) if -t_half > p.t_in else []
+        half = _start_segments(p, 0.0, t_half, cfg)
+        head = _start_segments(p, t_half, t_end, cfg) if t_end > t_half else []
+        centre = len(bounds) + len(tail)
+        layout.append((len(bounds), centre, centre + len(half), centre + len(half) + len(head)))
+        steppers.append(_MagnusStepper(p))
+        for lo, hi, count in tail + half + head:
+            owner.append(s)
+            bounds.append((lo, hi))
+            n.append(count)
+            span.append((lo, hi))
+        # The intervals that failure messages name: the central segment's
+        # Richardson test covers its mirror too.
+        span[centre] = (-half[0][1], half[0][1])
+    centres = {centre for _, centre, _, _ in layout}
     # result[k]: None while refining, (P, steps) once converged, or the
     # failure message.
     result = [
@@ -493,44 +553,83 @@ def _solve(p, cfg, t_end, keep_nodes):
         if count > MAX_STEPS else None
         for (lo, hi), count in zip(span, n)
     ]
-    coarse = [None] * len(segments)
-    # The first level is only ever a coarse estimate: it keeps no steps.
-    live, keep = [k for k, r in enumerate(result) if r is None], False
+    # coarse[k]: the estimate of segment k's last level; NaN, which meets no
+    # tolerance, before its first.
+    coarse = np.full((len(bounds), 4, 4), np.nan)
+    first_pass = True
     while True:
-        for r in result:
-            if isinstance(r, str):
-                raise StepFailure(r)
-            if r is None:
-                break
-        if not live:
+        first = next((k for k, r in enumerate(result) if not isinstance(r, tuple)), None)
+        if first is None:
             break
-        segs = [bounds[k] + (n[k],) for k in live]
-        for k, fine, fine_steps in zip(live, *_segment_propagators(stepper, segs, keep)):
+        if isinstance(result[first], str):
+            raise StepFailure(result[first])
+        stop = next((k for k, r in enumerate(result) if isinstance(r, str)), len(result))
+        # (segment, steps, keep, first level): the first pass evaluates each
+        # segment's first level, only ever the coarse estimate, which keeps no
+        # steps, and its doubling.
+        levels = [
+            (k, count, keep, count == n[k] and first_pass)
+            for k in range(first, stop)
+            if result[k] is None
+            for count, keep in (
+                ((n[k], False), (2 * n[k], keep_nodes)) if first_pass else ((n[k], keep_nodes),)
+            )
+            if count <= MAX_STEPS
+        ]
+        first_pass = False
+        ks = np.array([level[0] for level in levels])
+        totals, pieces = _segment_propagators(
+            [(steppers[owner[k]],) + bounds[k] + (count, keep) for k, count, keep, _ in levels]
+        )
+        # The Richardson estimates of all levels at once, a central segment's
+        # with its mirror.
+        estimate = totals.copy()
+        mid = [i for i, k in enumerate(ks) if k in centres]
+        estimate[mid] = totals[mid] @ _mirror(totals[mid])
+        finite = np.isfinite(estimate).all(axis=(1, 2))
+        tol = cfg.atol + cfg.rtol * np.abs(estimate).max(axis=(1, 2))
+
+        def settle(i, converged):
+            # Level i's outcome, in the order of the per-segment loop.
+            k = ks[i]
             lo, hi = span[k]
-            estimate = fine @ _mirror(fine) if k == centre else fine
-            if not np.all(np.isfinite(estimate)):
+            if not finite[i]:
                 result[k] = "propagator overflow on [%g, %g]" % (lo, hi)
-            elif coarse[k] is not None and np.max(np.abs(estimate - coarse[k])) / 63.0 <= (
-                cfg.atol + cfg.rtol * np.max(np.abs(estimate))
-            ):
-                result[k] = (fine, fine_steps)
+            elif converged:
+                # A copy, so that no batch outlives its pass.
+                result[k] = (totals[i], None if pieces[i] is None else np.concatenate(pieces[i]))
             elif 2 * n[k] > MAX_STEPS:
-                result[k] = "no convergence on [%g, %g] within %d steps" % (
-                    lo, hi, MAX_STEPS
-                )
+                result[k] = "no convergence on [%g, %g] within %d steps" % (lo, hi, MAX_STEPS)
             else:
-                coarse[k], n[k] = estimate, 2 * n[k]
-        live, keep = [k for k in live if result[k] is None], keep_nodes
-    halves = range(centre, centre + len(half))
+                coarse[k], n[k] = estimate[i], 2 * n[k]
+
+        for i, level in enumerate(levels):
+            if level[3]:
+                settle(i, False)
+        error = np.abs(estimate - coarse[ks]).max(axis=(1, 2)) / 63.0
+        for i, level in enumerate(levels):
+            if not level[3] and result[level[0]] is None:
+                settle(i, error[i] <= tol[i])
+    return [
+        _nodes(p, stepper, bounds[a:d], n[a:d], result[a:d], b - a, c - a, keep_nodes)
+        for p, stepper, (a, b, c, d) in zip(ps, steppers, layout)
+    ]
+
+
+def _nodes(p, stepper, bounds, n, done, centre, stop, keep_nodes):
+    """U(t_end) and, with keep_nodes, the _StepGrid of one scenario from its
+    converged segments: done[k] = (P, steps) for the segments of bounds
+    with n[k] steps, the half being centre:stop."""
+    halves = range(centre, stop)
     if not keep_nodes:
         u = w = _EYE
         for k in range(centre):
-            u = result[k][0] @ u
+            u = done[k][0] @ u
         for k in halves:
-            w = result[k][0] @ w
+            w = done[k][0] @ w
         u = w @ _mirror(w) @ u
-        for k in range(halves.stop, len(segments)):
-            u = result[k][0] @ u
+        for k in range(stop, len(bounds)):
+            u = done[k][0] @ u
         return u, None
     # Lay the steps out in time order in one buffer, leaving room for the
     # mirrored half before the half they mirror, then march them in place
@@ -539,16 +638,13 @@ def _solve(p, cfg, t_end, keep_nodes):
     size = 1 + sum(n) + m
     times, props = np.empty(size), np.empty((size, 4, 4))
     times[0], props[0], end = p.t_in, _EYE, 1
-    for k in range(len(segments)):
+    for k, ((lo, hi), count) in enumerate(zip(bounds, n)):
         if k == centre:
             mid, end = end, end + m
-        (lo, hi), count = bounds[k], n[k]
         times[end : end + count] = lo + (hi - lo) / count * np.arange(1, count + 1)
         times[end + count - 1] = hi
-        for piece in result[k][1]:
-            props[end : end + len(piece)] = piece
-            end += len(piece)
-        result[k] = None
+        props[end : end + count] = done[k][1]
+        end += count
     # Each step of t >= 0 ends at a node of t > 0 and starts at one of
     # t >= 0, whose negative is a node of the mirrored half.
     times[mid : mid + m - 1] = -times[mid + m : mid + 2 * m - 1][::-1]
@@ -560,30 +656,43 @@ def _solve(p, cfg, t_end, keep_nodes):
     return props[-1], _StepGrid(times, props, stepper)
 
 
-def propagate(p, cfg=IntegratorConfig()):
-    """Propagator U(t_end) over the scenario window, without samples.
+def propagate(ps, cfg=IntegratorConfig()):
+    """Propagator U(t_end) over each scenario's window, without samples.
 
-    The end time follows cfg.t_end_policy as in integrate.
+    Args:
+        ps: list of ScenarioParams, solved together.
+        cfg: IntegratorConfig shared by all of them; the end time follows
+            cfg.t_end_policy as in integrate.
 
-    Raises:
-        StepFailure: if the step grid cannot meet the tolerances within the
-            step budget, or the propagator overflows.
-    """
-    u, _ = _solve(p, cfg, _resolve_t_end(p, cfg), keep_nodes=False)
-    return u
-
-
-def node_purities(p, cfg=IntegratorConfig()):
-    """System purity at every step node of the window, without samples.
-
-    The end time follows cfg.t_end_policy as in integrate; the last node is
-    the end point, so the last purity is the last sample's of integrate.
+    Returns:
+        list of U(t_end), one per scenario, each the same bit for bit as
+        when its scenario is solved alone.
 
     Raises:
-        StepFailure: as integrate.
+        StepFailure: if a step grid cannot meet the tolerances within the
+            step budget, or a propagator overflows; the first failing
+            scenario of ps raises it.
     """
-    _, grid = _solve(p, cfg, _resolve_t_end(p, cfg), keep_nodes=True)
-    return purity_from_propagator(grid.u, p)
+    return [u for u, _ in _solve(ps, cfg, keep_nodes=False)]
+
+
+def node_purities(ps, cfg=IntegratorConfig()):
+    """System purities at every step node of each scenario's window,
+    without samples.
+
+    The scenarios are solved together as in propagate.  The last node is the
+    end point, so the last purity is the last sample's of integrate.
+
+    Returns:
+        list of (M + 1,) arrays, one per scenario.
+
+    Raises:
+        StepFailure: as propagate.
+    """
+    return [
+        purity_from_propagator(grid.u, p)
+        for p, (_, grid) in zip(ps, _solve(ps, cfg, keep_nodes=True))
+    ]
 
 
 def integrate(p, cfg=IntegratorConfig()):
@@ -606,7 +715,7 @@ def integrate(p, cfg=IntegratorConfig()):
     t_start = p.t_in
     t_end = _resolve_t_end(p, cfg)
     sample_dt = cfg.sample_dt if cfg.sample_dt is not None else default_sample_dt(p)
-    _, grid = _solve(p, cfg, t_end, keep_nodes=True)
+    ((_, grid),) = _solve([p], cfg, keep_nodes=True)
     intervals = (t_end - t_start) / sample_dt
     if intervals + 1 > MAX_STEPS:
         raise ConfigError(

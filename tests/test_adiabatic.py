@@ -215,7 +215,7 @@ def test_nlo_contributions_signature():
 
 def test_latetime_purity_recoheres_for_slow_switch():
     p = make_params(tau=20.0)
-    gamma_inf = latetime_purity(p)
+    (gamma_inf,) = latetime_purity([p])
     assert gamma_inf > 0.999
 
 
@@ -294,17 +294,19 @@ def test_threshold_scan_rejects_bounds_it_cannot_bracket(bounds, rel, monkeypatc
 def test_threshold_scan_probes_are_distinct(monkeypatch):
     # Every probe integrates a different (params, config); the bracket's
     # upper end at the bound is not probed twice, and the result counts
-    # every probe.
+    # every probe: 21, one more than probing a bracket's ends one after the
+    # other, because one predicted pair's upper end is integrated together
+    # with a lower end that fails the test.
     probes = []
 
-    def counting(p, cfg):
-        probes.append((p, cfg))
-        return node_purities(p, cfg)
+    def counting(ps, cfg):
+        probes.extend((p, cfg) for p in ps)
+        return node_purities(ps, cfg)
 
     monkeypatch.setattr(adiabatic, "node_purities", counting)
     p = make_params(t0=1.0, tau=5.0)
     res = recoherence_threshold_scan(p, (0.8, 2.5, 8.0), t_omega_bounds=(0.1, 3.0))
-    assert len(probes) == len(set(probes)) == res["probes"] == 20
+    assert len(probes) == len(set(probes)) == res["probes"] == 21
     assert np.all(res["T_omega_thr"] > 0.1)
     # The last switch rate still recoheres at the upper bound: its bracket
     # is open above.
@@ -349,7 +351,9 @@ def test_step_node_probes_keep_the_bisection_thresholds(grid):
     # the dense samples finds the same thresholds, bit for bit.
     p, ratios, kwargs = THRESHOLD_GRIDS[grid]
     ref = threshold_scan_bisection(p, ratios, **kwargs)
-    res = threshold_scan_bisection(p, ratios, purities=node_purities, **kwargs)
+    res = threshold_scan_bisection(
+        p, ratios, purities=lambda probe, cfg: node_purities([probe], cfg)[0], **kwargs
+    )
     assert np.array_equal(res["T_omega_thr"], ref["T_omega_thr"])
 
 

@@ -146,6 +146,19 @@ def test_absurd_window_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "markov", "perturb", "adiabatic"])
+@pytest.mark.parametrize("window", ["t0 = 1.7e308\ntau = 0.5", "t0 = 1.7e308\nprofile = isoso"])
+def test_window_longer_than_a_float_is_config_error(command, window, tmp_path, capsys):
+    # A finite t0 whose window [t_in, -t_in] has a length that overflows is
+    # refused with the scenario: exit 2, no traceback and no nan output.
+    path = tmp_path / "overflow.cfg"
+    path.write_text("omega_e = 2\npsi = 0.9\n%s\n" % window)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", str(path), "--out", out]) == 2
+    assert "length overflows a float" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("t0", ["1e8", "1e300"])
 def test_window_too_long_to_panel_is_numerical_failure(t0, tmp_path, capsys):
     # The plateau alone needs ~1.3e8 one-period phase panels at t0 = 1e8, more
@@ -493,7 +506,9 @@ def test_slope_sweep_below_the_deficit_floor_is_numerical_failure(
     # DEFICIT_FLOOR there is no slope to report.
     import oscpurity.adiabatic as adiabatic_mod
 
-    monkeypatch.setattr(adiabatic_mod, "latetime_purity", lambda p, cfg: 1.0 - 1e-15)
+    monkeypatch.setattr(
+        adiabatic_mod, "latetime_purity", lambda ps, cfg: np.full(len(ps), 1.0 - 1e-15)
+    )
     spec = tmp_path / "slope.spec"
     spec.write_text(SWEEP_SPEC.replace("latetime_purity", "slope"))
     out = str(tmp_path / "sw")

@@ -381,7 +381,7 @@ def test_propagate_end_point_matches_integrate(case):
     p = ScenarioParams.from_psi(1.0, 1.0 / w, psi, 1.0, tau)
     cfg = IntegratorConfig(t_end_policy="cutoff")
     traj = integrate(p, cfg)
-    gamma_end = purity_from_propagator(propagate(p, cfg), p)
+    gamma_end = purity_from_propagator(propagate([p], cfg)[0], p)
     assert gamma_end == pytest.approx(traj.purity_s[-1], abs=10 * cfg.rtol)
 
 
@@ -393,7 +393,7 @@ def test_node_purities_are_the_step_node_purities(t_omega, tau):
     # samples (scenarios of the threshold scan, at its tolerances).
     p = ScenarioParams.from_psi(1.0, 1.0 + 1.0 / t_omega, 0.9, 1.0, tau)
     cfg = IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff")
-    gamma = transport.node_purities(p, cfg)
+    gamma = transport.node_purities([p], cfg)[0]
     traj = integrate(p, cfg)
     assert np.array_equal(gamma, traj.purity_at(traj.step_t))
     assert gamma[-1] == traj.purity_s[-1]
@@ -486,14 +486,14 @@ def test_magnus_matches_dop853_oracle(p):
         check(traj.propagator[i], traj.t[i])
     for t in t_any:
         check(traj.propagator_at(t), t)
-    check(propagate(p, cfg), traj.t_end)
+    check(propagate([p], cfg)[0], traj.t_end)
 
 
 def test_integrator_is_exact_for_constant_coupling():
     # A top-hat segment has constant xi, so the first doubling already
     # agrees to round-off and the propagator is exact.
     p = make_params(psi=1.1, t0=3.0, profile=ISOSO)
-    u = propagate(p, IntegratorConfig(rtol=1e-14, atol=0.0))
+    u = propagate([p], IntegratorConfig(rtol=1e-14, atol=0.0))[0]
     ref = oracle_propagator(p.t0, p)
     assert np.max(np.abs(u - ref)) < 1e-12 * np.max(np.abs(ref))
 
@@ -565,7 +565,7 @@ def test_batched_refinement_matches_per_segment_loop(p, cfg, mixed):
     np.testing.assert_array_equal(traj.step_t, step_t)
     np.testing.assert_array_equal(traj._grid.u, nodes)
     end, _, _, _ = solve_per_segment(p, cfg, t_end, keep_nodes=False)
-    np.testing.assert_array_equal(propagate(p, cfg), end)
+    np.testing.assert_array_equal(propagate([p], cfg)[0], end)
 
 
 MIRROR_CASES = [
@@ -593,11 +593,11 @@ def test_mirrored_march_matches_full_window_oracle(p, policy):
         scale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
         assert np.all(np.max(np.abs(u - ref), axis=(-2, -1)) <= cfg.rtol * scale)
 
-    close(propagate(p, cfg), ref_end)
+    close(propagate([p], cfg)[0], ref_end)
     traj = integrate(p, cfg)
     assert traj.step_t[0] == p.t_in and np.all(np.diff(traj.step_t) > 0)
     close(traj.propagator, oracle.at(traj.t))
-    gamma = transport.node_purities(p, cfg)
+    gamma = transport.node_purities([p], cfg)[0]
     ref_gamma = purity_from_propagator(oracle.at(traj.step_t), p)
     np.testing.assert_allclose(gamma, ref_gamma, rtol=0.0, atol=cfg.rtol)
     u = traj._grid.u[traj.step_t <= 0.0]
@@ -614,7 +614,7 @@ def test_mirrored_march_past_the_fixed_window():
     t_end = transport._resolve_t_end(p, cfg)
     assert t_end > -p.t_in
     ref, ref_t, _, _ = solve_full_window(p, cfg, t_end, keep_nodes=True)
-    u = propagate(p, cfg)
+    u = propagate([p], cfg)[0]
     assert np.max(np.abs(u - ref)) <= cfg.rtol * max(1.0, np.max(np.abs(ref)))
     traj = integrate(p, cfg)
     assert traj.step_t[-1] == t_end and np.all(np.diff(traj.step_t) > 0)
@@ -636,7 +636,7 @@ def test_mirror_halves_the_step_exponentials(monkeypatch):
 
     monkeypatch.setattr(transport, "_expm", counting)
     cfg = IntegratorConfig()
-    propagate(p, cfg)
+    propagate([p], cfg)
     mirrored = sum(counted)
     counted.clear()
     solve_full_window(p, cfg, -p.t_in, keep_nodes=False)
@@ -649,25 +649,25 @@ def test_mirror_halves_the_step_exponentials(monkeypatch):
 
 def test_stepper_calls_per_level(monkeypatch):
     # Three segments of t >= 0 that converge at the first doubling and fit
-    # one chunk: the coarse level, the fine level and the samples are one
-    # stepper call each, and the fine level steps half of the window, the
-    # other half being its mirror.
+    # one chunk: the one pass evaluates the coarse and the fine level in one
+    # _expm batch, and the samples are one more; the fine level steps half
+    # of the window, the other half being its mirror.
     p = make_params(t0=10.0, tau=0.5)
     calls = []
-    steps = transport._MagnusStepper.steps
+    expm = transport._expm
 
-    def counted(self, t0, h):
-        calls.append(len(t0))
-        return steps(self, t0, h)
+    def counted(om):
+        calls.append(len(om))
+        return expm(om)
 
-    monkeypatch.setattr(transport._MagnusStepper, "steps", counted)
+    monkeypatch.setattr(transport, "_expm", counted)
     assert len(switch_segments(p, 0.0, -p.t_in, np.inf, switch_cap=p.tau / 20)) == 3
     traj = integrate(p, IntegratorConfig())
-    assert len(calls) == 3
-    assert 2 * calls[1] == len(traj.step_t) - 1 <= 2 * transport._CHUNK
-    calls.clear()
-    propagate(p, IntegratorConfig())
     assert len(calls) == 2
+    assert 4 * calls[0] == 3 * (len(traj.step_t) - 1) <= 4 * transport._CHUNK
+    calls.clear()
+    propagate([p], IntegratorConfig())
+    assert len(calls) == 1
     # Levels longer than a chunk still go in batches of at most one chunk.
     calls.clear()
     integrate(make_params(t0=200.0, tau=5.0), IntegratorConfig())
@@ -700,6 +700,91 @@ def test_step_failures_match_per_segment_loop(monkeypatch):
     with pytest.raises(StepFailure) as got:
         integrate(p, cfg)
     assert str(got.value) == str(ref.value)
+
+
+#: Scenarios solved in one call, with their shared config: a fig12-type tau
+#: grid at its tight tolerances, and a threshold scan's predicted bracket
+#: pair (T_omega a factor sqrt(1.1) either side of 0.6).
+BATCH_CASES = {
+    "tau-grid": (
+        [make_params(t0=0.5, tau=tau) for tau in 2.0 * np.geomspace(1.0, 1.75, 4)],
+        IntegratorConfig(rtol=1e-12, atol=1e-14, t_end_policy="cutoff"),
+    ),
+    "bracket-pair": (
+        [make_params(omega_e=1.0 + 1.0 / t, t0=1.0) for t in 0.6 * 1.1 ** np.array([-0.5, 0.5])],
+        IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_scenarios_solved_together_match_each_solved_alone(case, monkeypatch):
+    # Each scenario's end point and node purities are those of solving it
+    # alone and of the per-segment loop, bit for bit, and every refinement
+    # pass over all scenarios is one _expm batch (each fits one chunk), the
+    # first evaluating two levels.
+    ps, cfg = BATCH_CASES[case]
+    calls = []
+    expm = transport._expm
+
+    def counted(om):
+        calls.append(len(om))
+        return expm(om)
+
+    monkeypatch.setattr(transport, "_expm", counted)
+    together = propagate(ps, cfg)
+    passes = len(calls)
+    levels = []
+    for p, u in zip(ps, together):
+        end, _, _, seg_levels = solve_per_segment(
+            p, cfg, transport._resolve_t_end(p, cfg), keep_nodes=False
+        )
+        levels += seg_levels
+        np.testing.assert_array_equal(u, end)
+        np.testing.assert_array_equal(u, propagate([p], cfg)[0])
+    assert passes == max(levels) - 1
+    for p, gamma in zip(ps, transport.node_purities(ps, cfg)):
+        np.testing.assert_array_equal(gamma, transport.node_purities([p], cfg)[0])
+    # A list longer than a group is solved group after group, to the same bits.
+    monkeypatch.setattr(transport, "_GROUP", len(ps) - 1)
+    for u, v in zip(propagate(ps, cfg), together):
+        np.testing.assert_array_equal(u, v)
+
+
+def test_expm_of_a_stack_is_each_matrix_alone():
+    # A stack that mixes a matrix needing squarings with small ones gives
+    # every matrix its exponential alone, bit for bit.
+    rng = np.random.default_rng(3)
+    stack = []
+    for scale in (1e-4, 30.0, 0.01, 0.3, 2.0):
+        a = rng.normal(size=(4, 4))
+        stack.append(scale * OMEGA4 @ (a + a.T))
+    batched = transport._expm(np.array(stack))
+    for m, e in zip(stack, batched):
+        np.testing.assert_array_equal(e, transport._expm(m[None])[0])
+
+
+@pytest.mark.parametrize("first", ["converges", "fails"])
+def test_batch_failure_is_the_serial_loops(first, monkeypatch):
+    # A batch whose second scenario fails raises the message of solving the
+    # scenarios one after the other: the second's behind a top-hat that
+    # converges, the first's when both fail, also when each is its own group.
+    monkeypatch.setattr(transport, "MAX_STEPS", 64)
+    cfg = IntegratorConfig(rtol=1e-15, atol=0.0)
+    head = {
+        "converges": make_params(psi=1.1, t0=1.0, profile=ISOSO),
+        "fails": make_params(psi=0.78, t0=0.3, tau=0.2),
+    }[first]
+    ps = [head, make_params(psi=0.78, t0=1.0)]
+    with pytest.raises(StepFailure) as ref:
+        for p in ps:
+            solve_per_segment(p, cfg, -p.t_in, keep_nodes=True)
+    for group in (2, 1):
+        monkeypatch.setattr(transport, "_GROUP", group)
+        for solve in (propagate, transport.node_purities):
+            with pytest.raises(StepFailure) as got:
+                solve(ps, cfg)
+            assert str(got.value) == str(ref.value)
 
 
 def test_no_convergence_within_budget_is_step_failure(monkeypatch):
