@@ -24,6 +24,7 @@ from .errors import (
     NoThreshold,
     PrecisionFloor,
     QuadratureNoConvergence,
+    StepFailure,
     SupercriticalExcursion,
 )
 from .model import (
@@ -407,7 +408,9 @@ def recoherence_threshold_scan(
     Both ends of each starting bracket, the bounds or the predicted pair,
     are probed in one node_purities call, which refines the two scenarios
     together; so the upper end is integrated even where the lower end
-    already fails the test, and a step failure of either end is raised.
+    already fails the test.  Where that call raises a StepFailure, the ends
+    are probed again one at a time, the upper only if the lower holds: a
+    failure of an upper end the search does not need is never raised.
 
     Returns:
         dict with per-point thresholds T_omega_thr and their final brackets
@@ -415,13 +418,15 @@ def recoherence_threshold_scan(
         inf where it still holds at the upper bound, whose threshold is then
         lo), the least-squares line fit (slope, intercept, r_squared) of
         T_omega_thr versus tau/t0, and the number of probes (every
-        scenario integrated, the speculative upper ends included).
+        scenario of a node_purities call that returned, the speculative
+        upper ends included).
 
     Raises:
         ConfigError: for fewer than two grid points, which the line fit needs,
             or bounds and resolution outside 0 < lower < upper and
             rel_resolution > 0, on which the search would not end.
         NoThreshold: if the criterion fails at the lower bound.
+        StepFailure: if a probe the search needs cannot be integrated.
     """
     if len(tau_over_t0_grid) < 2:
         raise ConfigError("the threshold line fit needs at least two tau/t0 points")
@@ -445,7 +450,6 @@ def recoherence_threshold_scan(
         def recoheres(*t_omegas):
             # The test at each T_omega, all probed in one node_purities call.
             nonlocal probes
-            probes += len(t_omegas)
             ps = [
                 ScenarioParams.from_psi(
                     p_base.omega_s, p_base.omega_s * (1.0 + 1.0 / t), psi, p_base.t0, tau,
@@ -453,10 +457,9 @@ def recoherence_threshold_scan(
                 )
                 for t in t_omegas
             ]
-            return [
-                (1.0 - gamma[-1]) < criterion * (1.0 - np.min(gamma))
-                for gamma in node_purities(ps, cfg)
-            ]
+            gammas = node_purities(ps, cfg)
+            probes += len(t_omegas)
+            return [(1.0 - gamma[-1]) < criterion * (1.0 - np.min(gamma)) for gamma in gammas]
 
         if results:
             # On the line through the last two thresholds, the first one's
@@ -468,7 +471,13 @@ def recoherence_threshold_scan(
         else:
             lo, hi = lo_b, hi_b
         step = hi / lo
-        lo_holds, recohering = recoheres(lo, hi)
+        try:
+            lo_holds, recohering = recoheres(lo, hi)
+        except StepFailure:
+            # One end at a time, the upper only where the lower holds, so
+            # that a failure is raised only by a probe the search needs.
+            (lo_holds,) = recoheres(lo)
+            recohering = lo_holds and recoheres(hi)[0]
         if lo_holds:
             while recohering and hi < hi_b:
                 step *= step

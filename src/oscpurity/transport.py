@@ -223,11 +223,8 @@ def _expm(om):
     f += s0[:, None, None] * om
     _add_to_diagonals(f, c0)
     for j in range(s.max(initial=0)):
-        if j < s.min():  # every matrix: no gather, the same arithmetic
-            f = 2.0 * f + f @ f
-        else:
-            g = f[s > j]
-            f[s > j] = 2.0 * g + g @ g
+        g = f[s > j]
+        f[s > j] = 2.0 * g + g @ g
     _add_to_diagonals(f, 1.0)
     return f
 

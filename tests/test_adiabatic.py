@@ -33,6 +33,7 @@ from oscpurity.errors import (
     DerivativeUndefined,
     NoThreshold,
     QuadratureNoConvergence,
+    StepFailure,
     SupercriticalExcursion,
 )
 from oscpurity.model import IntegratorConfig, ScenarioParams
@@ -312,6 +313,52 @@ def test_threshold_scan_probes_are_distinct(monkeypatch):
     # is open above.
     assert res["T_omega_lo"][-1] == res["T_omega_thr"][-1] == 3.0
     assert res["T_omega_hi"][-1] == np.inf
+
+
+def _failing_at(omega_es):
+    # node_purities whose step grid fails for every scenario with one of
+    # these omega_e.
+    def probe(ps, cfg):
+        if any(p.omega_e in omega_es for p in ps):
+            raise StepFailure("injected failure")
+        return node_purities(ps, cfg)
+
+    return probe
+
+
+@pytest.mark.parametrize("lower, error", [(0.5, NoThreshold), (0.1, StepFailure)])
+def test_threshold_scan_failing_upper_bound(lower, error, monkeypatch):
+    # A step failure at the upper bound is raised only where the search
+    # needs that probe, as when the ends are probed one at a time: a lower
+    # bound above the first threshold (0.374) is reported as NoThreshold.
+    p = make_params(t0=1.0)
+    monkeypatch.setattr(adiabatic, "node_purities", _failing_at({p.omega_s * (1.0 + 1.0 / 2.0)}))
+    with pytest.raises(error):
+        recoherence_threshold_scan(p, [1.0, 2.0], t_omega_bounds=(lower, 2.0))
+
+
+def test_threshold_scan_unneeded_upper_end_failing(monkeypatch):
+    # A predicted pair's upper end whose lower end fails the test is not
+    # needed: its step failure leaves every bracket as it was, and the probe
+    # is not counted.
+    p, ratios, bounds = make_params(t0=1.0, tau=5.0), (0.8, 2.5, 8.0), (0.1, 3.0)
+    unneeded = set()
+
+    def recording(ps, cfg):
+        gammas = node_purities(ps, cfg)
+        gamma = gammas[0]
+        if len(ps) == 2 and not (1.0 - gamma[-1]) < 0.01 * (1.0 - np.min(gamma)):
+            unneeded.add(ps[1].omega_e)
+        return gammas
+
+    monkeypatch.setattr(adiabatic, "node_purities", recording)
+    ref = recoherence_threshold_scan(p, ratios, t_omega_bounds=bounds)
+    assert len(unneeded) == 1
+    monkeypatch.setattr(adiabatic, "node_purities", _failing_at(unneeded))
+    res = recoherence_threshold_scan(p, ratios, t_omega_bounds=bounds)
+    for key in ("T_omega_thr", "T_omega_lo", "T_omega_hi"):
+        assert np.array_equal(res[key], ref[key])
+    assert res["probes"] == ref["probes"] - 1 == 20
 
 
 #: (scenario, tau/t0 grid, scan options): the fig13 preset, and the short
