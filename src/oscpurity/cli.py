@@ -7,18 +7,16 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 import argparse
 import dataclasses
 import functools
-import os
 import sys
 import warnings
 
 import numpy as np
 
-from . import adiabatic, isoso, markov, output, perturbation, presets
 from .errors import ConfigError, InvalidCaseWarning, OscPurityError
 from .model import (
-    ISOSO, IntegratorConfig, classify_regime, config_from_pairs, read_pairs,
+    EXPANSION_NAMES, ISOSO, MAX_STEPS, SURROGATES, IntegratorConfig, classify_regime,
+    config_from_pairs, read_pairs,
 )
-from .transport import MAX_STEPS, integrate
 
 _SWEEP_KEYS = {"param", "grid", "min", "max", "count", "reduction"}
 
@@ -65,22 +63,28 @@ def _load_scenario(args, ignored=frozenset()):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each imports the layers it runs, so that a call loads no others
 # ---------------------------------------------------------------------------
 
 
 def cmd_simulate(args):
+    from . import output
+    from .transport import integrate
+
+    out = output.out_dir(args.out)
     p, cfg = _load_scenario(args)
     traj = integrate(p, cfg)
-    os.makedirs(args.out, exist_ok=True)
-    output.write_trajectory(os.path.join(args.out, "trajectory.csv"), traj)
+    output.write_trajectory(out("trajectory.csv"), traj)
     summary = output.summarize_purity(p, traj.purity_s)
-    output.write_json(os.path.join(args.out, "summary.json"), summary)
+    output.write_json(out("summary.json"), summary)
     output.emit(summary, args.json)
     return 0
 
 
 def cmd_isoso(args):
+    from . import isoso, output
+
+    out = output.out_dir(args.out)
     p, _ = _load_scenario(args, _INTEGRATOR_KEYS)
     ts = np.linspace(-p.t0, p.t0, 2001)
     gam = isoso.isoso_purity(ts, p)
@@ -90,23 +94,27 @@ def cmd_isoso(args):
             warnings.simplefilter("ignore", InvalidCaseWarning)
             exp = isoso.regime_purity(args.expansion, ts + p.t0, p)
         header, columns = header + ",purity_expansion", columns + [exp]
-    os.makedirs(args.out, exist_ok=True)
-    output.write_csv(os.path.join(args.out, "isoso.csv"), header, columns)
+    output.write_csv(out("isoso.csv"), header, columns)
     output.emit(output.summarize_purity(p, gam), args.json)
     return 0
 
 
 def cmd_perturb(args):
+    from . import output, perturbation
+
+    out = output.out_dir(args.out)
     p, _ = _load_scenario(args, _INTEGRATOR_KEYS)
     ts = np.linspace(p.t_in, -p.t_in, 2001)
     gam = perturbation.purity_o2_quadrature(ts, p)
-    os.makedirs(args.out, exist_ok=True)
-    output.write_csv(os.path.join(args.out, "perturb.csv"), "t,purity_o2", [ts, gam])
+    output.write_csv(out("perturb.csv"), "t,purity_o2", [ts, gam])
     output.emit(output.summarize_purity(p, gam), args.json)
     return 0
 
 
 def cmd_adiabatic(args):
+    from . import adiabatic, output
+
+    out = output.out_dir(args.out)
     p, _ = _load_scenario(args, _INTEGRATOR_KEYS)
     if p.profile == ISOSO:
         raise ConfigError(
@@ -116,21 +124,23 @@ def cmd_adiabatic(args):
     ts = np.linspace(p.t_in, -p.t_in, 1001)
     lo = total = adiabatic.purity_adiabatic_lo(ts, p)
     header, columns = "t,purity_lo", [ts, lo]
-    os.makedirs(args.out, exist_ok=True)
     if args.order == 1:
         nlo = adiabatic.purity_nlo_correction(ts, p, adiabatic.accumulate_phases(p))
         header, columns, total = header + ",delta_nlo", columns + [nlo], lo + nlo
-    output.write_csv(os.path.join(args.out, "adiabatic.csv"), header, columns)
+    output.write_csv(out("adiabatic.csv"), header, columns)
     output.emit(output.summarize_purity(p, total), args.json)
     return 0
 
 
 def cmd_markov(args):
+    from . import markov, output
+    from .transport import integrate
+
+    out = output.out_dir(args.out)
     p, cfg = _load_scenario(args)
     traj = integrate(p, cfg)
     series = markov.markov_series(traj, p, args.surrogate, stride=4)
-    os.makedirs(args.out, exist_ok=True)
-    output.write_markov_csv(os.path.join(args.out, "markov.csv"), series)
+    output.write_markov_csv(out("markov.csv"), series)
     summary = output.summarize_purity(
         p,
         series["purity"],
@@ -195,6 +205,8 @@ def parse_sweep_spec(text):
 
 def run_sweep(p, cfg, grid, reduction):
     """Evaluate the sweep reduction over the grid."""
+    from . import adiabatic
+
     if reduction == "threshold":
         res = adiabatic.recoherence_threshold_scan(p, grid / p.t0, cfg=None)
         return {
@@ -215,18 +227,20 @@ def run_sweep(p, cfg, grid, reduction):
 
 
 def cmd_sweep(args):
+    from . import output
+
+    out = output.out_dir(args.out)
     text = _read_text(args.spec, "sweep spec")
     p, cfg, grid, reduction = parse_sweep_spec(text)
     res = run_sweep(p, cfg, grid, reduction)
-    os.makedirs(args.out, exist_ok=True)
     value = "T_omega_thr" if res["kind"] == "threshold" else "gamma_inf"
     output.write_csv(
-        os.path.join(args.out, "sweep.csv"),
+        out("sweep.csv"),
         "tau_over_t0," + value,
         [res["tau_over_t0"], res["value"]],
     )
     if res["kind"] == "slope":
-        output.write_slope_csv(os.path.join(args.out, "sweep_slope.csv"), res)
+        output.write_slope_csv(out("sweep_slope.csv"), res)
     points = len(res["tau_over_t0"])
     summary = {"schema": output.SCHEMA, "kind": res["kind"], "points": points}
     if "fit" in res:
@@ -281,17 +295,18 @@ def phase_diagram(w_grid, psi_grid):
 
 
 def cmd_phase_diagram(args):
+    from . import output
+
+    out = output.out_dir(args.out)
     w_grid = _parse_grid(args.w, "w", 1.0)
     psi_grid = _parse_grid(args.psi, "psi", 100.0)
     if w_grid[2] * psi_grid[2] > MAX_STEPS:
         raise ConfigError("--w and --psi counts %d x %d give more than %d cells" % (
             w_grid[2], psi_grid[2], MAX_STEPS))
     rows = phase_diagram(np.linspace(*w_grid), np.linspace(*psi_grid))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "phase_diagram.csv")
     keys = ("w", "psi", "label", "perturbative", "g_p", "near_critical")
     output.write_csv(
-        path,
+        out("phase_diagram.csv"),
         ",".join(keys),
         [[r[k] for r in rows] for k in keys],
         [output.FMT, output.FMT, "%s", "%d", output.FMT, "%d"],
@@ -303,6 +318,8 @@ def cmd_phase_diagram(args):
 
 
 def cmd_preset(args):
+    from . import output, presets
+
     if args.name not in presets.PRESET_NAMES:
         raise ConfigError(
             "unknown preset %r (choose from %s)"
@@ -343,7 +360,7 @@ def build_parser():
     sp.add_argument("--config", required=True)
     sp.add_argument(
         "--expansion",
-        choices=isoso.EXPANSION_NAMES,
+        choices=EXPANSION_NAMES,
         metavar="EXPANSION",
         help="regime expansion case",
     )
@@ -358,7 +375,7 @@ def build_parser():
     sp = add("markov", cmd_markov, help="Markovianity analysis")
     sp.add_argument("--config", required=True)
     sp.add_argument(
-        "--surrogate", choices=markov.SURROGATES, default="drop-negative"
+        "--surrogate", choices=SURROGATES, default="drop-negative"
     )
 
     sp = add("sweep", cmd_sweep, help="parameter sweep")

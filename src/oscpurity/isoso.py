@@ -1,7 +1,7 @@
 """Closed-form solution for the instantaneous switch-on/switch-off
 (top-hat) coupling: Bogoliubov coefficients from continuity matching at the
-window edge, vacuum correlators of the normal-mode operators, the exact
-in-window purity, and the eight asymptotic regime expansions.
+window edge, the exact in-window purity, and the eight asymptotic regime
+expansions of model.EXPANSIONS.
 """
 
 import warnings
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CriticalPoint, InvalidCaseWarning, PrecisionFloor
-from .model import classify_regime, frame_from_xi
+from .model import EXPANSION_NAMES, EXPANSIONS, classify_regime, frame_from_xi
 from .symplectic import cauchy_binet
 
 #: Guard band around the critical coupling.
@@ -85,21 +85,6 @@ def bogoliubov_coeffs(p):
     return BogoliubovSet(matrix=m, delta_flag=fr.delta_flag)
 
 
-def b_correlators(bset):
-    """Vacuum two-point functions of v = (b1, b2, bbar1, bbar2).
-
-    Contracts the coefficient matrix against the free-vacuum correlators
-    <a_I a_J^dag> = delta_IJ (all other pairings vanish).
-
-    Returns:
-        4x4 complex matrix C with C[i, j] = <v_i v_j>.
-    """
-    n = np.zeros((4, 4), dtype=complex)
-    n[0, 2] = 1.0
-    n[1, 3] = 1.0
-    return bset.matrix @ n @ bset.matrix.T
-
-
 def _mode_vectors(dt, fr):
     """Coefficient vectors expressing x_S and p_S over v at the times dt
     since the window start (a float, or an array: (..., 4) results)."""
@@ -125,23 +110,6 @@ def _quadrature_rows(t, p):
     f, g = _mode_vectors(t + p.t0, _frame_at_peak(p))
     m = bogoliubov_coeffs(p).matrix
     return f @ m, g @ m
-
-
-def isoso_sigma_s(t, p):
-    """System covariance block inside the top-hat window.
-
-    Args:
-        t: time in [-t0, t0].
-        p: ScenarioParams.
-
-    Returns:
-        2x2 symmetric block of 2<x^2>, <xp+px>, 2<p^2>.
-    """
-    phi_x, phi_p = _quadrature_rows(t, p)
-    x2 = abs(phi_x[0]) ** 2 + abs(phi_x[1]) ** 2
-    p2 = abs(phi_p[0]) ** 2 + abs(phi_p[1]) ** 2
-    xp = (phi_x[0] * np.conj(phi_p[0]) + phi_x[1] * np.conj(phi_p[1])).real
-    return np.array([[2.0 * x2, 2.0 * xp], [2.0 * xp, 2.0 * p2]])
 
 
 def _real_row(phi):
@@ -185,35 +153,9 @@ def isoso_purity(t, p):
     return float(gam) if gam.ndim == 0 else gam
 
 
-def decoherence_rate(p):
-    """Late-time exponential decay rate |omega1|, or None below criticality."""
-    if p.xi0 <= p.xi_c:
-        return None
-    return frame_from_xi(p.xi0, p).omega1_abs
-
-
 # ---------------------------------------------------------------------------
 # Regime expansions
 # ---------------------------------------------------------------------------
-
-
-#: The eight expansion cases and the regime labels of each one's domain.
-EXPANSIONS = {
-    "U1": ("U1",),
-    "U2a": ("U2a",),
-    "U2b": ("U2b",),
-    "C1": ("C1plus", "C1minus"),
-    "C2": ("C2plus", "C2minus"),
-    "O1a": ("O1a",),
-    "O1b": ("O1b",),
-    "O2": ("O2",),
-}
-
-#: Each name regime_purity accepts (a case, or a regime label of its
-#: domain) -> its case.
-EXPANSION_NAMES = {
-    name: case for case, labels in EXPANSIONS.items() for name in (case, *labels)
-}
 
 
 def regime_purity(case, dt, p):

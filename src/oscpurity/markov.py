@@ -1,6 +1,6 @@
 """Reduced-system transport with the noise matrix B, Gaussian-map X/Y
-decomposition, complete-positivity diagnosis, Gaussian fidelity and Bures
-distance, Bures velocity, and the Markovian surrogate maps.
+decomposition, complete-positivity diagnosis, Gaussian fidelity, Bures
+velocity, and the Markovian surrogate maps of model.SURROGATES.
 
 The noise matrix is always computed from the exact full-system trajectory
 (the reduced equation is exact only with the true cross-correlators); the
@@ -27,8 +27,6 @@ from .symplectic import OMEGA2, det2, eig_sym2, symmetrize
 
 #: Guard for the 1/sqrt(1 - gamma^4) singularity of the Bures velocity.
 EPS_PURE = 1e-9
-
-SURROGATES = ("drop-negative", "best", "unitary")
 
 
 @dataclass(frozen=True)
@@ -70,12 +68,6 @@ def reduced_rhs(sigma_s, b, p):
     Omega + B."""
     h = system_hamiltonian(p)
     return OMEGA2 @ h @ sigma_s - sigma_s @ h @ OMEGA2 + b
-
-
-def purity_rate(sigma_s, gamma, b):
-    """Purity velocity gamma_dot = -(gamma/2) Tr(sigma_S^{-1} B) at purity
-    gamma = det(sigma_S)^{-1/2}."""
-    return -0.5 * gamma * gamma * gamma * _trace_adj(sigma_s, b)
 
 
 def _free_rotation(p, dt):
@@ -135,19 +127,6 @@ def compose(first, second):
     return MapPair(x, symmetrize(y), first.t_a, second.t_b)
 
 
-def cp_check(pair, tol=1e-10):
-    """Complete-positivity witness of a finite map pair.
-
-    Returns:
-        (is_cp, witness): is_cp is True when the smallest eigenvalue of the
-        Hermitian matrix Y - (i/2) Omega + (i/2) X Omega X^T is above -tol.
-    """
-    m = pair.Y - 0.5j * OMEGA2 + 0.5j * (pair.X @ OMEGA2 @ pair.X.T)
-    eigs = np.linalg.eigvalsh(m)
-    witness = float(eigs[0])
-    return witness >= -tol, witness
-
-
 def cp_check_infinitesimal(b, tol=1e-12):
     """Complete positivity of an infinitesimal step: B must be positive
     semidefinite.
@@ -185,12 +164,6 @@ def gaussian_fidelity(sigma1, sigma2):
     delta = (d1 - 1.0) * (d2 - 1.0)
     total = det2(sigma1 + sigma2)
     return 2.0 / (np.sqrt(total + delta) - np.sqrt(delta))
-
-
-def bures_distance(sigma1, sigma2):
-    """Bures distance sqrt(2 (1 - F))."""
-    f = gaussian_fidelity(sigma1, sigma2)
-    return float(np.sqrt(max(2.0 * (1.0 - f), 0.0)))
 
 
 def _one_minus_fidelity_pert(sigma1, det1, e):

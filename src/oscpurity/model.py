@@ -16,6 +16,11 @@ ISOSO = "isoso"
 #: Guard for the exactly-critical coupling in closed-form frames.
 CRITICAL_GUARD = 1e-12
 
+#: Step budget per integrator segment (refining past it is a StepFailure),
+#: and the budget of every count an input asks for: samples, sweep points,
+#: phase-diagram cells.
+MAX_STEPS = 1 << 20
+
 
 # ---------------------------------------------------------------------------
 # Parameter containers
@@ -452,6 +457,29 @@ def classify_regime(w, psi):
             label = "O2"
     g_p = float(psi * np.sqrt(w / (2.0 * (1.0 + w * w))))
     return RegimeLabel(label, g_p, g_p < GP_PERTURBATIVE)
+
+
+#: The eight expansion cases of isoso.regime_purity and the regime labels of
+#: each one's domain.
+EXPANSIONS = {
+    "U1": ("U1",),
+    "U2a": ("U2a",),
+    "U2b": ("U2b",),
+    "C1": ("C1plus", "C1minus"),
+    "C2": ("C2plus", "C2minus"),
+    "O1a": ("O1a",),
+    "O1b": ("O1b",),
+    "O2": ("O2",),
+}
+
+#: Each name regime_purity accepts (a case, or a regime label of its
+#: domain) -> its case.
+EXPANSION_NAMES = {
+    name: case for case, labels in EXPANSIONS.items() for name in (case, *labels)
+}
+
+#: The Markovian surrogates of markov.surrogate_B.
+SURROGATES = ("drop-negative", "best", "unitary")
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ and write_json for the summary files.
 
 import functools
 import json
+import os
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import classify_regime, normal_mode_sq, perturbativity_gp
 
 #: Version of every summary record.
@@ -154,6 +156,36 @@ def _csv_block(columns, formats):
     b[:, :, -1] = ord(",")
     b[:, -1, -1] = ord("\n")
     return b[b != 0].tobytes().decode()
+
+
+def out_dir(path):
+    """The file paths of an output directory, checked now and created on
+    first use, so that a run which fails before writing leaves none behind.
+
+    Returns:
+        out(name): the path of file name in the directory, which out
+        creates (with its parents) if it does not exist yet.
+
+    Raises:
+        ConfigError: naming path if it is empty, or it or its nearest
+            existing parent is not a directory; from out, if the directory
+            cannot be created.
+    """
+    head = path
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not path or (head and not os.path.isdir(head)):
+        raise ConfigError("output directory %r: %r is not a directory" % (path, head))
+
+    def out(name):
+        if not os.path.isdir(path):
+            try:
+                os.makedirs(path, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError("output directory %r: %s" % (path, exc.strerror))
+        return os.path.join(path, name)
+
+    return out
 
 
 def write_csv(path_or_buf, header, columns, formats=None):

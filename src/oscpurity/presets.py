@@ -1,7 +1,6 @@
 """Named parameter presets reproducing the reference scenarios, and the
 runners that turn them into plot-ready CSV files."""
 
-import os
 import warnings
 
 import numpy as np
@@ -42,26 +41,27 @@ def _regimes(*cases):
 
 # ---------------------------------------------------------------------------
 # Runners: each writes the CSV files of a preset's scenarios, given keyed by
-# the tag of their file names, and returns one summary per scenario.
+# the tag of their file names, at the paths out(file name) of output.out_dir,
+# and returns one summary per scenario.
 # ---------------------------------------------------------------------------
 
 
-def _run_trajectories(name, scenarios, outdir):
+def _run_trajectories(name, scenarios, out):
     """Exact trajectories; for fig14, also their Markovianity series."""
     summaries = []
     for i, p in scenarios.items():
         traj = integrate(p)
-        output.write_trajectory(os.path.join(outdir, "%s_traj%d.csv" % (name, i)), traj)
+        output.write_trajectory(out("%s_traj%d.csv" % (name, i)), traj)
         if name.startswith("fig14"):
             series = markov.markov_series(traj, p, "drop-negative", stride=4)
             output.write_markov_csv(
-                os.path.join(outdir, "%s_markov%d.csv" % (name, i)), series
+                out("%s_markov%d.csv" % (name, i)), series
             )
         summaries.append(output.summarize_purity(p, traj.purity_s))
     return summaries
 
 
-def _run_isoso_reference(name, scenarios, outdir):
+def _run_isoso_reference(name, scenarios, out):
     """Top-hat closed form against a smooth integration at tau = 1e-4 t0,
     the near-top-hat limit."""
     summaries = []
@@ -69,7 +69,7 @@ def _run_isoso_reference(name, scenarios, outdir):
         traj = integrate(p.with_profile(SMOOTH, tau=1e-4 * p.t0))
         m = (traj.t >= -p.t0) & (traj.t <= p.t0)
         output.write_csv(
-            os.path.join(outdir, "%s_compare%d.csv" % (name, i)),
+            out("%s_compare%d.csv" % (name, i)),
             "t,purity_analytic,purity_numeric",
             [traj.t[m], isoso.isoso_purity(traj.t[m], p), traj.purity_s[m]],
         )
@@ -77,7 +77,7 @@ def _run_isoso_reference(name, scenarios, outdir):
     return summaries
 
 
-def _run_regimes(name, scenarios, outdir):
+def _run_regimes(name, scenarios, out):
     """Top-hat closed form against the expansion of each labelled case."""
     summaries = []
     for case, p in scenarios.items():
@@ -87,7 +87,7 @@ def _run_regimes(name, scenarios, outdir):
             warnings.simplefilter("ignore", InvalidCaseWarning)
             expansion = isoso.regime_purity(case, ts + p.t0, p)
         output.write_csv(
-            os.path.join(outdir, "%s_%s.csv" % (name, case)),
+            out("%s_%s.csv" % (name, case)),
             "t,purity_analytic,purity_expansion",
             [ts, gammas, expansion],
         )
@@ -95,7 +95,7 @@ def _run_regimes(name, scenarios, outdir):
     return summaries
 
 
-def _run_adiabatic(name, scenarios, outdir):
+def _run_adiabatic(name, scenarios, out):
     """Slow-switching purity against the exact one; for fig9, the two NLO
     contributions instead."""
     (p,) = scenarios.values()
@@ -105,7 +105,7 @@ def _run_adiabatic(name, scenarios, outdir):
     ts = traj.t[::stride]
     if name == "fig9":
         output.write_csv(
-            os.path.join(outdir, "fig9_contributions.csv"),
+            out("fig9_contributions.csv"),
             "t,itilde_omega,itilde_theta",
             [ts, *adiabatic.nlo_contributions(ts, p, acc)],
         )
@@ -113,41 +113,41 @@ def _run_adiabatic(name, scenarios, outdir):
         lo = adiabatic.purity_adiabatic_lo(ts, p)
         nlo = adiabatic.purity_nlo_correction(ts, p, acc)
         output.write_csv(
-            os.path.join(outdir, "%s_adiabatic.csv" % name),
+            out("%s_adiabatic.csv" % name),
             "t,purity_exact,purity_lo,purity_lo_plus_nlo",
             [ts, traj.purity_s[::stride], lo, lo + nlo],
         )
     return [output.summarize_purity(p, traj.purity_s)]
 
 
-def _run_perturbative(name, scenarios, outdir):
+def _run_perturbative(name, scenarios, out):
     """Top-hat closed form against its second-order closed form."""
     (p,) = scenarios.values()
     ts = np.linspace(-p.t0, p.t0, 2001)
     gammas = isoso.isoso_purity(ts, p)
     output.write_csv(
-        os.path.join(outdir, "%s_perturbative.csv" % name),
+        out("%s_perturbative.csv" % name),
         "t,purity_analytic,purity_o2",
         [ts, gammas, perturbation.purity_o2_isoso(ts + p.t0, p)],
     )
     return [output.summarize_purity(p, gammas)]
 
 
-def _run_slope(name, scenarios, outdir):
+def _run_slope(name, scenarios, out):
     """Late-time deficits and their log-log slopes over a tau grid."""
     (p,) = scenarios.values()
     taus = np.array([4.0, 5.0, 6.3, 7.9, 10.0, 14.1, 20.0]) * p.t0
     res = adiabatic.nonanalyticity_slope(p, taus)
     output.write_csv(
-        os.path.join(outdir, "fig12_deficit.csv"),
+        out("fig12_deficit.csv"),
         "tau_over_t0,deficit",
         [res["tau_over_t0"], res["deficit"]],
     )
-    output.write_slope_csv(os.path.join(outdir, "fig12_slope.csv"), res)
+    output.write_slope_csv(out("fig12_slope.csv"), res)
     return [output.summarize(p, float("nan"), float(res["gamma_inf"][0]))]
 
 
-def _run_threshold(name, scenarios, outdir):
+def _run_threshold(name, scenarios, out):
     """Recoherence threshold per switch rate, and its line fit."""
     (p,) = scenarios.values()
     # One decade of switch-rate ratios inside the linear-threshold
@@ -156,7 +156,7 @@ def _run_threshold(name, scenarios, outdir):
     res = adiabatic.recoherence_threshold_scan(p, ratios)
     fit = [[res[key]] * len(res["tau_over_t0"]) for key in ("slope", "r_squared")]
     output.write_csv(
-        os.path.join(outdir, "fig13_threshold.csv"),
+        out("fig13_threshold.csv"),
         "tau_over_t0,T_omega_thr,slope_fit,r_squared",
         [res["tau_over_t0"], res["T_omega_thr"], *fit],
     )
@@ -203,8 +203,8 @@ def run_preset(name, outdir):
         JSON-serializable summary dict (schema 1).
     """
     runner, scenarios = PRESETS[name]
-    os.makedirs(outdir, exist_ok=True)
-    summaries = runner(name, scenarios, outdir)
+    out = output.out_dir(outdir)
+    summaries = runner(name, scenarios, out)
     summary = {"schema": output.SCHEMA, "preset": name, "runs": summaries}
-    output.write_json(os.path.join(outdir, "%s_summary.json" % name), summary)
+    output.write_json(out("%s_summary.json" % name), summary)
     return summary

@@ -50,7 +50,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConfigError, StepFailure
-from .model import ISOSO, IntegratorConfig, coupling_xi, normal_mode_sq, switch_segments
+from .model import ISOSO, MAX_STEPS, IntegratorConfig, coupling_xi, normal_mode_sq, switch_segments
 from .symplectic import cauchy_binet
 
 #: dK/dxi: the coupling enters K = Omega H only as K[1, 2] = K[3, 0] = -xi.
@@ -82,10 +82,6 @@ _CHUNK = 4096
 #: Scenarios refined together at most: longer lists are solved in groups,
 #: which bounds the state that one pass holds.
 _GROUP = 64
-
-#: Step budget per segment (refining past it is a StepFailure), and the budget
-#: of every count an input asks for: samples, sweep points, phase-diagram cells.
-MAX_STEPS = 1 << 20
 
 
 def generator_terms(p):

@@ -4,8 +4,10 @@ unreduced second-order kernel, the per-panel Filon weights that the
 per-width ones replaced, the per-segment refinement loop of the batched
 integrator's mirrored step grid, the full-window march that the mirrored
 one replaced, the bisection threshold scan on dense samples that the
-bracketed scan on step nodes replaced, and the per-row CSV writer that the
-numpy formatter replaced."""
+bracketed scan on step nodes replaced, the per-row CSV writer that the
+numpy formatter replaced, and the reduced-map and top-hat diagnostics that
+only the tests evaluate (purity rate, CP witness, Bures distance, vacuum
+correlators, in-window covariance, decoherence rate)."""
 
 import math
 
@@ -628,3 +630,64 @@ def spherical_jn_mp(n, x):
                     z = mpmath.mpf(xv)
                     out[i, k] = float(mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.besselj(k + 0.5, z))
     return out
+
+
+def purity_rate(sigma_s, gamma, b):
+    """Purity velocity gamma_dot = -(gamma/2) Tr(sigma_S^{-1} B) at purity
+    gamma = det(sigma_S)^{-1/2}, for one block or a stack."""
+    from oscpurity.markov import _trace_adj
+
+    return -0.5 * gamma * gamma * gamma * _trace_adj(sigma_s, b)
+
+
+def cp_check(pair, tol=1e-10):
+    """Complete-positivity witness of a finite map pair.
+
+    Returns:
+        (is_cp, witness): is_cp is True when the smallest eigenvalue of the
+        Hermitian matrix Y - (i/2) Omega + (i/2) X Omega X^T is above -tol.
+    """
+    from oscpurity.symplectic import OMEGA2
+
+    m = pair.Y - 0.5j * OMEGA2 + 0.5j * (pair.X @ OMEGA2 @ pair.X.T)
+    witness = float(np.linalg.eigvalsh(m)[0])
+    return witness >= -tol, witness
+
+
+def bures_distance(sigma1, sigma2):
+    """Bures distance sqrt(2 (1 - F)) of two single-mode Gaussian states."""
+    from oscpurity.markov import gaussian_fidelity
+
+    f = gaussian_fidelity(sigma1, sigma2)
+    return float(np.sqrt(max(2.0 * (1.0 - f), 0.0)))
+
+
+def b_correlators(bset):
+    """Vacuum two-point functions C[i, j] = <v_i v_j> of the top-hat normal
+    modes v = (b1, b2, bbar1, bbar2): the Bogoliubov matrix contracted
+    against the free-vacuum correlators <a_I a_J^dag> = delta_IJ."""
+    n = np.zeros((4, 4), dtype=complex)
+    n[0, 2] = n[1, 3] = 1.0
+    return bset.matrix @ n @ bset.matrix.T
+
+
+def isoso_sigma_s(t, p):
+    """System covariance block (2<x^2>, <xp+px>, 2<p^2>) inside the top-hat
+    window at one time t in [-t0, t0]."""
+    from oscpurity.isoso import _quadrature_rows
+
+    phi_x, phi_p = _quadrature_rows(t, p)
+    x2 = abs(phi_x[0]) ** 2 + abs(phi_x[1]) ** 2
+    p2 = abs(phi_p[0]) ** 2 + abs(phi_p[1]) ** 2
+    xp = (phi_x[0] * np.conj(phi_p[0]) + phi_x[1] * np.conj(phi_p[1])).real
+    return np.array([[2.0 * x2, 2.0 * xp], [2.0 * xp, 2.0 * p2]])
+
+
+def decoherence_rate(p):
+    """Late-time exponential decay rate |omega1| of the top-hat window, or
+    None below criticality."""
+    from oscpurity.model import frame_from_xi
+
+    if p.xi0 <= p.xi_c:
+        return None
+    return frame_from_xi(p.xi0, p).omega1_abs

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from numutil import det_sigma_via_propagator
+from numutil import det_sigma_via_propagator, purity_rate
 
 from oscpurity import adiabatic, isoso, perturbation
 from oscpurity.adiabatic import (
@@ -33,7 +33,6 @@ from oscpurity.markov import (
     drop_negative_B,
     map_pair_evolve,
     noise_B,
-    purity_rate,
 )
 from oscpurity.model import (
     SMOOTH,

@@ -159,6 +159,36 @@ def test_window_longer_than_a_float_is_config_error(command, window, tmp_path, c
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("where", ["file", "under-file", "empty"])
+def test_unusable_out_is_config_error_before_any_work(where, config_file, tmp_path, capsys):
+    # An --out that is a file, lies under one, or is empty is refused, naming
+    # the path, before anything is computed: the window of t0 = 1e300 is a
+    # numerical failure (exit 3) once it is integrated.
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = {"file": str(blocker), "under-file": str(blocker / "sub"), "empty": ""}[where]
+    huge = tmp_path / "huge.cfg"
+    huge.write_text("omega_e = 2\npsi = 0.9\nt0 = 1e300\ntau = 0.5\n")
+    iso = tmp_path / "iso.cfg"
+    iso.write_text("omega_e = 2\npsi = 0.9\nt0 = 1\nprofile = isoso\n")
+    spec = tmp_path / "sweep.spec"
+    spec.write_text(SWEEP_SPEC)
+    runs = [
+        ["simulate", "--config", str(huge)],
+        ["markov", "--config", str(huge)],
+        ["isoso", "--config", str(iso)],
+        ["perturb", "--config", config_file],
+        ["adiabatic", "--config", config_file],
+        ["sweep", "--spec", str(spec)],
+        ["phase-diagram", "--w", "0.1:1:3", "--psi", "0.1:3:3"],
+        ["preset", "fig9"],
+    ]
+    for argv in runs:
+        assert main(argv + ["--out", out]) == 2, argv[0]
+        assert "config error: output directory %r" % out in capsys.readouterr().err
+    assert blocker.read_text() == "kept"
+
+
 @pytest.mark.parametrize("t0", ["1e8", "1e300"])
 def test_window_too_long_to_panel_is_numerical_failure(t0, tmp_path, capsys):
     # The plateau alone needs ~1.3e8 one-period phase panels at t0 = 1e8, more

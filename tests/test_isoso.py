@@ -11,19 +11,11 @@ Two independent oracles pin the implementation:
 
 import numpy as np
 import pytest
-from numutil import purity_from_block
+from numutil import b_correlators, decoherence_rate, isoso_sigma_s, purity_from_block
 
 from oscpurity.errors import CriticalPoint, InvalidCaseWarning, PrecisionFloor
-from oscpurity.isoso import (
-    EXPANSIONS,
-    b_correlators,
-    bogoliubov_coeffs,
-    decoherence_rate,
-    isoso_purity,
-    isoso_sigma_s,
-    regime_purity,
-)
-from oscpurity.model import ScenarioParams, frame_from_xi
+from oscpurity.isoso import bogoliubov_coeffs, isoso_purity, regime_purity
+from oscpurity.model import EXPANSIONS, ScenarioParams, frame_from_xi
 from oscpurity.presets import REGIME_POINTS
 from test_transport import oracle_sigma
 

@@ -7,30 +7,26 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from numutil import OMEGA4, map_pair_rk45
+from numutil import OMEGA4, bures_distance, cp_check, map_pair_rk45, purity_rate
 
 from oscpurity.errors import NonPhysicalState
 from oscpurity.markov import (
-    SURROGATES,
     _one_minus_fidelity_pert,
     best_markovian_B,
-    bures_distance,
     bures_velocity,
     bures_velocity_fd,
     compose,
-    cp_check,
     cp_check_infinitesimal,
     drop_negative_B,
     gaussian_fidelity,
     map_pair_evolve,
     markov_series,
     noise_B,
-    purity_rate,
     reduced_rhs,
     surrogate_B,
     system_hamiltonian,
 )
-from oscpurity.model import IntegratorConfig, ScenarioParams
+from oscpurity.model import SURROGATES, IntegratorConfig, ScenarioParams
 from oscpurity.presets import PRESETS
 from oscpurity.symplectic import det2, eig_sym2, symmetrize
 from oscpurity.transport import integrate, purity_from_propagator, sigma_from_propagator

@@ -1,13 +1,16 @@
 """Guards on the package's module structure: no module reaches into another
 module's private names, output is formatted and written by one module, input
-text is read by one module, and the analytic and physics layers load without
-the layers above them."""
+text is read by one module, the analytic and physics layers load without
+the layers above them, and a CLI call loads only the layers its subcommand
+runs."""
 
 import ast
 import glob
 import os
 import subprocess
 import sys
+
+import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -79,18 +82,70 @@ def test_only_model_splits_input_text():
     assert found == {"model.py"}
 
 
-def _loaded_after(imports, module):
-    """Whether a fresh interpreter has module loaded after the imports."""
-    script = "import sys, %s; print(%r in sys.modules)" % (imports, module)
+def _fresh(script, *args):
+    """The last line a fresh interpreter prints running script with args."""
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.strip() == "True"
+    return done.stdout.strip().split("\n")[-1]
+
+
+def _loaded_after(imports, module):
+    """Whether a fresh interpreter has module loaded after the imports."""
+    return _fresh("import sys, %s; print(%r in sys.modules)" % (imports, module)) == "True"
+
+
+#: The package's modules that an interpreter has loaded.
+_LOADED = 'sorted(m for m in sys.modules if m.split(".")[0] == "oscpurity")'
+
+_BASE = ["oscpurity", "oscpurity.cli", "oscpurity.errors", "oscpurity.model"]
+
+_SCENARIO = "omega_e = 2\npsi = 0.9\nt0 = 1\ntau = 0.5\n"
+
+_SWEEP = _SCENARIO + "param = tau\nmin = 2\nmax = 6\ncount = 4\nreduction = latetime_purity\n"
+
+
+def test_parsing_loads_no_physics_layer():
+    # Building the parser and reading a config and a sweep spec needs only
+    # the CLI, the errors and the model.
+    script = "import sys\nfrom oscpurity import cli, model\n"
+    script += "cli.build_parser()\nmodel.parse_config(%r)\ncli.parse_sweep_spec(%r)\n" % (
+        _SCENARIO, _SWEEP)
+    assert _fresh(script + "print(%s)" % _LOADED) == str(_BASE)
+
+
+#: Each subcommand's arguments and the layers it runs.
+_RUNS = {
+    "simulate": (["--config", "{cfg}"], ["output", "symplectic", "transport"]),
+    "isoso": (["--config", "{iso}", "--expansion", "C2"], ["isoso", "output", "symplectic"]),
+    "perturb": (["--config", "{cfg}"], ["output", "perturbation"]),
+    "adiabatic": (
+        ["--config", "{cfg}", "--order", "1"],
+        ["adiabatic", "output", "symplectic", "transport"],
+    ),
+    "markov": (["--config", "{cfg}"], ["markov", "output", "symplectic", "transport"]),
+    "sweep": (["--spec", "{spec}"], ["adiabatic", "output", "symplectic", "transport"]),
+    "phase-diagram": (["--w", "0.1:1:3", "--psi", "0.1:3:3"], ["output"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_subcommand_loads_only_its_layers(command, tmp_path):
+    # Each subcommand, alone in a fresh interpreter, exits 0 and loads the
+    # layers it runs and no other.
+    files = {"cfg": _SCENARIO, "iso": _SCENARIO + "profile = isoso\n", "spec": _SWEEP}
+    for key, text in files.items():
+        (tmp_path / key).write_text(text)
+    args, layers = _RUNS[command]
+    argv = [command] + [a.format(**{k: str(tmp_path / k) for k in files}) for a in args]
+    script = "import sys\nfrom oscpurity.cli import main\nprint(main(sys.argv[1:]), %s)" % _LOADED
+    out = _fresh(script, *argv, "--out", str(tmp_path / "out"))
+    assert out == "0 %s" % sorted(_BASE + ["oscpurity." + layer for layer in layers])
 
 
 def test_perturbation_loads_without_transport():
