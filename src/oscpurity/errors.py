@@ -5,10 +5,6 @@ class OscPurityError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NonPhysicalState(OscPurityError):
-    """A covariance block violates the uncertainty bound beyond tolerance."""
-
-
 class DerivativeUndefined(OscPurityError):
     """Requested a derivative of a discontinuous (top-hat) coupling profile."""
 

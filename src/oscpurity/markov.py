@@ -1,6 +1,6 @@
 """Reduced-system transport with the noise matrix B, Gaussian-map X/Y
-decomposition, complete-positivity diagnosis, Gaussian fidelity, Bures
-velocity, and the Markovian surrogate maps of model.SURROGATES.
+decomposition, complete-positivity diagnosis, Bures velocity, and the
+Markovian surrogate maps of model.SURROGATES.
 
 The noise matrix is always computed from the exact full-system trajectory
 (the reduced equation is exact only with the true cross-correlators); the
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysicalState
 from .model import coupling_xi, normal_mode_sq
 from .symplectic import OMEGA2, det2, eig_sym2, symmetrize
 
@@ -142,28 +141,8 @@ def cp_check_infinitesimal(b, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Fidelity, Bures distance, Bures velocity
+# Bures velocity
 # ---------------------------------------------------------------------------
-
-
-def _check_physical(sigma):
-    d = det2(sigma)
-    if d < 1.0 - 1e-6:
-        raise NonPhysicalState("covariance block determinant %.6g < 1" % d)
-    return max(d, 1.0)
-
-
-def gaussian_fidelity(sigma1, sigma2):
-    """Uhlmann fidelity of two single-mode Gaussian states.
-
-    F = 2 / [sqrt(det(s1 + s2) + Delta) - sqrt(Delta)] with
-    Delta = (det s1 - 1)(det s2 - 1).
-    """
-    d1 = _check_physical(sigma1)
-    d2 = _check_physical(sigma2)
-    delta = (d1 - 1.0) * (d2 - 1.0)
-    total = det2(sigma1 + sigma2)
-    return 2.0 / (np.sqrt(total + delta) - np.sqrt(delta))
 
 
 def _one_minus_fidelity_pert(sigma1, det1, e):

@@ -61,6 +61,18 @@ class ScenarioParams:
             raise ConfigError("tau must be positive for the smooth profile")
         if self.xi0 < 0:
             raise ConfigError("xi0 must be non-negative")
+        # The normal-mode frequencies at peak coupling, and every Magnus
+        # exponent, are formed from these.
+        ws2, we2 = self.omega_s * self.omega_s, self.omega_e * self.omega_e
+        d = we2 - ws2
+        for name, value in (
+            ("omega_s^2", ws2),
+            ("omega_e^2", we2),
+            ("omega_s^2 + omega_e^2", ws2 + we2),
+            ("(omega_e^2 - omega_s^2)^2 + 4 xi0^2", d * d + 4.0 * self.xi0 * self.xi0),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError("%s overflows a float at these parameters" % name)
         if not math.isfinite(2.0 * self.t_in):
             raise ConfigError(
                 "the window [%g, %g] is too long: its length overflows a float"
@@ -335,12 +347,16 @@ def normal_mode_sq(xi, p):
     """Squared normal frequencies (omega1^2, omega2^2) at coupling xi.
 
     omega1^2 is negative above the critical coupling and crosses zero at it;
-    unlike frame_from_xi this never raises.
+    unlike frame_from_xi this never raises.  With s = w_S^2 + w_E^2 and r =
+    sqrt((w_E^2 - w_S^2)^2 + 4 xi^2), omega1^2 = (s - r) / 2 is formed as
+    2 (w_S w_E - xi)(w_S w_E + xi) / (s + r): s - r cancels for a large
+    frequency ratio, and this is exactly 0 at xi = w_S w_E.
     """
     ws2 = p.omega_s**2
     we2 = p.omega_e**2
+    s = ws2 + we2
     r = np.sqrt(4.0 * xi * xi + (we2 - ws2) ** 2)
-    return 0.5 * (ws2 + we2 - r), 0.5 * (ws2 + we2 + r)
+    return 2.0 * (p.xi_c - xi) * (p.xi_c + xi) / (s + r), 0.5 * (s + r)
 
 
 def frame_from_xi(xi, p, xi_dot=0.0):
@@ -375,7 +391,8 @@ def frame_from_xi(xi, p, xi_dot=0.0):
     s = ws2 + we2
     r2 = d * d + 4.0 * xi * xi
     r = np.sqrt(r2)
-    omega1_sq = 0.5 * (s - r)
+    # (s - r) / 2 without its cancellation, as in normal_mode_sq.
+    omega1_sq = 2.0 * (p.xi_c - xi) * (p.xi_c + xi) / (s + r)
     omega2_sq = 0.5 * (s + r)
     if np.any(np.abs(omega1_sq) < CRITICAL_GUARD * ws2):
         raise CriticalPoint(

@@ -12,7 +12,11 @@ smaller than the sigma_S entries.
 The integrator is the sixth-order Magnus method at the three Gauss-Legendre
 nodes of each step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151):
 every step is the exponential of a Hamiltonian matrix, so U stays symplectic
-to round-off, and a step is exact wherever xi is constant.
+to round-off, and a step is exact wherever xi is constant.  K0 holds only 1,
+-w_S^2 and -w_E^2 and K1 only -1, so _exponents writes each entry of the
+exponent Omega^[6] directly, as the polynomial in h, w_S^2, w_E^2 and the xi
+at the nodes that the textbook commutator formula expands to (with sympy);
+there is no commutator at run time.
 
 The switch profile is even, so only t >= 0 is stepped.  With R = diag(1, -1,
 1, -1), R K(t) R = -K(-t), and the propagator of [-b, -a] is S U^T S for the
@@ -53,10 +57,6 @@ from .errors import ConfigError, StepFailure
 from .model import ISOSO, MAX_STEPS, IntegratorConfig, coupling_xi, normal_mode_sq, switch_segments
 from .symplectic import cauchy_binet
 
-#: dK/dxi: the coupling enters K = Omega H only as K[1, 2] = K[3, 0] = -xi.
-_K1 = np.zeros((4, 4))
-_K1[1, 2] = _K1[3, 0] = -1.0
-
 #: Gauss-Legendre nodes of the sixth-order Magnus step, as fractions of it.
 _SQRT15 = math.sqrt(15.0)
 _GAUSS = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
@@ -82,17 +82,6 @@ _CHUNK = 4096
 #: Scenarios refined together at most: longer lists are solved in groups,
 #: which bounds the state that one pass holds.
 _GROUP = 64
-
-
-def generator_terms(p):
-    """Constant parts (K0, K1) of the generator K(xi) = Omega H(xi) = K0 +
-    xi K1 of U' = K U, where H is the quadratic form of the joint
-    Hamiltonian diag(w_S^2, 1, w_E^2, 1) plus xi in the (x_S, x_E) entries."""
-    k0 = np.zeros((4, 4))
-    k0[0, 1] = k0[2, 3] = 1.0
-    k0[1, 0] = -p.omega_s**2
-    k0[3, 2] = -p.omega_e**2
-    return k0, _K1
 
 
 def _vacuum_root(p):
@@ -125,44 +114,44 @@ def purity_from_propagator(u, p, mode="S"):
 # ---------------------------------------------------------------------------
 
 
-def _commutator(a, b):
-    return a @ b - b @ a
+def _exponents(t0, h, p):
+    """Magnus exponents Omega^[6] of the steps [t0, t0 + h] ((N,) arrays) of
+    scenario p as a (N, 4, 4) stack.
 
-
-def _omega_coefficients(h, x1, x2, x3):
-    """Coefficients of the Magnus exponent Omega^[6] in the basis of
-    _MagnusStepper for one step of length h with xi = x1, x2, x3 at the Gauss
-    nodes (floats, or arrays for a batch of steps).
-
-    With A_i = K0 + x_i K1 the sixth-order exponent is
+    With A_i = K0 + x_i K1 at the Gauss nodes, the sixth-order exponent is
         alpha1 = h A2, alpha2 = (sqrt15 h / 3)(A3 - A1),
         alpha3 = (10 h / 3)(A3 - 2 A2 + A1), C1 = [alpha1, alpha2],
         C2 = -[alpha1, 2 alpha3 + C1] / 60,
         Omega = alpha1 + alpha3 / 12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240.
-    alpha2 and alpha3 are multiples b2 K1, b3 K1 of K1, so every commutator
-    reduces to the constant nested commutators of K0 and K1:
-    -20 alpha1 - alpha3 + C1 = xa K0 + xb K1 + xc M1 and
-    alpha2 + C2 = ya K1 + yb M1 + yc M2 + yd M3 with M1 = [K0, K1],
-    M2 = [K0, M1], M3 = [K1, M1].
+    K0 holds only 1, -w_S^2 and -w_E^2 and K1 only -1, so each entry of Omega
+    is a polynomial in h, a = w_S^2, b = w_E^2, x2, d = x3 - x1 and e = x3 -
+    2 x2 + x1.  The entries below are that formula expanded with sympy;
+    eight distinct polynomials occur.  The entries that a Hamiltonian matrix
+    ties together are written once, so every exponent is exactly
+    Hamiltonian.
     """
-    b2 = _SQRT15 / 3.0 * h * (x3 - x1)
-    b3 = 10.0 / 3.0 * h * (x3 - 2.0 * x2 + x1)
-    xa, xb, xc = -20.0 * h, -20.0 * h * x2 - b3, h * b2
-    ya, yb, yc = b2, -h * b3 / 30.0, -h * h * b2 / 60.0
-    yd = yc * x2
-    return (
-        h,
-        h * x2 + b3 / 12.0,
-        xa * ya / 240.0,
-        xa * yb / 240.0,
-        (xb * yb - xc * ya) / 240.0,
-        xa * yc / 240.0,
-        xa * yd / 240.0,
-        xb * yc / 240.0,
-        xb * yd / 240.0,
-        xc * yc / 240.0,
-        xc * yd / 240.0,
-    )
+    x1, x2, x3 = coupling_xi(t0[:, None] + h[:, None] * _GAUSS, p).T
+    a, b = p.omega_s * p.omega_s, p.omega_e * p.omega_e
+    d, e = x3 - x1, x3 - 2.0 * x2 + x1
+    h2 = h * h
+    dh2 = d * h2
+    q = dh2 * dh2 / 2160.0
+    g = _SQRT15 / 2160.0 * dh2
+    c = h * (0.5 * (a + b) * q + dh2 * d / 72.0 - h2 * e * (e + 6.0 * x2) / 324.0)
+    diag = g * h2 * (e + 12.0 * x2) / 3.0
+    om = np.empty((len(h), 4, 4))
+    om[:, 0, 0] = om[:, 2, 2] = diag
+    om[:, 1, 1] = om[:, 3, 3] = -diag
+    om[:, 0, 1] = om[:, 2, 3] = h + h * q
+    om[:, 0, 3] = om[:, 2, 1] = h2 * h * e / 54.0
+    om[:, 0, 2] = g * (60.0 + (a + 3.0 * b) * h2)
+    om[:, 3, 1] = -om[:, 0, 2]
+    om[:, 2, 0] = g * (60.0 + (3.0 * a + b) * h2)
+    om[:, 1, 3] = -om[:, 2, 0]
+    om[:, 1, 2] = om[:, 3, 0] = -h * ((1.0 + q) * x2 + (5.0 / 18.0 - (a + b) * h2 / 108.0) * e)
+    om[:, 1, 0] = -a * h - c
+    om[:, 3, 2] = -b * h - c
+    return om
 
 
 def _expm(om):
@@ -232,32 +221,6 @@ def _add_to_diagonals(f, c):
         f[:, i, i] += c
 
 
-class _MagnusStepper:
-    """Sixth-order Magnus steps of U' = (K0 + xi(t) K1) U for one scenario."""
-
-    def __init__(self, p):
-        self.params = p
-        k0, k1 = generator_terms(p)
-        m1 = _commutator(k0, k1)
-        m2 = _commutator(k0, m1)
-        m3 = _commutator(k1, m1)
-        basis = [k0, k1, m1, m2, m3]
-        basis += [_commutator(u, v) for u in (k0, k1, m1) for v in (m2, m3)]
-        self.basis = np.array(basis).reshape(len(basis), 16)
-
-    def exponents(self, t0, h):
-        """Magnus exponents Omega of the steps [t0, t0 + h] ((N,) arrays) as a
-        (N, 4, 4) stack."""
-        xi = coupling_xi(t0[:, None] + h[:, None] * _GAUSS, self.params)
-        coef = np.stack(_omega_coefficients(h, xi[:, 0], xi[:, 1], xi[:, 2]), axis=-1)
-        return (coef @ self.basis).reshape(-1, 4, 4)
-
-    def steps(self, t0, h):
-        """Step propagators exp(Omega) of the steps [t0, t0 + h] as a
-        (N, 4, 4) stack."""
-        return _expm(self.exponents(t0, h))
-
-
 def _product(e):
     """e[m-1] ... e[1] e[0] of a (m, 4, 4) stack by pairwise reduction; an
     odd last factor joins the last pair."""
@@ -298,8 +261,8 @@ def _mirror(u):
 
 
 def _segment_propagators(levels):
-    """Propagators of the levels (stepper, t_lo, t_hi, n, keep), each the
-    product of n equal steps of its own scenario's stepper.
+    """Propagators of the levels (p, t_lo, t_hi, n, keep), each the product
+    of n equal Magnus steps of its own scenario p.
 
     Each level is cut into pieces of at most _CHUNK steps from its start;
     consecutive pieces, of one level or of several and of one scenario or of
@@ -332,9 +295,9 @@ def _segment_propagators(levels):
         )
         # One exponent call per run of pieces of the same scenario.
         om, lo = [], 0
-        for stepper, run in groupby(zip(ks, counts), lambda piece: levels[piece[0]][0]):
+        for p, run in groupby(zip(ks, counts), lambda piece: levels[piece[0]][0]):
             hi = lo + sum(count for _, count in run)
-            om.append(stepper.exponents(t0[lo:hi], h[lo:hi]))
+            om.append(_exponents(t0[lo:hi], h[lo:hi], p))
             lo = hi
         e = _expm(om[0] if len(om) == 1 else np.concatenate(om))
         lo = 0
@@ -349,11 +312,11 @@ def _segment_propagators(levels):
 @dataclass(frozen=True)
 class _StepGrid:
     """Step nodes of an integration: times (M + 1,), propagators
-    (M + 1, 4, 4) from t_in, and the stepper for partial steps."""
+    (M + 1, 4, 4) from t_in, and the ScenarioParams for partial steps."""
 
     t: np.ndarray
     u: np.ndarray
-    stepper: _MagnusStepper
+    params: object
 
     def at(self, ts):
         """Propagators at the times ts (inside [t[0], t[-1]]), each one
@@ -362,7 +325,7 @@ class _StepGrid:
         out = np.empty((len(ts), 4, 4))
         for lo in range(0, len(ts), _CHUNK):
             sl = slice(lo, lo + _CHUNK)
-            e = self.stepper.steps(self.t[k[sl]], ts[sl] - self.t[k[sl]])
+            e = _expm(_exponents(self.t[k[sl]], ts[sl] - self.t[k[sl]], self.params))
             out[sl] = e @ self.u[k[sl]]
         return out
 
@@ -520,7 +483,7 @@ def _solve(ps, cfg, keep_nodes):
     # Every scenario's segments in one list, in the order failures are
     # raised; layout[s] holds the first segment of scenario s, its central
     # one, and the ends of its halves and of its segments.
-    steppers, owner, bounds, n, span, layout = [], [], [], [], [], []
+    owner, bounds, n, span, layout = [], [], [], [], []
     for s, p in enumerate(ps):
         t_end = _resolve_t_end(p, cfg)
         t_half = min(t_end, -p.t_in)
@@ -529,7 +492,6 @@ def _solve(ps, cfg, keep_nodes):
         head = _start_segments(p, t_half, t_end, cfg) if t_end > t_half else []
         centre = len(bounds) + len(tail)
         layout.append((len(bounds), centre, centre + len(half), centre + len(half) + len(head)))
-        steppers.append(_MagnusStepper(p))
         for lo, hi, count in tail + half + head:
             owner.append(s)
             bounds.append((lo, hi))
@@ -572,7 +534,7 @@ def _solve(ps, cfg, keep_nodes):
         first_pass = False
         ks = np.array([level[0] for level in levels])
         totals, pieces = _segment_propagators(
-            [(steppers[owner[k]],) + bounds[k] + (count, keep) for k, count, keep, _ in levels]
+            [(ps[owner[k]],) + bounds[k] + (count, keep) for k, count, keep, _ in levels]
         )
         # The Richardson estimates of all levels at once, a central segment's
         # with its mirror.
@@ -604,12 +566,12 @@ def _solve(ps, cfg, keep_nodes):
             if not level[3] and result[level[0]] is None:
                 settle(i, error[i] <= tol[i])
     return [
-        _nodes(p, stepper, bounds[a:d], n[a:d], result[a:d], b - a, c - a, keep_nodes)
-        for p, stepper, (a, b, c, d) in zip(ps, steppers, layout)
+        _nodes(p, bounds[a:d], n[a:d], result[a:d], b - a, c - a, keep_nodes)
+        for p, (a, b, c, d) in zip(ps, layout)
     ]
 
 
-def _nodes(p, stepper, bounds, n, done, centre, stop, keep_nodes):
+def _nodes(p, bounds, n, done, centre, stop, keep_nodes):
     """U(t_end) and, with keep_nodes, the _StepGrid of one scenario from its
     converged segments: done[k] = (P, steps) for the segments of bounds
     with n[k] steps, the half being centre:stop."""
@@ -646,7 +608,7 @@ def _nodes(p, stepper, bounds, n, done, centre, stop, keep_nodes):
     for lo in range(1, size, _CHUNK):
         hi = min(size, lo + _CHUNK)
         np.matmul(_prefix(props[lo:hi]), props[lo - 1], out=props[lo:hi])
-    return props[-1], _StepGrid(times, props, stepper)
+    return props[-1], _StepGrid(times, props, p)
 
 
 def propagate(ps, cfg=IntegratorConfig()):

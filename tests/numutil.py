@@ -5,15 +5,16 @@ per-width ones replaced, the per-segment refinement loop of the batched
 integrator's mirrored step grid, the full-window march that the mirrored
 one replaced, the bisection threshold scan on dense samples that the
 bracketed scan on step nodes replaced, the per-row CSV writer that the
-numpy formatter replaced, and the reduced-map and top-hat diagnostics that
-only the tests evaluate (purity rate, CP witness, Bures distance, vacuum
-correlators, in-window covariance, decoherence rate)."""
+numpy formatter replaced, the generator terms K0, K1 that the closed-form
+Magnus exponent replaced, and the reduced-map and top-hat diagnostics that
+only the tests evaluate (purity rate, CP witness, fidelity, Bures distance,
+vacuum correlators, in-window covariance, decoherence rate)."""
 
 import math
 
 import numpy as np
 
-from oscpurity.errors import NonPhysicalState, StepFailure
+from oscpurity.errors import OscPurityError, StepFailure
 from oscpurity.symplectic import det2
 
 #: Unit round-off of the extended-precision accumulator.
@@ -23,6 +24,10 @@ LD_EPS = float(np.finfo(np.longdouble).eps)
 # anything below 1 - DET_TOL is treated as unphysical.
 DET_CLAMP = 1e-9
 DET_TOL = 1e-6
+
+class NonPhysicalState(OscPurityError):
+    """A covariance block violates the uncertainty bound beyond tolerance."""
+
 
 #: Two-mode symplectic form, block-diagonal in (x_S, p_S, x_E, p_E) ordering.
 OMEGA4 = np.array(
@@ -97,6 +102,19 @@ def check_gaussian_valid(sigma):
     }
 
 
+def generator_terms(p):
+    """Constant parts (K0, K1) of the generator K(xi) = Omega H(xi) = K0 +
+    xi K1 of U' = K U, where H is the quadratic form of the joint
+    Hamiltonian diag(w_S^2, 1, w_E^2, 1) plus xi in the (x_S, x_E) entries:
+    the matrices whose commutators `transport._exponents` writes out."""
+    k0, k1 = np.zeros((4, 4)), np.zeros((4, 4))
+    k0[0, 1] = k0[2, 3] = 1.0
+    k0[1, 0] = -p.omega_s**2
+    k0[3, 2] = -p.omega_e**2
+    k1[1, 2] = k1[3, 0] = -1.0
+    return k0, k1
+
+
 def adiabatic_frame(t, p):
     """Normal-mode frame at one time t along the coupling profile."""
     from oscpurity.model import SMOOTH, coupling_xi, coupling_xi_dot, frame_from_xi
@@ -108,7 +126,7 @@ def adiabatic_frame(t, p):
 
 def solve_per_segment(p, cfg, t_end, keep_nodes):
     """The integrator's mirrored step grid refined one segment at a time, one
-    stepper call per chunk of each level, as an oracle for the batched
+    exponent call per chunk of each level, as an oracle for the batched
     refinement of `transport._solve`: the segments of [0, t_half], t_half =
     min(t_end, -t_in), are stepped and mirrored onto [-t_half, 0]; a tail
     [t_in, -t_half] and a head [t_half, t_end] are stepped forward.
@@ -120,23 +138,23 @@ def solve_per_segment(p, cfg, t_end, keep_nodes):
     """
     from oscpurity import transport as tr
 
-    def level(stepper, t_lo, t_hi, n):
+    def level(t_lo, t_hi, n):
         h = (t_hi - t_lo) / n
         total, pieces = tr._EYE, []
         for start in range(0, n, tr._CHUNK):
             idx = np.arange(start, min(n, start + tr._CHUNK))
-            pieces.append(stepper.steps(t_lo + h * idx, np.full(len(idx), h)))
+            pieces.append(tr._expm(tr._exponents(t_lo + h * idx, np.full(len(idx), h), p)))
             total = tr._product(pieces[-1]) @ total
         return total, pieces
 
-    def segment(stepper, t_lo, t_hi, n, central):
+    def segment(t_lo, t_hi, n, central):
         # The central segment's test covers its mirror too.
         name = (-t_hi, t_hi) if central else (t_lo, t_hi)
         if n > tr.MAX_STEPS:
             raise StepFailure("[%g, %g] needs more than %d steps" % (name + (tr.MAX_STEPS,)))
         coarse, levels = None, 0
         while True:
-            fine, pieces = level(stepper, t_lo, t_hi, n)
+            fine, pieces = level(t_lo, t_hi, n)
             levels += 1
             est = fine @ tr._mirror(fine) if central else fine
             if not np.all(np.isfinite(est)):
@@ -150,13 +168,12 @@ def solve_per_segment(p, cfg, t_end, keep_nodes):
                 )
             coarse, n = est, 2 * n
 
-    stepper = tr._MagnusStepper(p)
     t_half = min(t_end, -p.t_in)
     tail = tr._start_segments(p, p.t_in, -t_half, cfg) if -t_half > p.t_in else []
     half = tr._start_segments(p, 0.0, t_half, cfg)
     head = tr._start_segments(p, t_half, t_end, cfg) if t_end > t_half else []
     done = [
-        (lo, hi) + segment(stepper, lo, hi, n, k == len(tail))
+        (lo, hi) + segment(lo, hi, n, k == len(tail))
         for k, (lo, hi, n) in enumerate(tail + half + head)
     ]
     levels = [d[-1] for d in done]
@@ -200,12 +217,12 @@ def solve_full_window(p, cfg, t_end, keep_nodes):
     """
     from oscpurity import transport as tr
 
-    def level(stepper, t_lo, t_hi, n, keep):
+    def level(t_lo, t_hi, n, keep):
         h = (t_hi - t_lo) / n
         total, nodes = tr._EYE, []
         for start in range(0, n, tr._CHUNK):
             idx = np.arange(start, min(n, start + tr._CHUNK))
-            e = stepper.steps(t_lo + h * idx, np.full(len(idx), h))
+            e = tr._expm(tr._exponents(t_lo + h * idx, np.full(len(idx), h), p))
             if keep:
                 nodes.append(tr._prefix(e) @ total)
                 total = nodes[-1][-1]
@@ -215,16 +232,16 @@ def solve_full_window(p, cfg, t_end, keep_nodes):
             raise StepFailure("propagator overflow on [%g, %g]" % (t_lo, t_hi))
         return total, (np.concatenate(nodes) if keep else None)
 
-    def segment(stepper, t_lo, t_hi, n):
+    def segment(t_lo, t_hi, n):
         if n > tr.MAX_STEPS:
             raise StepFailure(
                 "[%g, %g] needs more than %d steps" % (t_lo, t_hi, tr.MAX_STEPS)
             )
-        coarse, _ = level(stepper, t_lo, t_hi, n, False)
+        coarse, _ = level(t_lo, t_hi, n, False)
         levels = 1
         while 2 * n <= tr.MAX_STEPS:
             n *= 2
-            fine, nodes = level(stepper, t_lo, t_hi, n, keep_nodes)
+            fine, nodes = level(t_lo, t_hi, n, keep_nodes)
             levels += 1
             err = np.max(np.abs(fine - coarse)) / 63.0
             if err <= cfg.atol + cfg.rtol * np.max(np.abs(fine)):
@@ -234,11 +251,10 @@ def solve_full_window(p, cfg, t_end, keep_nodes):
             "no convergence on [%g, %g] within %d steps" % (t_lo, t_hi, tr.MAX_STEPS)
         )
 
-    stepper = tr._MagnusStepper(p)
     u = np.eye(4)
     times, props, levels = [np.array([p.t_in])], [u[None]], []
     for t_lo, t_hi, n in tr._start_segments(p, p.t_in, t_end, cfg):
-        seg, nodes, n, count = segment(stepper, t_lo, t_hi, n)
+        seg, nodes, n, count = segment(t_lo, t_hi, n)
         levels.append(count)
         if keep_nodes:
             times.append(t_lo + (t_hi - t_lo) / n * np.arange(1, n + 1))
@@ -654,10 +670,27 @@ def cp_check(pair, tol=1e-10):
     return witness >= -tol, witness
 
 
+def gaussian_fidelity(sigma1, sigma2):
+    """Uhlmann fidelity of two single-mode Gaussian states.
+
+    F = 2 / [sqrt(det(s1 + s2) + Delta) - sqrt(Delta)] with
+    Delta = (det s1 - 1)(det s2 - 1).
+
+    Raises:
+        NonPhysicalState: if either determinant is below 1 - 1e-6.
+    """
+    dets = [det2(s) for s in (sigma1, sigma2)]
+    for d in dets:
+        if d < 1.0 - DET_TOL:
+            raise NonPhysicalState("covariance block determinant %.6g < 1" % d)
+    d1, d2 = (max(d, 1.0) for d in dets)
+    delta = (d1 - 1.0) * (d2 - 1.0)
+    total = det2(sigma1 + sigma2)
+    return 2.0 / (np.sqrt(total + delta) - np.sqrt(delta))
+
+
 def bures_distance(sigma1, sigma2):
     """Bures distance sqrt(2 (1 - F)) of two single-mode Gaussian states."""
-    from oscpurity.markov import gaussian_fidelity
-
     f = gaussian_fidelity(sigma1, sigma2)
     return float(np.sqrt(max(2.0 * (1.0 - f), 0.0)))
 

@@ -159,6 +159,35 @@ def test_window_longer_than_a_float_is_config_error(command, window, tmp_path, c
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["simulate", "markov", "adiabatic", "isoso"])
+@pytest.mark.parametrize(
+    "scenario, named",
+    [
+        pytest.param("omega_s = 1e300\npsi = 0.9", "omega_s^2 overflows", id="omega_s-1e300"),
+        pytest.param("psi = 1e300", "4 xi0^2 overflows", id="psi-1e300"),
+    ],
+)
+def test_overflowing_squares_are_config_error(command, scenario, named, tmp_path, capsys):
+    # Finite inputs whose squared frequencies or coupling overflow ended in
+    # an OverflowError traceback (exit 1); the scenario now refuses them.
+    path = tmp_path / "overflow.cfg"
+    path.write_text("omega_e = 2\nt0 = 1\n%s\n" % scenario)
+    out = str(tmp_path / "out")
+    assert main([command, "--config", str(path), "--out", out]) == 2
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_large_frequency_ratio_is_not_critical(tmp_path, capsys):
+    # At omega_e = 1e8, psi = 0.9, omega1^2 = 0.19; the frame once read it as
+    # 0 (s - r cancelled) and the run exited 3 claiming the critical value.
+    path = tmp_path / "ratio.cfg"
+    path.write_text("omega_e = 1e8\npsi = 0.9\nt0 = 1\ntau = 0.5\n")
+    rc = main(["adiabatic", "--config", str(path), "--out", str(tmp_path / "out"), "--order", "1"])
+    err = capsys.readouterr().err
+    assert rc in (0, 3) and "critical" not in err, err
+
+
 @pytest.mark.parametrize("where", ["file", "under-file", "empty"])
 def test_unusable_out_is_config_error_before_any_work(where, config_file, tmp_path, capsys):
     # An --out that is a file, lies under one, or is empty is refused, naming

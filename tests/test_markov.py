@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from numutil import OMEGA4, bures_distance, cp_check, map_pair_rk45, purity_rate
+from numutil import (
+    OMEGA4,
+    NonPhysicalState,
+    bures_distance,
+    cp_check,
+    gaussian_fidelity,
+    map_pair_rk45,
+    purity_rate,
+)
 
-from oscpurity.errors import NonPhysicalState
 from oscpurity.markov import (
     _one_minus_fidelity_pert,
     best_markovian_B,
@@ -18,7 +25,6 @@ from oscpurity.markov import (
     compose,
     cp_check_infinitesimal,
     drop_negative_B,
-    gaussian_fidelity,
     map_pair_evolve,
     markov_series,
     noise_B,

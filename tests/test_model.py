@@ -316,6 +316,25 @@ def test_frame_eigenvalues_match_numpy(w, psi):
     assert fr.delta_flag == (1 if ev[0] < 0 else 0)
 
 
+@pytest.mark.parametrize("ratio", [2.0, 10.0, 100.0, 1e4, 1e6])
+@pytest.mark.parametrize("psi", [0.3, 0.9, 0.999, 1.5])
+def test_lower_normal_frequency_matches_mpmath(ratio, psi):
+    # omega1^2 = (s - r) / 2 against 50 digits, at couplings up to the peak:
+    # formed as s - r it lost (omega_e/omega_s)^2 eps / (1 - psi) relative,
+    # 8e-3 at a ratio of 1e6; what remains is the conditioning 1 / |1 - psi|.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    p = ScenarioParams.from_psi(1.0, ratio, psi, 10.0)
+    xi = p.xi0 * np.array([1.0, 0.5, 1e-3])
+    ws2, we2 = mpmath.mpf(p.omega_s) ** 2, mpmath.mpf(p.omega_e) ** 2
+    ref = np.array(
+        [float((ws2 + we2 - mpmath.sqrt((we2 - ws2) ** 2 + 4 * mpmath.mpf(x) ** 2)) / 2) for x in xi]
+    )
+    tol = 4.0 * np.finfo(float).eps / abs(1.0 - psi)
+    for got in (frame_from_xi(xi, p).omega1_sq, model.normal_mode_sq(xi, p)[0]):
+        np.testing.assert_allclose(got, ref, rtol=tol, atol=0.0)
+
+
 def test_supercritical_flag_and_complex_frequency():
     p = make_params(psi=1.5)
     fr = frame_from_xi(p.xi0, p)

@@ -1,4 +1,5 @@
-"""Guards on the package's module structure: no module reaches into another
+"""Guards on the package's module structure: every public function and
+class has a caller outside the tests, no module reaches into another
 module's private names, output is formatted and written by one module, input
 text is read by one module, the analytic and physics layers load without
 the layers above them, and a CLI call loads only the layers its subcommand
@@ -19,6 +20,31 @@ def _modules():
     for path in sorted(glob.glob(os.path.join(SRC, "oscpurity", "*.py"))):
         with open(path) as f:
             yield os.path.basename(path), ast.parse(f.read(), path)
+
+
+def test_every_public_name_has_a_caller():
+    # Every public module-level function and class of the package is
+    # referenced, as a name or an attribute, in src/ or perfbench/ outside its
+    # own definition: code that only the tests call lives in tests/.
+    paths = glob.glob(os.path.join(SRC, "oscpurity", "*.py"))
+    paths += glob.glob(os.path.join(os.path.dirname(SRC), "perfbench", "*.py"))
+    public, used = set(), set()
+    for path in paths:
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and path.startswith(SRC):
+                own = stmt.name
+                if not own.startswith("_"):
+                    public.add((os.path.basename(path), own))
+            refs = (
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            )
+            used.update(name for name in refs if name != own)
+    assert sorted(entry for entry in public if entry[1] not in used) == []
 
 
 def test_no_module_imports_private_names_of_another():

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numutil import OMEGA4, check_gaussian_valid, frobenius_norm, inv2, purity_from_block
+from numutil import (
+    OMEGA4,
+    NonPhysicalState,
+    check_gaussian_valid,
+    frobenius_norm,
+    inv2,
+    purity_from_block,
+)
 
-from oscpurity.errors import NonPhysicalState
 from oscpurity.symplectic import OMEGA2, det2, eig_sym2, symmetrize
 
 

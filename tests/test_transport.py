@@ -18,6 +18,7 @@ from numutil import (
     cutoff_time_brentq,
     det_sigma_via_propagator,
     dop853_propagators,
+    generator_terms,
     purity_from_block,
     solve_full_window,
     solve_per_segment,
@@ -30,12 +31,12 @@ from oscpurity.model import (
     SMOOTH,
     IntegratorConfig,
     ScenarioParams,
+    coupling_xi,
     frame_from_xi,
     switch_segments,
 )
 from oscpurity.transport import (
     default_sample_dt,
-    generator_terms,
     integrate,
     propagate,
     purity_from_propagator,
@@ -413,26 +414,40 @@ def test_sigma_from_propagator_stack_matches_single():
 # ---------------------------------------------------------------------------
 
 
-def test_magnus_exponent_matches_textbook_formula():
+@pytest.mark.parametrize(
+    "p",
+    [
+        pytest.param(make_params(omega_e=2.3, psi=0.9), id="subcritical"),
+        pytest.param(make_params(omega_e=100.0, psi=0.9), id="ratio-100"),
+        pytest.param(make_params(psi=1.5), id="supercritical"),
+        pytest.param(make_params(psi=0.97, t0=3.0, tau=1e-3), id="fast-switch"),
+        pytest.param(make_params(psi=1.1, t0=3.0, profile=ISOSO), id="top-hat"),
+    ],
+)
+def test_magnus_exponent_matches_textbook_formula(p):
     # Omega^[6] at the Gauss nodes (Blanes, Casas, Oteo & Ros 2009), built
-    # literally from A_i = K0 + xi_i K1, against the reduced commutator basis.
-    p = make_params(omega_e=2.3, psi=0.9)
+    # literally from A_i = K0 + xi_i K1, against the closed form, over the
+    # window and the switch regions and for steps from 1e-3 to 0.3.  The
+    # closed form is Hamiltonian, om^T J + J om = 0, and traceless exactly.
     k0, k1 = generator_terms(p)
-    h, xis = 0.3, (0.4, 1.1, 0.7)
-    a1, a2, a3 = (k0 + x * k1 for x in xis)
 
     def comm(x, y):
         return x @ y - y @ x
 
-    alpha1 = h * a2
-    alpha2 = np.sqrt(15.0) * h / 3.0 * (a3 - a1)
-    alpha3 = 10.0 * h / 3.0 * (a3 - 2.0 * a2 + a1)
-    c1 = comm(alpha1, alpha2)
-    c2 = -comm(alpha1, 2.0 * alpha3 + c1) / 60.0
-    expected = alpha1 + alpha3 / 12.0 + comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
-    basis = transport._MagnusStepper(p).basis
-    got = np.dot(transport._omega_coefficients(h, *xis), basis).reshape(4, 4)
-    assert np.allclose(got, expected, rtol=0, atol=1e-15)
+    t0 = np.concatenate([np.linspace(p.t_in, -p.t_in, 9), [-p.t0, p.t0 - 0.1]])
+    for h in (1e-3, 0.01, 0.1, 0.3):
+        got = transport._exponents(t0, np.full(len(t0), h), p)
+        xis = coupling_xi(t0[:, None] + h * transport._GAUSS, p)
+        for om, (a1, a2, a3) in zip(got, ((k0 + x * k1 for x in row) for row in xis)):
+            alpha1 = h * a2
+            alpha2 = np.sqrt(15.0) * h / 3.0 * (a3 - a1)
+            alpha3 = 10.0 * h / 3.0 * (a3 - 2.0 * a2 + a1)
+            c1 = comm(alpha1, alpha2)
+            c2 = -comm(alpha1, 2.0 * alpha3 + c1) / 60.0
+            ref = alpha1 + alpha3 / 12.0 + comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
+            assert np.max(np.abs(om - ref)) <= 4e-16 * np.max(np.abs(ref))
+            assert np.array_equal(om.T @ OMEGA4, -(OMEGA4 @ om))
+            assert np.trace(om) == 0.0
 
 
 @pytest.mark.parametrize("scale, rel", [(0.05, 1e-15), (1.0, 1e-14), (30.0, 1e-13)])
@@ -587,7 +602,7 @@ def test_mirrored_march_matches_full_window_oracle(p, policy):
     cfg = IntegratorConfig(t_end_policy=policy)
     t_end = transport._resolve_t_end(p, cfg)
     ref_end, ref_t, ref_u, _ = solve_full_window(p, cfg, t_end, keep_nodes=True)
-    oracle = transport._StepGrid(ref_t, ref_u, transport._MagnusStepper(p))
+    oracle = transport._StepGrid(ref_t, ref_u, p)
 
     def close(u, ref):
         scale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
