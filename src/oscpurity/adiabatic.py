@@ -364,7 +364,7 @@ def nonanalyticity_slope(p, tau_grid, cfg: Optional[IntegratorConfig] = None):
     if cfg is None:
         cfg = IntegratorConfig(rtol=1e-12, atol=1e-14)
     tau_grid = np.asarray(tau_grid, dtype=float)
-    gamma_inf = latetime_purity([p.with_tau(tau) for tau in tau_grid], cfg)
+    gamma_inf = latetime_purity([replace(p, tau=tau) for tau in tau_grid], cfg)
     deficits = 1.0 - gamma_inf
     mid, slopes, flags = loglog_slope(tau_grid / p.t0, deficits)
     if np.all(deficits < DEFICIT_FLOOR):

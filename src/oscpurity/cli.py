@@ -222,7 +222,9 @@ def run_sweep(p, cfg, grid, reduction):
     if reduction == "slope":
         res = adiabatic.nonanalyticity_slope(p, grid, cfg)
         return dict(res, kind=reduction, value=res["gamma_inf"])
-    gamma_inf = adiabatic.latetime_purity([p.with_tau(float(tau)) for tau in grid], cfg)
+    gamma_inf = adiabatic.latetime_purity(
+        [dataclasses.replace(p, tau=float(tau)) for tau in grid], cfg
+    )
     return {"kind": reduction, "tau_over_t0": grid / p.t0, "value": gamma_inf}
 
 

@@ -1,11 +1,11 @@
 """Closed-form solution for the instantaneous switch-on/switch-off
-(top-hat) coupling: Bogoliubov coefficients from continuity matching at the
-window edge, the exact in-window purity, and the eight asymptotic regime
+(top-hat) coupling: the exact in-window propagator (rotate into the normal
+modes at the plateau coupling, evolve each with its 2x2 cos/cosh block,
+rotate back), the purity it gives, and the eight asymptotic regime
 expansions of model.EXPANSIONS.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,30 +17,6 @@ from .symplectic import cauchy_binet
 NEAR_CRITICAL = 1e-8
 
 
-@dataclass(frozen=True)
-class BogoliubovSet:
-    """Expansion of the in-window normal-mode operators (b1, b2, and their
-    window conjugates) over the free-mode operators (a_S, a_E, a_S^dag,
-    a_E^dag), referenced to the window start.
-
-    Attributes:
-        matrix: 4x4 complex map, rows (b1, b2, bbar1, bbar2), columns
-            (a_S, a_E, a_S^dag, a_E^dag).
-        delta_flag: 0 if omega1 is real (subcritical), 1 otherwise.
-    """
-
-    matrix: np.ndarray
-    delta_flag: int
-
-    def alpha(self, i, mode):
-        """Coefficient of a_mode ('S' or 'E') in b_i (i = 1 or 2)."""
-        return self.matrix[i - 1, 0 if mode == "S" else 1]
-
-    def beta(self, i, mode):
-        """Coefficient of a_mode^dag in b_i."""
-        return self.matrix[i - 1, 2 if mode == "S" else 3]
-
-
 def _frame_at_peak(p):
     if abs(p.psi - 1.0) < NEAR_CRITICAL:
         raise CriticalPoint(
@@ -49,83 +25,46 @@ def _frame_at_peak(p):
     return frame_from_xi(p.xi0, p)
 
 
-def bogoliubov_coeffs(p):
-    """Bogoliubov coefficients from operator continuity at the window edge.
+def _mode_block(w_sq, w_abs, dt):
+    """Entries (C, S, -w^2 S) of the normal-mode block M = [[C, S], [-w^2 S,
+    C]]: (cos w dt, sin(w dt)/w), or (cosh k dt, sinh(k dt)/k) for w^2 =
+    -k^2 < 0."""
+    if w_sq < 0.0:
+        c, s = np.cosh(w_abs * dt), np.sinh(w_abs * dt) / w_abs
+    else:
+        c, s = np.cos(w_abs * dt), np.sin(w_abs * dt) / w_abs
+    return c, s, -w_sq * s
 
-    Args:
-        p: ScenarioParams (xi0 is the plateau coupling; t0 the half-window).
 
-    Returns:
-        BogoliubovSet.
+def _system_rows(t, p):
+    """The x_S and p_S rows of L = U diag(sqrt(vacuum)) inside the window (t
+    a float or an array: (..., 4) rows), so that sigma_S = L_S L_S^T.
 
-    Raises:
-        CriticalPoint: if xi0 is within the guard band of the critical value.
+    With c, s = cos theta, sin theta of the peak frame and M_i the block of
+    normal mode i, the system rows of the propagator U from -t0 are
+    [c^2 M1 + s^2 M2 | cs (M2 - M1)] over (x_S, p_S | x_E, p_E).
     """
     fr = _frame_at_peak(p)
-    theta = fr.theta
-    c, s = np.cos(theta), np.sin(theta)
-    trig = {(1, "S"): c, (1, "E"): -s, (2, "S"): s, (2, "E"): c}
-    mode_abs = {1: fr.omega1_abs, 2: fr.omega2}
-    # (-i)^delta: relative phase between position and momentum quadratures
-    # of an imaginary-frequency mode.
-    phase = {1: (-1j) ** fr.delta_flag, 2: 1.0 + 0.0j}
-    omega_free = {"S": p.omega_s, "E": p.omega_e}
-
-    def coeff(i, mode, s_sign, m_sign):
-        wi = mode_abs[i]
-        wf = omega_free[mode]
-        amp = np.sqrt(wi / wf) + s_sign * m_sign * phase[i] * np.sqrt(wf / wi)
-        return 0.5 * trig[(i, mode)] * amp * np.exp(1j * s_sign * wf * p.t0)
-
-    rows = [(1, +1), (2, +1), (1, -1), (2, -1)]  # (mode index, conjugation sign)
-    cols = [("S", +1), ("E", +1), ("S", -1), ("E", -1)]
-    m = np.array(
-        [[coeff(i, mode, s_sign, m_sign) for mode, s_sign in cols] for i, m_sign in rows]
-    )
-    return BogoliubovSet(matrix=m, delta_flag=fr.delta_flag)
-
-
-def _mode_vectors(dt, fr):
-    """Coefficient vectors expressing x_S and p_S over v at the times dt
-    since the window start (a float, or an array: (..., 4) results)."""
-    z1 = fr.omega1_complex
-    w1a, w2 = fr.omega1_abs, fr.omega2
+    dt = t + p.t0
+    c1, s1, r1 = _mode_block(fr.omega1_sq, fr.omega1_abs, dt)
+    c2, s2, r2 = _mode_block(fr.omega2_sq, fr.omega2, dt)
     c, s = np.cos(fr.theta), np.sin(fr.theta)
-    e1m = np.exp(-1j * z1 * dt) / np.sqrt(2.0 * w1a)
-    e1p = np.exp(1j * z1 * dt) / np.sqrt(2.0 * w1a)
-    e2m = np.exp(-1j * w2 * dt) / np.sqrt(2.0 * w2)
-    e2p = np.exp(1j * w2 * dt) / np.sqrt(2.0 * w2)
-    f = np.stack([c * e1m, s * e2m, c * e1p, s * e2p], axis=-1)
-    g = np.stack(
-        [-1j * z1 * c * e1m, -1j * w2 * s * e2m, 1j * z1 * c * e1p, 1j * w2 * s * e2p],
-        axis=-1,
-    )
-    return f, g
-
-
-def _quadrature_rows(t, p):
-    """Complex expansions of x_S(t) and p_S(t) over (a_S, a_E, a_S^dag,
-    a_E^dag) inside the window (t a float or an array), obtained by
-    composing the in-window mode functions with the Bogoliubov map."""
-    f, g = _mode_vectors(t + p.t0, _frame_at_peak(p))
-    m = bogoliubov_coeffs(p).matrix
-    return f @ m, g @ m
-
-
-def _real_row(phi):
-    """(Re, Im) of the a_S and a_E coefficients: the real quadrature factor."""
-    a_s, a_e = phi[..., 0], phi[..., 1]
-    return np.stack([a_s.real, a_s.imag, a_e.real, a_e.imag], axis=-1)
+    cc, ss, cs = c * c, s * s, c * s
+    diag, mix = cc * c1 + ss * c2, cs * (c2 - c1)
+    x_row = np.stack([diag, cc * s1 + ss * s2, mix, cs * (s2 - s1)], axis=-1)
+    p_row = np.stack([cc * r1 + ss * r2, diag, cs * (r2 - r1), mix], axis=-1)
+    vac = np.sqrt([1.0 / p.omega_s, p.omega_s, 1.0 / p.omega_e, p.omega_e])
+    return x_row * vac, p_row * vac
 
 
 def isoso_purity(t, p):
     """Exact purity for the top-hat coupling profile.
 
     Before the window the state is the vacuum (purity 1); after the window
-    the purity is frozen at its value at +t0.  The determinant is assembled
-    as a Cauchy-Binet sum of squared minors of the real 2x4 quadrature
-    factor, which avoids catastrophic cancellation deep in the supercritical
-    phase.
+    the purity is frozen at its value at +t0.  Inside it, det sigma_S is
+    the Cauchy-Binet sum of squared minors of the two real system rows,
+    free of the cancellation of a.a b.b - (a.b)^2 deep in the
+    supercritical phase.
 
     Args:
         t: time, or an array of times.
@@ -136,14 +75,14 @@ def isoso_purity(t, p):
 
     Raises:
         CriticalPoint: if xi0 is within the guard band of the critical value.
-        PrecisionFloor: if a purity is not finite (the mode functions
-            overflow deep in the supercritical phase); the message names
-            the first such time.
+        PrecisionFloor: if a purity is not finite (the cosh blocks overflow
+            deep in the supercritical phase); the message names the first
+            such time.
     """
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        phi_x, phi_p = _quadrature_rows(np.clip(t, -p.t0, p.t0), p)
-        gam = 1.0 / np.sqrt(4.0 * cauchy_binet(_real_row(phi_x), _real_row(phi_p)))
+        x_row, p_row = _system_rows(np.clip(t, -p.t0, p.t0), p)
+        gam = 1.0 / np.sqrt(cauchy_binet(x_row, p_row))
     gam = np.where(t <= -p.t0, 1.0, gam)
     bad = ~np.isfinite(gam)
     if np.any(bad):

@@ -3,7 +3,7 @@ frame, criticality/perturbativity measures, and regime classification.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -62,7 +62,8 @@ class ScenarioParams:
         if self.xi0 < 0:
             raise ConfigError("xi0 must be non-negative")
         # The normal-mode frequencies at peak coupling, and every Magnus
-        # exponent, are formed from these.
+        # exponent, are formed from these squares: none may overflow, and
+        # none of omega_s^2, omega_e^2, xi_c^2 may underflow.
         ws2, we2 = self.omega_s * self.omega_s, self.omega_e * self.omega_e
         d = we2 - ws2
         for name, value in (
@@ -73,6 +74,9 @@ class ScenarioParams:
         ):
             if not math.isfinite(value):
                 raise ConfigError("%s overflows a float at these parameters" % name)
+        for name, value in (("omega_s^2", ws2), ("omega_e^2", we2), ("xi_c^2", ws2 * we2)):
+            if value < np.finfo(float).tiny:
+                raise ConfigError("%s underflows a float at these parameters" % name)
         if not math.isfinite(2.0 * self.t_in):
             raise ConfigError(
                 "the window [%g, %g] is too long: its length overflows a float"
@@ -105,12 +109,6 @@ class ScenarioParams:
         if self.profile == SMOOTH:
             return -self.t0 - 20.0 * self.tau
         return -self.t0
-
-    def with_tau(self, tau):
-        return replace(self, tau=tau)
-
-    def with_profile(self, profile, tau=None):
-        return replace(self, profile=profile, tau=self.tau if tau is None else tau)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 runners that turn them into plot-ready CSV files."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -66,7 +67,7 @@ def _run_isoso_reference(name, scenarios, out):
     the near-top-hat limit."""
     summaries = []
     for i, p in scenarios.items():
-        traj = integrate(p.with_profile(SMOOTH, tau=1e-4 * p.t0))
+        traj = integrate(replace(p, profile=SMOOTH, tau=1e-4 * p.t0))
         m = (traj.t >= -p.t0) & (traj.t <= p.t0)
         output.write_csv(
             out("%s_compare%d.csv" % (name, i)),

@@ -6,16 +6,19 @@ integrator's mirrored step grid, the full-window march that the mirrored
 one replaced, the bisection threshold scan on dense samples that the
 bracketed scan on step nodes replaced, the per-row CSV writer that the
 numpy formatter replaced, the generator terms K0, K1 that the closed-form
-Magnus exponent replaced, and the reduced-map and top-hat diagnostics that
-only the tests evaluate (purity rate, CP witness, fidelity, Bures distance,
-vacuum correlators, in-window covariance, decoherence rate)."""
+Magnus exponent replaced, the complex Bogoliubov route of the top-hat
+purity that the real normal-mode rows replaced, and the reduced-map and
+top-hat diagnostics that only the tests evaluate (purity rate, CP witness,
+fidelity, Bures distance, vacuum correlators, in-window covariance,
+decoherence rate)."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from oscpurity.errors import OscPurityError, StepFailure
-from oscpurity.symplectic import det2
+from oscpurity.symplectic import cauchy_binet, det2
 
 #: Unit round-off of the extended-precision accumulator.
 LD_EPS = float(np.finfo(np.longdouble).eps)
@@ -695,6 +698,112 @@ def bures_distance(sigma1, sigma2):
     return float(np.sqrt(max(2.0 * (1.0 - f), 0.0)))
 
 
+@dataclass(frozen=True)
+class BogoliubovSet:
+    """Expansion of the in-window normal-mode operators (b1, b2, and their
+    window conjugates) over the free-mode operators (a_S, a_E, a_S^dag,
+    a_E^dag), referenced to the window start.
+
+    Attributes:
+        matrix: 4x4 complex map, rows (b1, b2, bbar1, bbar2), columns
+            (a_S, a_E, a_S^dag, a_E^dag).
+        delta_flag: 0 if omega1 is real (subcritical), 1 otherwise.
+    """
+
+    matrix: np.ndarray
+    delta_flag: int
+
+    def alpha(self, i, mode):
+        """Coefficient of a_mode ('S' or 'E') in b_i (i = 1 or 2)."""
+        return self.matrix[i - 1, 0 if mode == "S" else 1]
+
+    def beta(self, i, mode):
+        """Coefficient of a_mode^dag in b_i."""
+        return self.matrix[i - 1, 2 if mode == "S" else 3]
+
+
+def bogoliubov_coeffs(p):
+    """Bogoliubov coefficients from operator continuity at the window edge.
+
+    Args:
+        p: ScenarioParams (xi0 is the plateau coupling; t0 the half-window).
+
+    Returns:
+        BogoliubovSet.
+
+    Raises:
+        CriticalPoint: if xi0 is within the guard band of the critical value.
+    """
+    from oscpurity.isoso import _frame_at_peak
+
+    fr = _frame_at_peak(p)
+    theta = fr.theta
+    c, s = np.cos(theta), np.sin(theta)
+    trig = {(1, "S"): c, (1, "E"): -s, (2, "S"): s, (2, "E"): c}
+    mode_abs = {1: fr.omega1_abs, 2: fr.omega2}
+    # (-i)^delta: relative phase between position and momentum quadratures
+    # of an imaginary-frequency mode.
+    phase = {1: (-1j) ** fr.delta_flag, 2: 1.0 + 0.0j}
+    omega_free = {"S": p.omega_s, "E": p.omega_e}
+
+    def coeff(i, mode, s_sign, m_sign):
+        wi = mode_abs[i]
+        wf = omega_free[mode]
+        amp = np.sqrt(wi / wf) + s_sign * m_sign * phase[i] * np.sqrt(wf / wi)
+        return 0.5 * trig[(i, mode)] * amp * np.exp(1j * s_sign * wf * p.t0)
+
+    rows = [(1, +1), (2, +1), (1, -1), (2, -1)]  # (mode index, conjugation sign)
+    cols = [("S", +1), ("E", +1), ("S", -1), ("E", -1)]
+    m = np.array(
+        [[coeff(i, mode, s_sign, m_sign) for mode, s_sign in cols] for i, m_sign in rows]
+    )
+    return BogoliubovSet(matrix=m, delta_flag=fr.delta_flag)
+
+
+def _mode_vectors(dt, fr):
+    """Coefficient vectors expressing x_S and p_S over v at the times dt
+    since the window start (a float, or an array: (..., 4) results)."""
+    z1 = fr.omega1_complex
+    w1a, w2 = fr.omega1_abs, fr.omega2
+    c, s = np.cos(fr.theta), np.sin(fr.theta)
+    e1m = np.exp(-1j * z1 * dt) / np.sqrt(2.0 * w1a)
+    e1p = np.exp(1j * z1 * dt) / np.sqrt(2.0 * w1a)
+    e2m = np.exp(-1j * w2 * dt) / np.sqrt(2.0 * w2)
+    e2p = np.exp(1j * w2 * dt) / np.sqrt(2.0 * w2)
+    f = np.stack([c * e1m, s * e2m, c * e1p, s * e2p], axis=-1)
+    g = np.stack(
+        [-1j * z1 * c * e1m, -1j * w2 * s * e2m, 1j * z1 * c * e1p, 1j * w2 * s * e2p],
+        axis=-1,
+    )
+    return f, g
+
+
+def _quadrature_rows(t, p):
+    """Complex expansions of x_S(t) and p_S(t) over (a_S, a_E, a_S^dag,
+    a_E^dag) inside the window (t a float or an array), obtained by
+    composing the in-window mode functions with the Bogoliubov map."""
+    from oscpurity.isoso import _frame_at_peak
+
+    f, g = _mode_vectors(t + p.t0, _frame_at_peak(p))
+    m = bogoliubov_coeffs(p).matrix
+    return f @ m, g @ m
+
+
+def _real_row(phi):
+    """(Re, Im) of the a_S and a_E coefficients: the real quadrature factor."""
+    a_s, a_e = phi[..., 0], phi[..., 1]
+    return np.stack([a_s.real, a_s.imag, a_e.real, a_e.imag], axis=-1)
+
+
+def bogoliubov_purity(t, p):
+    """Top-hat purity by the Bogoliubov route: 1/sqrt(4 det) of the Gram
+    matrix of the real quadrature factors (Cauchy-Binet), at times t
+    (a float or an array) inside the window [-t0, t0]."""
+    phi_x, phi_p = _quadrature_rows(np.asarray(t, dtype=float), p)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return 1.0 / np.sqrt(4.0 * cauchy_binet(_real_row(phi_x), _real_row(phi_p)))
+
+
 def b_correlators(bset):
     """Vacuum two-point functions C[i, j] = <v_i v_j> of the top-hat normal
     modes v = (b1, b2, bbar1, bbar2): the Bogoliubov matrix contracted
@@ -706,9 +815,7 @@ def b_correlators(bset):
 
 def isoso_sigma_s(t, p):
     """System covariance block (2<x^2>, <xp+px>, 2<p^2>) inside the top-hat
-    window at one time t in [-t0, t0]."""
-    from oscpurity.isoso import _quadrature_rows
-
+    window at one time t in [-t0, t0], by the Bogoliubov route."""
     phi_x, phi_p = _quadrature_rows(t, p)
     x2 = abs(phi_x[0]) ** 2 + abs(phi_x[1]) ** 2
     p2 = abs(phi_p[0]) ** 2 + abs(phi_p[1]) ** 2

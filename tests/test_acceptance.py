@@ -8,6 +8,7 @@ targeted computations.
 
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_criterion_01_isoso_exactness():
     for psi in (1.1, 0.9):
         p = make_params(psi, profile="isoso")
         start = time.perf_counter()
-        traj = integrate(p.with_profile(SMOOTH, tau=1e-4 * p.t0))
+        traj = integrate(replace(p, profile=SMOOTH, tau=1e-4 * p.t0))
         errs = [
             abs(isoso.isoso_purity(t, p) - traj.purity_at(t))
             for t in np.linspace(-p.t0, p.t0, 201)

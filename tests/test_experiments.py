@@ -165,11 +165,15 @@ def test_window_longer_than_a_float_is_config_error(command, window, tmp_path, c
     [
         pytest.param("omega_s = 1e300\npsi = 0.9", "omega_s^2 overflows", id="omega_s-1e300"),
         pytest.param("psi = 1e300", "4 xi0^2 overflows", id="psi-1e300"),
+        pytest.param("omega_s = 1e-200\npsi = 0.9", "omega_s^2 underflows", id="omega_s-1e-200"),
+        pytest.param("omega_s = 1e-160\npsi = 0.9", "omega_s^2 underflows", id="omega_s-1e-160"),
     ],
 )
 def test_overflowing_squares_are_config_error(command, scenario, named, tmp_path, capsys):
     # Finite inputs whose squared frequencies or coupling overflow ended in
-    # an OverflowError traceback (exit 1); the scenario now refuses them.
+    # an OverflowError traceback (exit 1), and ones whose squares underflow
+    # ended in a ZeroDivisionError traceback or a false claim of critical
+    # coupling; the scenario now refuses both.
     path = tmp_path / "overflow.cfg"
     path.write_text("omega_e = 2\nt0 = 1\n%s\n" % scenario)
     out = str(tmp_path / "out")

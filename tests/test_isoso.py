@@ -1,22 +1,32 @@
 """Tests for the top-hat (instantaneous switch) closed-form solution.
 
-Two independent oracles pin the implementation:
-1. The constant-coupling symplectic propagator in closed form (rotate,
-   evolve each normal mode with the exact 2x2 cos/cosh block, rotate back)
-   gives the covariance directly.
-2. The commutation algebra of the matched operators: [b_i, b_j^dag] =
-   delta_ij for subcritical windows, which pins the coefficient
-   normalization independently of any dynamics.
+`isoso_purity` evaluates the real normal-mode propagator: rotate into the
+normal modes, evolve each with its exact 2x2 cos/cosh block, rotate back.
+Two oracles pin it:
+1. The Bogoliubov route (numutil): operator continuity at the window edge
+   and complex mode functions, a derivation independent of the src
+   formula.  Its own normalization is pinned by the commutation algebra of
+   the matched operators, [b_i, b_j^dag] = delta_ij for subcritical
+   windows, independently of any dynamics.
+2. The full 4x4 constant-coupling propagator of test_transport, built from
+   the same normal-mode idea, gives the whole covariance directly.
 """
 
 import numpy as np
 import pytest
-from numutil import b_correlators, decoherence_rate, isoso_sigma_s, purity_from_block
+from numutil import (
+    b_correlators,
+    bogoliubov_coeffs,
+    bogoliubov_purity,
+    decoherence_rate,
+    isoso_sigma_s,
+    purity_from_block,
+)
 
 from oscpurity.errors import CriticalPoint, InvalidCaseWarning, PrecisionFloor
-from oscpurity.isoso import bogoliubov_coeffs, isoso_purity, regime_purity
+from oscpurity.isoso import isoso_purity, regime_purity
 from oscpurity.model import EXPANSIONS, ScenarioParams, frame_from_xi
-from oscpurity.presets import REGIME_POINTS
+from oscpurity.presets import PRESETS, REGIME_POINTS
 from test_transport import oracle_sigma
 
 
@@ -97,6 +107,25 @@ def test_sigma_matches_oracle(psi):
         got = isoso_sigma_s(t, p)
         scale = max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(got - ref)) / scale < 1e-10
+
+
+def _route_scenarios():
+    for case, (t0, w, psi) in sorted(REGIME_POINTS.items()):
+        yield pytest.param(make_params(1.0 / w, psi, t0), id=case)
+    for name in ("fig3", "fig10", "fig11"):
+        for tag, p in PRESETS[name][1].items():
+            yield pytest.param(p, id="%s-%s" % (name, tag))
+    for psi in (0.3, 0.9, 1.1, 1.5, 2.5):
+        yield pytest.param(make_params(psi=psi), id="psi-%g" % psi)
+
+
+@pytest.mark.parametrize("p", _route_scenarios())
+def test_purity_matches_bogoliubov_route(p):
+    # The real normal-mode rows and the complex Bogoliubov matching give the
+    # same purity to a few round-offs on the regime, preset and psi scenarios.
+    ts = np.linspace(-p.t0, p.t0, 2001)
+    worst = np.max(np.abs(isoso_purity(ts, p) - bogoliubov_purity(ts, p)))
+    assert worst <= 32.0 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("psi", [0.3, 0.9])

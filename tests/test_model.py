@@ -2,6 +2,7 @@
 frame, regime classification, and config parsing."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_derived_quantities():
     assert p.psi == pytest.approx(0.9)
     assert p.w == pytest.approx(0.5)
     assert p.t_in == pytest.approx(-10.0 - 20.0)
-    assert p.with_profile(ISOSO).t_in == pytest.approx(-10.0)
+    assert replace(p, profile=ISOSO).t_in == pytest.approx(-10.0)
 
 
 def test_perturbativity_closed_forms_agree():

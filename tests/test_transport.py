@@ -308,7 +308,7 @@ def test_csv_layout_and_determinism():
 
 def test_isoso_reference_run_matches_analytic_window():
     p = make_params(psi=0.9, profile=ISOSO)
-    traj = integrate(p.with_profile(SMOOTH, tau=1e-4 * p.t0), IntegratorConfig())
+    traj = integrate(dataclasses.replace(p, profile=SMOOTH, tau=1e-4 * p.t0), IntegratorConfig())
     # The steep-switch reference stays close to the exact top-hat propagator.
     for t in (-5.0, 0.0, 5.0):
         ref = purity_from_block(oracle_sigma(t, p)[0:2, 0:2])
