@@ -42,6 +42,14 @@ from .transport import node_purities, propagate, purity_from_propagator
 #: Purity deficits below this are beyond double-precision resolution.
 DEFICIT_FLOOR = 1e-13
 
+#: A switch rate recoheres when its late-time deficit is below this fraction
+#: of the decoherence depth 1 - gamma_min.
+RECOHERENCE_CRITERION = 0.01
+
+#: Integrator settings of the threshold probes, which need deficits only to
+#: one part in 1e-5 or so.
+THRESHOLD_CONFIG = IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff")
+
 
 def _frame(t, p):
     """Normal-mode frame along the profile at t (float or array).
@@ -50,7 +58,7 @@ def _frame(t, p):
         SupercriticalExcursion: if omega1^2 <= 0 at any of the times.
     """
     fr = frame_from_xi(coupling_xi(t, p), p, coupling_xi_dot(t, p))
-    bad = ~(np.asarray(fr.omega1_sq) > 0)
+    bad = ~(fr.omega1_sq > 0)
     if np.any(bad):
         raise SupercriticalExcursion(
             "omega1^2 <= 0 at t = %g; the slow-switching expansion requires a "
@@ -165,7 +173,7 @@ def _chain(w, m):
 
 @dataclass
 class PhaseAccumulator:
-    """Accumulated phases and NLO moment integrals on [t_in, t_end].
+    """Accumulated phases and NLO moment integrals on the window [t_in, -t_in].
 
     W1/W2 are the integrals of the normal frequencies from t_in.  The three
     complex moment channels are the cumulative cosine/sine moments entering
@@ -174,15 +182,15 @@ class PhaseAccumulator:
     """
 
     params: object
-    t_end: float
-    edges: np.ndarray  # (K + 1,) panel edges from t_in to t_end
+    edges: np.ndarray  # (K + 1,) panel edges from t_in to -t_in
     w: np.ndarray  # (K, N + 1, 2) phases at the panel nodes
     m: np.ndarray  # (K, N + 1, 3) complex moments at the panel nodes
 
     def _at(self, t, values):
         """Barycentric interpolation of node values (K, N + 1, c) at the
-        times t, clipped to [t_in, t_end]: an array of shape t.shape + (c,)."""
-        t = np.clip(np.asarray(t, dtype=float), self.params.t_in, self.t_end)
+        times t, clipped to the window: an array of shape t.shape + (c,)."""
+        t_in = self.params.t_in
+        t = np.clip(np.asarray(t, dtype=float), t_in, -t_in)
         flat = t.reshape(-1)
         edges = self.edges
         k = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, len(edges) - 2)
@@ -207,9 +215,9 @@ class PhaseAccumulator:
         return i[..., 0][()], i[..., 1][()], i[..., 2][()]
 
 
-def accumulate_phases(p, t_end=None):
-    """Phases and moment integrals over [t_in, t_end] by cumulative
-    Chebyshev panel quadrature.
+def accumulate_phases(p):
+    """Phases and moment integrals over the window [t_in, -t_in] by
+    cumulative Chebyshev panel quadrature.
 
     The first panels are the steps of model.switch_segments with a cap of
     one period of the fastest channel, exp(2 i W2), and of tau, the scale on
@@ -220,7 +228,6 @@ def accumulate_phases(p, t_end=None):
 
     Args:
         p: ScenarioParams (smooth subcritical profile).
-        t_end: final time (default -t_in); an earlier one counts as t_in.
 
     Returns:
         PhaseAccumulator.
@@ -235,13 +242,10 @@ def accumulate_phases(p, t_end=None):
         raise SupercriticalExcursion(
             "peak coupling psi = %g >= 1; profile is not subcritical" % p.psi
         )
-    t_end = max(float(-p.t_in if t_end is None else t_end), p.t_in)
     # The fastest channel oscillates at 2 omega2 <= 2 omega2(peak).
     width = np.pi / frame_from_xi(p.xi0, p).omega2
-    segments = switch_segments(p, p.t_in, t_end, width, switch_cap=p.tau)
-    if t_end == p.t_in:  # one panel, only ever read at t_in
-        segments = [(p.t_in, p.t_in + width, 1)]
-    share = ATOL / (segments[-1][1] - p.t_in)
+    segments = switch_segments(p, p.t_in, -p.t_in, width, switch_cap=p.tau)
+    share = ATOL / (-2.0 * p.t_in)
 
     def rule(lo, hi):
         w, m, err, scale = _panels(lo, hi, p)
@@ -251,12 +255,12 @@ def accumulate_phases(p, t_end=None):
     _, (lo, hi, _, converged, w, m) = refine_panels(segments, rule)
     if not np.all(converged):
         raise QuadratureNoConvergence(
-            "phase quadrature did not converge on [%g, %g]" % (p.t_in, t_end)
+            "phase quadrature did not converge on [%g, %g]" % (p.t_in, -p.t_in)
         )
     order = np.argsort(lo)
     w, m = w[order], m[order]
     _chain(w, m)
-    return PhaseAccumulator(p, t_end, np.append(lo[order], hi[order][-1]), w, m)
+    return PhaseAccumulator(p, np.append(lo[order], hi[order][-1]), w, m)
 
 
 def _lo(fr):
@@ -286,25 +290,21 @@ def _nlo_terms(t, fr, acc):
     return itilde_omega, itilde_theta
 
 
-def _accumulator(t, p, acc):
-    return acc if acc is not None else accumulate_phases(p, t_end=float(np.max(t)))
-
-
-def nlo_contributions(t, p, acc=None):
+def nlo_contributions(t, acc):
     """The two grouped NLO contributions (Itilde_omega, Itilde_theta) at t
-    (float or array).
+    (float or array) of the scenario of acc, a PhaseAccumulator.
 
     Itilde_omega collects the frequency-modulation (particle-creation)
     channel; Itilde_theta the frame-rotation channel.
     """
-    return _nlo_terms(t, _frame(t, p), _accumulator(t, p, acc))
+    return _nlo_terms(t, _frame(t, acc.params), acc)
 
 
-def purity_nlo_correction(t, p, acc=None):
+def purity_nlo_correction(t, acc):
     """Next-to-leading-order purity correction delta gamma^(1) at t (float
-    or array)."""
-    fr = _frame(t, p)
-    itilde_omega, itilde_theta = _nlo_terms(t, fr, _accumulator(t, p, acc))
+    or array) of the scenario of acc, a PhaseAccumulator."""
+    fr = _frame(t, acc.params)
+    itilde_omega, itilde_theta = _nlo_terms(t, fr, acc)
     return 0.5 * np.sin(2.0 * fr.theta) * _lo(fr) ** 3 * (itilde_omega - itilde_theta)
 
 
@@ -322,17 +322,17 @@ def latetime_purity(ps, cfg: Optional[IntegratorConfig] = None):
     return np.array([purity_from_propagator(u, p) for u, p in zip(us, ps)])
 
 
-def loglog_slope(ratios, deficits, floor=DEFICIT_FLOOR):
+def loglog_slope(ratios, deficits):
     """Centered log-log slopes of a deficit series.
 
     Args:
         ratios: abscissa values (e.g. tau/t0), strictly increasing.
         deficits: positive ordinate values (e.g. 1 - gamma_inf).
-        floor: resolution floor; points below it are flagged.
 
     Returns:
         (mid_ratios, slopes, flags): slopes d ln(deficit)/d ln(ratio) at
-        interior points; flags marks slopes touching a floored point.
+        interior points; flags marks slopes touching a point below
+        DEFICIT_FLOOR.
 
     Raises:
         DerivativeUndefined: fewer than three grid points.
@@ -341,7 +341,7 @@ def loglog_slope(ratios, deficits, floor=DEFICIT_FLOOR):
     deficits = np.asarray(deficits, dtype=float)
     if len(ratios) < 3:
         raise DerivativeUndefined("need at least three points for a centered slope")
-    floored = deficits < floor
+    floored = deficits < DEFICIT_FLOOR
     logs = np.log(np.maximum(deficits, 1e-300))
     logr = np.log(ratios)
     slopes = (logs[2:] - logs[:-2]) / (logr[2:] - logr[:-2])
@@ -379,21 +379,15 @@ def nonanalyticity_slope(p, tau_grid, cfg: Optional[IntegratorConfig] = None):
     }
 
 
-def recoherence_threshold_scan(
-    p_base,
-    tau_over_t0_grid,
-    t_omega_bounds=(0.1, 30.0),
-    criterion=0.01,
-    cfg: Optional[IntegratorConfig] = None,
-    rel_resolution=0.01,
-):
+def recoherence_threshold_scan(p_base, tau_over_t0_grid, t_omega_bounds=(0.1, 30.0),
+                               rel_resolution=0.01):
     """Largest resonance parameter still recohering, per switch rate.
 
     For each tau/t0, finds the largest T_omega = w_S/(w_E - w_S) for which
-    the late-time deficit satisfies 1 - gamma_inf < criterion *
-    (1 - gamma_min), with gamma_min the smallest system purity over the
-    integrator's step nodes, to a bracket [lo, hi] with hi / lo <= 1 +
-    rel_resolution; the threshold is sqrt(lo hi).  The coupling is kept at
+    the late-time deficit satisfies 1 - gamma_inf < RECOHERENCE_CRITERION *
+    (1 - gamma_min), with gamma_min the smallest system purity over the step
+    nodes of a THRESHOLD_CONFIG run, to a bracket [lo, hi] with hi / lo <=
+    1 + rel_resolution; the threshold is sqrt(lo hi).  The coupling is kept at
     the base scenario's psi while omega_e follows T_omega.
 
     The first switch rate is bracketed by the bounds.  Each later one starts
@@ -435,9 +429,6 @@ def recoherence_threshold_scan(
         raise ConfigError(
             "the threshold scan needs 0 < lower < upper bound and rel_resolution > 0"
         )
-    if cfg is None:
-        # The threshold only needs deficits to one part in 1e-5 or so.
-        cfg = IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff")
     psi = p_base.psi
     # Just under sqrt(1 + rel_resolution), so that round-off cannot leave the
     # first bracket wider than the resolution.
@@ -457,9 +448,9 @@ def recoherence_threshold_scan(
                 )
                 for t in t_omegas
             ]
-            gammas = node_purities(ps, cfg)
+            gammas = node_purities(ps, THRESHOLD_CONFIG)
             probes += len(t_omegas)
-            return [(1.0 - gamma[-1]) < criterion * (1.0 - np.min(gamma)) for gamma in gammas]
+            return [(1.0 - g[-1]) < RECOHERENCE_CRITERION * (1.0 - np.min(g)) for g in gammas]
 
         if results:
             # On the line through the last two thresholds, the first one's

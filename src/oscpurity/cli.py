@@ -125,7 +125,7 @@ def cmd_adiabatic(args):
     lo = total = adiabatic.purity_adiabatic_lo(ts, p)
     header, columns = "t,purity_lo", [ts, lo]
     if args.order == 1:
-        nlo = adiabatic.purity_nlo_correction(ts, p, adiabatic.accumulate_phases(p))
+        nlo = adiabatic.purity_nlo_correction(ts, adiabatic.accumulate_phases(p))
         header, columns, total = header + ",delta_nlo", columns + [nlo], lo + nlo
     output.write_csv(out("adiabatic.csv"), header, columns)
     output.emit(output.summarize_purity(p, total), args.json)
@@ -208,7 +208,7 @@ def run_sweep(p, cfg, grid, reduction):
     from . import adiabatic
 
     if reduction == "threshold":
-        res = adiabatic.recoherence_threshold_scan(p, grid / p.t0, cfg=None)
+        res = adiabatic.recoherence_threshold_scan(p, grid / p.t0)
         return {
             "kind": "threshold",
             "tau_over_t0": res["tau_over_t0"],
@@ -279,8 +279,6 @@ def phase_diagram(w_grid, psi_grid):
     """
     rows = []
     for w in w_grid:
-        if w > 1.0:
-            raise ConfigError("w > 1: swap the two oscillators instead")
         for psi in psi_grid:
             label = classify_regime(float(w), float(psi))
             rows.append(

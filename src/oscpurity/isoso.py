@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 from .errors import CriticalPoint, InvalidCaseWarning, PrecisionFloor
-from .model import EXPANSION_NAMES, EXPANSIONS, classify_regime, frame_from_xi
+from .model import EXPANSION_NAMES, EXPANSIONS, classify_regime, frame_from_xi, vacuum_root
 from .symplectic import cauchy_binet
 
 #: Guard band around the critical coupling.
@@ -25,10 +25,11 @@ def _frame_at_peak(p):
     return frame_from_xi(p.xi0, p)
 
 
-def _mode_block(w_sq, w_abs, dt):
+def _mode_block(w_sq, dt):
     """Entries (C, S, -w^2 S) of the normal-mode block M = [[C, S], [-w^2 S,
     C]]: (cos w dt, sin(w dt)/w), or (cosh k dt, sinh(k dt)/k) for w^2 =
     -k^2 < 0."""
+    w_abs = np.sqrt(np.abs(w_sq))
     if w_sq < 0.0:
         c, s = np.cosh(w_abs * dt), np.sinh(w_abs * dt) / w_abs
     else:
@@ -46,14 +47,14 @@ def _system_rows(t, p):
     """
     fr = _frame_at_peak(p)
     dt = t + p.t0
-    c1, s1, r1 = _mode_block(fr.omega1_sq, fr.omega1_abs, dt)
-    c2, s2, r2 = _mode_block(fr.omega2_sq, fr.omega2, dt)
+    c1, s1, r1 = _mode_block(fr.omega1_sq, dt)
+    c2, s2, r2 = _mode_block(fr.omega2_sq, dt)
     c, s = np.cos(fr.theta), np.sin(fr.theta)
     cc, ss, cs = c * c, s * s, c * s
     diag, mix = cc * c1 + ss * c2, cs * (c2 - c1)
     x_row = np.stack([diag, cc * s1 + ss * s2, mix, cs * (s2 - s1)], axis=-1)
     p_row = np.stack([cc * r1 + ss * r2, diag, cs * (r2 - r1), mix], axis=-1)
-    vac = np.sqrt([1.0 / p.omega_s, p.omega_s, 1.0 / p.omega_e, p.omega_e])
+    vac = vacuum_root(p)
     return x_row * vac, p_row * vac
 
 
@@ -125,8 +126,8 @@ def regime_purity(case, dt, p):
         )
     fr = _frame_at_peak(p)
     dt = np.asarray(dt, dtype=float)
-    z1 = fr.omega1_complex
-    w1a, w2 = fr.omega1_abs, fr.omega2
+    z1 = np.emath.sqrt(fr.omega1_sq)
+    w1a, w2 = abs(z1), fr.omega2
     w, psi = p.w, p.psi
     dpsi = complex(1.0 - psi)
 

@@ -27,6 +27,9 @@ from .symplectic import OMEGA2, det2, eig_sym2, symmetrize
 #: Guard for the 1/sqrt(1 - gamma^4) singularity of the Bures velocity.
 EPS_PURE = 1e-9
 
+#: Relative tolerance of the complete-positivity test of B.
+CP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MapPair:
@@ -34,8 +37,6 @@ class MapPair:
 
     X: np.ndarray
     Y: np.ndarray
-    t_a: float
-    t_b: float
 
 
 def system_hamiltonian(p):
@@ -103,7 +104,7 @@ def map_pair_evolve(p, traj, t_a, t_b, rtol=1e-10, atol=1e-12):
         ValueError: if [t_a, t_b] leaves the trajectory's window.
     """
     if t_b == t_a:
-        return MapPair(np.eye(2), np.zeros((2, 2)), t_a, t_b)
+        return MapPair(np.eye(2), np.zeros((2, 2)))
     steps = traj.step_t
     edges = np.concatenate([[t_a], steps[(steps > t_a) & (steps < t_b)], [t_b]])
     width = 0.05 * np.pi / np.sqrt(normal_mode_sq(p.xi0, p)[1])
@@ -116,28 +117,28 @@ def map_pair_evolve(p, traj, t_a, t_b, rtol=1e-10, atol=1e-12):
     b = noise_B(s, traj.sigma_at(s), p)
     x = _free_rotation(p, t_b - s)
     y = np.einsum("n,nij,njk,nlk->il", (half * _GL_W).ravel(), x, b, x)
-    return MapPair(_free_rotation(p, t_b - t_a), symmetrize(y), t_a, t_b)
+    return MapPair(_free_rotation(p, t_b - t_a), symmetrize(y))
 
 
 def compose(first, second):
     """Composition of two map pairs applied in sequence."""
     x = second.X @ first.X
     y = second.X @ first.Y @ second.X.T + second.Y
-    return MapPair(x, symmetrize(y), first.t_a, second.t_b)
+    return MapPair(x, symmetrize(y))
 
 
-def cp_check_infinitesimal(b, tol=1e-12):
+def cp_check_infinitesimal(b):
     """Complete positivity of an infinitesimal step: B must be positive
     semidefinite.
 
     The smaller eigenvalue carries round-off of order eps |B|, so the
-    tolerance is relative: lambda_minus >= -tol max(1, |lambda_plus|).
+    tolerance is relative: lambda_minus >= -CP_TOL max(1, |lambda_plus|).
 
     Returns:
         (is_cp, lambda_minus), arrays over a stack of B.
     """
     lam_m, lam_p = eig_sym2(b)
-    return lam_m >= -tol * np.maximum(1.0, np.abs(lam_p)), lam_m
+    return lam_m >= -CP_TOL * np.maximum(1.0, np.abs(lam_p)), lam_m
 
 
 # ---------------------------------------------------------------------------

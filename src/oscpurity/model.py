@@ -217,7 +217,9 @@ def switch_segments(p, t_start, t_end, cap, *, switch_cap):
             scale: tau / 5 for the integrator, tau for both quadratures).
 
     Returns:
-        list of (lo, hi, n): n = max(1, ceil((hi - lo) / step)) steps.
+        list of (lo, hi, n): n = max(1, ceil((hi - lo) / step)) steps, or
+        MAX_STEPS + 1 where that count is above MAX_STEPS or not finite (a
+        step of 0 included), which every caller refuses.
     """
     if p.profile == ISOSO:
         candidates = [-p.t0, p.t0]
@@ -235,7 +237,8 @@ def switch_segments(p, t_start, t_end, cap, *, switch_cap):
         mid = 0.5 * (lo + hi)
         switch = p.profile == SMOOTH and min(abs(mid + p.t0), abs(mid - p.t0)) <= near
         step = min(cap, switch_cap) if switch else cap
-        segments.append((lo, hi, max(1, math.ceil((hi - lo) / step))))
+        n = (hi - lo) / step if step > 0 else math.inf
+        segments.append((lo, hi, max(1, math.ceil(n)) if n <= MAX_STEPS else MAX_STEPS + 1))
     return segments
 
 
@@ -301,6 +304,11 @@ def perturbativity_gp(p):
     )
 
 
+def vacuum_root(p):
+    """sqrt of the vacuum covariance diagonal (1/w_S, w_S, 1/w_E, w_E)."""
+    return np.sqrt([1.0 / p.omega_s, p.omega_s, 1.0 / p.omega_e, p.omega_e])
+
+
 # ---------------------------------------------------------------------------
 # Rotated (normal-mode) frame
 # ---------------------------------------------------------------------------
@@ -313,32 +321,22 @@ class AdiabaticFrame:
     Attributes:
         theta: mixing angle in [0, pi/2).
         theta_dot: d theta/dt (0 if the profile derivative is unavailable).
-        omega1_sq, omega2_sq: squared normal frequencies (omega1_sq may be
-            negative above the critical coupling).
-        omega1_abs: |omega1|; omega2: the always-real upper frequency.
-        delta_flag: 0 if omega1 is real, 1 if imaginary.
+        omega1_sq, omega2_sq: squared normal frequencies (omega1_sq is
+            negative above the critical coupling, where omega1 is imaginary).
+        omega2: the always-real upper frequency.
         beta1, beta2: omega_i_dot / (2 omega_i) (real in both phases).
 
-    Every field is a float, or an array when the frame was built for an
-    array of couplings.
+    Every field is an array of the shape of the couplings the frame was
+    built for (0-d for one coupling).
     """
 
-    theta: float
-    theta_dot: float
-    omega1_sq: float
-    omega2_sq: float
-    omega1_abs: float
-    omega2: float
-    delta_flag: int
-    beta1: float
-    beta2: float
-
-    @property
-    def omega1_complex(self):
-        """omega1 as a complex number: i^delta |omega1|."""
-        if self.delta_flag:
-            return 1j * self.omega1_abs
-        return complex(self.omega1_abs)
+    theta: np.ndarray
+    theta_dot: np.ndarray
+    omega1_sq: np.ndarray
+    omega2_sq: np.ndarray
+    omega2: np.ndarray
+    beta1: np.ndarray
+    beta2: np.ndarray
 
 
 def normal_mode_sq(xi, p):
@@ -368,34 +366,24 @@ def frame_from_xi(xi, p, xi_dot=0.0):
             broadcast against xi.
 
     Returns:
-        AdiabaticFrame: float fields for a float xi and xi_dot, else array
-        fields of their broadcast shape.
+        AdiabaticFrame with fields of the broadcast shape of xi and xi_dot.
 
     Raises:
         CriticalPoint: if |omega1^2| < 1e-12 * omega_s^2 (coupling at the
             critical value) anywhere; callers must branch to the numeric
             integrator.
     """
-    scalar = np.ndim(xi) == 0 and np.ndim(xi_dot) == 0
-    if scalar:
-        xi, xi_dot = float(xi), float(xi_dot)
-    else:
-        xi, xi_dot = np.broadcast_arrays(
-            np.asarray(xi, dtype=float), np.asarray(xi_dot, dtype=float)
-        )
-    ws2 = p.omega_s**2
-    we2 = p.omega_e**2
-    d = we2 - ws2
-    s = ws2 + we2
-    r2 = d * d + 4.0 * xi * xi
-    r = np.sqrt(r2)
-    # (s - r) / 2 without its cancellation, as in normal_mode_sq.
-    omega1_sq = 2.0 * (p.xi_c - xi) * (p.xi_c + xi) / (s + r)
-    omega2_sq = 0.5 * (s + r)
-    if np.any(np.abs(omega1_sq) < CRITICAL_GUARD * ws2):
+    xi, xi_dot = np.broadcast_arrays(
+        np.asarray(xi, dtype=float), np.asarray(xi_dot, dtype=float)
+    )
+    omega1_sq, omega2_sq = normal_mode_sq(xi, p)
+    if np.any(np.abs(omega1_sq) < CRITICAL_GUARD * p.omega_s**2):
         raise CriticalPoint(
             "coupling is at the critical value; the closed-form frame is singular"
         )
+    d = p.omega_e**2 - p.omega_s**2
+    r2 = d * d + 4.0 * xi * xi
+    r = np.sqrt(r2)
     # theta = 0.5 * arctan(2 xi / d), kept continuous through d = 0 by the
     # two-argument arctangent; for d > 0 this lands in [0, pi/4).
     theta = 0.5 * np.arctan2(2.0 * xi, d)
@@ -404,20 +392,15 @@ def frame_from_xi(xi, p, xi_dot=0.0):
     # (r == 0) to the denominators makes theta_dot and both rates 0 there.
     theta_dot = xi_dot * d / (r2 + (r2 == 0))
     dw2sq = 2.0 * xi * xi_dot / (r + (r == 0))
-    fields = dict(
+    return AdiabaticFrame(
         theta=theta,
         theta_dot=theta_dot,
         omega1_sq=omega1_sq,
         omega2_sq=omega2_sq,
-        omega1_abs=np.sqrt(np.abs(omega1_sq)),
         omega2=np.sqrt(omega2_sq),
         beta1=-dw2sq / (4.0 * omega1_sq),
         beta2=dw2sq / (4.0 * omega2_sq),
     )
-    if scalar:
-        fields = {k: float(v) for k, v in fields.items()}
-        return AdiabaticFrame(delta_flag=int(omega1_sq < 0), **fields)
-    return AdiabaticFrame(delta_flag=(omega1_sq < 0).astype(int), **fields)
 
 
 # ---------------------------------------------------------------------------

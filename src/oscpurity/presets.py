@@ -12,8 +12,8 @@ from .model import SMOOTH, ScenarioParams
 from .transport import integrate
 
 
-def _p(omega_e, psi, t0, tau=1.0, profile="smooth", omega_s=1.0):
-    return ScenarioParams.from_psi(omega_s, omega_e, psi, t0, tau, profile)
+def _p(omega_e, psi, t0, tau=1.0, profile="smooth"):
+    return ScenarioParams.from_psi(1.0, omega_e, psi, t0, tau, profile)
 
 
 #: The labelled expansion points: case -> (t0, w, psi).
@@ -108,11 +108,11 @@ def _run_adiabatic(name, scenarios, out):
         output.write_csv(
             out("fig9_contributions.csv"),
             "t,itilde_omega,itilde_theta",
-            [ts, *adiabatic.nlo_contributions(ts, p, acc)],
+            [ts, *adiabatic.nlo_contributions(ts, acc)],
         )
     else:
         lo = adiabatic.purity_adiabatic_lo(ts, p)
-        nlo = adiabatic.purity_nlo_correction(ts, p, acc)
+        nlo = adiabatic.purity_nlo_correction(ts, acc)
         output.write_csv(
             out("%s_adiabatic.csv" % name),
             "t,purity_exact,purity_lo,purity_lo_plus_nlo",

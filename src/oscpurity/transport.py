@@ -54,7 +54,10 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConfigError, StepFailure
-from .model import ISOSO, MAX_STEPS, IntegratorConfig, coupling_xi, normal_mode_sq, switch_segments
+from .model import (
+    ISOSO, MAX_STEPS, IntegratorConfig, coupling_xi, normal_mode_sq, switch_segments,
+    vacuum_root,
+)
 from .symplectic import cauchy_binet
 
 #: Gauss-Legendre nodes of the sixth-order Magnus step, as fractions of it.
@@ -84,15 +87,10 @@ _CHUNK = 4096
 _GROUP = 64
 
 
-def _vacuum_root(p):
-    """sqrt of the vacuum covariance diagonal (1/w_S, w_S, 1/w_E, w_E)."""
-    return np.sqrt([1.0 / p.omega_s, p.omega_s, 1.0 / p.omega_e, p.omega_e])
-
-
 def sigma_from_propagator(u, p):
     """Covariance sigma = L L^T evolved from the vacuum by U (one matrix or a
     (N, 4, 4) stack)."""
-    l = np.asarray(u) * _vacuum_root(p)
+    l = np.asarray(u) * vacuum_root(p)
     return l @ np.swapaxes(l, -1, -2)
 
 
@@ -104,7 +102,7 @@ def purity_from_propagator(u, p, mode="S"):
     cancellation-free form even when the block entries are exponentially
     large.  Works on one propagator or on a (N, 4, 4) stack.
     """
-    l = np.asarray(u) * _vacuum_root(p)
+    l = np.asarray(u) * vacuum_root(p)
     r = 0 if mode == "S" else 2
     return 1.0 / np.sqrt(cauchy_binet(l[..., r, :], l[..., r + 1, :]))
 
@@ -389,9 +387,9 @@ class Trajectory:
         array of times."""
         return sigma_from_propagator(self.propagator_at(t), self.params)
 
-    def purity_at(self, t, mode="S"):
-        """Purity at an arbitrary time (propagator route)."""
-        return purity_from_propagator(self.propagator_at(t), self.params, mode)
+    def purity_at(self, t):
+        """System purity at an arbitrary time (propagator route)."""
+        return purity_from_propagator(self.propagator_at(t), self.params)
 
 
 def _omega2_peak(p):

@@ -740,10 +740,11 @@ def bogoliubov_coeffs(p):
     theta = fr.theta
     c, s = np.cos(theta), np.sin(theta)
     trig = {(1, "S"): c, (1, "E"): -s, (2, "S"): s, (2, "E"): c}
-    mode_abs = {1: fr.omega1_abs, 2: fr.omega2}
+    mode_abs = {1: np.sqrt(abs(fr.omega1_sq)), 2: fr.omega2}
     # (-i)^delta: relative phase between position and momentum quadratures
-    # of an imaginary-frequency mode.
-    phase = {1: (-1j) ** fr.delta_flag, 2: 1.0 + 0.0j}
+    # of an imaginary-frequency mode (delta = 1 where omega1^2 < 0).
+    delta_flag = int(fr.omega1_sq < 0)
+    phase = {1: (-1j) ** delta_flag, 2: 1.0 + 0.0j}
     omega_free = {"S": p.omega_s, "E": p.omega_e}
 
     def coeff(i, mode, s_sign, m_sign):
@@ -757,14 +758,14 @@ def bogoliubov_coeffs(p):
     m = np.array(
         [[coeff(i, mode, s_sign, m_sign) for mode, s_sign in cols] for i, m_sign in rows]
     )
-    return BogoliubovSet(matrix=m, delta_flag=fr.delta_flag)
+    return BogoliubovSet(matrix=m, delta_flag=delta_flag)
 
 
 def _mode_vectors(dt, fr):
     """Coefficient vectors expressing x_S and p_S over v at the times dt
     since the window start (a float, or an array: (..., 4) results)."""
-    z1 = fr.omega1_complex
-    w1a, w2 = fr.omega1_abs, fr.omega2
+    z1 = np.sqrt(complex(fr.omega1_sq))  # i |omega1| where omega1^2 < 0
+    w1a, w2 = abs(z1), fr.omega2
     c, s = np.cos(fr.theta), np.sin(fr.theta)
     e1m = np.exp(-1j * z1 * dt) / np.sqrt(2.0 * w1a)
     e1p = np.exp(1j * z1 * dt) / np.sqrt(2.0 * w1a)
@@ -830,4 +831,4 @@ def decoherence_rate(p):
 
     if p.xi0 <= p.xi_c:
         return None
-    return frame_from_xi(p.xi0, p).omega1_abs
+    return float(np.sqrt(-frame_from_xi(p.xi0, p).omega1_sq))

@@ -143,7 +143,7 @@ def test_default_tolerances_agree_with_tight_reference(omega_e, psi, t0, tau, mo
     for got, want in [
         (acc.phases(ts), ref.phases(ts)),
         (acc.memory_integrals(ts), ref.memory_integrals(ts)),
-        (purity_nlo_correction(ts, p, acc), purity_nlo_correction(ts, p, ref)),
+        (purity_nlo_correction(ts, acc), purity_nlo_correction(ts, ref)),
     ]:
         got, want = np.array(got), np.array(want)
         assert np.max(np.abs(got - want)) <= 1e-12 + 1e-10 * np.max(np.abs(want))
@@ -154,12 +154,12 @@ def test_grid_evaluation_matches_per_time():
     acc = accumulate_phases(p)
     ts = np.linspace(p.t_in, -p.t_in, 23)
     grid = np.array(
-        [purity_adiabatic_lo(ts, p), purity_nlo_correction(ts, p, acc)]
-        + list(nlo_contributions(ts, p, acc))
+        [purity_adiabatic_lo(ts, p), purity_nlo_correction(ts, acc)]
+        + list(nlo_contributions(ts, acc))
     ).T
     per_time = [
-        (purity_adiabatic_lo(t, p), purity_nlo_correction(t, p, acc))
-        + nlo_contributions(t, p, acc)
+        (purity_adiabatic_lo(t, p), purity_nlo_correction(t, acc))
+        + nlo_contributions(t, acc)
         for t in ts
     ]
     assert np.allclose(grid, per_time, rtol=1e-12, atol=1e-15)
@@ -197,13 +197,13 @@ def test_nlo_correction_vanishes_at_late_time():
     p = make_params(tau=10.0)
     acc = accumulate_phases(p)
     t_late = -p.t_in  # xi/xi_c < 1e-10 there
-    assert abs(purity_nlo_correction(t_late, p, acc)) < 1e-8
+    assert abs(purity_nlo_correction(t_late, acc)) < 1e-8
 
 
 def test_nlo_contributions_signature():
     p = make_params(tau=10.0)
     acc = accumulate_phases(p)
-    io_, ith = nlo_contributions(0.0, p, acc)
+    io_, ith = nlo_contributions(0.0, acc)
     assert np.isfinite(io_) and np.isfinite(ith)
     # Particle creation dominates the frame-rotation channel here.
     assert abs(io_) > abs(ith)
@@ -255,13 +255,11 @@ def test_nonanalyticity_slope_increasing():
 
 
 def test_threshold_scan_no_threshold():
-    # With an impossible criterion the scan cannot succeed at the lower
-    # bound and reports it.
+    # With both bounds above the threshold the criterion already fails at
+    # the lower one, and the scan reports it.
     p = make_params(t0=1.0)
     with pytest.raises(NoThreshold):
-        recoherence_threshold_scan(
-            p, [1.0, 2.0], t_omega_bounds=(0.5, 2.0), criterion=1e-12
-        )
+        recoherence_threshold_scan(p, [1.0, 2.0], t_omega_bounds=(20.0, 30.0))
 
 
 @pytest.mark.parametrize("grid", [(), (0.8,)])

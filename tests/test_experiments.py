@@ -146,6 +146,49 @@ def test_absurd_window_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+#: The subcommands that step a config's window, and those that panel it,
+#: each with the budget message its count ends in.
+_STEPS = "more than %d steps" % model.MAX_STEPS
+_PANELS = "more than %d panels" % model.MAX_PANELS
+_STEPPED = [(["simulate"], _STEPS), (["markov"], _STEPS)]
+_PANELLED = [(["perturb"], _PANELS), (["adiabatic", "--order", "1"], _PANELS)]
+
+
+@pytest.mark.parametrize(
+    "config, runs",
+    [
+        pytest.param(
+            "omega_e = 2\npsi = 0.9\nt0 = 1\ntau = 0.5\nmax_step = 5e-324\n", _STEPPED,
+            id="max_step-5e-324",
+        ),
+        pytest.param(
+            "omega_e = 2\npsi = 0.9\nt0 = 1\ntau = 0.5\nmax_step = 1e-320\n", _STEPPED,
+            id="max_step-1e-320",
+        ),
+        pytest.param(
+            "omega_e = 2\npsi = 0.9\nt0 = 1e300\ntau = 0.5\nmax_step = 1e-10\n", _STEPPED,
+            id="t0-1e300-max_step-1e-10",
+        ),
+        pytest.param(
+            "omega_e = 2\npsi = 0.9\nt0 = 1e-13\ntau = 5e-324\n", _STEPPED + _PANELLED,
+            id="tau-5e-324",
+        ),
+    ],
+)
+def test_step_count_beyond_a_float_is_numerical_failure(config, runs, tmp_path, capsys):
+    # A step so small, or a window so long, that (hi - lo) / step overflows
+    # (or tau / 5 underflows to 0) ended in an OverflowError or
+    # ZeroDivisionError traceback with exit 1.  The count is over budget:
+    # exit 3 naming the budget, on every subcommand that takes the config.
+    path = tmp_path / "budget.cfg"
+    path.write_text(config)
+    for argv, named in runs:
+        rc = main(argv + ["--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 3, (argv, err)
+        assert err.startswith("numerical failure") and named in err, (argv, err)
+
+
 @pytest.mark.parametrize("command", ["simulate", "markov", "perturb", "adiabatic"])
 @pytest.mark.parametrize("window", ["t0 = 1.7e308\ntau = 0.5", "t0 = 1.7e308\nprofile = isoso"])
 def test_window_longer_than_a_float_is_config_error(command, window, tmp_path, capsys):

@@ -25,7 +25,7 @@ from numutil import (
 
 from oscpurity.errors import CriticalPoint, InvalidCaseWarning, PrecisionFloor
 from oscpurity.isoso import isoso_purity, regime_purity
-from oscpurity.model import EXPANSIONS, ScenarioParams, frame_from_xi
+from oscpurity.model import EXPANSIONS, ScenarioParams
 from oscpurity.presets import PRESETS, REGIME_POINTS
 from test_transport import oracle_sigma
 
@@ -146,11 +146,10 @@ def test_supercritical_purity_decay_rate():
     # Deep in the window gamma ~ exp(-|omega1| dt); the closed form must
     # stay accurate far beyond where the covariance determinant underflows.
     p = make_params(psi=2.5)
-    fr = frame_from_xi(p.xi0, p)
     ts = np.linspace(2.0, 9.0, 15)
     lg = np.log([isoso_purity(t, p) for t in ts])
     slope = np.polyfit(ts, lg, 1)[0]
-    assert slope == pytest.approx(-fr.omega1_abs, rel=0.02)
+    assert slope == pytest.approx(-decoherence_rate(p), rel=0.02)
     assert np.isfinite(isoso_purity(10.0, p))
 
 
@@ -165,7 +164,8 @@ def test_overflow_is_precision_floor():
 def test_decoherence_rate():
     assert decoherence_rate(make_params(psi=0.9)) is None
     p = make_params(psi=1.5)
-    assert decoherence_rate(p) == pytest.approx(frame_from_xi(p.xi0, p).omega1_abs)
+    h = np.array([[p.omega_s**2, p.xi0], [p.xi0, p.omega_e**2]])
+    assert decoherence_rate(p) == pytest.approx(np.sqrt(-np.linalg.eigvalsh(h)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def test_symplectic_unitary_map_is_cp():
 
     phi = 0.7
     x = np.array([[np.cos(phi), np.sin(phi)], [-np.sin(phi), np.cos(phi)]])
-    pair = MapPair(x, np.zeros((2, 2)), 0.0, 1.0)
+    pair = MapPair(x, np.zeros((2, 2)))
     is_cp, witness = cp_check(pair)
     assert is_cp
     assert abs(witness) < 1e-12

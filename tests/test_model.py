@@ -314,7 +314,7 @@ def test_frame_eigenvalues_match_numpy(w, psi):
     ev = np.linalg.eigvalsh(h)
     assert fr.omega1_sq == pytest.approx(ev[0], rel=1e-9, abs=1e-9)
     assert fr.omega2_sq == pytest.approx(ev[1], rel=1e-9)
-    assert fr.delta_flag == (1 if ev[0] < 0 else 0)
+    assert (fr.omega1_sq < 0) == (ev[0] < 0)
 
 
 @pytest.mark.parametrize("ratio", [2.0, 10.0, 100.0, 1e4, 1e6])
@@ -337,13 +337,13 @@ def test_lower_normal_frequency_matches_mpmath(ratio, psi):
 
 
 def test_supercritical_flag_and_complex_frequency():
+    # omega1^2 changes sign at the critical coupling, so omega1 is
+    # imaginary above it; omega1^2 omega2^2 = det H = xi_c^2 - xi^2.
     p = make_params(psi=1.5)
-    fr = frame_from_xi(p.xi0, p)
-    assert fr.delta_flag == 1
-    assert fr.omega1_complex == pytest.approx(1j * fr.omega1_abs)
-    sub = frame_from_xi(0.5 * p.xi_c, p)
-    assert sub.delta_flag == 0
-    assert sub.omega1_complex == pytest.approx(sub.omega1_abs)
+    for xi, sign in ((p.xi0, -1.0), (0.5 * p.xi_c, 1.0)):
+        fr = frame_from_xi(xi, p)
+        assert np.sign(fr.omega1_sq) == sign
+        assert fr.omega1_sq * fr.omega2_sq == pytest.approx(p.xi_c**2 - xi**2, rel=1e-12)
 
 
 def test_critical_point_raises():

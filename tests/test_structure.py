@@ -1,9 +1,9 @@
 """Guards on the package's module structure: every public function and
-class has a caller outside the tests, no module reaches into another
-module's private names, output is formatted and written by one module, input
-text is read by one module, the analytic and physics layers load without
-the layers above them, and a CLI call loads only the layers its subcommand
-runs."""
+class, and every defaulted parameter, has a caller outside the tests, no
+module reaches into another module's private names, output is formatted and
+written by one module, input text is read by one module, the analytic and
+physics layers load without the layers above them, and a CLI call loads only
+the layers its subcommand runs."""
 
 import ast
 import glob
@@ -45,6 +45,59 @@ def test_every_public_name_has_a_caller():
             )
             used.update(name for name in refs if name != own)
     assert sorted(entry for entry in public if entry[1] not in used) == []
+
+
+def test_every_default_is_passed_by_a_caller():
+    # Every parameter with a default, of every function and method of the
+    # package, is passed by some call in src/ or perfbench/ (matched by the
+    # function's name): by keyword, by position (after self or cls), or
+    # through *args or **kwargs.  An option that no caller sets is a fixed
+    # choice and belongs in the body or in a module constant.
+    paths = glob.glob(os.path.join(SRC, "oscpurity", "*.py"))
+    paths += glob.glob(os.path.join(os.path.dirname(SRC), "perfbench", "*.py"))
+    calls, defaults = {}, []
+    for path in paths:
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        module = os.path.basename(path) if path.startswith(SRC) else None
+        methods = {
+            item for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                # The called name: f of f(...) or of obj.f(...).
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords
+                )
+                calls.setdefault(name, []).append(
+                    (len(node.args), spread, {k.arg for k in node.keywords})
+                )
+            elif module and isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if node in methods and positional[:1] in (["self"], ["cls"]):
+                    positional = positional[1:]
+                first = len(positional) - len(args.defaults)
+                defaults += [
+                    (module, node.name, name, i)
+                    for i, name in enumerate(positional[first:], first)
+                ]
+                defaults += [
+                    (module, node.name, a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                ]
+    unpassed = [
+        "%s: %s.%s" % (module, function, name)
+        for module, function, name, index in defaults
+        if not any(
+            spread or name in keywords or (index is not None and count > index)
+            for count, spread, keywords in calls.get(function, [])
+        )
+    ]
+    assert unpassed == []
 
 
 def test_no_module_imports_private_names_of_another():
