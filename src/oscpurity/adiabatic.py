@@ -13,7 +13,6 @@ every quantity here is evaluated on a whole array of times at once.
 """
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -47,8 +46,9 @@ DEFICIT_FLOOR = 1e-13
 RECOHERENCE_CRITERION = 0.01
 
 #: Integrator settings of the threshold probes, which need deficits only to
-#: one part in 1e-5 or so.
-THRESHOLD_CONFIG = IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff")
+#: one part in 1e-5 or so; like every solve, each probe covers the window
+#: [t_in, -t_in].
+THRESHOLD_CONFIG = IntegratorConfig(rtol=1e-7, atol=1e-9)
 
 
 def _frame(t, p):
@@ -243,7 +243,7 @@ def accumulate_phases(p):
             "peak coupling psi = %g >= 1; profile is not subcritical" % p.psi
         )
     # The fastest channel oscillates at 2 omega2 <= 2 omega2(peak).
-    width = np.pi / frame_from_xi(p.xi0, p).omega2
+    width = np.pi / p.omega2_peak
     segments = switch_segments(p, p.t_in, -p.t_in, width, switch_cap=p.tau)
     share = ATOL / (-2.0 * p.t_in)
 
@@ -308,17 +308,16 @@ def purity_nlo_correction(t, acc):
     return 0.5 * np.sin(2.0 * fr.theta) * _lo(fr) ** 3 * (itilde_omega - itilde_theta)
 
 
-def latetime_purity(ps, cfg: Optional[IntegratorConfig] = None):
+def latetime_purity(ps, cfg):
     """Frozen late-time purities of a list of scenarios from the exact
     integrator.
 
-    Propagates every scenario to its coupling-cutoff end point (threshold
-    1e-10 by default) in one transport.propagate call, without samples, and
-    returns the purities there as an array, one per scenario.
+    Propagates every scenario over its window [t_in, -t_in], to where the
+    switch-off is complete, in one transport.propagate call with the
+    IntegratorConfig cfg, without samples, and returns the purities at -t_in
+    as an array, one per scenario.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
-    us = propagate(ps, replace(cfg, t_end_policy="cutoff"))
+    us = propagate(ps, cfg)
     return np.array([purity_from_propagator(u, p) for u, p in zip(us, ps)])
 
 
@@ -349,7 +348,7 @@ def loglog_slope(ratios, deficits):
     return ratios[1:-1], slopes, flags
 
 
-def nonanalyticity_slope(p, tau_grid, cfg: Optional[IntegratorConfig] = None):
+def nonanalyticity_slope(p, tau_grid, cfg=None):
     """Late-time deficit slope diagnostic over a switch-time grid.
 
     The scenarios at every tau of the grid are solved in one latetime_purity

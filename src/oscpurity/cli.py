@@ -20,9 +20,8 @@ from .model import (
 
 _SWEEP_KEYS = {"param", "grid", "min", "max", "count", "reduction"}
 
-#: Integrator keys that a late-time purity cannot honour: it runs to the
-#: cutoff end point and takes no samples.
-_LATETIME_IGNORES = frozenset({"t_end_policy", "sample_dt"})
+#: Integrator keys that a late-time purity cannot honour: it takes no samples.
+_LATETIME_IGNORES = frozenset({"sample_dt"})
 
 #: Every integrator key: what the threshold scan sets itself, and what the
 #: closed forms and quadratures of isoso, perturb and adiabatic never read.
@@ -86,6 +85,11 @@ def cmd_isoso(args):
 
     out = output.out_dir(args.out)
     p, _ = _load_scenario(args, _INTEGRATOR_KEYS)
+    if p.profile != ISOSO:
+        raise ConfigError(
+            "the top-hat closed form needs profile = isoso; it would ignore the "
+            "smooth switch"
+        )
     ts = np.linspace(-p.t0, p.t0, 2001)
     gam = isoso.isoso_purity(ts, p)
     header, columns = "t,purity_analytic", [ts, gam]
@@ -139,7 +143,7 @@ def cmd_markov(args):
     out = output.out_dir(args.out)
     p, cfg = _load_scenario(args)
     traj = integrate(p, cfg)
-    series = markov.markov_series(traj, p, args.surrogate, stride=4)
+    series = markov.markov_series(traj, args.surrogate)
     output.write_markov_csv(out("markov.csv"), series)
     summary = output.summarize_purity(
         p,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import coupling_xi, normal_mode_sq
+from .model import coupling_xi
 from .symplectic import OMEGA2, det2, eig_sym2, symmetrize
 
 #: Guard for the 1/sqrt(1 - gamma^4) singularity of the Bures velocity.
@@ -29,6 +29,9 @@ EPS_PURE = 1e-9
 
 #: Relative tolerance of the complete-positivity test of B.
 CP_TOL = 1e-12
+
+#: markov_series analyses every SERIES_STRIDE-th trajectory sample.
+SERIES_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def map_pair_evolve(p, traj, t_a, t_b, rtol=1e-10, atol=1e-12):
         return MapPair(np.eye(2), np.zeros((2, 2)))
     steps = traj.step_t
     edges = np.concatenate([[t_a], steps[(steps > t_a) & (steps < t_b)], [t_b]])
-    width = 0.05 * np.pi / np.sqrt(normal_mode_sq(p.xi0, p)[1])
+    width = 0.05 * np.pi / p.omega2_peak
     span = np.diff(edges)
     cuts = np.maximum(1, np.ceil(np.abs(span) / width)).astype(int)
     h = np.repeat(span / cuts, cuts)
@@ -265,8 +268,9 @@ def surrogate_B(name, sigma_s, gamma, b):
     raise ValueError("unknown surrogate %r" % (name,))
 
 
-def markov_series(traj, p, surrogate="drop-negative", stride=1):
-    """Pointwise Markovianity analysis at every stride-th trajectory sample.
+def markov_series(traj, surrogate):
+    """Pointwise Markovianity analysis of the scenario traj.params at every
+    SERIES_STRIDE-th trajectory sample, with the named surrogate.
 
     Returns:
         dict of arrays: t, purity, lambda_minus, lambda_plus, v_bures,
@@ -274,11 +278,12 @@ def markov_series(traj, p, surrogate="drop-negative", stride=1):
         cp_flag (infinitesimal CP of the surrogate), flagged
         (pure-state-singularity points, reported as NaN velocities).
     """
-    dt_fd = 1e-6 * 2.0 * np.pi / np.sqrt(normal_mode_sq(p.xi0, p)[1])
-    t = traj.t[::stride]
-    sigma = traj.sigma[::stride]
+    p = traj.params
+    dt_fd = 1e-6 * 2.0 * np.pi / p.omega2_peak
+    t = traj.t[::SERIES_STRIDE]
+    sigma = traj.sigma[::SERIES_STRIDE]
     sigma_s = sigma[:, 0:2, 0:2]
-    gamma = traj.purity_s[::stride]
+    gamma = traj.purity_s[::SERIES_STRIDE]
     b = noise_B(t, sigma, p)
     bt = surrogate_B(surrogate, sigma_s, gamma, b)
     lam_m, lam_p = eig_sym2(b)

@@ -82,6 +82,11 @@ class ScenarioParams:
                 "the window [%g, %g] is too long: its length overflows a float"
                 % (self.t_in, -self.t_in)
             )
+        if self.profile == SMOOTH and self.t_in == -self.t0:
+            raise ConfigError(
+                "tau = %g vanishes next to t0 = %g: the window [t_in, -t_in] would "
+                "end inside the switch" % (self.tau, self.t0)
+            )
 
     @classmethod
     def from_psi(cls, omega_s, omega_e, psi, t0, tau=1.0, profile=SMOOTH):
@@ -110,10 +115,15 @@ class ScenarioParams:
             return -self.t0 - 20.0 * self.tau
         return -self.t0
 
+    @property
+    def omega2_peak(self):
+        """Upper normal frequency at the peak coupling xi0."""
+        return np.sqrt(normal_mode_sq(self.xi0, self)[1])
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration controls.
+    """Integration controls; every solve covers the window [t_in, -t_in].
 
     Attributes:
         rtol, atol: bound on the Richardson error estimate of each
@@ -121,25 +131,18 @@ class IntegratorConfig:
         max_step: optional step cap of the integrator's coarse first
             level, so that accepted steps are at most max_step / 2.
         sample_dt: output cadence (default (2 pi/omega2)/40 at peak coupling).
-        t_end_policy: "fixed" (window mirrors t_in) or "cutoff" (stop once
-            xi/xi_c drops below cutoff_threshold).
-        cutoff_threshold: threshold for the cutoff policy.
 
     Raises:
-        ConfigError: on an unknown policy, a non-positive or non-finite
-            tolerance, step or cadence, or a threshold outside (0, 1).
+        ConfigError: on a non-positive or non-finite tolerance, step or
+            cadence.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
     max_step: Optional[float] = None
     sample_dt: Optional[float] = None
-    t_end_policy: str = "fixed"
-    cutoff_threshold: float = 1e-10
 
     def __post_init__(self):
-        if self.t_end_policy not in ("fixed", "cutoff"):
-            raise ConfigError("t_end_policy must be 'fixed' or 'cutoff'")
         if not (math.isfinite(self.rtol) and self.rtol > 0):
             raise ConfigError("rtol must be positive and finite")
         if not (math.isfinite(self.atol) and self.atol >= 0):
@@ -148,8 +151,6 @@ class IntegratorConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ConfigError("%s must be positive and finite" % name)
-        if not 0 < self.cutoff_threshold < 1:
-            raise ConfigError("cutoff_threshold must lie in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +563,7 @@ def config_from_pairs(kv):
 
     if kv.get("method", "RK45") not in _LEGACY_METHODS:
         raise ConfigError("method must be one of %s" % ", ".join(_LEGACY_METHODS))
-    integ = {
-        key: kv[key] if key == "t_end_policy" else _f(key)
-        for key in integrator_keys
-        if key in kv
-    }
+    integ = {key: _f(key) for key in integrator_keys if key in kv}
     return p, IntegratorConfig(**integ)
 
 

@@ -54,7 +54,7 @@ def _run_trajectories(name, scenarios, out):
         traj = integrate(p)
         output.write_trajectory(out("%s_traj%d.csv" % (name, i)), traj)
         if name.startswith("fig14"):
-            series = markov.markov_series(traj, p, "drop-negative", stride=4)
+            series = markov.markov_series(traj, "drop-negative")
             output.write_markov_csv(
                 out("%s_markov%d.csv" % (name, i)), series
             )

@@ -21,10 +21,10 @@ there is no commutator at run time.
 The switch profile is even, so only t >= 0 is stepped.  With R = diag(1, -1,
 1, -1), R K(t) R = -K(-t), and the propagator of [-b, -a] is S U^T S for the
 propagator U of [a, b], S swapping x and p within each mode; the step nodes
-of t < 0 are the running products of these mirrored steps.  The segments of
-model.switch_segments on [0, t_end] (and a forward tail where the cutoff
-policy ends the window before -t_in) refine together: each starts from a
-coarse step count (a fifth of the fastest period, tau / 5 in the switch
+of t < 0 are the running products of these mirrored steps.  Every solve
+covers the window [t_in, -t_in], where the switch-off is complete.  The
+segments of model.switch_segments on [0, -t_in] refine together: each starts
+from a coarse step count (a fifth of the fastest period, tau / 5 in the switch
 regions) that serves only as the first Richardson estimate, and each level
 doubles the number of equal steps of every segment still refining until the
 segment's estimate |P_2n - P_n| / 63 is at most atol + rtol |P_2n| (max-abs
@@ -40,10 +40,10 @@ scenario's propagator is the same bit for bit alone or in any batch.
 
 `integrate` keeps the propagator at every step node and samples the window
 with one partial Magnus step from the node before each sample; arbitrary-time
-queries (`propagator_at`, `sigma_at`, `purity_at`) use the same partial step.
-`propagate` returns only U at the end point of each of a list of scenarios,
-for callers that need nothing but the late-time value, and `node_purities`
-only the system purity at the step nodes.
+queries (`propagator_at`, `sigma_at`) use the same partial step.  `propagate`
+returns only U at the end point -t_in of each of a list of scenarios, for
+callers that need nothing but the late-time value, and `node_purities` only
+the system purity at the step nodes.
 """
 
 import functools
@@ -54,10 +54,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConfigError, StepFailure
-from .model import (
-    ISOSO, MAX_STEPS, IntegratorConfig, coupling_xi, normal_mode_sq, switch_segments,
-    vacuum_root,
-)
+from .model import MAX_STEPS, IntegratorConfig, coupling_xi, switch_segments, vacuum_root
 from .symplectic import cauchy_binet
 
 #: Gauss-Legendre nodes of the sixth-order Magnus step, as fractions of it.
@@ -94,17 +91,16 @@ def sigma_from_propagator(u, p):
     return l @ np.swapaxes(l, -1, -2)
 
 
-def purity_from_propagator(u, p, mode="S"):
-    """Single-mode purity 1/sqrt(det sigma_mode) from the propagator.
+def purity_from_propagator(u, p):
+    """System purity 1/sqrt(det sigma_S) from the propagator.
 
-    With L = U diag(sqrt(vacuum)), the mode block is L_r L_r^T for its row
-    pair r, so its determinant is the sum of squared 2x2 minors of L_r -- a
+    With L = U diag(sqrt(vacuum)), sigma_S is L_r L_r^T for the system rows
+    r of L, so its determinant is the sum of squared 2x2 minors of L_r -- a
     cancellation-free form even when the block entries are exponentially
     large.  Works on one propagator or on a (N, 4, 4) stack.
     """
     l = np.asarray(u) * vacuum_root(p)
-    r = 0 if mode == "S" else 2
-    return 1.0 / np.sqrt(cauchy_binet(l[..., r, :], l[..., r + 1, :]))
+    return 1.0 / np.sqrt(cauchy_binet(l[..., 0, :], l[..., 1, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +331,11 @@ class Trajectory:
         t: sample times (strictly increasing).
         propagator: (N, 4, 4) symplectic propagators from t_in.
         purity_s: system purity (propagator route).
-        sigma, purity_e, xi: covariance samples, environment purity and
-            coupling at each sample, derived on first access.
+        sigma, xi: covariance samples and coupling at each sample, derived
+            on first access.
         step_t: times of the integrator's step nodes (strictly increasing
-            from t_in), between which every query is one smooth partial
-            step; the nodes of t < 0 mirror those of t > 0, apart from the
-            forward steps where the cutoff moves the window's end off -t_in.
+            from t_in to -t_in), between which every query is one smooth
+            partial step; the nodes of t < 0 mirror those of t > 0.
     """
 
     def __init__(self, t, propagator, params, grid):
@@ -349,23 +344,15 @@ class Trajectory:
         self.params = params
         self._grid = grid
         self.step_t = grid.t
-        self.purity_s = purity_from_propagator(self.propagator, params, "S")
+        self.purity_s = purity_from_propagator(self.propagator, params)
 
     @functools.cached_property
     def sigma(self):
         return sigma_from_propagator(self.propagator, self.params)
 
     @functools.cached_property
-    def purity_e(self):
-        return purity_from_propagator(self.propagator, self.params, "E")
-
-    @functools.cached_property
     def xi(self):
         return np.asarray(coupling_xi(self.t, self.params), dtype=float)
-
-    @property
-    def t_end(self):
-        return float(self.t[-1])
 
     def propagator_at(self, t):
         """Propagator at an arbitrary time, or a (N, 4, 4) stack at an array
@@ -387,44 +374,10 @@ class Trajectory:
         array of times."""
         return sigma_from_propagator(self.propagator_at(t), self.params)
 
-    def purity_at(self, t):
-        """System purity at an arbitrary time (propagator route)."""
-        return purity_from_propagator(self.propagator_at(t), self.params)
-
-
-def _omega2_peak(p):
-    return np.sqrt(normal_mode_sq(p.xi0, p)[1])
-
 
 def default_sample_dt(p):
     """Default output cadence (2 pi / omega2)/40 at peak coupling."""
-    return 2.0 * np.pi / _omega2_peak(p) / 40.0
-
-
-def _resolve_t_end(p, cfg):
-    """End of the window: -t_in, or with the cutoff policy the first t >= t0
-    where xi(t) falls to cutoff_threshold xi_c.
-
-    The smooth profile is xi(t) = xi0 2 C / [(C + cosh(2 t/tau)) (1 +
-    tanh^2(t0/tau))] with C = cosh(2 t0/tau), so the cutoff solves
-    cosh(2 t/tau) = C R with R = 2 xi0 / (target (1 + tanh^2(t0/tau))) - 1.
-    With L = ln(C R), t = (tau/2) arccosh(e^L) = (tau/2) (L + log1p(sqrt(1 -
-    e^(-2L)))), which never forms C, so it holds where cosh(2 t0/tau)
-    overflows.
-    """
-    if cfg.t_end_policy == "fixed":
-        return -p.t_in
-    if p.profile == ISOSO:
-        return p.t0
-    target = cfg.cutoff_threshold * p.xi_c
-    x = 2.0 * p.t0 / p.tau
-    log_c = x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
-    peak = 2.0 * p.xi0 / (1.0 + math.tanh(p.t0 / p.tau) ** 2)
-    if peak <= 2.0 * target:  # R <= 1: xi(t0) is already at or below target
-        return p.t0
-    log_cr = log_c + math.log(peak - target) - math.log(target)
-    arccosh = log_cr + math.log1p(math.sqrt(-math.expm1(-2.0 * log_cr)))
-    return max(p.t0, 0.5 * p.tau * arccosh)
+    return 2.0 * np.pi / p.omega2_peak / 40.0
 
 
 def _start_segments(p, t_start, t_end, cfg):
@@ -436,23 +389,20 @@ def _start_segments(p, t_start, t_end, cfg):
     in the switch regions.  The tolerance alone then sets the accepted grid,
     whose steps are at most half of these.
     """
-    cap = 0.2 * 2.0 * np.pi / _omega2_peak(p)
+    cap = 0.2 * 2.0 * np.pi / p.omega2_peak
     if cfg.max_step is not None:
         cap = min(cap, cfg.max_step)
     return switch_segments(p, t_start, t_end, cap, switch_cap=p.tau / 5.0)
 
 
 def _solve(ps, cfg, keep_nodes):
-    """Propagate U from t_in to the end time of each scenario of the list ps,
-    stepping only t >= 0 and mirroring it onto t < 0.
+    """Propagate U over the window [t_in, -t_in] of each scenario of the
+    list ps, stepping only t >= 0 and mirroring it onto t < 0.
 
     xi is even, so with R = diag(1, -1, 1, -1) the generator obeys
     R K(t) R = -K(-t), and a symplectic propagator U over [a, b] has the
     mirror image _mirror(U) = S U^T S over [-b, -a].  Only the segments of
-    [0, t_half], t_half = min(t_end, -t_in), are stepped; the window's
-    [-t_half, 0] is their mirror.  Forward segments cover the rest: the tail
-    [t_in, -t_half] where the cutoff policy ends the window before -t_in,
-    the head [t_half, t_end] where it ends it after.
+    [0, -t_in] are stepped; the window's [t_in, 0] is their mirror.
 
     The segments of all scenarios refine together, in groups of at most
     _GROUP scenarios: each pass is one _segment_propagators call over every
@@ -462,43 +412,37 @@ def _solve(ps, cfg, keep_nodes):
     The segment that starts at 0 is tested on the whole mirrored segment
     [-hi, hi], P S P^T S: its half alone would converge a level early.  A
     failure is raised for the first segment that fails, in the order of the
-    scenarios and within one of tail, half and head, once every segment
-    before it converged, as if the segments were refined one after the
-    other; the segments after it stop refining.
+    scenarios and of their segments, once every segment before it converged,
+    as if the segments were refined one after the other; the segments after
+    it stop refining.
 
     The nodes of t < 0 are the running products of the mirrored steps
     S e^T S in reverse order, marched forward from t_in like every other
     node.  Deriving them from the nodes of t > 0 would need the inverse of
-    U(t_end, 0), which cancels like exp(2 gamma t) where U grows.
+    U(-t_in, 0), which cancels like exp(2 gamma t) where U grows.
 
     Returns:
-        per scenario (U(t_end), grid): grid is the _StepGrid of all step
+        per scenario (U(-t_in), grid): grid is the _StepGrid of all step
         nodes with keep_nodes, else None.
     """
     if len(ps) > _GROUP:
         groups = (ps[g : g + _GROUP] for g in range(0, len(ps), _GROUP))
         return [r for group in groups for r in _solve(group, cfg, keep_nodes)]
-    # Every scenario's segments in one list, in the order failures are
-    # raised; layout[s] holds the first segment of scenario s, its central
-    # one, and the ends of its halves and of its segments.
-    owner, bounds, n, span, layout = [], [], [], [], []
+    # Every scenario's segments of [0, -t_in] in one list, in the order
+    # failures are raised; starts[s] is the first segment of scenario s, the
+    # central one, and starts[-1] the end of the list.
+    owner, bounds, n, starts = [], [], [], []
     for s, p in enumerate(ps):
-        t_end = _resolve_t_end(p, cfg)
-        t_half = min(t_end, -p.t_in)
-        tail = _start_segments(p, p.t_in, -t_half, cfg) if -t_half > p.t_in else []
-        half = _start_segments(p, 0.0, t_half, cfg)
-        head = _start_segments(p, t_half, t_end, cfg) if t_end > t_half else []
-        centre = len(bounds) + len(tail)
-        layout.append((len(bounds), centre, centre + len(half), centre + len(half) + len(head)))
-        for lo, hi, count in tail + half + head:
+        starts.append(len(bounds))
+        for lo, hi, count in _start_segments(p, 0.0, -p.t_in, cfg):
             owner.append(s)
             bounds.append((lo, hi))
             n.append(count)
-            span.append((lo, hi))
-        # The intervals that failure messages name: the central segment's
-        # Richardson test covers its mirror too.
-        span[centre] = (-half[0][1], half[0][1])
-    centres = {centre for _, centre, _, _ in layout}
+    starts.append(len(bounds))
+    centres = set(starts[:-1])
+    # The intervals that failure messages name: a central segment's
+    # Richardson test covers its mirror too.
+    span = [(-hi, hi) if k in centres else (lo, hi) for k, (lo, hi) in enumerate(bounds)]
     # result[k]: None while refining, (P, steps) once converged, or the
     # failure message.
     result = [
@@ -564,45 +508,36 @@ def _solve(ps, cfg, keep_nodes):
             if not level[3] and result[level[0]] is None:
                 settle(i, error[i] <= tol[i])
     return [
-        _nodes(p, bounds[a:d], n[a:d], result[a:d], b - a, c - a, keep_nodes)
-        for p, (a, b, c, d) in zip(ps, layout)
+        _nodes(p, bounds[a:b], n[a:b], result[a:b], keep_nodes)
+        for p, a, b in zip(ps, starts, starts[1:])
     ]
 
 
-def _nodes(p, bounds, n, done, centre, stop, keep_nodes):
-    """U(t_end) and, with keep_nodes, the _StepGrid of one scenario from its
-    converged segments: done[k] = (P, steps) for the segments of bounds
-    with n[k] steps, the half being centre:stop."""
-    halves = range(centre, stop)
+def _nodes(p, bounds, n, done, keep_nodes):
+    """U(-t_in) and, with keep_nodes, the _StepGrid of one scenario from its
+    converged segments of [0, -t_in]: done[k] = (P, steps) for the segments
+    of bounds with n[k] steps."""
     if not keep_nodes:
-        u = w = _EYE
-        for k in range(centre):
-            u = done[k][0] @ u
-        for k in halves:
-            w = done[k][0] @ w
-        u = w @ _mirror(w) @ u
-        for k in range(stop, len(bounds)):
-            u = done[k][0] @ u
-        return u, None
-    # Lay the steps out in time order in one buffer, leaving room for the
-    # mirrored half before the half they mirror, then march them in place
-    # into the nodes.
-    m = sum(n[k] for k in halves)
-    size = 1 + sum(n) + m
+        w = _EYE
+        for total, _ in done:
+            w = total @ w
+        return w @ _mirror(w), None
+    # Lay the steps of [0, -t_in] out in time order in one buffer after room
+    # for their m mirrored steps, then march them in place into the nodes.
+    m = sum(n)
+    size = 1 + 2 * m
     times, props = np.empty(size), np.empty((size, 4, 4))
-    times[0], props[0], end = p.t_in, _EYE, 1
-    for k, ((lo, hi), count) in enumerate(zip(bounds, n)):
-        if k == centre:
-            mid, end = end, end + m
+    times[0], props[0], end = p.t_in, _EYE, 1 + m
+    for (lo, hi), count, (_, steps) in zip(bounds, n, done):
         times[end : end + count] = lo + (hi - lo) / count * np.arange(1, count + 1)
         times[end + count - 1] = hi
-        props[end : end + count] = done[k][1]
+        props[end : end + count] = steps
         end += count
     # Each step of t >= 0 ends at a node of t > 0 and starts at one of
     # t >= 0, whose negative is a node of the mirrored half.
-    times[mid : mid + m - 1] = -times[mid + m : mid + 2 * m - 1][::-1]
-    times[mid + m - 1] = 0.0
-    props[mid : mid + m] = _mirror(props[mid + m : mid + 2 * m][::-1])
+    times[1:m] = -times[m + 1 : 2 * m][::-1]
+    times[m] = 0.0
+    props[1 : m + 1] = _mirror(props[m + 1 :][::-1])
     for lo in range(1, size, _CHUNK):
         hi = min(size, lo + _CHUNK)
         np.matmul(_prefix(props[lo:hi]), props[lo - 1], out=props[lo:hi])
@@ -610,15 +545,15 @@ def _nodes(p, bounds, n, done, centre, stop, keep_nodes):
 
 
 def propagate(ps, cfg=IntegratorConfig()):
-    """Propagator U(t_end) over each scenario's window, without samples.
+    """Propagator U(-t_in) over each scenario's window [t_in, -t_in], without
+    samples.
 
     Args:
         ps: list of ScenarioParams, solved together.
-        cfg: IntegratorConfig shared by all of them; the end time follows
-            cfg.t_end_policy as in integrate.
+        cfg: IntegratorConfig shared by all of them.
 
     Returns:
-        list of U(t_end), one per scenario, each the same bit for bit as
+        list of U(-t_in), one per scenario, each the same bit for bit as
         when its scenario is solved alone.
 
     Raises:
@@ -649,7 +584,8 @@ def node_purities(ps, cfg=IntegratorConfig()):
 
 
 def integrate(p, cfg=IntegratorConfig()):
-    """Integrate the transport equation over the scenario window.
+    """Integrate the transport equation over the scenario window
+    [t_in, -t_in].
 
     Args:
         p: ScenarioParams.
@@ -665,16 +601,14 @@ def integrate(p, cfg=IntegratorConfig()):
         ConfigError: if the window holds more than MAX_STEPS samples (checked
             after the steps: a window too long to step is a StepFailure).
     """
-    t_start = p.t_in
-    t_end = _resolve_t_end(p, cfg)
     sample_dt = cfg.sample_dt if cfg.sample_dt is not None else default_sample_dt(p)
     ((_, grid),) = _solve([p], cfg, keep_nodes=True)
-    intervals = (t_end - t_start) / sample_dt
+    intervals = -2.0 * p.t_in / sample_dt
     if intervals + 1 > MAX_STEPS:
         raise ConfigError(
             "sample_dt = %g asks for %.4g samples, more than %d"
             % (sample_dt, intervals + 1, MAX_STEPS)
         )
     n_samples = max(int(np.ceil(intervals)) + 1, 2)
-    ts = np.linspace(t_start, t_end, n_samples)
+    ts = np.linspace(p.t_in, -p.t_in, n_samples)
     return Trajectory(ts, grid.at(ts), p, grid)

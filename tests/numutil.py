@@ -7,10 +7,11 @@ one replaced, the bisection threshold scan on dense samples that the
 bracketed scan on step nodes replaced, the per-row CSV writer that the
 numpy formatter replaced, the generator terms K0, K1 that the closed-form
 Magnus exponent replaced, the complex Bogoliubov route of the top-hat
-purity that the real normal-mode rows replaced, and the reduced-map and
-top-hat diagnostics that only the tests evaluate (purity rate, CP witness,
-fidelity, Bures distance, vacuum correlators, in-window covariance,
-decoherence rate)."""
+purity that the real normal-mode rows replaced, and the trajectory,
+reduced-map and top-hat diagnostics that only the tests evaluate (purity at
+arbitrary times, environment purity, purity rate, CP witness, fidelity,
+Bures distance, vacuum correlators, in-window covariance, decoherence
+rate)."""
 
 import math
 from dataclasses import dataclass
@@ -127,15 +128,14 @@ def adiabatic_frame(t, p):
     return frame_from_xi(xi, p, xi_dot)
 
 
-def solve_per_segment(p, cfg, t_end, keep_nodes):
+def solve_per_segment(p, cfg, keep_nodes):
     """The integrator's mirrored step grid refined one segment at a time, one
     exponent call per chunk of each level, as an oracle for the batched
-    refinement of `transport._solve`: the segments of [0, t_half], t_half =
-    min(t_end, -t_in), are stepped and mirrored onto [-t_half, 0]; a tail
-    [t_in, -t_half] and a head [t_half, t_end] are stepped forward.
+    refinement of `transport._solve`: the segments of [0, -t_in] are stepped
+    and mirrored onto [t_in, 0].
 
     Returns:
-        (U(t_end), step_t, nodes, levels): with keep_nodes the step node
+        (U(-t_in), step_t, nodes, levels): with keep_nodes the step node
         times and propagators from t_in (else None), and the number of
         levels each segment evaluated.
     """
@@ -171,50 +171,39 @@ def solve_per_segment(p, cfg, t_end, keep_nodes):
                 )
             coarse, n = est, 2 * n
 
-    t_half = min(t_end, -p.t_in)
-    tail = tr._start_segments(p, p.t_in, -t_half, cfg) if -t_half > p.t_in else []
-    half = tr._start_segments(p, 0.0, t_half, cfg)
-    head = tr._start_segments(p, t_half, t_end, cfg) if t_end > t_half else []
     done = [
-        (lo, hi) + segment(lo, hi, n, k == len(tail))
-        for k, (lo, hi, n) in enumerate(tail + half + head)
+        (lo, hi) + segment(lo, hi, n, k == 0)
+        for k, (lo, hi, n) in enumerate(tr._start_segments(p, 0.0, -p.t_in, cfg))
     ]
     levels = [d[-1] for d in done]
-    at, stop = len(tail), len(tail) + len(half)
     if not keep_nodes:
-        u = w = tr._EYE
-        for k, d in enumerate(done):
-            if at <= k < stop:
-                w = d[2] @ w
-                if k == stop - 1:
-                    u = w @ tr._mirror(w) @ u
-            else:
-                u = d[2] @ u
-        return u, None, None, levels
-    steps = [np.concatenate(d[3]) for d in done]
+        w = tr._EYE
+        for d in done:
+            w = d[2] @ w
+        return w @ tr._mirror(w), None, None, levels
+    steps = np.concatenate([np.concatenate(d[3]) for d in done])
     times = []
     for lo, hi, _, _, n, _ in done:
         times.append(lo + (hi - lo) / n * np.arange(1, n + 1))
         times[-1][-1] = hi
     # The mirrored half: nodes at minus the step starts of t >= 0, steps
     # mirrored in reverse order.
-    half_t = np.concatenate(times[at:stop])
-    times.insert(at, np.append(-half_t[-2::-1], 0.0))
-    steps.insert(at, tr._mirror(np.concatenate(steps[at:stop])[::-1]))
-    e = np.concatenate(steps)
+    half_t = np.concatenate(times)
+    times.insert(0, np.append(-half_t[-2::-1], 0.0))
+    e = np.concatenate([tr._mirror(steps[::-1]), steps])
     props = [tr._EYE[None]]
     for lo in range(0, len(e), tr._CHUNK):
         props.append(tr._prefix(e[lo : lo + tr._CHUNK]) @ props[-1][-1])
     return props[-1][-1], np.concatenate([[p.t_in]] + times), np.concatenate(props), levels
 
 
-def solve_full_window(p, cfg, t_end, keep_nodes):
+def solve_full_window(p, cfg, keep_nodes):
     """The integrator as it was before it mirrored t >= 0 onto t < 0: every
-    segment of the whole window [t_in, t_end] stepped and refined one at a
+    segment of the whole window [t_in, -t_in] stepped and refined one at a
     time, as an oracle for the mirrored march of `transport._solve`.
 
     Returns:
-        (U(t_end), step_t, nodes, levels): with keep_nodes the step node
+        (U(-t_in), step_t, nodes, levels): with keep_nodes the step node
         times and propagators from t_in (else None), and the number of
         levels each segment evaluated.
     """
@@ -256,7 +245,7 @@ def solve_full_window(p, cfg, t_end, keep_nodes):
 
     u = np.eye(4)
     times, props, levels = [np.array([p.t_in])], [u[None]], []
-    for t_lo, t_hi, n in tr._start_segments(p, p.t_in, t_end, cfg):
+    for t_lo, t_hi, n in tr._start_segments(p, p.t_in, -p.t_in, cfg):
         seg, nodes, n, count = segment(t_lo, t_hi, n)
         levels.append(count)
         if keep_nodes:
@@ -269,6 +258,25 @@ def solve_full_window(p, cfg, t_end, keep_nodes):
     if not keep_nodes:
         return u, None, None, levels
     return u, np.concatenate(times), np.concatenate(props), levels
+
+
+def purity_at(traj, t):
+    """System purity of a Trajectory at an arbitrary time, or at an array of
+    times, from its propagator there."""
+    from oscpurity.transport import purity_from_propagator
+
+    return purity_from_propagator(traj.propagator_at(t), traj.params)
+
+
+def environment_purity(u, p):
+    """Environment purity 1/sqrt(det sigma_E) of one propagator or a
+    (N, 4, 4) stack: the Cauchy-Binet sum of the environment rows of
+    L = U diag(sqrt(vacuum)).  The joint state is pure, so it equals the
+    system purity."""
+    from oscpurity.model import vacuum_root
+
+    l = np.asarray(u) * vacuum_root(p)
+    return 1.0 / np.sqrt(cauchy_binet(l[..., 2, :], l[..., 3, :]))
 
 
 def sample_purities(p, cfg):
@@ -306,7 +314,7 @@ def threshold_scan_bisection(
         raise ConfigError("the threshold line fit needs at least two tau/t0 points")
     if cfg is None:
         # The threshold only needs deficits to one part in 1e-5 or so.
-        cfg = IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff")
+        cfg = IntegratorConfig(rtol=1e-7, atol=1e-9)
     psi = p_base.psi
     results = []
     prev_thr = None
@@ -607,31 +615,6 @@ def map_pair_rk45(p, traj, t_a, t_b, rtol=1e-12, atol=1e-14):
     )
     assert sol.success, sol.message
     return sol.y[:4, -1].reshape(2, 2), sol.y[4:, -1].reshape(2, 2)
-
-
-def cutoff_time_brentq(p, threshold):
-    """First t >= t0 where the smooth profile's xi(t) falls to threshold xi_c,
-    by scipy's brentq on ln(xi / target) with xi evaluated to 50 digits
-    (mpmath), so that the root is not limited by the cancellation in
-    1 + tanh tanh far out in the tail."""
-    import mpmath
-    from scipy.optimize import brentq
-
-    target = threshold * p.xi_c
-
-    def log_ratio(t):
-        with mpmath.workdps(50):
-            t0, tau, t = mpmath.mpf(p.t0), mpmath.mpf(p.tau), mpmath.mpf(t)
-            shape = 1 + mpmath.tanh((t0 + t) / tau) * mpmath.tanh((t0 - t) / tau)
-            xi = p.xi0 * shape / (1 + mpmath.tanh(t0 / tau) ** 2)
-            return float(mpmath.log(xi / target))
-
-    if log_ratio(p.t0) <= 0.0:
-        return p.t0
-    hi = p.t0 + p.tau
-    while log_ratio(hi) > 0.0:
-        hi = p.t0 + 2.0 * (hi - p.t0)
-    return brentq(log_ratio, p.t0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=500)
 
 
 def spherical_jn_mp(n, x):

@@ -138,10 +138,15 @@ def test_bad_integrator_setting_is_config_error(line, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+#: A finite window that no step grid within the budget covers; tau keeps
+#: 20 tau above the float spacing at t0, so the scenario itself is valid.
+HUGE_WINDOW = "omega_e = 2\npsi = 0.9\nt0 = 1e300\ntau = 1e290\n"
+
+
 def test_absurd_window_is_numerical_failure(tmp_path, capsys):
     # t0 = 1e300 is finite, but no step grid within the budget covers it.
     path = tmp_path / "huge.cfg"
-    path.write_text("omega_e = 2\npsi = 0.9\nt0 = 1e300\ntau = 0.5\n")
+    path.write_text(HUGE_WINDOW)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -165,21 +170,14 @@ _PANELLED = [(["perturb"], _PANELS), (["adiabatic", "--order", "1"], _PANELS)]
             "omega_e = 2\npsi = 0.9\nt0 = 1\ntau = 0.5\nmax_step = 1e-320\n", _STEPPED,
             id="max_step-1e-320",
         ),
-        pytest.param(
-            "omega_e = 2\npsi = 0.9\nt0 = 1e300\ntau = 0.5\nmax_step = 1e-10\n", _STEPPED,
-            id="t0-1e300-max_step-1e-10",
-        ),
-        pytest.param(
-            "omega_e = 2\npsi = 0.9\nt0 = 1e-13\ntau = 5e-324\n", _STEPPED + _PANELLED,
-            id="tau-5e-324",
-        ),
+        pytest.param(HUGE_WINDOW + "max_step = 1e-10\n", _STEPPED, id="t0-1e300-max_step-1e-10"),
     ],
 )
 def test_step_count_beyond_a_float_is_numerical_failure(config, runs, tmp_path, capsys):
     # A step so small, or a window so long, that (hi - lo) / step overflows
-    # (or tau / 5 underflows to 0) ended in an OverflowError or
-    # ZeroDivisionError traceback with exit 1.  The count is over budget:
-    # exit 3 naming the budget, on every subcommand that takes the config.
+    # ended in an OverflowError traceback with exit 1.  The count is over
+    # budget: exit 3 naming the budget, on every subcommand that takes the
+    # config.
     path = tmp_path / "budget.cfg"
     path.write_text(config)
     for argv, named in runs:
@@ -187,6 +185,36 @@ def test_step_count_beyond_a_float_is_numerical_failure(config, runs, tmp_path, 
         err = capsys.readouterr().err
         assert rc == 3, (argv, err)
         assert err.startswith("numerical failure") and named in err, (argv, err)
+
+
+#: Every subcommand that takes a scenario config, both adiabatic orders.
+_SCENARIO_RUNS = [
+    ["simulate"], ["markov"], ["perturb"], ["adiabatic"], ["adiabatic", "--order", "1"]
+]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param("omega_e = 2\npsi = 0.9\nt0 = 1e-13\ntau = 5e-324\n", id="tau-5e-324"),
+        pytest.param("omega_e = 2\npsi = 0.9\nt0 = 1\ntau = 1e-18\n", id="tau-1e-18"),
+        pytest.param("omega_e = 2\npsi = 0.9\nt0 = 1e300\ntau = 0.5\n", id="t0-1e300"),
+    ],
+)
+def test_switch_below_the_float_spacing_of_t0_is_config_error(config, tmp_path, capsys):
+    # Where 20 tau vanishes next to t0, the window [t_in, -t_in] is [-t0, t0]
+    # and ends inside the switch-off, so its late-time purity would be read
+    # mid-switch.  The scenario is refused, naming tau, on every subcommand
+    # that takes it.
+    path = tmp_path / "switch.cfg"
+    path.write_text(config)
+    for argv in _SCENARIO_RUNS:
+        out = str(tmp_path / "out")
+        rc = main(argv + ["--config", str(path), "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2, (argv, err)
+        assert err.startswith("config error") and "vanishes next to t0" in err, (argv, err)
+        assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("command", ["simulate", "markov", "perturb", "adiabatic"])
@@ -244,7 +272,7 @@ def test_unusable_out_is_config_error_before_any_work(where, config_file, tmp_pa
     blocker.write_text("kept")
     out = {"file": str(blocker), "under-file": str(blocker / "sub"), "empty": ""}[where]
     huge = tmp_path / "huge.cfg"
-    huge.write_text("omega_e = 2\npsi = 0.9\nt0 = 1e300\ntau = 0.5\n")
+    huge.write_text(HUGE_WINDOW)
     iso = tmp_path / "iso.cfg"
     iso.write_text("omega_e = 2\npsi = 0.9\nt0 = 1\nprofile = isoso\n")
     spec = tmp_path / "sweep.spec"
@@ -265,12 +293,14 @@ def test_unusable_out_is_config_error_before_any_work(where, config_file, tmp_pa
     assert blocker.read_text() == "kept"
 
 
-@pytest.mark.parametrize("t0", ["1e8", "1e300"])
-def test_window_too_long_to_panel_is_numerical_failure(t0, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "t0, tau", [pytest.param("1e8", "1", id="1e8"), pytest.param("1e300", "1e290", id="1e300")]
+)
+def test_window_too_long_to_panel_is_numerical_failure(t0, tau, tmp_path, capsys):
     # The plateau alone needs ~1.3e8 one-period phase panels at t0 = 1e8, more
     # than MAX_PANELS: refused before any panel edge is allocated.
     path = tmp_path / "long.cfg"
-    path.write_text("omega_e = 2\npsi = 0.78\nt0 = %s\ntau = 1\n" % t0)
+    path.write_text("omega_e = 2\npsi = 0.78\nt0 = %s\ntau = %s\n" % (t0, tau))
     tracemalloc.start()
     try:
         rc = main(["adiabatic", "--config", str(path), "--out", str(tmp_path), "--order", "1"])
@@ -324,7 +354,7 @@ def test_absurd_count_is_config_error(argv, spec, named, tmp_path, capsys):
         # The supercritical mode functions overflow late in a long window.
         ("isoso", "omega_e = 2\npsi = 1.5\nt0 = 300\nprofile = isoso\n"),
         # Float times near 1e300 cannot resolve the sum-frequency phase.
-        ("perturb", "omega_e = 2\npsi = 0.3\nt0 = 1e300\n"),
+        ("perturb", "omega_e = 2\npsi = 0.3\nt0 = 1e300\ntau = 1e290\n"),
     ],
 )
 def test_non_finite_analytic_purity_is_numerical_failure(
@@ -411,9 +441,9 @@ def test_threshold_sweep_rejects_integrator_keys(line, tmp_path, capsys, monkeyp
 def test_latetime_sweeps_reject_ignored_integrator_keys(
     reduction, entry, line, tmp_path, capsys, monkeypatch
 ):
-    # A late-time purity runs to the cutoff end point and takes no samples,
-    # so these keys would be ignored: the spec is rejected while parsing,
-    # before any cell is integrated.
+    # A late-time purity takes no samples, so sample_dt would be ignored, and
+    # the window has no end-time setting: the spec is rejected while parsing,
+    # naming the key, before any cell is integrated.
     import oscpurity.adiabatic as adiabatic_mod
 
     def no_integration(*args, **kwargs):
@@ -442,7 +472,7 @@ def test_latetime_sweeps_reject_ignored_integrator_keys(
     "command, config, line",
     [
         ("isoso", "omega_e = 2\npsi = 0.9\nt0 = 1\nprofile = isoso\n", "rtol = 1e-3"),
-        ("perturb", "omega_e = 2\npsi = 0.05\nt0 = 3\ntau = 0.5\n", "t_end_policy = cutoff"),
+        ("perturb", "omega_e = 2\npsi = 0.05\nt0 = 3\ntau = 0.5\n", "atol = 1e-9"),
         ("adiabatic", "omega_e = 2\npsi = 0.9\nt0 = 1\ntau = 4\n", "sample_dt = 0.1"),
     ],
 )
@@ -459,6 +489,34 @@ def test_analytic_subcommands_reject_integrator_keys(command, config, line, tmp_
     assert not os.path.exists(out)
     path.write_text(config)
     assert main([command, "--config", str(path), "--out", out]) == 0
+
+
+@pytest.mark.parametrize("key", ["t_end_policy = cutoff", "cutoff_threshold = 1e-8"])
+@pytest.mark.parametrize("command", ["simulate", "markov", "sweep"])
+def test_end_time_keys_are_unknown(command, key, tmp_path, capsys):
+    # Every solve covers [t_in, -t_in]: a config or sweep spec that sets an
+    # end time is refused naming the key (exit 2), before anything is written.
+    path = tmp_path / "end.cfg"
+    path.write_text((SWEEP_SPEC if command == "sweep" else FAST_CONFIG) + key + "\n")
+    out = str(tmp_path / "out")
+    flag = "--spec" if command == "sweep" else "--config"
+    assert main([command, flag, str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error: unknown key %r" % key.split(" =")[0] in err
+    assert not os.path.exists(out)
+
+
+def test_isoso_on_smooth_profile_is_config_error(tmp_path, capsys):
+    # The top-hat closed form would ignore the smooth switch and its tau.
+    path = tmp_path / "smooth.cfg"
+    path.write_text("omega_e = 2\npsi = 0.9\nt0 = 3\ntau = 0.5\n")
+    out = str(tmp_path / "iso")
+    assert main(["isoso", "--config", str(path), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "profile = isoso" in err
+    assert not os.path.exists(out)
+    path.write_text("omega_e = 2\npsi = 0.9\nt0 = 3\nprofile = isoso\n")
+    assert main(["isoso", "--config", str(path), "--out", out]) == 0
 
 
 @pytest.mark.parametrize("order", ["0", "1"])

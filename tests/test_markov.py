@@ -14,10 +14,12 @@ from numutil import (
     cp_check,
     gaussian_fidelity,
     map_pair_rk45,
+    purity_at,
     purity_rate,
 )
 
 from oscpurity.markov import (
+    SERIES_STRIDE,
     _one_minus_fidelity_pert,
     best_markovian_B,
     bures_velocity,
@@ -95,9 +97,9 @@ def test_purity_rate_matches_fd(traj):
     p = make_params()
     t = 1.7
     h = 1e-6
-    fd = (traj.purity_at(t + h) - traj.purity_at(t - h)) / (2.0 * h)
+    fd = (purity_at(traj, t + h) - purity_at(traj, t - h)) / (2.0 * h)
     sigma = traj.sigma_at(t)
-    rate = purity_rate(sigma[0:2, 0:2], traj.purity_at(t), noise_B(t, sigma, p))
+    rate = purity_rate(sigma[0:2, 0:2], purity_at(traj, t), noise_B(t, sigma, p))
     assert rate == pytest.approx(fd, rel=1e-4)
 
 
@@ -244,7 +246,7 @@ def test_bures_velocity_fd_matches_closed_form(traj):
     for t in np.linspace(0.0, 8.0, 30):
         sigma = traj.sigma_at(t)
         s = sigma[0:2, 0:2]
-        gamma = traj.purity_at(t)
+        gamma = purity_at(traj, t)
         if gamma > 0.999:
             continue
         b = noise_B(t, sigma, p)
@@ -288,7 +290,7 @@ def test_best_markovian_cancels_velocity(traj):
     p = make_params()
     sigma = traj.sigma_at(1.0)
     s = sigma[0:2, 0:2]
-    gamma = traj.purity_at(1.0)
+    gamma = purity_at(traj, 1.0)
     b = noise_B(1.0, sigma, p)
     if purity_rate(s, gamma, b) > 0.0:
         pytest.skip("sampled a recohering instant")
@@ -319,9 +321,9 @@ def test_surrogate_dispatch():
 
 
 def test_markov_series_structure(traj):
-    p = make_params()
-    series = markov_series(traj, p, "drop-negative", stride=16)
+    series = markov_series(traj, "drop-negative")
     n = len(series["t"])
+    assert np.array_equal(series["t"], traj.t[::SERIES_STRIDE])
     for key in (
         "purity",
         "lambda_minus",
@@ -351,7 +353,7 @@ def test_markov_series_resolves_low_purities():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for surrogate in SURROGATES:
-            series = markov_series(traj, p, surrogate, stride=4)
+            series = markov_series(traj, surrogate)
             assert not np.any(series["flagged"] & (series["purity"] < 0.5))
 
 

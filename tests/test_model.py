@@ -454,7 +454,7 @@ def test_parse_config_errors():
     with pytest.raises(ConfigError):
         parse_config("omega_e = two\nt0 = 1\npsi = 0.5\n")
     with pytest.raises(ConfigError):
-        parse_config("omega_e = 2\nt0 = 1\npsi = 0.5\nt_end_policy = weird\n")
+        parse_config("omega_e = 2\nt0 = 1\npsi = 0.5\nt_end_policy = fixed\n")  # removed key
     with pytest.raises(ConfigError):
         parse_config("omega_e = 2\nt0 = 1\npsi = 0.5\nmethod = bogus\n")
 
@@ -468,8 +468,7 @@ def test_parse_config_accepts_and_drops_legacy_method(method):
 
 _POSITIVE = st.floats(1e-3, 1e3)
 _KNOWN_KEYS = (
-    "omega_s omega_e xi0 psi t0 tau profile rtol atol max_step sample_dt "
-    "t_end_policy cutoff_threshold method"
+    "omega_s omega_e xi0 psi t0 tau profile rtol atol max_step sample_dt method"
 ).split()
 
 
@@ -479,8 +478,6 @@ _INTEGRATOR_VALUES = {
     "atol": st.floats(0.0, 1e-6),
     "max_step": _POSITIVE,
     "sample_dt": _POSITIVE,
-    "t_end_policy": st.sampled_from(["fixed", "cutoff"]),
-    "cutoff_threshold": st.floats(1e-12, 0.5),
 }
 
 

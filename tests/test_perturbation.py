@@ -8,7 +8,7 @@ against the adaptive quadrature and the exact solution.
 
 import numpy as np
 import pytest
-from numutil import filon_per_panel, o2_integrand, purity_o2_qawo, spherical_jn_mp
+from numutil import filon_per_panel, o2_integrand, purity_at, purity_o2_qawo, spherical_jn_mp
 
 from oscpurity import model, perturbation
 from oscpurity.errors import QuadratureNoConvergence
@@ -96,7 +96,7 @@ def test_smooth_quadrature_matches_exact_when_weak():
     traj = integrate(p, IntegratorConfig())
     # The residual is O(g_p^4); with g_p ~ 0.022 that is ~1e-6.
     for t in (-3.0, 0.0, 4.0):
-        exact = traj.purity_at(t)
+        exact = purity_at(traj, t)
         pert = purity_o2_quadrature(t, p)
         assert pert == pytest.approx(exact, abs=5e-6)
 

@@ -1,15 +1,16 @@
-"""Guards on the package's module structure: every public function and
-class, and every defaulted parameter, has a caller outside the tests, no
-module reaches into another module's private names, output is formatted and
-written by one module, input text is read by one module, the analytic and
-physics layers load without the layers above them, and a CLI call loads only
-the layers its subcommand runs."""
+"""Guards on the package's module structure: every public function, class,
+method and property, and every defaulted parameter, has a caller outside
+the tests, no module reaches into another module's private names, output is
+formatted and written by one module, input text is read by one module, the
+analytic and physics layers load without the layers above them, and a CLI
+call loads only the layers its subcommand runs."""
 
 import ast
 import glob
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -22,29 +23,55 @@ def _modules():
             yield os.path.basename(path), ast.parse(f.read(), path)
 
 
+def _references(tree, kinds=(ast.Name, ast.Attribute)):
+    """Every name a tree references as one of the node kinds."""
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+    ]
+
+
 def test_every_public_name_has_a_caller():
     # Every public module-level function and class of the package is
-    # referenced, as a name or an attribute, in src/ or perfbench/ outside its
-    # own definition: code that only the tests call lives in tests/.
+    # referenced, as a name or an attribute, and every public method and
+    # property of its classes as an attribute, in src/ or perfbench/ outside
+    # its own definition: code that only the tests call lives in tests/.
     paths = glob.glob(os.path.join(SRC, "oscpurity", "*.py"))
     paths += glob.glob(os.path.join(os.path.dirname(SRC), "perfbench", "*.py"))
-    public, used = set(), set()
+    # kinds -> the references of those kinds, everywhere and inside the
+    # definition of each name.
+    kinds = {"name": (ast.Name, ast.Attribute), "member": (ast.Attribute,)}
+    refs = {kind: Counter() for kind in kinds}
+    own = {kind: Counter() for kind in kinds}
+    public = []
     for path in paths:
         with open(path) as f:
             tree = ast.parse(f.read(), path)
+        for kind, types in kinds.items():
+            refs[kind].update(_references(tree, types))
+        if not path.startswith(SRC):
+            continue
         for stmt in tree.body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and path.startswith(SRC):
-                own = stmt.name
-                if not own.startswith("_"):
-                    public.add((os.path.basename(path), own))
-            refs = (
-                node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(stmt)
-                if isinstance(node, (ast.Name, ast.Attribute))
-            )
-            used.update(name for name in refs if name != own)
-    assert sorted(entry for entry in public if entry[1] not in used) == []
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [("name", stmt.name, stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                defs += [
+                    ("member", "%s.%s" % (stmt.name, item.name), item)
+                    for item in stmt.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+            for kind, qualified, node in defs:
+                own[kind][node.name] += _references(node, kinds[kind]).count(node.name)
+                if not node.name.startswith("_"):
+                    public.append((kind, os.path.basename(path), qualified, node.name))
+    unused = [
+        (module, qualified)
+        for kind, module, qualified, name in public
+        if refs[kind][name] <= own[kind][name]
+    ]
+    assert sorted(unused) == []
 
 
 def test_every_default_is_passed_by_a_caller():

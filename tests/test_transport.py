@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numutil import (
     OMEGA4,
-    cutoff_time_brentq,
     decoherence_rate,
     det_sigma_via_propagator,
     dop853_propagators,
+    environment_purity,
     generator_terms,
+    purity_at,
     purity_from_block,
     solve_full_window,
     solve_per_segment,
@@ -188,7 +189,7 @@ def test_purity_matches_oracle_blocks():
     traj = integrate(p, IntegratorConfig())
     for t in np.linspace(-9.0, 9.0, 7):
         ref = purity_from_block(oracle_sigma(t, p)[0:2, 0:2])
-        assert traj.purity_at(t) == pytest.approx(ref, abs=1e-7)
+        assert purity_at(traj, t) == pytest.approx(ref, abs=1e-7)
 
 
 def test_deep_supercritical_purity_stays_finite():
@@ -196,12 +197,12 @@ def test_deep_supercritical_purity_stays_finite():
     # naive determinant; the propagator route must stay accurate.
     p = make_params(psi=2.5, profile=ISOSO)
     traj = integrate(p, IntegratorConfig())
-    gamma = traj.purity_at(p.t0)
+    gamma = purity_at(traj, p.t0)
     assert 0.0 < gamma < 1e-8
     # Purity decays like exp(-|omega1| dt) deep in the window: check the
     # fitted slope of ln gamma over the second half.
     ts = np.linspace(2.0, 9.0, 15)
-    lg = np.log([traj.purity_at(t) for t in ts])
+    lg = np.log(purity_at(traj, ts))
     slope = np.polyfit(ts, lg, 1)[0]
     assert slope == pytest.approx(-decoherence_rate(p), rel=0.05)
 
@@ -225,7 +226,8 @@ def test_global_purity_and_symmetry(profile):
             measured += 1
     assert measured > 0
     # Joint state is pure, so both reduced purities coincide.
-    assert np.max(np.abs(traj.purity_s - traj.purity_e)) < 1e-8
+    purity_e = environment_purity(traj.propagator, p)
+    assert np.max(np.abs(traj.purity_s - purity_e)) < 1e-8
 
 
 def test_propagator_is_symplectic():
@@ -244,7 +246,6 @@ def test_sigma_at_derives_sigma_from_propagator():
     assert np.array_equal(sigma, sigma.T)
     ref = u @ vacuum(p) @ u.T
     assert np.allclose(sigma, ref, rtol=1e-13, atol=1e-13)
-    assert traj.purity_at(0.0) == purity_from_propagator(u, p)
 
 
 def test_repeated_queries_return_independent_copies():
@@ -260,7 +261,7 @@ def test_repeated_queries_return_independent_copies():
 
 
 # ---------------------------------------------------------------------------
-# Sampling, end policies, CSV
+# Sampling, CSV
 # ---------------------------------------------------------------------------
 
 
@@ -270,25 +271,6 @@ def test_sample_cadence_default():
     traj = integrate(p, cfg)
     dt = np.diff(traj.t)
     assert np.max(dt) <= default_sample_dt(p) * 1.5
-
-
-def test_cutoff_policy_stops_at_threshold():
-    p = make_params(t0=2.0, tau=1.0)
-    cut = integrate(p, IntegratorConfig(t_end_policy="cutoff"))
-    from oscpurity.model import coupling_xi
-
-    assert cut.t_end > p.t0
-    assert coupling_xi(cut.t_end, p) / p.xi_c == pytest.approx(1e-10, rel=0.01)
-
-
-@pytest.mark.parametrize("ratio", [1e-3, 1.0, 50.0, 1e3])
-@pytest.mark.parametrize("threshold", [1e-10, 1e-3, 0.3])
-def test_cutoff_time_matches_brentq_oracle(ratio, threshold):
-    # t0/tau = 50 and 1e3 put cosh(2 t0/tau) past the float range.
-    p = make_params(t0=1.0, tau=1.0 / ratio)
-    cfg = IntegratorConfig(t_end_policy="cutoff", cutoff_threshold=threshold)
-    ref = cutoff_time_brentq(p, threshold)
-    assert abs(transport._resolve_t_end(p, cfg) - ref) <= 4e-16 * ref
 
 
 def test_csv_layout_and_determinism():
@@ -312,14 +294,13 @@ def test_isoso_reference_run_matches_analytic_window():
     # The steep-switch reference stays close to the exact top-hat propagator.
     for t in (-5.0, 0.0, 5.0):
         ref = purity_from_block(oracle_sigma(t, p)[0:2, 0:2])
-        assert traj.purity_at(t) == pytest.approx(ref, abs=5e-3)
+        assert purity_at(traj, t) == pytest.approx(ref, abs=5e-3)
 
 
 def test_purity_from_propagator_identity():
     p = make_params()
     u = np.eye(4)
     assert purity_from_propagator(u, p) == pytest.approx(1.0)
-    assert purity_from_propagator(u, p, mode="E") == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +342,19 @@ def test_propagator_state_invariants(case):
     cfg = IntegratorConfig()
     traj = integrate(p, cfg)
     u = traj.propagator
+    purity_e = environment_purity(u, p)
     vac = vacuum(p)
     for i in range(0, len(traj.t), 25):
         ref = u[i] @ vac @ u[i].T
         assert np.allclose(traj.sigma[i], ref, rtol=1e-13, atol=1e-13)
-        for rows, purity in (((0, 1), traj.purity_s), ((2, 3), traj.purity_e)):
+        for rows, purity in (((0, 1), traj.purity_s), ((2, 3), purity_e)):
             assert purity[i] == pytest.approx(loop_purity(u[i], p, rows), rel=1e-13)
     norm = np.maximum(1.0, np.max(np.abs(u), axis=(1, 2)))
     scale = INVARIANT_RTOLS * cfg.rtol * norm**2
     sympl = np.max(np.abs(np.swapaxes(u, 1, 2) @ OMEGA4 @ u - OMEGA4), axis=(1, 2))
     assert np.all(sympl < scale)
     assert np.all(np.abs(np.linalg.det(traj.sigma) - 1.0) < scale)
-    assert np.all(np.abs(traj.purity_s - traj.purity_e) < scale)
+    assert np.all(np.abs(traj.purity_s - purity_e) < scale)
 
 
 @settings(max_examples=4, deadline=None)
@@ -380,7 +362,7 @@ def test_propagator_state_invariants(case):
 def test_propagate_end_point_matches_integrate(case):
     w, psi, tau = case
     p = ScenarioParams.from_psi(1.0, 1.0 / w, psi, 1.0, tau)
-    cfg = IntegratorConfig(t_end_policy="cutoff")
+    cfg = IntegratorConfig()
     traj = integrate(p, cfg)
     gamma_end = purity_from_propagator(propagate([p], cfg)[0], p)
     assert gamma_end == pytest.approx(traj.purity_s[-1], abs=10 * cfg.rtol)
@@ -393,10 +375,10 @@ def test_node_purities_are_the_step_node_purities(t_omega, tau):
     # smallest deficit over the nodes is within 0.5% of the one over the
     # samples (scenarios of the threshold scan, at its tolerances).
     p = ScenarioParams.from_psi(1.0, 1.0 + 1.0 / t_omega, 0.9, 1.0, tau)
-    cfg = IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff")
+    cfg = IntegratorConfig(rtol=1e-7, atol=1e-9)
     gamma = transport.node_purities([p], cfg)[0]
     traj = integrate(p, cfg)
-    assert np.array_equal(gamma, traj.purity_at(traj.step_t))
+    assert np.array_equal(gamma, purity_at(traj, traj.step_t))
     assert gamma[-1] == traj.purity_s[-1]
     assert 1.0 - np.min(gamma) == pytest.approx(1.0 - np.min(traj.purity_s), rel=5e-3)
 
@@ -489,8 +471,8 @@ def test_magnus_matches_dop853_oracle(p):
     # point, all against DOP853 at rtol 1e-12.
     rng = np.random.default_rng(11)
     idx = np.unique(rng.integers(0, len(traj.t), 12))
-    t_any = np.sort(rng.uniform(p.t_in, traj.t_end, 12))
-    ts = np.unique(np.concatenate([traj.t[idx], t_any, [traj.t_end]]))
+    t_any = np.sort(rng.uniform(p.t_in, -p.t_in, 12))
+    ts = np.unique(np.concatenate([traj.t[idx], t_any, [-p.t_in]]))
     ref = dict(zip(ts, dop853_propagators(p, ts)))
 
     def check(u, t):
@@ -501,7 +483,7 @@ def test_magnus_matches_dop853_oracle(p):
         check(traj.propagator[i], traj.t[i])
     for t in t_any:
         check(traj.propagator_at(t), t)
-    check(propagate([p], cfg)[0], traj.t_end)
+    check(propagate([p], cfg)[0], -p.t_in)
 
 
 def test_integrator_is_exact_for_constant_coupling():
@@ -552,20 +534,6 @@ REFINEMENT_CASES = [
         True,
         id="mixed-levels",
     ),
-    # The cutoff ends the window before -t_in (a forward tail before the
-    # mirrored half) and, at a tiny threshold, after it (a forward head).
-    pytest.param(
-        make_params(t0=10.0, tau=0.5),
-        IntegratorConfig(t_end_policy="cutoff"),
-        False,
-        id="cutoff-tail",
-    ),
-    pytest.param(
-        make_params(t0=10.0, tau=0.5),
-        IntegratorConfig(t_end_policy="cutoff", cutoff_threshold=1e-25),
-        False,
-        id="cutoff-head",
-    ),
 ]
 
 
@@ -573,13 +541,12 @@ REFINEMENT_CASES = [
 def test_batched_refinement_matches_per_segment_loop(p, cfg, mixed):
     # All segments refined together give the step grid and the node
     # propagators of one segment at a time, bit for bit.
-    t_end = transport._resolve_t_end(p, cfg)
-    _, step_t, nodes, levels = solve_per_segment(p, cfg, t_end, keep_nodes=True)
+    _, step_t, nodes, levels = solve_per_segment(p, cfg, keep_nodes=True)
     assert (len(set(levels)) > 1) == mixed, levels
     traj = integrate(p, cfg)
     np.testing.assert_array_equal(traj.step_t, step_t)
     np.testing.assert_array_equal(traj._grid.u, nodes)
-    end, _, _, _ = solve_per_segment(p, cfg, t_end, keep_nodes=False)
+    end, _, _, _ = solve_per_segment(p, cfg, keep_nodes=False)
     np.testing.assert_array_equal(propagate([p], cfg)[0], end)
 
 
@@ -592,16 +559,14 @@ MIRROR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("policy", ["fixed", "cutoff"])
 @pytest.mark.parametrize("p", MIRROR_CASES)
-def test_mirrored_march_matches_full_window_oracle(p, policy):
+def test_mirrored_march_matches_full_window_oracle(p):
     # Stepping t >= 0 and mirroring it onto t < 0 gives the propagators of
     # stepping the whole window to within the tolerance, at the end point,
     # at the samples and, as purities, at the step nodes; every node of
     # t <= 0 stays unimodular and symplectic to round-off.
-    cfg = IntegratorConfig(t_end_policy=policy)
-    t_end = transport._resolve_t_end(p, cfg)
-    ref_end, ref_t, ref_u, _ = solve_full_window(p, cfg, t_end, keep_nodes=True)
+    cfg = IntegratorConfig()
+    ref_end, ref_t, ref_u, _ = solve_full_window(p, cfg, keep_nodes=True)
     oracle = transport._StepGrid(ref_t, ref_u, p)
 
     def close(u, ref):
@@ -622,20 +587,6 @@ def test_mirrored_march_matches_full_window_oracle(p, policy):
     assert np.all(np.max(np.abs(gap), axis=(1, 2)) <= bound)
 
 
-def test_mirrored_march_past_the_fixed_window():
-    # A cutoff past -t_in mirrors [0, -t_in] and steps the rest forward.
-    p = make_params(t0=2.0, tau=0.5)
-    cfg = IntegratorConfig(t_end_policy="cutoff", cutoff_threshold=1e-25)
-    t_end = transport._resolve_t_end(p, cfg)
-    assert t_end > -p.t_in
-    ref, ref_t, _, _ = solve_full_window(p, cfg, t_end, keep_nodes=True)
-    u = propagate([p], cfg)[0]
-    assert np.max(np.abs(u - ref)) <= cfg.rtol * max(1.0, np.max(np.abs(ref)))
-    traj = integrate(p, cfg)
-    assert traj.step_t[-1] == t_end and np.all(np.diff(traj.step_t) > 0)
-    assert len(traj.step_t) == len(ref_t)
-
-
 def test_mirror_halves_the_step_exponentials(monkeypatch):
     # A fixed-window propagate computes at most 55% of the Magnus
     # exponentials of stepping the whole window, and integrate keeps the
@@ -654,11 +605,11 @@ def test_mirror_halves_the_step_exponentials(monkeypatch):
     propagate([p], cfg)
     mirrored = sum(counted)
     counted.clear()
-    solve_full_window(p, cfg, -p.t_in, keep_nodes=False)
+    solve_full_window(p, cfg, keep_nodes=False)
     assert mirrored <= 0.55 * sum(counted), (mirrored, sum(counted))
     for rtol in (1e-7, 1e-10, 1e-12):
         cfg = IntegratorConfig(rtol=rtol, atol=1e-2 * rtol)
-        _, ref_t, _, _ = solve_full_window(p, cfg, -p.t_in, keep_nodes=True)
+        _, ref_t, _, _ = solve_full_window(p, cfg, keep_nodes=True)
         assert len(integrate(p, cfg).step_t) == len(ref_t), rtol
 
 
@@ -711,7 +662,7 @@ def test_step_failures_match_per_segment_loop(monkeypatch):
     monkeypatch.setattr(transport, "MAX_STEPS", 64)
     p, cfg = make_params(t0=1.0), IntegratorConfig(rtol=1e-15, atol=0.0)
     with pytest.raises(StepFailure) as ref:
-        solve_per_segment(p, cfg, -p.t_in, keep_nodes=True)
+        solve_per_segment(p, cfg, keep_nodes=True)
     with pytest.raises(StepFailure) as got:
         integrate(p, cfg)
     assert str(got.value) == str(ref.value)
@@ -723,11 +674,11 @@ def test_step_failures_match_per_segment_loop(monkeypatch):
 BATCH_CASES = {
     "tau-grid": (
         [make_params(t0=0.5, tau=tau) for tau in 2.0 * np.geomspace(1.0, 1.75, 4)],
-        IntegratorConfig(rtol=1e-12, atol=1e-14, t_end_policy="cutoff"),
+        IntegratorConfig(rtol=1e-12, atol=1e-14),
     ),
     "bracket-pair": (
         [make_params(omega_e=1.0 + 1.0 / t, t0=1.0) for t in 0.6 * 1.1 ** np.array([-0.5, 0.5])],
-        IntegratorConfig(rtol=1e-7, atol=1e-9, t_end_policy="cutoff"),
+        IntegratorConfig(rtol=1e-7, atol=1e-9),
     ),
 }
 
@@ -751,9 +702,7 @@ def test_scenarios_solved_together_match_each_solved_alone(case, monkeypatch):
     passes = len(calls)
     levels = []
     for p, u in zip(ps, together):
-        end, _, _, seg_levels = solve_per_segment(
-            p, cfg, transport._resolve_t_end(p, cfg), keep_nodes=False
-        )
+        end, _, _, seg_levels = solve_per_segment(p, cfg, keep_nodes=False)
         levels += seg_levels
         np.testing.assert_array_equal(u, end)
         np.testing.assert_array_equal(u, propagate([p], cfg)[0])
@@ -793,7 +742,7 @@ def test_batch_failure_is_the_serial_loops(first, monkeypatch):
     ps = [head, make_params(psi=0.78, t0=1.0)]
     with pytest.raises(StepFailure) as ref:
         for p in ps:
-            solve_per_segment(p, cfg, -p.t_in, keep_nodes=True)
+            solve_per_segment(p, cfg, keep_nodes=True)
     for group in (2, 1):
         monkeypatch.setattr(transport, "_GROUP", group)
         for solve in (propagate, transport.node_purities):
@@ -826,10 +775,6 @@ def test_no_convergence_within_budget_is_step_failure(monkeypatch):
         ("sample_dt", -1.0),
         ("sample_dt", float("nan")),
         ("sample_dt", float("inf")),
-        ("cutoff_threshold", 0.0),
-        ("cutoff_threshold", 1.0),
-        ("cutoff_threshold", float("nan")),
-        ("t_end_policy", "bogus"),
     ],
 )
 def test_integrator_config_rejects_bad_values(field, value):
