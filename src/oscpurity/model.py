@@ -117,8 +117,8 @@ class ScenarioParams:
 
     @property
     def omega2_peak(self):
-        """Upper normal frequency at the peak coupling xi0."""
-        return np.sqrt(normal_mode_sq(self.xi0, self)[1])
+        """Upper normal frequency at the peak coupling xi0, a Python float."""
+        return float(np.sqrt(normal_mode_sq(self.xi0, self)[1]))
 
 
 @dataclass(frozen=True)
@@ -128,18 +128,14 @@ class IntegratorConfig:
     Attributes:
         rtol, atol: bound on the Richardson error estimate of each
             segment's propagator, atol + rtol |U| in max-abs norm.
-        max_step: optional step cap of the integrator's coarse first
-            level, so that accepted steps are at most max_step / 2.
         sample_dt: output cadence (default (2 pi/omega2)/40 at peak coupling).
 
     Raises:
-        ConfigError: on a non-positive or non-finite tolerance, step or
-            cadence.
+        ConfigError: on a non-positive or non-finite tolerance or cadence.
     """
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: Optional[float] = None
     sample_dt: Optional[float] = None
 
     def __post_init__(self):
@@ -147,10 +143,9 @@ class IntegratorConfig:
             raise ConfigError("rtol must be positive and finite")
         if not (math.isfinite(self.atol) and self.atol >= 0):
             raise ConfigError("atol must be non-negative and finite")
-        for name in ("max_step", "sample_dt"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ConfigError("%s must be positive and finite" % name)
+        dt = self.sample_dt
+        if dt is not None and not (math.isfinite(dt) and dt > 0):
+            raise ConfigError("sample_dt must be positive and finite")
 
 
 # ---------------------------------------------------------------------------

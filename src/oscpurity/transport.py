@@ -28,8 +28,8 @@ from a coarse step count (a fifth of the fastest period, tau / 5 in the switch
 regions) that serves only as the first Richardson estimate, and each level
 doubles the number of equal steps of every segment still refining until the
 segment's estimate |P_2n - P_n| / 63 is at most atol + rtol |P_2n| (max-abs
-norms; the segment at 0 is tested with its mirror).  So the tolerance, not a
-fixed fraction of the period, sets the accepted grid.
+norms; the segment at 0 is tested with its mirror).  So the tolerance alone,
+not a fixed step, sets the accepted grid.
 
 Scenarios that share an IntegratorConfig refine together too: each pass
 evaluates the next level of every segment still refining, of every scenario,
@@ -38,9 +38,9 @@ first pass evaluates the coarse level and its first doubling at once.  The
 exponential of each step does not depend on the batch it is computed in, so a
 scenario's propagator is the same bit for bit alone or in any batch.
 
-`integrate` keeps the propagator at every step node and samples the window
-with one partial Magnus step from the node before each sample; arbitrary-time
-queries (`propagator_at`, `sigma_at`) use the same partial step.  `propagate`
+`integrate` returns a Trajectory that holds the propagator at every step node;
+its samples, like every arbitrary-time query (`propagator_at`, `sigma_at`),
+are one partial Magnus step from the node before each time.  `propagate`
 returns only U at the end point -t_in of each of a list of scenarios, for
 callers that need nothing but the late-time value, and `node_purities` only
 the system purity at the step nodes.
@@ -48,7 +48,6 @@ the system purity at the step nodes.
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -303,47 +302,26 @@ def _segment_propagators(levels):
     return totals, steps
 
 
-@dataclass(frozen=True)
-class _StepGrid:
-    """Step nodes of an integration: times (M + 1,), propagators
-    (M + 1, 4, 4) from t_in, and the ScenarioParams for partial steps."""
-
-    t: np.ndarray
-    u: np.ndarray
-    params: object
-
-    def at(self, ts):
-        """Propagators at the times ts (inside [t[0], t[-1]]), each one
-        partial step from the last node at or before it."""
-        k = np.clip(np.searchsorted(self.t, ts, side="right") - 1, 0, len(self.t) - 1)
-        out = np.empty((len(ts), 4, 4))
-        for lo in range(0, len(ts), _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            e = _expm(_exponents(self.t[k[sl]], ts[sl] - self.t[k[sl]], self.params))
-            out[sl] = e @ self.u[k[sl]]
-        return out
-
-
 class Trajectory:
     """Time-ordered propagator samples plus the series derived from them.
 
     Attributes:
         t: sample times (strictly increasing).
-        propagator: (N, 4, 4) symplectic propagators from t_in.
+        propagator: (N, 4, 4) symplectic propagators from t_in at t.
         purity_s: system purity (propagator route).
         sigma, xi: covariance samples and coupling at each sample, derived
             on first access.
-        step_t: times of the integrator's step nodes (strictly increasing
-            from t_in to -t_in), between which every query is one smooth
-            partial step; the nodes of t < 0 mirror those of t > 0.
+        step_t, step_u: times (strictly increasing from t_in to -t_in) and
+            propagators of the integrator's step nodes, between which every
+            query is one smooth partial step; the nodes of t < 0 mirror
+            those of t > 0.
     """
 
-    def __init__(self, t, propagator, params, grid):
-        self.t = np.asarray(t)
-        self.propagator = np.asarray(propagator)
+    def __init__(self, t, params, step_t, step_u):
         self.params = params
-        self._grid = grid
-        self.step_t = grid.t
+        self.step_t, self.step_u = step_t, step_u
+        self.t = np.asarray(t)
+        self.propagator = self.propagator_at(self.t)
         self.purity_s = purity_from_propagator(self.propagator, params)
 
     @functools.cached_property
@@ -366,7 +344,13 @@ class Trajectory:
         nodes = self.step_t
         if np.any(ts < nodes[0] - 1e-12) or np.any(ts > nodes[-1] + 1e-12):
             raise ValueError("time %s outside trajectory range" % (t,))
-        u = self._grid.at(ts.reshape(-1))
+        flat = ts.reshape(-1)
+        k = np.clip(np.searchsorted(nodes, flat, side="right") - 1, 0, len(nodes) - 1)
+        u = np.empty((len(flat), 4, 4))
+        for lo in range(0, len(flat), _CHUNK):
+            sl = slice(lo, lo + _CHUNK)
+            e = _expm(_exponents(nodes[k[sl]], flat[sl] - nodes[k[sl]], self.params))
+            u[sl] = e @ self.step_u[k[sl]]
         return u[0] if ts.ndim == 0 else u.reshape(ts.shape + (4, 4))
 
     def sigma_at(self, t):
@@ -380,18 +364,16 @@ def default_sample_dt(p):
     return 2.0 * np.pi / p.omega2_peak / 40.0
 
 
-def _start_segments(p, t_start, t_end, cfg):
+def _start_segments(p, t_start, t_end):
     """Segments of [t_start, t_end] with the step counts of the first level.
 
     The first level is only ever the coarse Richardson estimate, so it
     starts two doublings coarser than a grid that resolves the motion: steps
-    of a fifth of the fastest period (or max_step, if smaller) and tau / 5
-    in the switch regions.  The tolerance alone then sets the accepted grid,
-    whose steps are at most half of these.
+    of a fifth of the fastest period and tau / 5 in the switch regions.  The
+    tolerance alone then sets the accepted grid, whose steps are at most half
+    of these.
     """
     cap = 0.2 * 2.0 * np.pi / p.omega2_peak
-    if cfg.max_step is not None:
-        cap = min(cap, cfg.max_step)
     return switch_segments(p, t_start, t_end, cap, switch_cap=p.tau / 5.0)
 
 
@@ -408,13 +390,14 @@ def _solve(ps, cfg, keep_nodes):
     _GROUP scenarios: each pass is one _segment_propagators call over every
     segment still refining, and a segment stops once its Richardson estimate
     meets the tolerance.  The first pass evaluates each segment at its
-    _start_segments step count n, only ever the coarse estimate, and at 2n.
-    The segment that starts at 0 is tested on the whole mirrored segment
-    [-hi, hi], P S P^T S: its half alone would converge a level early.  A
-    failure is raised for the first segment that fails, in the order of the
-    scenarios and of their segments, once every segment before it converged,
-    as if the segments were refined one after the other; the segments after
-    it stop refining.
+    _start_segments step count n and at 2n: the first level is compared with
+    a NaN estimate, which meets no tolerance, so it is only ever the coarse
+    estimate of the next.  The segment that starts at 0 is tested on the
+    whole mirrored segment [-hi, hi], P S P^T S: its half alone would
+    converge a level early.  A failure is raised for the first segment that
+    fails, in the order of the scenarios and of their segments, once every
+    segment before it converged, as if the segments were refined one after
+    the other; the segments after it stop refining.
 
     The nodes of t < 0 are the running products of the mirrored steps
     S e^T S in reverse order, marched forward from t_in like every other
@@ -422,8 +405,8 @@ def _solve(ps, cfg, keep_nodes):
     U(-t_in, 0), which cancels like exp(2 gamma t) where U grows.
 
     Returns:
-        per scenario (U(-t_in), grid): grid is the _StepGrid of all step
-        nodes with keep_nodes, else None.
+        per scenario (U(-t_in), times, props): the times and propagators of
+        all step nodes with keep_nodes, else None.
     """
     if len(ps) > _GROUP:
         groups = (ps[g : g + _GROUP] for g in range(0, len(ps), _GROUP))
@@ -434,7 +417,7 @@ def _solve(ps, cfg, keep_nodes):
     owner, bounds, n, starts = [], [], [], []
     for s, p in enumerate(ps):
         starts.append(len(bounds))
-        for lo, hi, count in _start_segments(p, 0.0, -p.t_in, cfg):
+        for lo, hi, count in _start_segments(p, 0.0, -p.t_in):
             owner.append(s)
             bounds.append((lo, hi))
             n.append(count)
@@ -461,11 +444,11 @@ def _solve(ps, cfg, keep_nodes):
         if isinstance(result[first], str):
             raise StepFailure(result[first])
         stop = next((k for k, r in enumerate(result) if isinstance(r, str)), len(result))
-        # (segment, steps, keep, first level): the first pass evaluates each
-        # segment's first level, only ever the coarse estimate, which keeps no
-        # steps, and its doubling.
+        # (segment, steps, keep): the first pass evaluates each segment's
+        # first level, only ever the coarse estimate, which keeps no steps,
+        # and its doubling.
         levels = [
-            (k, count, keep, count == n[k] and first_pass)
+            (k, count, keep)
             for k in range(first, stop)
             if result[k] is None
             for count, keep in (
@@ -474,39 +457,30 @@ def _solve(ps, cfg, keep_nodes):
             if count <= MAX_STEPS
         ]
         first_pass = False
-        ks = np.array([level[0] for level in levels])
         totals, pieces = _segment_propagators(
-            [(ps[owner[k]],) + bounds[k] + (count, keep) for k, count, keep, _ in levels]
+            [(ps[owner[k]],) + bounds[k] + (count, keep) for k, count, keep in levels]
         )
         # The Richardson estimates of all levels at once, a central segment's
         # with its mirror.
         estimate = totals.copy()
-        mid = [i for i, k in enumerate(ks) if k in centres]
+        mid = [i for i, (k, _, _) in enumerate(levels) if k in centres]
         estimate[mid] = totals[mid] @ _mirror(totals[mid])
         finite = np.isfinite(estimate).all(axis=(1, 2))
         tol = cfg.atol + cfg.rtol * np.abs(estimate).max(axis=(1, 2))
-
-        def settle(i, converged):
-            # Level i's outcome, in the order of the per-segment loop.
-            k = ks[i]
+        # Each level's outcome, in the order of the per-segment loop.
+        for i, (k, _, _) in enumerate(levels):
+            if result[k] is not None:
+                continue
             lo, hi = span[k]
             if not finite[i]:
                 result[k] = "propagator overflow on [%g, %g]" % (lo, hi)
-            elif converged:
+            elif np.abs(estimate[i] - coarse[k]).max() / 63.0 <= tol[i]:
                 # A copy, so that no batch outlives its pass.
                 result[k] = (totals[i], None if pieces[i] is None else np.concatenate(pieces[i]))
             elif 2 * n[k] > MAX_STEPS:
                 result[k] = "no convergence on [%g, %g] within %d steps" % (lo, hi, MAX_STEPS)
             else:
                 coarse[k], n[k] = estimate[i], 2 * n[k]
-
-        for i, level in enumerate(levels):
-            if level[3]:
-                settle(i, False)
-        error = np.abs(estimate - coarse[ks]).max(axis=(1, 2)) / 63.0
-        for i, level in enumerate(levels):
-            if not level[3] and result[level[0]] is None:
-                settle(i, error[i] <= tol[i])
     return [
         _nodes(p, bounds[a:b], n[a:b], result[a:b], keep_nodes)
         for p, a, b in zip(ps, starts, starts[1:])
@@ -514,14 +488,14 @@ def _solve(ps, cfg, keep_nodes):
 
 
 def _nodes(p, bounds, n, done, keep_nodes):
-    """U(-t_in) and, with keep_nodes, the _StepGrid of one scenario from its
-    converged segments of [0, -t_in]: done[k] = (P, steps) for the segments
-    of bounds with n[k] steps."""
+    """U(-t_in) and, with keep_nodes, the step node times and propagators of
+    one scenario from its converged segments of [0, -t_in]: done[k] = (P,
+    steps) for the segments of bounds with n[k] steps."""
     if not keep_nodes:
         w = _EYE
         for total, _ in done:
             w = total @ w
-        return w @ _mirror(w), None
+        return w @ _mirror(w), None, None
     # Lay the steps of [0, -t_in] out in time order in one buffer after room
     # for their m mirrored steps, then march them in place into the nodes.
     m = sum(n)
@@ -541,7 +515,7 @@ def _nodes(p, bounds, n, done, keep_nodes):
     for lo in range(1, size, _CHUNK):
         hi = min(size, lo + _CHUNK)
         np.matmul(_prefix(props[lo:hi]), props[lo - 1], out=props[lo:hi])
-    return props[-1], _StepGrid(times, props, p)
+    return props[-1], times, props
 
 
 def propagate(ps, cfg=IntegratorConfig()):
@@ -561,7 +535,7 @@ def propagate(ps, cfg=IntegratorConfig()):
             step budget, or a propagator overflows; the first failing
             scenario of ps raises it.
     """
-    return [u for u, _ in _solve(ps, cfg, keep_nodes=False)]
+    return [u for u, _, _ in _solve(ps, cfg, keep_nodes=False)]
 
 
 def node_purities(ps, cfg=IntegratorConfig()):
@@ -578,8 +552,8 @@ def node_purities(ps, cfg=IntegratorConfig()):
         StepFailure: as propagate.
     """
     return [
-        purity_from_propagator(grid.u, p)
-        for p, (_, grid) in zip(ps, _solve(ps, cfg, keep_nodes=True))
+        purity_from_propagator(props, p)
+        for p, (_, _, props) in zip(ps, _solve(ps, cfg, keep_nodes=True))
     ]
 
 
@@ -602,7 +576,7 @@ def integrate(p, cfg=IntegratorConfig()):
             after the steps: a window too long to step is a StepFailure).
     """
     sample_dt = cfg.sample_dt if cfg.sample_dt is not None else default_sample_dt(p)
-    ((_, grid),) = _solve([p], cfg, keep_nodes=True)
+    ((_, step_t, step_u),) = _solve([p], cfg, keep_nodes=True)
     intervals = -2.0 * p.t_in / sample_dt
     if intervals + 1 > MAX_STEPS:
         raise ConfigError(
@@ -611,4 +585,4 @@ def integrate(p, cfg=IntegratorConfig()):
         )
     n_samples = max(int(np.ceil(intervals)) + 1, 2)
     ts = np.linspace(p.t_in, -p.t_in, n_samples)
-    return Trajectory(ts, grid.at(ts), p, grid)
+    return Trajectory(ts, p, step_t, step_u)

@@ -13,7 +13,6 @@ arbitrary times, environment purity, purity rate, CP witness, fidelity,
 Bures distance, vacuum correlators, in-window covariance, decoherence
 rate)."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +172,7 @@ def solve_per_segment(p, cfg, keep_nodes):
 
     done = [
         (lo, hi) + segment(lo, hi, n, k == 0)
-        for k, (lo, hi, n) in enumerate(tr._start_segments(p, 0.0, -p.t_in, cfg))
+        for k, (lo, hi, n) in enumerate(tr._start_segments(p, 0.0, -p.t_in))
     ]
     levels = [d[-1] for d in done]
     if not keep_nodes:
@@ -245,7 +244,7 @@ def solve_full_window(p, cfg, keep_nodes):
 
     u = np.eye(4)
     times, props, levels = [np.array([p.t_in])], [u[None]], []
-    for t_lo, t_hi, n in tr._start_segments(p, p.t_in, -p.t_in, cfg):
+    for t_lo, t_hi, n in tr._start_segments(p, p.t_in, -p.t_in):
         seg, nodes, n, count = segment(t_lo, t_hi, n)
         levels.append(count)
         if keep_nodes:

@@ -7,7 +7,6 @@ targeted computations.
 """
 
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,13 +14,12 @@ import pytest
 
 from numutil import (
     decoherence_rate,
-    det_sigma_via_propagator,
     environment_purity,
     purity_at,
     purity_rate,
 )
 
-from oscpurity import adiabatic, isoso, perturbation
+from oscpurity import isoso, perturbation
 from oscpurity.adiabatic import (
     accumulate_phases,
     loglog_slope,

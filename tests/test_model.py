@@ -468,7 +468,7 @@ def test_parse_config_accepts_and_drops_legacy_method(method):
 
 _POSITIVE = st.floats(1e-3, 1e3)
 _KNOWN_KEYS = (
-    "omega_s omega_e xi0 psi t0 tau profile rtol atol max_step sample_dt method"
+    "omega_s omega_e xi0 psi t0 tau profile rtol atol sample_dt method"
 ).split()
 
 
@@ -476,7 +476,6 @@ _KNOWN_KEYS = (
 _INTEGRATOR_VALUES = {
     "rtol": st.floats(1e-14, 1e-2),
     "atol": st.floats(0.0, 1e-6),
-    "max_step": _POSITIVE,
     "sample_dt": _POSITIVE,
 }
 

@@ -141,6 +141,25 @@ def test_no_module_imports_private_names_of_another():
     assert found == []
 
 
+def test_no_unused_imports():
+    # Every name that a module of the package or of the tests imports is
+    # referenced in that module.
+    paths = glob.glob(os.path.join(SRC, "oscpurity", "*.py"))
+    paths += glob.glob(os.path.join(os.path.dirname(SRC), "tests", "*.py"))
+    unused = []
+    for path in sorted(paths):
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        used = set(_references(tree, (ast.Name,)))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append("%s: %s" % (os.path.basename(path), name))
+    assert unused == []
+
+
 def test_only_output_formats_and_writes_results():
     # json is imported, and the CSV writer and its float format defined, in
     # output.py alone.
