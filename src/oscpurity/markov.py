@@ -241,7 +241,8 @@ def drop_negative_B(b):
         ],
         -1,
     )
-    v = v / np.sqrt(np.sum(v * v, axis=-1))[..., None]
+    # hypot, since the squares of an entry below ~1e-162 underflow to 0.
+    v = v / np.hypot(v[..., 0], v[..., 1])[..., None]
     lam = np.where(lam_p > 0.0, lam_p, 0.0)
     return lam[..., None, None] * (v[..., :, None] * v[..., None, :])
 

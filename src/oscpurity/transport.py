@@ -24,19 +24,22 @@ propagator U of [a, b], S swapping x and p within each mode; the step nodes
 of t < 0 are the running products of these mirrored steps.  Every solve
 covers the window [t_in, -t_in], where the switch-off is complete.  The
 segments of model.switch_segments on [0, -t_in] refine together: each starts
-from a coarse step count (a fifth of the fastest period, tau / 5 in the switch
-regions) that serves only as the first Richardson estimate, and each level
-doubles the number of equal steps of every segment still refining until the
-segment's estimate |P_2n - P_n| / 63 is at most atol + rtol |P_2n| (max-abs
-norms; the segment at 0 is tested with its mirror).  So the tolerance alone,
-not a fixed step, sets the accepted grid.
+from a coarse step count m (a fifth of the fastest period, tau / 5 in the
+switch regions) that serves only as the first Richardson estimate, and its
+next level has 2m equal steps.  A level of n steps after one of m is accepted
+once its sixth-order error estimate |P_n - P_m| / ((n/m)^6 - 1) is at most
+atol + rtol |P_n| (max-abs norms; the segment at 0 is tested with its
+mirror); a level that fails has the error model predict the next one, the
+step count whose error would be a tenth of the tolerance, at most eight times
+its own (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  So the tolerance
+alone, not a fixed step, sets the accepted grid.
 
 Scenarios that share an IntegratorConfig refine together too: each pass
 evaluates the next level of every segment still refining, of every scenario,
 in one batch of Magnus exponentials (at most _CHUNK steps per call), and the
-first pass evaluates the coarse level and its first doubling at once.  The
-exponential of each step does not depend on the batch it is computed in, so a
-scenario's propagator is the same bit for bit alone or in any batch.
+first pass evaluates the coarse level and the one of twice its steps at once.
+The exponential of each step does not depend on the batch it is computed in,
+so a scenario's propagator is the same bit for bit alone or in any batch.
 
 `integrate` returns a Trajectory that holds the propagator at every step node;
 its samples, like every arbitrary-time query (`propagator_at`, `sigma_at`),
@@ -367,11 +370,11 @@ def default_sample_dt(p):
 def _start_segments(p, t_start, t_end):
     """Segments of [t_start, t_end] with the step counts of the first level.
 
-    The first level is only ever the coarse Richardson estimate, so it
-    starts two doublings coarser than a grid that resolves the motion: steps
-    of a fifth of the fastest period and tau / 5 in the switch regions.  The
-    tolerance alone then sets the accepted grid, whose steps are at most half
-    of these.
+    The first level is only ever the coarse Richardson estimate of the
+    second, of twice its steps, so its steps are four times those of a grid
+    that resolves the motion: a fifth of the fastest period and tau / 5 in
+    the switch regions.  The tolerance alone then sets the accepted grid,
+    whose steps are at most half of these.
     """
     cap = 0.2 * 2.0 * np.pi / p.omega2_peak
     return switch_segments(p, t_start, t_end, cap, switch_cap=p.tau / 5.0)
@@ -392,12 +395,17 @@ def _solve(ps, cfg, keep_nodes):
     meets the tolerance.  The first pass evaluates each segment at its
     _start_segments step count n and at 2n: the first level is compared with
     a NaN estimate, which meets no tolerance, so it is only ever the coarse
-    estimate of the next.  The segment that starts at 0 is tested on the
-    whole mirrored segment [-hi, hi], P S P^T S: its half alone would
-    converge a level early.  A failure is raised for the first segment that
-    fails, in the order of the scenarios and of their segments, once every
-    segment before it converged, as if the segments were refined one after
-    the other; the segments after it stop refining.
+    estimate of the next.  After that, a level of m steps that fails with
+    the estimate e against its tolerance tol is followed by
+    ceil(m (10 e / tol)^(1/6)) steps, at most 8m: the sixth-order error model
+    aimed at tol / 10.  Each decision reads only the segment's own levels,
+    so a scenario's grid does not depend on its batch.  The segment that
+    starts at 0 is tested on the whole mirrored segment [-hi, hi],
+    P S P^T S: its half alone would converge a level early.  A failure is
+    raised for the first segment that fails, in the order of the scenarios
+    and of their segments, once every segment before it converged, as if the
+    segments were refined one after the other; the segments after it stop
+    refining.
 
     The nodes of t < 0 are the running products of the mirrored steps
     S e^T S in reverse order, marched forward from t_in like every other
@@ -433,9 +441,10 @@ def _solve(ps, cfg, keep_nodes):
         if count > MAX_STEPS else None
         for (lo, hi), count in zip(span, n)
     ]
-    # coarse[k]: the estimate of segment k's last level; NaN, which meets no
-    # tolerance, before its first.
+    # coarse[k]: the estimate of segment k's last level, and below[k] that
+    # level's step count; NaN, which meets no tolerance, before its first.
     coarse = np.full((len(bounds), 4, 4), np.nan)
+    below = np.full(len(bounds), np.nan)
     first_pass = True
     while True:
         first = next((k for k, r in enumerate(result) if not isinstance(r, tuple)), None)
@@ -457,30 +466,41 @@ def _solve(ps, cfg, keep_nodes):
             if count <= MAX_STEPS
         ]
         first_pass = False
-        totals, pieces = _segment_propagators(
-            [(ps[owner[k]],) + bounds[k] + (count, keep) for k, count, keep in levels]
-        )
-        # The Richardson estimates of all levels at once, a central segment's
-        # with its mirror.
-        estimate = totals.copy()
-        mid = [i for i, (k, _, _) in enumerate(levels) if k in centres]
-        estimate[mid] = totals[mid] @ _mirror(totals[mid])
-        finite = np.isfinite(estimate).all(axis=(1, 2))
-        tol = cfg.atol + cfg.rtol * np.abs(estimate).max(axis=(1, 2))
+        # An overflowing product is caught by the finite check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals, pieces = _segment_propagators(
+                [(ps[owner[k]],) + bounds[k] + (count, keep) for k, count, keep in levels]
+            )
+            # The Richardson estimates of all levels at once, a central
+            # segment's with its mirror.
+            estimate = totals.copy()
+            mid = [i for i, (k, _, _) in enumerate(levels) if k in centres]
+            estimate[mid] = totals[mid] @ _mirror(totals[mid])
+            finite = np.isfinite(estimate).all(axis=(1, 2))
+            tol = cfg.atol + cfg.rtol * np.abs(estimate).max(axis=(1, 2))
         # Each level's outcome, in the order of the per-segment loop.
-        for i, (k, _, _) in enumerate(levels):
+        for i, (k, count, _) in enumerate(levels):
             if result[k] is not None:
                 continue
             lo, hi = span[k]
             if not finite[i]:
                 result[k] = "propagator overflow on [%g, %g]" % (lo, hi)
-            elif np.abs(estimate[i] - coarse[k]).max() / 63.0 <= tol[i]:
+                continue
+            # The sixth-order error of this level, from the one below it.
+            err = np.abs(estimate[i] - coarse[k]).max() / ((count / below[k]) ** 6 - 1.0)
+            if err <= tol[i]:
                 # A copy, so that no batch outlives its pass.
                 result[k] = (totals[i], None if pieces[i] is None else np.concatenate(pieces[i]))
-            elif 2 * n[k] > MAX_STEPS:
+                continue
+            # The step count whose predicted error is a tenth of the
+            # tolerance, at most eight times this one; twice it without an
+            # error estimate.
+            grow = (err / (tol[i] / 10.0)) ** (1.0 / 6.0) if np.isfinite(err) else 2.0
+            step = math.ceil(count * min(grow, 8.0))
+            if step > MAX_STEPS:
                 result[k] = "no convergence on [%g, %g] within %d steps" % (lo, hi, MAX_STEPS)
             else:
-                coarse[k], n[k] = estimate[i], 2 * n[k]
+                coarse[k], below[k], n[k] = estimate[i], count, step
     return [
         _nodes(p, bounds[a:b], n[a:b], result[a:b], keep_nodes)
         for p, a, b in zip(ps, starts, starts[1:])

@@ -3,7 +3,8 @@ from scipy and mpmath, small matrix helpers that serve as references, the
 unreduced second-order kernel, the per-panel Filon weights that the
 per-width ones replaced, the per-segment refinement loop of the batched
 integrator's mirrored step grid, the full-window march that the mirrored
-one replaced, the bisection threshold scan on dense samples that the
+one replaced, the doubling ladder of Richardson levels that the predicted
+levels replaced, the bisection threshold scan on dense samples that the
 bracketed scan on step nodes replaced, the per-row CSV writer that the
 numpy formatter replaced, the generator terms K0, K1 that the closed-form
 Magnus exponent replaced, the complex Bogoliubov route of the top-hat
@@ -13,6 +14,7 @@ arbitrary times, environment purity, purity rate, CP witness, fidelity,
 Bures distance, vacuum correlators, in-window covariance, decoherence
 rate)."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,11 +129,28 @@ def adiabatic_frame(t, p):
     return frame_from_xi(xi, p, xi_dot)
 
 
-def solve_per_segment(p, cfg, keep_nodes):
+def predicted_level(m, err, tol):
+    """The step count that `transport._solve` evaluates after a level of m
+    steps with the Richardson error estimate err fails the tolerance tol:
+    the count whose sixth-order error model predicts tol / 10, at most 8 m,
+    or 2 m without a finite estimate."""
+    grow = (err / (tol / 10.0)) ** (1.0 / 6.0) if np.isfinite(err) else 2.0
+    return math.ceil(m * min(grow, 8.0))
+
+
+def ladder_level(m, err, tol):
+    """The doubling ladder n0, 2 n0, 4 n0, ... that the predicted level
+    replaced, kept as the accuracy reference: 2 m whatever the estimate."""
+    return 2 * m
+
+
+def solve_per_segment(p, cfg, keep_nodes, next_level=predicted_level):
     """The integrator's mirrored step grid refined one segment at a time, one
     exponent call per chunk of each level, as an oracle for the batched
     refinement of `transport._solve`: the segments of [0, -t_in] are stepped
-    and mirrored onto [t_in, 0].
+    and mirrored onto [t_in, 0].  A level of n steps after one of m is
+    accepted when |P_n - P_m| / ((n / m)^6 - 1) meets the tolerance, and a
+    failing level of m steps is followed by next_level(m, err, tol) steps.
 
     Returns:
         (U(-t_in), step_t, nodes, levels): with keep_nodes the step node
@@ -154,21 +173,23 @@ def solve_per_segment(p, cfg, keep_nodes):
         name = (-t_hi, t_hi) if central else (t_lo, t_hi)
         if n > tr.MAX_STEPS:
             raise StepFailure("[%g, %g] needs more than %d steps" % (name + (tr.MAX_STEPS,)))
-        coarse, levels = None, 0
+        coarse, m, levels = None, None, 0
         while True:
             fine, pieces = level(t_lo, t_hi, n)
             levels += 1
             est = fine @ tr._mirror(fine) if central else fine
             if not np.all(np.isfinite(est)):
                 raise StepFailure("propagator overflow on [%g, %g]" % name)
-            err = np.max(np.abs(est - coarse)) / 63.0 if coarse is not None else np.inf
-            if err <= cfg.atol + cfg.rtol * np.max(np.abs(est)):
+            tol = cfg.atol + cfg.rtol * np.max(np.abs(est))
+            err = np.max(np.abs(est - coarse)) / ((n / m) ** 6 - 1) if m else np.inf
+            if err <= tol:
                 return fine, pieces, n, levels
-            if 2 * n > tr.MAX_STEPS:
+            step = next_level(n, err, tol)
+            if step > tr.MAX_STEPS:
                 raise StepFailure(
                     "no convergence on [%g, %g] within %d steps" % (name + (tr.MAX_STEPS,))
                 )
-            coarse, n = est, 2 * n
+            coarse, m, n = est, n, step
 
     done = [
         (lo, hi) + segment(lo, hi, n, k == 0)
@@ -196,10 +217,12 @@ def solve_per_segment(p, cfg, keep_nodes):
     return props[-1][-1], np.concatenate([[p.t_in]] + times), np.concatenate(props), levels
 
 
-def solve_full_window(p, cfg, keep_nodes):
+def solve_full_window(p, cfg, keep_nodes, next_level=predicted_level):
     """The integrator as it was before it mirrored t >= 0 onto t < 0: every
     segment of the whole window [t_in, -t_in] stepped and refined one at a
-    time, as an oracle for the mirrored march of `transport._solve`.
+    time, with the levels of solve_per_segment, as an oracle for the
+    mirrored march of `transport._solve`.  The central segment [-b, b] is
+    stepped whole, but its levels are twice those of its half [0, b].
 
     Returns:
         (U(-t_in), step_t, nodes, levels): with keep_nodes the step node
@@ -229,15 +252,16 @@ def solve_full_window(p, cfg, keep_nodes):
                 "[%g, %g] needs more than %d steps" % (t_lo, t_hi, tr.MAX_STEPS)
             )
         coarse, _ = level(t_lo, t_hi, n, False)
-        levels = 1
-        while 2 * n <= tr.MAX_STEPS:
-            n *= 2
+        m, n, levels = n, 2 * n, 1
+        half = 2 if t_lo == -t_hi else 1
+        while n <= tr.MAX_STEPS:
             fine, nodes = level(t_lo, t_hi, n, keep_nodes)
             levels += 1
-            err = np.max(np.abs(fine - coarse)) / 63.0
-            if err <= cfg.atol + cfg.rtol * np.max(np.abs(fine)):
+            tol = cfg.atol + cfg.rtol * np.max(np.abs(fine))
+            err = np.max(np.abs(fine - coarse)) / ((n / m) ** 6 - 1)
+            if err <= tol:
                 return fine, nodes, n, levels
-            coarse = fine
+            coarse, m, n = fine, n, half * next_level(n // half, err, tol)
         raise StepFailure(
             "no convergence on [%g, %g] within %d steps" % (t_lo, t_hi, tr.MAX_STEPS)
         )

@@ -194,6 +194,38 @@ def test_step_count_beyond_a_float_is_numerical_failure(config, runs, tmp_path, 
         assert "Warning" not in err, (argv, err)
 
 
+@pytest.mark.parametrize("command", ["simulate", "markov"])
+def test_propagator_overflow_prints_only_the_failure(command, tmp_path, capsys):
+    # At psi = 1e8 the propagator overflows on the central segment; the
+    # products that overflow printed numpy RuntimeWarnings before the exit.
+    path = tmp_path / "overflow.cfg"
+    path.write_text("omega_e = 2\npsi = 1e8\nt0 = 1\ntau = 0.5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err == "numerical failure: propagator overflow on [-4, 4]\n"
+
+
+def test_drop_negative_survives_underflowing_squares(tmp_path, capsys):
+    # At omega_s = 1e-150 the off-diagonal entry of B lies below 1e-162, so
+    # its square underflows: the normalised eigenvector was 0/0 at 29
+    # samples, with numpy RuntimeWarnings on stderr.
+    path = tmp_path / "tiny.cfg"
+    path.write_text("omega_s = 1e-150\nomega_e = 2\npsi = 0.9\nt0 = 1\ntau = 0.5\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["markov", "--surrogate", "drop-negative", "--config", str(path)]
+        rc = main(argv + ["--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(out / "markov.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows))
+    assert np.all(rows[:, -1] == 1.0)
+
+
 #: Every subcommand that takes a scenario config, both adiabatic orders.
 _SCENARIO_RUNS = [
     ["simulate"], ["markov"], ["perturb"], ["adiabatic"], ["adiabatic", "--order", "1"]

@@ -20,6 +20,7 @@ from numutil import (
     dop853_propagators,
     environment_purity,
     generator_terms,
+    ladder_level,
     purity_at,
     purity_from_block,
     solve_full_window,
@@ -37,6 +38,7 @@ from oscpurity.model import (
     frame_from_xi,
     switch_segments,
 )
+from oscpurity.presets import PRESETS
 from oscpurity.transport import (
     default_sample_dt,
     integrate,
@@ -528,9 +530,10 @@ REFINEMENT_CASES = [
     pytest.param(
         make_params(t0=640.0, tau=0.5), IntegratorConfig(), False, id="long-plateau"
     ),
-    # The switch regions take two levels more than the rest.
+    # The last segment converges a pass before the others, which take two
+    # predicted levels after the first pass.
     pytest.param(
-        make_params(t0=5.0, tau=0.3),
+        make_params(t0=5.0, tau=1.0),
         IntegratorConfig(rtol=1e-15, atol=0.0),
         True,
         id="mixed-levels",
@@ -592,6 +595,27 @@ def test_mirrored_march_matches_full_window_oracle(p):
     assert np.all(np.abs(np.linalg.det(u) - 1.0) <= bound)
     gap = np.swapaxes(u, 1, 2) @ OMEGA4 @ u - OMEGA4
     assert np.all(np.max(np.abs(gap), axis=(1, 2)) <= bound)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-12])
+@pytest.mark.parametrize(
+    "p",
+    [
+        pytest.param(PRESETS["fig2"][1][3], id="fig2-psi-1.5"),
+        pytest.param(PRESETS["fig14c"][1][0], id="fig14c"),
+    ],
+)
+def test_predicted_levels_meet_the_tolerance_of_the_ladder(p, rtol):
+    # The grid of the predicted levels is coarser than the doubling ladder's,
+    # yet its samples lie within the tolerance of a ladder reference solved
+    # at a thousandth of it.
+    cfg = IntegratorConfig(rtol=rtol, atol=1e-2 * rtol)
+    tight = IntegratorConfig(rtol=1e-3 * rtol, atol=1e-5 * rtol)
+    _, ref_t, ref_u, _ = solve_per_segment(p, tight, keep_nodes=True, next_level=ladder_level)
+    traj = integrate(p, cfg)
+    ref = transport.Trajectory(ref_t, p, ref_t, ref_u).propagator_at(traj.t)
+    scale = np.maximum(1.0, np.max(np.abs(ref), axis=(1, 2)))
+    assert np.all(np.max(np.abs(traj.propagator - ref), axis=(1, 2)) <= rtol * scale)
 
 
 def test_mirror_halves_the_step_exponentials(monkeypatch):
@@ -720,6 +744,22 @@ def test_scenarios_solved_together_match_each_solved_alone(case, monkeypatch):
     monkeypatch.setattr(transport, "_GROUP", len(ps) - 1)
     for u, v in zip(propagate(ps, cfg), together):
         np.testing.assert_array_equal(u, v)
+
+
+def test_predicted_levels_cut_the_tau_grid_exponentials(monkeypatch):
+    # The fig12-type tau grid at rtol 1e-12 took 7,085 exponentials in four
+    # passes on the doubling ladder; the predicted levels converge in two.
+    ps, cfg = BATCH_CASES["tau-grid"]
+    calls = []
+    expm = transport._expm
+
+    def counted(om):
+        calls.append(len(om))
+        return expm(om)
+
+    monkeypatch.setattr(transport, "_expm", counted)
+    propagate(ps, cfg)
+    assert sum(calls) <= 0.7 * 7085 and len(calls) <= 2, calls
 
 
 def test_expm_of_a_stack_is_each_matrix_alone():
