@@ -462,30 +462,27 @@ def recoherence_threshold_scan(p_base, tau_over_t0_grid, t_omega_bounds=(0.1, 30
             lo, hi = lo_b, hi_b
         step = hi / lo
         try:
-            lo_holds, recohering = recoheres(lo, hi)
+            lo_holds, hi_holds = recoheres(lo, hi)
         except StepFailure:
             # One end at a time, the upper only where the lower holds, so
             # that a failure is raised only by a probe the search needs.
             (lo_holds,) = recoheres(lo)
-            recohering = lo_holds and recoheres(hi)[0]
-        if lo_holds:
-            while recohering and hi < hi_b:
-                step *= step
+            hi_holds = lo_holds and recoheres(hi)[0]
+        # Widen towards the change of sign: down while the lower end fails,
+        # up while the upper end holds.
+        while (lo > lo_b) if not lo_holds else (hi_holds and hi < hi_b):
+            step *= step
+            if lo_holds:
                 lo, hi = hi, min(hi_b, hi * step)
-                (recohering,) = recoheres(hi)
-            if recohering:
-                results.append((ratio, hi, hi, np.inf))
-                continue
-        else:
-            while True:
-                if lo <= lo_b:
-                    raise NoThreshold(
-                        "criterion never met at tau/t0 = %g on the given bounds" % ratio
-                    )
-                step *= step
-                lo, hi = max(lo_b, lo / step), lo
-                if recoheres(lo)[0]:
-                    break
+                (hi_holds,) = recoheres(hi)
+            else:
+                lo, hi, hi_holds = max(lo_b, lo / step), lo, False
+                (lo_holds,) = recoheres(lo)
+        if not lo_holds:
+            raise NoThreshold("criterion never met at tau/t0 = %g on the given bounds" % ratio)
+        if hi_holds:
+            results.append((ratio, hi, hi, np.inf))
+            continue
         while hi / lo > 1.0 + rel_resolution:
             mid = np.sqrt(lo * hi)
             if recoheres(mid)[0]:

@@ -170,8 +170,10 @@ def parse_sweep_spec(text):
     Raises:
         ConfigError: on a malformed spec, an unknown key (`workers` too:
             sweeps run serially), a grid shorter than its reduction needs or
-            longer than MAX_STEPS, the top-hat profile (which ignores tau), or
-            an integrator key that the reduction would ignore.
+            longer than MAX_STEPS, min = max with count > 1 or min < max with
+            count = 1 (a one-point grid is written min = max), the top-hat
+            profile (which ignores tau), or an integrator key that the
+            reduction would ignore.
     """
     base = read_pairs(text)
     kv = {key: base.pop(key) for key in list(base) if key in _SWEEP_KEYS}
@@ -190,12 +192,17 @@ def parse_sweep_spec(text):
         count = int(kv["count"])
     except ValueError as exc:
         raise ConfigError("bad sweep number: %s" % exc)
-    if count < 1 or not 0 < lo < hi < np.inf:
+    if count < 1 or not 0 < lo <= hi < np.inf:
         raise ConfigError("sweep grid bounds must satisfy 0 < min < max < inf, count >= 1")
     need, ignored = _REDUCTIONS[kv["reduction"]]
     if count < need:
         raise ConfigError(
             "reduction %r needs count >= %d, got %d" % (kv["reduction"], need, count)
+        )
+    if (count == 1) != (lo == hi):
+        raise ConfigError(
+            "sweep key 'count' = %d needs 'max' %s 'min' = %g, got %g"
+            % (count, "=" if count == 1 else ">", lo, hi)
         )
     if count > MAX_STEPS:
         raise ConfigError("sweep key 'count' = %d is more than %d" % (count, MAX_STEPS))
@@ -207,50 +214,26 @@ def parse_sweep_spec(text):
     return p, cfg, grid, kv["reduction"]
 
 
-def run_sweep(p, cfg, grid, reduction):
-    """Evaluate the sweep reduction over the grid."""
-    from . import adiabatic
-
-    if reduction == "threshold":
-        res = adiabatic.recoherence_threshold_scan(p, grid / p.t0)
-        return {
-            "kind": "threshold",
-            "tau_over_t0": res["tau_over_t0"],
-            "value": res["T_omega_thr"],
-            "fit": {
-                "slope": res["slope"],
-                "intercept": res["intercept"],
-                "r_squared": res["r_squared"],
-            },
-        }
-    if reduction == "slope":
-        res = adiabatic.nonanalyticity_slope(p, grid, cfg)
-        return dict(res, kind=reduction, value=res["gamma_inf"])
-    gamma_inf = adiabatic.latetime_purity(
-        [dataclasses.replace(p, tau=float(tau)) for tau in grid], cfg
-    )
-    return {"kind": reduction, "tau_over_t0": grid / p.t0, "value": gamma_inf}
-
-
 def cmd_sweep(args):
-    from . import output
+    from . import adiabatic, output
 
     out = output.out_dir(args.out)
-    text = _read_text(args.spec, "sweep spec")
-    p, cfg, grid, reduction = parse_sweep_spec(text)
-    res = run_sweep(p, cfg, grid, reduction)
-    value = "T_omega_thr" if res["kind"] == "threshold" else "gamma_inf"
-    output.write_csv(
-        out("sweep.csv"),
-        "tau_over_t0," + value,
-        [res["tau_over_t0"], res["value"]],
-    )
-    if res["kind"] == "slope":
+    p, cfg, grid, reduction = parse_sweep_spec(_read_text(args.spec, "sweep spec"))
+    summary = {"schema": output.SCHEMA, "kind": reduction, "points": len(grid)}
+    if reduction == "threshold":
+        res = adiabatic.recoherence_threshold_scan(p, grid / p.t0)
+        header, value = "tau_over_t0,T_omega_thr", res["T_omega_thr"]
+        summary["fit"] = {key: res[key] for key in ("slope", "intercept", "r_squared")}
+    elif reduction == "slope":
+        res = adiabatic.nonanalyticity_slope(p, grid, cfg)
+        header, value = "tau_over_t0,gamma_inf", res["gamma_inf"]
         output.write_slope_csv(out("sweep_slope.csv"), res)
-    points = len(res["tau_over_t0"])
-    summary = {"schema": output.SCHEMA, "kind": res["kind"], "points": points}
-    if "fit" in res:
-        summary["fit"] = res["fit"]
+    else:
+        header = "tau_over_t0,gamma_inf"
+        value = adiabatic.latetime_purity(
+            [dataclasses.replace(p, tau=float(tau)) for tau in grid], cfg
+        )
+    output.write_csv(out("sweep.csv"), header, [grid / p.t0, value])
     output.emit(summary, args.json)
     return 0
 
@@ -271,6 +254,8 @@ def _parse_grid(text, name, hi_max):
         raise ConfigError(
             "--%s grid must lie in (0, %g] with count >= 1" % (name, hi_max)
         )
+    if n == 1 and lo < hi:
+        raise ConfigError("--%s count 1 needs max = min, got max %g > min %g" % (name, hi, lo))
     return lo, hi, n
 
 

@@ -261,8 +261,9 @@ def write_slope_csv(path, res):
     )
 
 
-def summarize(p, gamma_min=None, gamma_inf=None, **extra):
-    """Schema-1 summary of one scenario run.
+def summarize(p, gamma_min, gamma_inf, **extra):
+    """Schema-1 summary of one scenario run; a purity the run does not
+    report is None, written as JSON null.
 
     omega1_abs = sqrt|omega1^2| at peak coupling comes from the closed form,
     so it reads 0 rather than failing at exactly critical coupling.

@@ -145,7 +145,7 @@ def _run_slope(name, scenarios, out):
         [res["tau_over_t0"], res["deficit"]],
     )
     output.write_slope_csv(out("fig12_slope.csv"), res)
-    return [output.summarize(p, float("nan"), float(res["gamma_inf"][0]))]
+    return [output.summarize(p, None, float(res["gamma_inf"][0]))]
 
 
 def _run_threshold(name, scenarios, out):
@@ -161,10 +161,9 @@ def _run_threshold(name, scenarios, out):
         "tau_over_t0,T_omega_thr,slope_fit,r_squared",
         [res["tau_over_t0"], res["T_omega_thr"], *fit],
     )
-    nan = float("nan")
     return [
         output.summarize(
-            p, nan, nan, threshold_slope=res["slope"], threshold_r_squared=res["r_squared"]
+            p, None, None, threshold_slope=res["slope"], threshold_r_squared=res["r_squared"]
         )
     ]
 

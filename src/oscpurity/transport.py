@@ -401,11 +401,10 @@ def _solve(ps, cfg, keep_nodes):
     aimed at tol / 10.  Each decision reads only the segment's own levels,
     so a scenario's grid does not depend on its batch.  The segment that
     starts at 0 is tested on the whole mirrored segment [-hi, hi],
-    P S P^T S: its half alone would converge a level early.  A failure is
-    raised for the first segment that fails, in the order of the scenarios
-    and of their segments, once every segment before it converged, as if the
-    segments were refined one after the other; the segments after it stop
-    refining.
+    P S P^T S: its half alone would converge a level early.  Every segment
+    refines until it converges or fails; then the first failure, in the
+    order of the scenarios and of their segments, is raised, which is the
+    one refining the segments one after the other would raise.
 
     The nodes of t < 0 are the running products of the mirrored steps
     S e^T S in reverse order, marched forward from t_in like every other
@@ -446,20 +445,14 @@ def _solve(ps, cfg, keep_nodes):
     coarse = np.full((len(bounds), 4, 4), np.nan)
     below = np.full(len(bounds), np.nan)
     first_pass = True
-    while True:
-        first = next((k for k, r in enumerate(result) if not isinstance(r, tuple)), None)
-        if first is None:
-            break
-        if isinstance(result[first], str):
-            raise StepFailure(result[first])
-        stop = next((k for k, r in enumerate(result) if isinstance(r, str)), len(result))
+    while any(r is None for r in result):
         # (segment, steps, keep): the first pass evaluates each segment's
         # first level, only ever the coarse estimate, which keeps no steps,
         # and its doubling.
         levels = [
             (k, count, keep)
-            for k in range(first, stop)
-            if result[k] is None
+            for k, r in enumerate(result)
+            if r is None
             for count, keep in (
                 ((n[k], False), (2 * n[k], keep_nodes)) if first_pass else ((n[k], keep_nodes),)
             )
@@ -501,6 +494,9 @@ def _solve(ps, cfg, keep_nodes):
                 result[k] = "no convergence on [%g, %g] within %d steps" % (lo, hi, MAX_STEPS)
             else:
                 coarse[k], below[k], n[k] = estimate[i], count, step
+    failed = next((r for r in result if isinstance(r, str)), None)
+    if failed is not None:
+        raise StepFailure(failed)
     return [
         _nodes(p, bounds[a:b], n[a:b], result[a:b], keep_nodes)
         for p, a, b in zip(ps, starts, starts[1:])

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, output files,
 byte-level determinism, sweep specs, and the phase diagram."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oscpurity import model
+from oscpurity import adiabatic, model
 from oscpurity.cli import (
     build_parser,
     main,
@@ -720,17 +721,80 @@ def test_slope_sweep_below_the_deficit_floor_is_numerical_failure(
     assert not os.path.exists(out)
 
 
-def test_sweep_cli_writes_csv(tmp_path, capsys):
+@pytest.mark.parametrize("reduction", ["latetime_purity", "slope", "threshold"])
+def test_sweep_cli_writes_csv(reduction, tmp_path, capsys):
     spec = tmp_path / "sweep.cfg"
-    spec.write_text(SWEEP_SPEC)
+    spec.write_text(SWEEP_SPEC.replace("latetime_purity", reduction))
     out = str(tmp_path / "sw")
     assert main(["sweep", "--spec", str(spec), "--out", out, "--json"]) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary["kind"] == "latetime_purity"
+    assert summary["kind"] == reduction
     assert summary["points"] == 4
+    assert ("fit" in summary) == (reduction == "threshold")
+    # The reduction's own call on the spec's grid, value for value.
+    p, cfg, grid, _ = parse_sweep_spec(SWEEP_SPEC)
+    if reduction == "threshold":
+        res = adiabatic.recoherence_threshold_scan(p, grid / p.t0)
+        column, expected = "T_omega_thr", res["T_omega_thr"]
+        assert summary["fit"] == {k: res[k] for k in ("slope", "intercept", "r_squared")}
+    elif reduction == "slope":
+        column, expected = "gamma_inf", adiabatic.nonanalyticity_slope(p, grid, cfg)["gamma_inf"]
+    else:
+        column = "gamma_inf"
+        expected = adiabatic.latetime_purity(
+            [dataclasses.replace(p, tau=float(tau)) for tau in grid], cfg
+        )
+    files = {"sweep.csv"} | ({"sweep_slope.csv"} if reduction == "slope" else set())
+    assert set(os.listdir(out)) == files
     rows = read_bytes(os.path.join(out, "sweep.csv")).decode().splitlines()
-    assert rows[0] == "tau_over_t0,gamma_inf"
+    assert rows[0] == "tau_over_t0," + column
     assert len(rows) == 5
+    table = np.loadtxt(os.path.join(out, "sweep.csv"), delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(table[:, 0], grid / p.t0)
+    np.testing.assert_array_equal(table[:, 1], expected)
+    if reduction == "slope":
+        rows = read_bytes(os.path.join(out, "sweep_slope.csv")).decode().splitlines()
+        assert rows[0] == "tau_over_t0,slope,flagged"
+        assert len(rows) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (
+            ["sweep"],
+            SWEEP_SPEC.replace("max = 6.0", "max = 2.5").replace("count = 4", "count = 1"),
+        ),
+        (["sweep"], SWEEP_SPEC.replace("max = 6.0", "max = 2.0")),
+        (["phase-diagram", "--w", "0.1:1:1", "--psi", "0.1:3:3"], None),
+        (["phase-diagram", "--w", "0.1:1:3", "--psi", "0.5:3:1"], None),
+    ],
+    ids=["sweep-one-point", "sweep-no-width", "phase-diagram-w", "phase-diagram-psi"],
+)
+def test_one_point_grid_needs_max_equal_to_min(argv, spec, tmp_path, capsys):
+    # A grid of one point would drop max, and one of several points at
+    # min = max would repeat one tau.
+    if spec is not None:
+        path = tmp_path / "grid.spec"
+        path.write_text(spec)
+        argv = argv + ["--spec", str(path)]
+    out = str(tmp_path / "out")
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "count" in err and "max" in err
+    assert not os.path.exists(out)
+
+
+def test_one_point_grid_is_written_min_equal_to_max(tmp_path, capsys):
+    path = tmp_path / "grid.spec"
+    path.write_text(SWEEP_SPEC.replace("max = 6.0", "max = 2.0").replace("count = 4", "count = 1"))
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--spec", str(path), "--out", out, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["points"] == 1
+    out = str(tmp_path / "pd")
+    argv = ["phase-diagram", "--w", "0.5:0.5:1", "--psi", "0.1:3:2", "--out", out, "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["cells"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -957,3 +1021,26 @@ def test_fast_preset_runs(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["preset"] == "fig5"
     assert os.path.exists(os.path.join(out, "fig5_summary.json"))
+
+
+def _strict_json(text):
+    # json.loads accepts NaN and Infinity, which no strict parser does.
+    def reject(constant):
+        raise ValueError("non-standard JSON constant %s" % constant)
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "name, unreported", [("fig12", ["gamma_min"]), ("fig13", ["gamma_inf", "gamma_min"])]
+)
+def test_late_time_preset_summaries_are_strict_json(name, unreported, tmp_path, capsys):
+    # A purity the preset does not report is null, not NaN.
+    out = str(tmp_path / name)
+    assert main(["preset", name, "--out", out, "--json"]) == 0
+    printed = _strict_json(capsys.readouterr().out)
+    with open(os.path.join(out, "%s_summary.json" % name)) as f:
+        written = _strict_json(f.read())
+    assert printed == written
+    (run,) = written["runs"]
+    assert [key for key in ("gamma_inf", "gamma_min") if run[key] is None] == unreported

@@ -798,6 +798,27 @@ def test_batch_failure_is_the_serial_loops(first, monkeypatch):
             assert str(got.value) == str(ref.value)
 
 
+@pytest.mark.parametrize("order", [("late", "now"), ("now", "late")])
+def test_batch_raises_the_first_failure_in_list_order(order, monkeypatch):
+    # late fails after two refinement passes and now before any: every
+    # segment settles before the batch raises, and the failure raised is the
+    # first in list order, not the first to happen.
+    monkeypatch.setattr(transport, "MAX_STEPS", 1024)
+    cfg = IntegratorConfig(rtol=1e-15, atol=0.0)
+    scenarios = {
+        "late": make_params(psi=0.78, t0=1.0),
+        "now": make_params(psi=0.78, t0=1000.0),
+    }
+    messages = {
+        "late": "no convergence on [-9, 9] within 1024 steps",
+        "now": "[-990, 990] needs more than 1024 steps",
+    }
+    for solve in (propagate, transport.node_purities):
+        with pytest.raises(StepFailure) as got:
+            solve([scenarios[name] for name in order], cfg)
+        assert str(got.value) == messages[order[0]]
+
+
 def test_no_convergence_within_budget_is_step_failure(monkeypatch):
     monkeypatch.setattr(transport, "MAX_STEPS", 64)
     with pytest.raises(StepFailure):
