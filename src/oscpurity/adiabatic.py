@@ -23,7 +23,6 @@ from .errors import (
     NoThreshold,
     PrecisionFloor,
     QuadratureNoConvergence,
-    StepFailure,
     SupercriticalExcursion,
 )
 from .model import (
@@ -55,8 +54,18 @@ def _frame(t, p):
     """Normal-mode frame along the profile at t (float or array).
 
     Raises:
+        ConfigError: if the switch is too fast for the frame's rates to stay
+            finite: xi_dot reaches 2 xi0 / tau (from sech^2 terms up to
+            1 / tau), which the frame multiplies by 2 xi0 and by
+            omega_e^2 - omega_s^2.
         SupercriticalExcursion: if omega1^2 <= 0 at any of the times.
     """
+    rate = 2.0 * max(1.0, p.xi0) / p.tau
+    if not np.isfinite(rate * max(1.0, 2.0 * p.xi0, abs(p.omega_e**2 - p.omega_s**2))):
+        raise ConfigError(
+            "tau = %g switches too fast: the coupling's rate xi0 / tau overflows a float"
+            % p.tau
+        )
     fr = frame_from_xi(coupling_xi(t, p), p, coupling_xi_dot(t, p))
     bad = ~(fr.omega1_sq > 0)
     if np.any(bad):
@@ -396,23 +405,17 @@ def recoherence_threshold_scan(p_base, tau_over_t0_grid, t_omega_bounds=(0.1, 30
     the test changes sign between them.  Otherwise the bracket widens
     geometrically towards the change of sign, the exponent doubling each
     time.  Every bracket is then bisected in log T_omega.  Like bisection,
-    this assumes the test changes sign once in T_omega.
-
-    Both ends of each starting bracket, the bounds or the predicted pair,
-    are probed in one node_purities call, which refines the two scenarios
-    together; so the upper end is integrated even where the lower end
-    already fails the test.  Where that call raises a StepFailure, the ends
-    are probed again one at a time, the upper only if the lower holds: a
-    failure of an upper end the search does not need is never raised.
+    this assumes the test changes sign once in T_omega.  A starting
+    bracket, the bounds or the predicted pair, probes its upper end only
+    where its lower end holds.
 
     Returns:
         dict with per-point thresholds T_omega_thr and their final brackets
         T_omega_lo, T_omega_hi (the test holds at lo and fails at hi; hi is
         inf where it still holds at the upper bound, whose threshold is then
         lo), the least-squares line fit (slope, intercept, r_squared) of
-        T_omega_thr versus tau/t0, and the number of probes (every
-        scenario of a node_purities call that returned, the speculative
-        upper ends included).
+        T_omega_thr versus tau/t0, and the number of probes (node_purities
+        calls, each of a different T_omega).
 
     Raises:
         ConfigError: for fewer than two grid points, which the line fit needs,
@@ -437,19 +440,18 @@ def recoherence_threshold_scan(p_base, tau_over_t0_grid, t_omega_bounds=(0.1, 30
     for ratio in tau_over_t0_grid:
         tau = ratio * p_base.t0
 
-        def recoheres(*t_omegas):
-            # The test at each T_omega, all probed in one node_purities call.
+        def recoheres(t_omega):
+            # The test at one T_omega: one node_purities call.
             nonlocal probes
-            ps = [
+            probes += 1
+            g = node_purities(
                 ScenarioParams.from_psi(
-                    p_base.omega_s, p_base.omega_s * (1.0 + 1.0 / t), psi, p_base.t0, tau,
-                    p_base.profile,
-                )
-                for t in t_omegas
-            ]
-            gammas = node_purities(ps, THRESHOLD_CONFIG)
-            probes += len(t_omegas)
-            return [(1.0 - g[-1]) < RECOHERENCE_CRITERION * (1.0 - np.min(g)) for g in gammas]
+                    p_base.omega_s, p_base.omega_s * (1.0 + 1.0 / t_omega), psi, p_base.t0,
+                    tau, p_base.profile,
+                ),
+                THRESHOLD_CONFIG,
+            )
+            return (1.0 - g[-1]) < RECOHERENCE_CRITERION * (1.0 - np.min(g))
 
         if results:
             # On the line through the last two thresholds, the first one's
@@ -461,23 +463,18 @@ def recoherence_threshold_scan(p_base, tau_over_t0_grid, t_omega_bounds=(0.1, 30
         else:
             lo, hi = lo_b, hi_b
         step = hi / lo
-        try:
-            lo_holds, hi_holds = recoheres(lo, hi)
-        except StepFailure:
-            # One end at a time, the upper only where the lower holds, so
-            # that a failure is raised only by a probe the search needs.
-            (lo_holds,) = recoheres(lo)
-            hi_holds = lo_holds and recoheres(hi)[0]
+        lo_holds = recoheres(lo)
+        hi_holds = lo_holds and recoheres(hi)
         # Widen towards the change of sign: down while the lower end fails,
         # up while the upper end holds.
         while (lo > lo_b) if not lo_holds else (hi_holds and hi < hi_b):
             step *= step
             if lo_holds:
                 lo, hi = hi, min(hi_b, hi * step)
-                (hi_holds,) = recoheres(hi)
+                hi_holds = recoheres(hi)
             else:
                 lo, hi, hi_holds = max(lo_b, lo / step), lo, False
-                (lo_holds,) = recoheres(lo)
+                lo_holds = recoheres(lo)
         if not lo_holds:
             raise NoThreshold("criterion never met at tau/t0 = %g on the given bounds" % ratio)
         if hi_holds:
@@ -485,7 +482,7 @@ def recoherence_threshold_scan(p_base, tau_over_t0_grid, t_omega_bounds=(0.1, 30
             continue
         while hi / lo > 1.0 + rel_resolution:
             mid = np.sqrt(lo * hi)
-            if recoheres(mid)[0]:
+            if recoheres(mid):
                 lo = mid
             else:
                 hi = mid

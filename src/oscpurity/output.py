@@ -188,7 +188,7 @@ def out_dir(path):
     return out
 
 
-def write_csv(path_or_buf, header, columns, formats=None):
+def write_csv(path, header, columns, formats=None):
     """Write equal-length columns as CSV rows under a header line, one write
     per block of _CSV_ROWS rows. FMT columns are formatted in numpy, byte for
     byte as Python's "%.16e" % v; other formats, and the non-finite, extreme
@@ -196,7 +196,7 @@ def write_csv(path_or_buf, header, columns, formats=None):
     Python's %.
 
     Args:
-        path_or_buf: file path, or an open text stream (left open).
+        path: file path.
         header: the header line, without its newline.
         columns: one sequence or array per column.
         formats: one %-format per column (default FMT for all).
@@ -209,18 +209,13 @@ def write_csv(path_or_buf, header, columns, formats=None):
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError("CSV columns of unequal lengths %s" % sorted(lengths))
-    own = isinstance(path_or_buf, str)
-    f = open(path_or_buf, "w") if own else path_or_buf
-    try:
+    with open(path, "w") as f:
         f.write(header + "\n")
         for lo in range(0, max(lengths, default=0), _CSV_ROWS):
             f.write(_csv_block([c[lo : lo + _CSV_ROWS] for c in columns], formats))
-    finally:
-        if own:
-            f.close()
 
 
-def write_trajectory(path_or_buf, traj):
+def write_trajectory(path, traj):
     """Write a Trajectory in the standard CSV layout.
 
     Header: t,s11,s12,s22,e11,e12,e22,c11,c12,c21,c22,purity_s,xi with
@@ -228,7 +223,7 @@ def write_trajectory(path_or_buf, traj):
     """
     s = traj.sigma
     write_csv(
-        path_or_buf,
+        path,
         "t,s11,s12,s22,e11,e12,e22,c11,c12,c21,c22,purity_s,xi",
         [traj.t] + [s[:, i, j] for i, j in _CSV_ENTRIES] + [traj.purity_s, traj.xi],
     )

@@ -46,7 +46,7 @@ its samples, like every arbitrary-time query (`propagator_at`, `sigma_at`),
 are one partial Magnus step from the node before each time.  `propagate`
 returns only U at the end point -t_in of each of a list of scenarios, for
 callers that need nothing but the late-time value, and `node_purities` only
-the system purity at the step nodes.
+one scenario's system purity at the step nodes.
 """
 
 import functools
@@ -354,7 +354,7 @@ class Trajectory:
             sl = slice(lo, lo + _CHUNK)
             e = _expm(_exponents(nodes[k[sl]], flat[sl] - nodes[k[sl]], self.params))
             u[sl] = e @ self.step_u[k[sl]]
-        return u[0] if ts.ndim == 0 else u.reshape(ts.shape + (4, 4))
+        return u.reshape(ts.shape + (4, 4))
 
     def sigma_at(self, t):
         """Covariance matrix at an arbitrary time, or a (N, 4, 4) stack at an
@@ -554,23 +554,21 @@ def propagate(ps, cfg=IntegratorConfig()):
     return [u for u, _, _ in _solve(ps, cfg, keep_nodes=False)]
 
 
-def node_purities(ps, cfg=IntegratorConfig()):
-    """System purities at every step node of each scenario's window,
-    without samples.
+def node_purities(p, cfg=IntegratorConfig()):
+    """System purities at every step node of the scenario's window, without
+    samples.
 
-    The scenarios are solved together as in propagate.  The last node is the
-    end point, so the last purity is the last sample's of integrate.
+    The last node is the end point, so the last purity is the last sample's
+    of integrate.
 
     Returns:
-        list of (M + 1,) arrays, one per scenario.
+        (M + 1,) array.
 
     Raises:
-        StepFailure: as propagate.
+        StepFailure: as integrate.
     """
-    return [
-        purity_from_propagator(props, p)
-        for p, (_, _, props) in zip(ps, _solve(ps, cfg, keep_nodes=True))
-    ]
+    ((_, _, props),) = _solve([p], cfg, keep_nodes=True)
+    return purity_from_propagator(props, p)
 
 
 def integrate(p, cfg=IntegratorConfig()):

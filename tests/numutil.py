@@ -398,22 +398,16 @@ def threshold_scan_bisection(
     }
 
 
-def write_csv_per_row(path_or_buf, header, columns, formats=None):
-    """`output.write_csv` as one Python %-template per row over columns
-    converted with .tolist() 256 rows at a time: the bit-for-bit reference of
-    the numpy formatter."""
+def write_csv_per_row(f, header, columns, formats=None):
+    """`output.write_csv` to the text stream f, as one Python %-template per
+    row over columns converted with .tolist() 256 rows at a time: the
+    bit-for-bit reference of the numpy formatter."""
     template = ",".join(formats or ["%.16e"] * len(columns)) + "\n"
     columns = [np.asarray(c) for c in columns]
-    own = isinstance(path_or_buf, str)
-    f = open(path_or_buf, "w") if own else path_or_buf
-    try:
-        f.write(header + "\n")
-        for lo in range(0, min(map(len, columns)), 256):
-            rows = zip(*(c[lo : lo + 256].tolist() for c in columns))
-            f.writelines(template % row for row in rows)
-    finally:
-        if own:
-            f.close()
+    f.write(header + "\n")
+    for lo in range(0, min(map(len, columns)), 256):
+        rows = zip(*(c[lo : lo + 256].tolist() for c in columns))
+        f.writelines(template % row for row in rows)
 
 
 def det_sigma_via_propagator(u, rtol):

@@ -20,6 +20,7 @@ from numutil import (
 from oscpurity import adiabatic, model
 from oscpurity.adiabatic import (
     DEFICIT_FLOOR,
+    RECOHERENCE_CRITERION,
     accumulate_phases,
     latetime_purity,
     loglog_slope,
@@ -292,21 +293,20 @@ def test_threshold_scan_rejects_bounds_it_cannot_bracket(bounds, rel, monkeypatc
 
 
 def test_threshold_scan_probes_are_distinct(monkeypatch):
-    # Every probe integrates a different (params, config); the bracket's
-    # upper end at the bound is not probed twice, and the result counts
-    # every probe: 21, one more than probing a bracket's ends one after the
-    # other, because one predicted pair's upper end is integrated together
-    # with a lower end that fails the test.
+    # Every probe is one node_purities call on one scenario, and every call
+    # integrates a different (params, config): the bracket's upper end at
+    # the bound is not probed twice.  The result counts the calls.
     probes = []
 
-    def counting(ps, cfg):
-        probes.extend((p, cfg) for p in ps)
-        return node_purities(ps, cfg)
+    def counting(p, cfg):
+        assert isinstance(p, ScenarioParams)
+        probes.append((p, cfg))
+        return node_purities(p, cfg)
 
     monkeypatch.setattr(adiabatic, "node_purities", counting)
     p = make_params(t0=1.0, tau=5.0)
     res = recoherence_threshold_scan(p, (0.8, 2.5, 8.0), t_omega_bounds=(0.1, 3.0))
-    assert len(probes) == len(set(probes)) == res["probes"] == 21
+    assert len(probes) == len(set(probes)) == res["probes"] == 20
     assert np.all(res["T_omega_thr"] > 0.1)
     # The last switch rate still recoheres at the upper bound: its bracket
     # is open above.
@@ -315,12 +315,12 @@ def test_threshold_scan_probes_are_distinct(monkeypatch):
 
 
 def _failing_at(omega_es):
-    # node_purities whose step grid fails for every scenario with one of
-    # these omega_e.
-    def probe(ps, cfg):
-        if any(p.omega_e in omega_es for p in ps):
+    # node_purities whose step grid fails for a scenario with one of these
+    # omega_e.
+    def probe(p, cfg):
+        if p.omega_e in omega_es:
             raise StepFailure("injected failure")
-        return node_purities(ps, cfg)
+        return node_purities(p, cfg)
 
     return probe
 
@@ -328,8 +328,9 @@ def _failing_at(omega_es):
 @pytest.mark.parametrize("lower, error", [(0.5, NoThreshold), (0.1, StepFailure)])
 def test_threshold_scan_failing_upper_bound(lower, error, monkeypatch):
     # A step failure at the upper bound is raised only where the search
-    # needs that probe, as when the ends are probed one at a time: a lower
-    # bound above the first threshold (0.374) is reported as NoThreshold.
+    # needs that probe: a lower bound above the first threshold (0.374)
+    # fails the test, so the upper bound is never integrated and the scan
+    # reports NoThreshold.
     p = make_params(t0=1.0)
     monkeypatch.setattr(adiabatic, "node_purities", _failing_at({p.omega_s * (1.0 + 1.0 / 2.0)}))
     with pytest.raises(error):
@@ -337,27 +338,26 @@ def test_threshold_scan_failing_upper_bound(lower, error, monkeypatch):
 
 
 def test_threshold_scan_unneeded_upper_end_failing(monkeypatch):
-    # A predicted pair's upper end whose lower end fails the test is not
-    # needed: its step failure leaves every bracket as it was, and the probe
-    # is not counted.
+    # A starting bracket whose lower end fails the test widens downwards
+    # without integrating its upper end, which the search does not need:
+    # every later probe of that switch rate lies below the lower end.  One
+    # predicted pair of this grid has a failing lower end.
     p, ratios, bounds = make_params(t0=1.0, tau=5.0), (0.8, 2.5, 8.0), (0.1, 3.0)
-    unneeded = set()
+    probes = {}  # tau -> [(T_omega, test holds)] in probe order
 
-    def recording(ps, cfg):
-        gammas = node_purities(ps, cfg)
-        gamma = gammas[0]
-        if len(ps) == 2 and not (1.0 - gamma[-1]) < 0.01 * (1.0 - np.min(gamma)):
-            unneeded.add(ps[1].omega_e)
-        return gammas
+    def recording(q, cfg):
+        gamma = node_purities(q, cfg)
+        holds = (1.0 - gamma[-1]) < RECOHERENCE_CRITERION * (1.0 - np.min(gamma))
+        probes.setdefault(q.tau, []).append((q.omega_s / (q.omega_e - q.omega_s), holds))
+        return gamma
 
     monkeypatch.setattr(adiabatic, "node_purities", recording)
-    ref = recoherence_threshold_scan(p, ratios, t_omega_bounds=bounds)
-    assert len(unneeded) == 1
-    monkeypatch.setattr(adiabatic, "node_purities", _failing_at(unneeded))
     res = recoherence_threshold_scan(p, ratios, t_omega_bounds=bounds)
-    for key in ("T_omega_thr", "T_omega_lo", "T_omega_hi"):
-        assert np.array_equal(res[key], ref[key])
-    assert res["probes"] == ref["probes"] - 1 == 20
+    assert res["probes"] == sum(map(len, probes.values()))
+    failing = [seq for seq in probes.values() if not seq[0][1]]
+    assert len(failing) == 1
+    (lower, _), *later = failing[0]
+    assert later and all(t < lower for t, _ in later)
 
 
 #: (scenario, tau/t0 grid, scan options): the fig13 preset, and the short
@@ -397,9 +397,7 @@ def test_step_node_probes_keep_the_bisection_thresholds(grid):
     # the dense samples finds the same thresholds, bit for bit.
     p, ratios, kwargs = THRESHOLD_GRIDS[grid]
     ref = threshold_scan_bisection(p, ratios, **kwargs)
-    res = threshold_scan_bisection(
-        p, ratios, purities=lambda probe, cfg: node_purities([probe], cfg)[0], **kwargs
-    )
+    res = threshold_scan_bisection(p, ratios, purities=node_purities, **kwargs)
     assert np.array_equal(res["T_omega_thr"], ref["T_omega_thr"])
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 import warnings
 
@@ -254,6 +255,30 @@ def test_switch_below_the_float_spacing_of_t0_is_config_error(config, tmp_path, 
         err = capsys.readouterr().err
         assert rc == 2, (argv, err)
         assert err.startswith("config error") and "vanishes next to t0" in err, (argv, err)
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "t0, tau", [("1e-308", "1e-308"), ("1e-320", "1e-321"), ("5e-324", "5e-324")]
+)
+def test_switch_rate_overflowing_a_float_is_config_error(t0, tau, tmp_path, capsys):
+    # At these tau the coupling's rate xi0 / tau, or the 2 xi0^2 / tau of
+    # the normal-mode frame, overflows: the slow-switching path printed numpy
+    # RuntimeWarnings and exited 0, or 3 after up to 16 s with --order 1.
+    # Both orders refuse the switch, naming tau, before any panel is built.
+    path = tmp_path / "fast.cfg"
+    path.write_text("omega_e = 2\npsi = 0.9\nt0 = %s\ntau = %s\n" % (t0, tau))
+    for argv in (["adiabatic"], ["adiabatic", "--order", "1"]):
+        out = str(tmp_path / "out")
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv + ["--config", str(path), "--out", out])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 2, (argv, err)
+        assert err.startswith("config error: tau = ") and err.count("\n") == 1, (argv, err)
+        assert elapsed < 1.0, (argv, elapsed)
         assert not os.path.exists(out)
 
 
@@ -618,29 +643,31 @@ def test_cli_runtime_never_imports_scipy(tmp_path):
     assert done.stdout.split("\n")[-2] == "[0, 0, 0, 0, 0, 0, 0, 0] []"
 
 
-def test_cli_import_leaves_csv_formatter_tables_unbuilt():
+def test_cli_import_leaves_csv_formatter_tables_unbuilt(tmp_path):
     # The CSV formatter's power-of-ten table is built on the first write, so
     # importing the CLI pays neither for it nor for fractions or decimal.
     script = textwrap.dedent(
         """
-        import io, sys
+        import sys
         import oscpurity.cli
         from oscpurity import output
 
         before = output._fmt_tables.cache_info().currsize
         loaded = sorted({"fractions", "decimal"} & set(sys.modules))
-        output.write_csv(io.StringIO(), "x", [[0.5]])
+        output.write_csv(sys.argv[1], "x", [[0.5]])
         print(before, loaded, output._fmt_tables.cache_info().currsize)
         """
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
+    path = tmp_path / "x.csv"
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, str(path)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0 [] 1"
+    assert path.read_text() == "x\n5.0000000000000000e-01\n"
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,20 @@ from oscpurity.transport import integrate
 
 
 def test_write_trajectory_writes_file(tmp_path):
+    # The trajectory layout, byte for byte as the per-row writer formats the
+    # same columns.
     p = ScenarioParams.from_psi(1.0, 2.0, 0.9, 1.0, 1.0)
     traj = integrate(p, IntegratorConfig())
-    path = str(tmp_path / "traj.csv")
-    output.write_trajectory(path, traj)
-    buf = io.StringIO()
-    output.write_trajectory(buf, traj)
-    with open(path) as f:
-        assert f.read() == buf.getvalue()
+    path = tmp_path / "traj.csv"
+    output.write_trajectory(str(path), traj)
+    s = traj.sigma
+    ref = io.StringIO()
+    write_csv_per_row(
+        ref,
+        "t,s11,s12,s22,e11,e12,e22,c11,c12,c21,c22,purity_s,xi",
+        [traj.t] + [s[:, i, j] for i, j in output._CSV_ENTRIES] + [traj.purity_s, traj.xi],
+    )
+    assert path.read_text() == ref.getvalue()
 
 
 def test_write_csv_matches_per_value_formatting(tmp_path):
@@ -48,10 +54,10 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
         assert f.read() == ref
 
 
-def _csv(columns, formats=None):
-    buf = io.StringIO()
-    output.write_csv(buf, "h", columns, formats)
-    return buf.getvalue()
+def _csv(tmp_dir, columns, formats=None):
+    path = tmp_dir / "h.csv"
+    output.write_csv(str(path), "h", columns, formats)
+    return path.read_text()
 
 
 def _csv_per_row(columns, formats=None):
@@ -96,18 +102,19 @@ def _seeded_floats(kind):
 @pytest.mark.parametrize(
     "kind", ["bit_patterns", "integers", "zeros", "powers_of_ten", "range_limits"]
 )
-def test_write_csv_is_byte_identical_to_per_row_writer(kind):
+def test_write_csv_is_byte_identical_to_per_row_writer(kind, tmp_path):
     # Two columns, so blocks, fields and separators are all exercised; the
     # reference is one "%.16e" % v per value.
     x = _seeded_floats(kind)
     columns = [x, x[::-1].copy()]
-    assert _csv(columns) == _csv_per_row(columns)
+    assert _csv(tmp_path, columns) == _csv_per_row(columns)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(), max_size=40))
-def test_write_csv_matches_percent_on_any_float(values):
-    assert _csv([values]) == "h\n" + "".join("%.16e\n" % v for v in values)
+def test_write_csv_matches_percent_on_any_float(tmp_path_factory, values):
+    got = _csv(tmp_path_factory.getbasetemp(), [values])
+    assert got == "h\n" + "".join("%.16e\n" % v for v in values)
 
 
 def _is_17_digit_tie(v):

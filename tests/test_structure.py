@@ -196,6 +196,27 @@ def test_only_model_sets_the_panel_refinement_limits():
     assert found == {("model.py", "MAX_PANELS"), ("model.py", "MAX_DEPTH"), ("model.py", "ROUNDOFF")}
 
 
+def test_only_cli_catches_package_errors():
+    # cli.main alone maps failures to exit codes: no other module has an
+    # except clause that catches OscPurityError or a subclass of it, by name
+    # or through Exception, BaseException or a bare except.
+    caught = {"Exception", "BaseException"}
+    for stmt in dict(_modules())["errors.py"].body:  # each class follows its bases
+        if isinstance(stmt, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in caught for base in stmt.bases
+        ):
+            caught.add(stmt.name)
+    found = [
+        "%s:%d" % (name, node.lineno)
+        for name, tree in _modules()
+        if name != "cli.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and (node.type is None or caught.intersection(_references(node.type)))
+    ]
+    assert found == []
+
+
 def test_only_model_splits_input_text():
     # Configs and sweep specs are split into lines by model.read_pairs alone.
     found = {

@@ -7,7 +7,6 @@ scipy's DOP853 at rtol 1e-12 (tests/numutil.py) for smooth profiles.
 """
 
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -57,10 +56,9 @@ def vacuum(p):
     return np.diag([1.0 / p.omega_s, p.omega_s, 1.0 / p.omega_e, p.omega_e])
 
 
-def csv_text(traj):
-    buf = io.StringIO()
-    output.write_trajectory(buf, traj)
-    return buf.getvalue()
+def csv_text(traj, path):
+    output.write_trajectory(str(path), traj)
+    return path.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +273,11 @@ def test_sample_cadence_default():
     assert np.max(dt) <= default_sample_dt(p) * 1.5
 
 
-def test_csv_layout_and_determinism():
+def test_csv_layout_and_determinism(tmp_path):
     p = make_params(t0=1.0)
     cfg = IntegratorConfig()
-    s1 = csv_text(integrate(p, cfg))
-    s2 = csv_text(integrate(p, cfg))
+    s1 = csv_text(integrate(p, cfg), tmp_path / "first.csv")
+    s2 = csv_text(integrate(p, cfg), tmp_path / "second.csv")
     assert s1 == s2
     lines = s1.splitlines()
     assert lines[0] == "t,s11,s12,s22,e11,e12,e22,c11,c12,c21,c22,purity_s,xi"
@@ -378,7 +376,7 @@ def test_node_purities_are_the_step_node_purities(t_omega, tau):
     # samples (scenarios of the threshold scan, at its tolerances).
     p = ScenarioParams.from_psi(1.0, 1.0 + 1.0 / t_omega, 0.9, 1.0, tau)
     cfg = IntegratorConfig(rtol=1e-7, atol=1e-9)
-    gamma = transport.node_purities([p], cfg)[0]
+    gamma = transport.node_purities(p, cfg)
     traj = integrate(p, cfg)
     assert np.array_equal(gamma, purity_at(traj, traj.step_t))
     assert gamma[-1] == traj.purity_s[-1]
@@ -587,7 +585,7 @@ def test_mirrored_march_matches_full_window_oracle(p):
     traj = integrate(p, cfg)
     assert traj.step_t[0] == p.t_in and np.all(np.diff(traj.step_t) > 0)
     close(traj.propagator, oracle.propagator_at(traj.t))
-    gamma = transport.node_purities([p], cfg)[0]
+    gamma = transport.node_purities(p, cfg)
     ref_gamma = purity_from_propagator(oracle.propagator_at(traj.step_t), p)
     np.testing.assert_allclose(gamma, ref_gamma, rtol=0.0, atol=cfg.rtol)
     u = traj.step_u[traj.step_t <= 0.0]
@@ -700,8 +698,8 @@ def test_step_failures_match_per_segment_loop(monkeypatch):
 
 
 #: Scenarios solved in one call, with their shared config: a fig12-type tau
-#: grid at its tight tolerances, and a threshold scan's predicted bracket
-#: pair (T_omega a factor sqrt(1.1) either side of 0.6).
+#: grid at its tight tolerances, and a pair at the threshold scan's
+#: tolerances (T_omega a factor sqrt(1.1) either side of 0.6).
 BATCH_CASES = {
     "tau-grid": (
         [make_params(t0=0.5, tau=tau) for tau in 2.0 * np.geomspace(1.0, 1.75, 4)],
@@ -714,9 +712,15 @@ BATCH_CASES = {
 }
 
 
+def _solve_nodes(ps, cfg):
+    # The list form of the solve that keeps the step nodes, which integrate
+    # and node_purities call with one scenario.
+    return transport._solve(ps, cfg, keep_nodes=True)
+
+
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_scenarios_solved_together_match_each_solved_alone(case, monkeypatch):
-    # Each scenario's end point and node purities are those of solving it
+    # Each scenario's end point and step nodes are those of solving it
     # alone and of the per-segment loop, bit for bit, and every refinement
     # pass over all scenarios is one _expm batch (each fits one chunk), the
     # first evaluating two levels.
@@ -738,8 +742,10 @@ def test_scenarios_solved_together_match_each_solved_alone(case, monkeypatch):
         np.testing.assert_array_equal(u, end)
         np.testing.assert_array_equal(u, propagate([p], cfg)[0])
     assert passes == max(levels) - 1
-    for p, gamma in zip(ps, transport.node_purities(ps, cfg)):
-        np.testing.assert_array_equal(gamma, transport.node_purities([p], cfg)[0])
+    for p, (_, t, u) in zip(ps, _solve_nodes(ps, cfg)):
+        ((_, t_alone, u_alone),) = _solve_nodes([p], cfg)
+        np.testing.assert_array_equal(t, t_alone)
+        np.testing.assert_array_equal(u, u_alone)
     # A list longer than a group is solved group after group, to the same bits.
     monkeypatch.setattr(transport, "_GROUP", len(ps) - 1)
     for u, v in zip(propagate(ps, cfg), together):
@@ -792,7 +798,7 @@ def test_batch_failure_is_the_serial_loops(first, monkeypatch):
             solve_per_segment(p, cfg, keep_nodes=True)
     for group in (2, 1):
         monkeypatch.setattr(transport, "_GROUP", group)
-        for solve in (propagate, transport.node_purities):
+        for solve in (propagate, _solve_nodes):
             with pytest.raises(StepFailure) as got:
                 solve(ps, cfg)
             assert str(got.value) == str(ref.value)
@@ -813,7 +819,7 @@ def test_batch_raises_the_first_failure_in_list_order(order, monkeypatch):
         "late": "no convergence on [-9, 9] within 1024 steps",
         "now": "[-990, 990] needs more than 1024 steps",
     }
-    for solve in (propagate, transport.node_purities):
+    for solve in (propagate, _solve_nodes):
         with pytest.raises(StepFailure) as got:
             solve([scenarios[name] for name in order], cfg)
         assert str(got.value) == messages[order[0]]
