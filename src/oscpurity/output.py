@@ -8,6 +8,7 @@ and write_json for the summary files.
 """
 
 import functools
+import itertools
 import json
 import os
 
@@ -155,7 +156,7 @@ def _csv_block(columns, formats):
         _put_text(b, r, fast[c], _text(FMT, x[r, c].tolist()))
     b[:, :, -1] = ord(",")
     b[:, -1, -1] = ord("\n")
-    return b[b != 0].tobytes().decode()
+    return buf.tobytes().translate(None, b"\0")
 
 
 def out_dir(path):
@@ -188,6 +189,22 @@ def out_dir(path):
     return out
 
 
+def _rewrite(path, chunks):
+    """Write byte chunks over the file at path in place (created if missing)
+    and cut it at their end: no truncation to zero first, and no fsync.
+
+    Raises:
+        ConfigError: naming path if it cannot be opened for writing.
+    """
+    try:
+        f = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
+    except OSError as exc:
+        raise ConfigError("output file %r: %s" % (path, exc.strerror)) from None
+    with f:
+        f.writelines(chunks)
+        f.truncate()
+
+
 def write_csv(path, header, columns, formats=None):
     """Write equal-length columns as CSV rows under a header line, one write
     per block of _CSV_ROWS rows. FMT columns are formatted in numpy, byte for
@@ -209,10 +226,9 @@ def write_csv(path, header, columns, formats=None):
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError("CSV columns of unequal lengths %s" % sorted(lengths))
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        for lo in range(0, max(lengths, default=0), _CSV_ROWS):
-            f.write(_csv_block([c[lo : lo + _CSV_ROWS] for c in columns], formats))
+    rows = range(0, max(lengths, default=0), _CSV_ROWS)
+    blocks = (_csv_block([c[lo : lo + _CSV_ROWS] for c in columns], formats) for lo in rows)
+    _rewrite(path, itertools.chain([header.encode() + b"\n"], blocks))
 
 
 def write_trajectory(path, traj):
@@ -293,5 +309,4 @@ def emit(summary, json_mode):
 
 def write_json(path, summary):
     """Write a summary as an indented JSON file with sorted keys."""
-    with open(path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+    _rewrite(path, [json.dumps(summary, indent=2, sort_keys=True).encode()])

@@ -358,6 +358,19 @@ def test_unusable_out_is_config_error_before_any_work(where, config_file, tmp_pa
     assert blocker.read_text() == "kept"
 
 
+@pytest.mark.parametrize("name", ["trajectory.csv", "summary.json"])
+def test_output_file_that_is_a_directory_is_config_error(name, config_file, tmp_path, capsys):
+    # A directory where simulate writes one of its files ended in an
+    # IsADirectoryError traceback (exit 1): it is a config error naming the
+    # file, one line on stderr, and the directory is left alone.
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)
+    assert main(["simulate", "--config", config_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: output file %r: Is a directory\n" % str(out / name)
+    assert (out / name).is_dir() and not os.listdir(out / name)
+
+
 @pytest.mark.parametrize(
     "t0, tau", [pytest.param("1e8", "1", id="1e8"), pytest.param("1e300", "1e290", id="1e300")]
 )

@@ -1,9 +1,10 @@
 """Tests for the output module: the trajectory CSV layout and the numpy
 "%.16e" formatter behind write_csv, against Python's % one value at a time
-(tests/numutil.py)."""
+(tests/numutil.py), and the in-place rewrite of existing files."""
 
 import io
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -145,3 +146,50 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="unequal lengths"):
         output.write_csv(path, "a,b", [np.zeros(3), np.zeros(2)])
     assert not (tmp_path / "ragged.csv").exists()
+
+
+#: Each writer with a long and a short artifact of its kind.
+_WRITERS = {
+    "csv": (
+        lambda path, n: output.write_csv(
+            path, "i,x", [np.arange(n), np.arange(n) / 7.0], ["%d", output.FMT]
+        ),
+        (3000, 5),
+    ),
+    "json": (
+        lambda path, n: output.write_json(path, {"schema": output.SCHEMA, "x": list(range(n))}),
+        (500, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_rewrite_over_longer_file_leaves_no_stale_tail(kind, tmp_path):
+    # A short artifact written over a long one holds exactly the bytes of a
+    # fresh write, in the same inode: the file is rewritten in place and cut
+    # at its new end, not truncated to zero first.
+    write, (long, short) = _WRITERS[kind]
+    fresh, path = tmp_path / "fresh", tmp_path / "out"
+    write(str(fresh), short)
+    write(str(path), long)
+    assert path.stat().st_size > fresh.stat().st_size
+    # The old file is held open, so its inode number cannot be reused.
+    with open(path, "rb") as held:
+        write(str(path), short)
+        assert path.stat().st_ino == os.fstat(held.fileno()).st_ino
+    assert path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_rewrite_writes_through_a_symlink(kind, tmp_path):
+    # An output path that is a symlink is written through, long then short,
+    # and stays a link to the same file.
+    write, (long, short) = _WRITERS[kind]
+    fresh, target, link = tmp_path / "fresh", tmp_path / "target", tmp_path / "link"
+    write(str(fresh), short)
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    write(str(link), long)
+    write(str(link), short)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()

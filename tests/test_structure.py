@@ -160,11 +160,42 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _is_os_open(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "open"
+        and _references(node.func.value) == ["os"]
+    )
+
+
+def _opens_for_writing(tree):
+    """The calls of a tree that open a file for writing: each os.open(...),
+    and each other open(...) whose mode writes, appends, creates or updates
+    (w, a, x or +; a mode not spelled as a constant counts as writing),
+    unless it wraps an os.open(...) call."""
+    found = []
+    for node in ast.walk(tree):
+        if _is_os_open(node):
+            found.append("os.open")
+        elif isinstance(node, ast.Call) and _references(node.func)[:1] == ["open"]:
+            mode = node.args[1] if len(node.args) > 1 else None
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+            if mode is None or (node.args and _is_os_open(node.args[0])):
+                continue
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                found.append("open(..., %s) at line %d" % (ast.unparse(mode), node.lineno))
+    return found
+
+
 def test_only_output_formats_and_writes_results():
-    # json is imported, and the CSV writer and its float format defined, in
-    # output.py alone.
+    # json is imported, the CSV writer and its float format defined, and a
+    # file opened for writing, in output.py alone: every output file goes
+    # through its one os.open, which a write-mode open(...) may only wrap.
     found = set()
+    opens = []
     for name, tree in _modules():
+        opens += [(name, call) for call in _opens_for_writing(tree)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 found |= {(name, "json") for a in node.names if a.name == "json"}
@@ -179,6 +210,7 @@ def test_only_output_formats_and_writes_results():
                     if isinstance(t, ast.Name) and t.id == "FMT"
                 }
     assert found == {("output.py", "json"), ("output.py", "write_csv"), ("output.py", "FMT")}
+    assert opens == [("output.py", "os.open")]
 
 
 def test_only_model_sets_the_panel_refinement_limits():
