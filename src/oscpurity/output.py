@@ -8,9 +8,9 @@ and write_json for the summary files.
 """
 
 import functools
-import itertools
 import json
 import os
+import stat
 
 import numpy as np
 
@@ -189,20 +189,20 @@ def out_dir(path):
     return out
 
 
-def _rewrite(path, chunks):
-    """Write byte chunks over the file at path in place (created if missing)
-    and cut it at their end: no truncation to zero first, and no fsync.
-
-    Raises:
-        ConfigError: naming path if it cannot be opened for writing.
-    """
+def _rewrite(path, head, rest=()):
+    """Write head, then the chunks of rest, over the file at path in place."""
     try:
         f = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb")
     except OSError as exc:
         raise ConfigError("output file %r: %s" % (path, exc.strerror)) from None
     with f:
-        f.writelines(chunks)
-        f.truncate()
+        old = os.fstat(f.fileno())
+        try:
+            f.write(head)
+            f.writelines(rest)
+        finally:
+            if stat.S_ISREG(old.st_mode) and old.st_size > f.tell():
+                f.truncate()
 
 
 def write_csv(path, header, columns, formats=None):
@@ -228,7 +228,7 @@ def write_csv(path, header, columns, formats=None):
         raise ValueError("CSV columns of unequal lengths %s" % sorted(lengths))
     rows = range(0, max(lengths, default=0), _CSV_ROWS)
     blocks = (_csv_block([c[lo : lo + _CSV_ROWS] for c in columns], formats) for lo in rows)
-    _rewrite(path, itertools.chain([header.encode() + b"\n"], blocks))
+    _rewrite(path, header.encode() + b"\n", blocks)
 
 
 def write_trajectory(path, traj):
@@ -309,4 +309,4 @@ def emit(summary, json_mode):
 
 def write_json(path, summary):
     """Write a summary as an indented JSON file with sorted keys."""
-    _rewrite(path, [json.dumps(summary, indent=2, sort_keys=True).encode()])
+    _rewrite(path, json.dumps(summary, indent=2, sort_keys=True).encode())

@@ -5,6 +5,7 @@
 import io
 import math
 import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -193,3 +194,46 @@ def test_rewrite_writes_through_a_symlink(kind, tmp_path):
     write(str(link), short)
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_rewrite_through_a_link_to_devnull(kind, tmp_path):
+    # A file that cannot be truncated, such as a character device, is
+    # written without being cut.
+    write, (long, short) = _WRITERS[kind]
+    link = tmp_path / "link"
+    link.symlink_to(os.devnull)
+    write(str(link), long)
+    write(str(link), short)
+    assert link.is_symlink() and os.readlink(link) == os.devnull
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+def test_rewrite_into_a_fifo(kind, tmp_path):
+    # A named pipe, which has no position to cut at, receives exactly the
+    # bytes of a fresh write.
+    write, (_, short) = _WRITERS[kind]
+    fresh, fifo = tmp_path / "fresh", tmp_path / "fifo"
+    write(str(fresh), short)
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    write(str(fifo), short)
+    reader.join(10)
+    assert got == [fresh.read_bytes()]
+
+
+def test_failed_rewrite_leaves_only_the_new_prefix(tmp_path):
+    # A write that fails partway still cuts the file at the bytes written,
+    # so no tail of the previous artifact is left behind them.
+    path = tmp_path / "out"
+    path.write_bytes(b"x" * 100)
+
+    def blocks():
+        yield b"new\n"
+        raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        output._rewrite(str(path), b"head\n", blocks())
+    assert path.read_bytes() == b"head\nnew\n"
