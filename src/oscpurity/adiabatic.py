@@ -35,7 +35,7 @@ from .model import (
     refine_panels,
     switch_segments,
 )
-from .transport import node_purities, propagate, purity_from_propagator
+from .transport import latetime_purity, node_purities
 
 #: Purity deficits below this are beyond double-precision resolution.
 DEFICIT_FLOOR = 1e-13
@@ -315,19 +315,6 @@ def purity_nlo_correction(t, acc):
     fr = _frame(t, acc.params)
     itilde_omega, itilde_theta = _nlo_terms(t, fr, acc)
     return 0.5 * np.sin(2.0 * fr.theta) * _lo(fr) ** 3 * (itilde_omega - itilde_theta)
-
-
-def latetime_purity(ps, cfg):
-    """Frozen late-time purities of a list of scenarios from the exact
-    integrator.
-
-    Propagates every scenario over its window [t_in, -t_in], to where the
-    switch-off is complete, in one transport.propagate call with the
-    IntegratorConfig cfg, without samples, and returns the purities at -t_in
-    as an array, one per scenario.
-    """
-    us = propagate(ps, cfg)
-    return np.array([purity_from_propagator(u, p) for u, p in zip(us, ps)])
 
 
 def loglog_slope(ratios, deficits):

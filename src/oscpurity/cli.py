@@ -216,6 +216,7 @@ def parse_sweep_spec(text):
 
 def cmd_sweep(args):
     from . import adiabatic, output
+    from .transport import latetime_purity
 
     out = output.out_dir(args.out)
     p, cfg, grid, reduction = parse_sweep_spec(_read_text(args.spec, "sweep spec"))
@@ -230,9 +231,7 @@ def cmd_sweep(args):
         output.write_slope_csv(out("sweep_slope.csv"), res)
     else:
         header = "tau_over_t0,gamma_inf"
-        value = adiabatic.latetime_purity(
-            [dataclasses.replace(p, tau=float(tau)) for tau in grid], cfg
-        )
+        value = latetime_purity([dataclasses.replace(p, tau=float(tau)) for tau in grid], cfg)
     output.write_csv(out("sweep.csv"), header, [grid / p.t0, value])
     output.emit(summary, args.json)
     return 0
@@ -254,8 +253,11 @@ def _parse_grid(text, name, hi_max):
         raise ConfigError(
             "--%s grid must lie in (0, %g] with count >= 1" % (name, hi_max)
         )
-    if n == 1 and lo < hi:
-        raise ConfigError("--%s count 1 needs max = min, got max %g > min %g" % (name, hi, lo))
+    if (n == 1) != (lo == hi):
+        raise ConfigError(
+            "--%s count %d needs max %s min = %g, got max %g"
+            % (name, n, "=" if n == 1 else ">", lo, hi)
+        )
     return lo, hi, n
 
 

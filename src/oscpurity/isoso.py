@@ -72,7 +72,7 @@ def isoso_purity(t, p):
         p: ScenarioParams.
 
     Returns:
-        A float for a scalar t, else an array of t's shape.
+        An array of t's shape.
 
     Raises:
         CriticalPoint: if xi0 is within the guard band of the critical value.
@@ -90,7 +90,7 @@ def isoso_purity(t, p):
         raise PrecisionFloor(
             "top-hat purity is not finite at t = %r" % float(t.flat[np.argmax(bad)])
         )
-    return float(gam) if gam.ndim == 0 else gam
+    return gam
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +111,9 @@ def regime_purity(case, dt, p):
         p: ScenarioParams.
 
     Returns:
-        Expansion value(s); NaN where the expansion breaks down (the
-        expression under the inverse square root turns non-positive).
+        Expansion values, an array of dt's shape; NaN where the expansion
+        breaks down (the expression under the inverse square root turns
+        non-positive).
     """
     if case not in EXPANSION_NAMES:
         raise ValueError("unknown expansion case %r" % (case,))
@@ -206,11 +207,7 @@ def regime_purity(case, dt, p):
 
 def _finalize(val, invert):
     val = np.real(np.asarray(val))
-    if invert:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(val > 0.0, val ** -0.5, np.nan)
-    else:
-        out = val
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if not invert:
+        return val
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(val > 0.0, val ** -0.5, np.nan)

@@ -150,8 +150,8 @@ def purity_o2_quadrature(t, p):
 
     Returns:
         1 minus the symmetrized double integral of the second-order kernel
-        over [t_in, t]^2, evaluated through its sum-frequency reduction: a
-        float for a scalar t, else an array of t's shape.
+        over [t_in, t]^2, evaluated through its sum-frequency reduction, as
+        an array of t's shape.
 
     Raises:
         QuadratureNoConvergence: if the accumulated error estimate of the
@@ -160,8 +160,6 @@ def purity_o2_quadrature(t, p):
             first such time.
     """
     t = np.asarray(t, dtype=float)
-    if p.xi0 == 0.0:
-        return 1.0 if t.ndim == 0 else np.ones(t.shape)
     if p.profile == ISOSO:
         return purity_o2_isoso(np.clip(t, -p.t0, p.t0) + p.t0, p)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -177,8 +175,7 @@ def purity_o2_quadrature(t, p):
             raise QuadratureNoConvergence(
                 "%s at t = %r" % (what, float(t.flat[np.argmax(bad)]))
             )
-    gam = gam.reshape(t.shape)
-    return float(gam) if gam.ndim == 0 else gam
+    return gam.reshape(t.shape)
 
 
 def purity_o2_isoso(dt, p):
@@ -189,13 +186,11 @@ def purity_o2_isoso(dt, p):
         p: ScenarioParams.
 
     Returns:
-        1 - 4 g_p^2 (1 + w^2)/(1 + w)^2 sin^2[(w_S + w_E) dt / 2].
+        1 - 4 g_p^2 (1 + w^2)/(1 + w)^2 sin^2[(w_S + w_E) dt / 2], an array of
+        dt's shape.
     """
     dt = np.minimum(np.asarray(dt, dtype=float), 2.0 * p.t0)
     gp = perturbativity_gp(p)
     w = p.w
     amp = 4.0 * gp * gp * (1.0 + w * w) / (1.0 + w) ** 2
-    val = 1.0 - amp * np.sin(0.5 * (p.omega_s + p.omega_e) * dt) ** 2
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return 1.0 - amp * np.sin(0.5 * (p.omega_s + p.omega_e) * dt) ** 2

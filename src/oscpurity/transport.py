@@ -43,10 +43,10 @@ so a scenario's propagator is the same bit for bit alone or in any batch.
 
 `integrate` returns a Trajectory that holds the propagator at every step node;
 its samples, like every arbitrary-time query (`propagator_at`, `sigma_at`),
-are one partial Magnus step from the node before each time.  `propagate`
-returns only U at the end point -t_in of each of a list of scenarios, for
-callers that need nothing but the late-time value, and `node_purities` only
-one scenario's system purity at the step nodes.
+are one partial Magnus step from the node before each time.  `latetime_purity`
+returns only the system purity at the end point -t_in of each of a list of
+scenarios, the late-time value that the slope and sweep diagnostics read, and
+`node_purities` only one scenario's system purity at the step nodes.
 """
 
 import functools
@@ -256,9 +256,9 @@ def _mirror(u):
     return np.swapaxes(u, -1, -2)[..., _SWAP, :][..., :, _SWAP]
 
 
-def _segment_propagators(levels):
-    """Propagators of the levels (p, t_lo, t_hi, n, keep), each the product
-    of n equal Magnus steps of its own scenario p.
+def _segment_propagators(levels, keep):
+    """Propagators of the levels (p, t_lo, t_hi, n), each the product of n
+    equal Magnus steps of its own scenario p.
 
     Each level is cut into pieces of at most _CHUNK steps from its start;
     consecutive pieces, of one level or of several and of one scenario or of
@@ -267,11 +267,11 @@ def _segment_propagators(levels):
 
     Returns:
         (totals, steps): the (L, 4, 4) stack of the levels' propagators, and
-        per level the list of its step propagators' pieces in time order
-        with keep, else None.  The pieces are views into a batch.
+        with keep, per level the list of its step propagators' pieces in time
+        order (views into a batch), else None.
     """
     batches, size = [[]], 0
-    for k, (_, _, _, n, _) in enumerate(levels):
+    for k, (_, _, _, n) in enumerate(levels):
         for start in range(0, n, _CHUNK):
             count = min(n - start, _CHUNK)
             if size + count > _CHUNK:
@@ -280,7 +280,7 @@ def _segment_propagators(levels):
             batches[-1].append((k, start, count))
             size += count
     totals = np.broadcast_to(_EYE, (len(levels), 4, 4)).copy()
-    steps = [[] if keep else None for *_, keep in levels]
+    steps = [[] for _ in levels] if keep else None
     for batch in batches:
         ks, starts, counts = (np.array(v) for v in zip(*batch))
         t_lo = np.array([levels[k][1] for k in ks])
@@ -300,7 +300,7 @@ def _segment_propagators(levels):
         for k, count in zip(ks, counts):
             piece, lo = e[lo : lo + count], lo + count
             totals[k] = _product(piece) @ totals[k]
-            if steps[k] is not None:
+            if keep:
                 steps[k].append(piece)
     return totals, steps
 
@@ -446,33 +446,30 @@ def _solve(ps, cfg, keep_nodes):
     below = np.full(len(bounds), np.nan)
     first_pass = True
     while any(r is None for r in result):
-        # (segment, steps, keep): the first pass evaluates each segment's
-        # first level, only ever the coarse estimate, which keeps no steps,
-        # and its doubling.
+        # (segment, steps): the first pass evaluates each segment's first
+        # level, only ever the coarse estimate, and its doubling.
         levels = [
-            (k, count, keep)
+            (k, count)
             for k, r in enumerate(result)
             if r is None
-            for count, keep in (
-                ((n[k], False), (2 * n[k], keep_nodes)) if first_pass else ((n[k], keep_nodes),)
-            )
+            for count in ((n[k], 2 * n[k]) if first_pass else (n[k],))
             if count <= MAX_STEPS
         ]
         first_pass = False
         # An overflowing product is caught by the finite check below.
         with np.errstate(over="ignore", invalid="ignore"):
             totals, pieces = _segment_propagators(
-                [(ps[owner[k]],) + bounds[k] + (count, keep) for k, count, keep in levels]
+                [(ps[owner[k]],) + bounds[k] + (count,) for k, count in levels], keep_nodes
             )
             # The Richardson estimates of all levels at once, a central
             # segment's with its mirror.
             estimate = totals.copy()
-            mid = [i for i, (k, _, _) in enumerate(levels) if k in centres]
+            mid = [i for i, (k, _) in enumerate(levels) if k in centres]
             estimate[mid] = totals[mid] @ _mirror(totals[mid])
             finite = np.isfinite(estimate).all(axis=(1, 2))
             tol = cfg.atol + cfg.rtol * np.abs(estimate).max(axis=(1, 2))
         # Each level's outcome, in the order of the per-segment loop.
-        for i, (k, count, _) in enumerate(levels):
+        for i, (k, count) in enumerate(levels):
             if result[k] is not None:
                 continue
             lo, hi = span[k]
@@ -483,7 +480,7 @@ def _solve(ps, cfg, keep_nodes):
             err = np.abs(estimate[i] - coarse[k]).max() / ((count / below[k]) ** 6 - 1.0)
             if err <= tol[i]:
                 # A copy, so that no batch outlives its pass.
-                result[k] = (totals[i], None if pieces[i] is None else np.concatenate(pieces[i]))
+                result[k] = (totals[i], keep_nodes and np.concatenate(pieces[i]))
                 continue
             # The step count whose predicted error is a tenth of the
             # tolerance, at most eight times this one; twice it without an
@@ -534,24 +531,25 @@ def _nodes(p, bounds, n, done, keep_nodes):
     return props[-1], times, props
 
 
-def propagate(ps, cfg=IntegratorConfig()):
-    """Propagator U(-t_in) over each scenario's window [t_in, -t_in], without
-    samples.
+def latetime_purity(ps, cfg):
+    """Frozen late-time system purities at -t_in of a list of scenarios,
+    where the switch-off is complete, without samples.
 
     Args:
         ps: list of ScenarioParams, solved together.
         cfg: IntegratorConfig shared by all of them.
 
     Returns:
-        list of U(-t_in), one per scenario, each the same bit for bit as
-        when its scenario is solved alone.
+        (len(ps),) array, each purity the same bit for bit as when its
+        scenario is solved alone.
 
     Raises:
         StepFailure: if a step grid cannot meet the tolerances within the
             step budget, or a propagator overflows; the first failing
             scenario of ps raises it.
     """
-    return [u for u, _, _ in _solve(ps, cfg, keep_nodes=False)]
+    us = [u for u, _, _ in _solve(ps, cfg, keep_nodes=False)]
+    return np.array([purity_from_propagator(u, p) for u, p in zip(us, ps)])
 
 
 def node_purities(p, cfg=IntegratorConfig()):

@@ -22,7 +22,6 @@ from oscpurity.adiabatic import (
     DEFICIT_FLOOR,
     RECOHERENCE_CRITERION,
     accumulate_phases,
-    latetime_purity,
     loglog_slope,
     nlo_contributions,
     nonanalyticity_slope,
@@ -39,7 +38,7 @@ from oscpurity.errors import (
     SupercriticalExcursion,
 )
 from oscpurity.model import IntegratorConfig, ScenarioParams
-from oscpurity.transport import node_purities
+from oscpurity.transport import latetime_purity, node_purities
 
 
 def make_params(omega_e=2.0, psi=0.9, t0=1.0, tau=10.0):

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oscpurity import adiabatic, model
+from oscpurity import adiabatic, model, transport
 from oscpurity.cli import (
     build_parser,
     main,
@@ -522,12 +522,12 @@ def test_latetime_sweeps_reject_ignored_integrator_keys(
     # A late-time purity takes no samples, so sample_dt would be ignored, and
     # the window has no end-time setting: the spec is rejected while parsing,
     # naming the key, before any cell is integrated.
-    import oscpurity.adiabatic as adiabatic_mod
-
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated a cell")
 
-    monkeypatch.setattr(adiabatic_mod, entry, no_integration)
+    # The sweep takes latetime_purity from transport, the slope from adiabatic.
+    module = transport if entry == "latetime_purity" else adiabatic
+    monkeypatch.setattr(module, entry, no_integration)
     spec = tmp_path / "latetime.spec"
     spec.write_text(
         SWEEP_SPEC.replace("reduction = latetime_purity", "reduction = " + reduction)
@@ -781,7 +781,7 @@ def test_sweep_cli_writes_csv(reduction, tmp_path, capsys):
         column, expected = "gamma_inf", adiabatic.nonanalyticity_slope(p, grid, cfg)["gamma_inf"]
     else:
         column = "gamma_inf"
-        expected = adiabatic.latetime_purity(
+        expected = transport.latetime_purity(
             [dataclasses.replace(p, tau=float(tau)) for tau in grid], cfg
         )
     files = {"sweep.csv"} | ({"sweep_slope.csv"} if reduction == "slope" else set())
@@ -808,8 +808,15 @@ def test_sweep_cli_writes_csv(reduction, tmp_path, capsys):
         (["sweep"], SWEEP_SPEC.replace("max = 6.0", "max = 2.0")),
         (["phase-diagram", "--w", "0.1:1:1", "--psi", "0.1:3:3"], None),
         (["phase-diagram", "--w", "0.1:1:3", "--psi", "0.5:3:1"], None),
+        (["phase-diagram", "--w", "0.5:0.5:3", "--psi", "1:2:2"], None),
     ],
-    ids=["sweep-one-point", "sweep-no-width", "phase-diagram-w", "phase-diagram-psi"],
+    ids=[
+        "sweep-one-point",
+        "sweep-no-width",
+        "phase-diagram-w",
+        "phase-diagram-psi",
+        "phase-diagram-no-width",
+    ],
 )
 def test_one_point_grid_needs_max_equal_to_min(argv, spec, tmp_path, capsys):
     # A grid of one point would drop max, and one of several points at

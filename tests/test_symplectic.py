@@ -1,9 +1,11 @@
 """Tests for the fixed-size symplectic helpers, and for the matrix helpers
 of tests/numutil.py that other tests use as references."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numutil import (
     OMEGA4,
@@ -39,9 +41,14 @@ def test_symmetrize_idempotent():
     st.floats(-10, 10),
     st.floats(-10, 10),
 )
-def test_det2_matches_numpy(a, b, c, d):
-    m = np.array([[a, b], [c, d]])
-    assert det2(m) == pytest.approx(np.linalg.det(m), rel=1e-10, abs=1e-10)
+# A subnormal pivot, on which np.linalg.det warns of a division by zero.
+@example(0.0, 1.8094928198946356e-236, 2.225073858507203e-309, 0.5)
+def test_det2_matches_exact_arithmetic(a, b, c, d):
+    # The exact a d - b c in rationals; the float one is within two
+    # roundings of |a d| + |b c|, plus the subnormal spacing.
+    ad, bc = Fraction(a) * Fraction(d), Fraction(b) * Fraction(c)
+    err = abs(Fraction(det2(np.array([[a, b], [c, d]]))) - (ad - bc))
+    assert err <= 1e-15 * (abs(ad) + abs(bc)) + 1e-300
 
 
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))

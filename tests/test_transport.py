@@ -41,10 +41,15 @@ from oscpurity.presets import PRESETS
 from oscpurity.transport import (
     default_sample_dt,
     integrate,
-    propagate,
     purity_from_propagator,
     sigma_from_propagator,
 )
+
+
+def propagate(ps, cfg):
+    """U(-t_in) of each scenario of ps solved together: the end points whose
+    purities transport.latetime_purity returns."""
+    return [u for u, _, _ in transport._solve(ps, cfg, keep_nodes=False)]
 
 
 def make_params(omega_e=2.0, psi=0.9, t0=10.0, tau=1.0, profile="smooth"):
@@ -720,10 +725,10 @@ def _solve_nodes(ps, cfg):
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_scenarios_solved_together_match_each_solved_alone(case, monkeypatch):
-    # Each scenario's end point and step nodes are those of solving it
-    # alone and of the per-segment loop, bit for bit, and every refinement
-    # pass over all scenarios is one _expm batch (each fits one chunk), the
-    # first evaluating two levels.
+    # Each scenario's end point, late-time purity and step nodes are those
+    # of solving it alone and of the per-segment loop, bit for bit, and
+    # every refinement pass over all scenarios is one _expm batch (each fits
+    # one chunk), the first evaluating two levels.
     ps, cfg = BATCH_CASES[case]
     calls = []
     expm = transport._expm
@@ -735,12 +740,16 @@ def test_scenarios_solved_together_match_each_solved_alone(case, monkeypatch):
     monkeypatch.setattr(transport, "_expm", counted)
     together = propagate(ps, cfg)
     passes = len(calls)
+    gammas = transport.latetime_purity(ps, cfg)
+    assert gammas.shape == (len(ps),)
     levels = []
-    for p, u in zip(ps, together):
+    for p, u, gamma in zip(ps, together, gammas):
         end, _, _, seg_levels = solve_per_segment(p, cfg, keep_nodes=False)
         levels += seg_levels
         np.testing.assert_array_equal(u, end)
         np.testing.assert_array_equal(u, propagate([p], cfg)[0])
+        assert gamma == purity_from_propagator(end, p)
+        np.testing.assert_array_equal(transport.latetime_purity([p], cfg), [gamma])
     assert passes == max(levels) - 1
     for p, (_, t, u) in zip(ps, _solve_nodes(ps, cfg)):
         ((_, t_alone, u_alone),) = _solve_nodes([p], cfg)
